@@ -30,9 +30,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify vet tier1 tier2 tier3 tier4 tier5 tier6 fuzz-smoke trace-verify bench bench-gate
+.PHONY: verify vet tier1 tier2 tier3 tier4 tier5 tier6 fuzz-smoke trace-verify bench bench-gate bench-smoke
 
-verify: tier1 tier2 tier3 tier4 tier5 tier6 trace-verify bench-gate
+verify: tier1 tier2 tier3 tier4 tier5 tier6 trace-verify bench-smoke bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -91,3 +91,8 @@ bench:
 
 bench-gate:
 	$(GO) run ./cmd/bench -check
+
+# bench-smoke runs every Benchmark* once, so a benchmark whose own
+# assertions break fails the build instead of rotting unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

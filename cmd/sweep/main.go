@@ -244,6 +244,11 @@ func (s sweepSpec) runPoint(p point) (sweepRow, error) {
 	if err != nil {
 		return sweepRow{}, err
 	}
+	// A value the configuration rejects (batch 0, zero channels) is a point
+	// no system can run: it gets an infeasible row like any other.
+	if cfg.Validate() != nil {
+		return sweepRow{csv: s.infeasibleRow(p.value, sys.Name()), trace: tr}, nil
+	}
 	r, err := sys.Run()
 	if err != nil {
 		return sweepRow{}, err
@@ -255,12 +260,7 @@ func (s sweepSpec) runPoint(p point) (sweepRow, error) {
 		}
 	}
 	if !r.Feasible {
-		return sweepRow{
-			csv: fmt.Sprintf("%s,%d,%s,false,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN\n",
-				s.Dim, p.value, r.System),
-			events: r.EventCount(),
-			trace:  tr,
-		}, nil
+		return sweepRow{csv: s.infeasibleRow(p.value, r.System), events: r.EventCount(), trace: tr}, nil
 	}
 	faults := r.PowerLossFaults + r.DieFailFaults + r.ECCFaults
 	return sweepRow{
@@ -272,6 +272,12 @@ func (s sweepSpec) runPoint(p point) (sweepRow, error) {
 		events: r.EventCount(),
 		trace:  tr,
 	}, nil
+}
+
+// infeasibleRow formats the row of a point the system cannot run: every
+// metric is NaN.
+func (s sweepSpec) infeasibleRow(value int, system string) string {
+	return fmt.Sprintf("%s,%d,%s,false,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN\n", s.Dim, value, system)
 }
 
 // canonicalDim resolves deprecated dimension spellings. The NAND channel

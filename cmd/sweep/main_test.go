@@ -90,6 +90,36 @@ func TestInfeasiblePointsEmitted(t *testing.T) {
 	}
 }
 
+// TestInvalidValuesEmitInfeasibleRows checks that a sweep value the
+// configuration rejects yields a feasible=false row under each requested
+// system instead of aborting the sweep, and that valid values still run.
+func TestInvalidValuesEmitInfeasibleRows(t *testing.T) {
+	spec := testSpec(t, 2)
+	spec.Dim = "batch"
+	spec.Values = []int{0, 1}
+	spec.Systems = []string{"ctrlisp", "optimstore"}
+	out := collect(t, spec)
+	want := []string{
+		"batch,0,ctrl-isp,false,NaN,",
+		"batch,0,optimstore,false,NaN,",
+		"batch,1,ctrl-isp,true,",
+		"batch,1,optimstore,true,",
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("got %d rows, want %d:\n%s", len(lines), len(want), out)
+	}
+	cols := strings.Count(sweepHeader(), ",")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, want[i]) {
+			t.Errorf("row %d = %q, want prefix %q", i, line, want[i])
+		}
+		if got := strings.Count(line, ","); got != cols {
+			t.Errorf("row %d has %d commas, header has %d", i, got, cols)
+		}
+	}
+}
+
 // TestBuskbpsAlias checks the deprecated dimension name still works, maps
 // to the MB/s field, and warns on the provided writer.
 func TestBuskbpsAlias(t *testing.T) {

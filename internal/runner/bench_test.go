@@ -64,12 +64,12 @@ func BenchmarkSweep32(b *testing.B) {
 				if err := FirstErr(results); err != nil {
 					b.Fatal(err)
 				}
-				if len(results) != 32 {
-					b.Fatalf("got %d results", len(results))
+				if len(results) != len(jobs) {
+					b.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 				}
 			}
 			s := Summarize(Run(w, jobs))
-			b.ReportMetric(float64(s.Events)/float64(32), "sim-events/job")
+			b.ReportMetric(float64(s.Events)/float64(len(jobs)), "sim-events/job")
 		})
 	}
 }

@@ -2,72 +2,92 @@ package ssd
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 const unmapped = int64(-1)
 
-// pageMap chunk geometry: entries are materialized in chunks of 2^15
-// int64s (256 KiB) the first time any entry in the chunk is written.
-const (
-	pageMapChunkBits = 15
-	pageMapChunkSize = 1 << pageMapChunkBits
-	pageMapChunkMask = pageMapChunkSize - 1
-)
+// l2pChunkBits sizes the chunks of the logical map. A simulated window
+// preloads logical pages 0..n-1 densely, so small chunks hold it with
+// little zeroing past its end.
+const l2pChunkBits = 10
 
-// pageMap is a sparse array of page numbers defaulting to unmapped. A
-// freshly built device maps nothing, and paper-scale sweeps touch only
-// the working set of each job, so materializing translation tables
-// on demand (nil chunk ⇒ every entry unmapped) removes the dominant
-// cost of device construction: eagerly allocating and -1-filling
-// whole-device l2p/p2l arrays was ~90% of a 32-job sweep's wall time.
-//
-// Entries are stored as uint32 biased by +1 so the zero value of a
-// fresh chunk already means unmapped — make's zeroing (free for freshly
-// mapped OS pages) replaces an explicit -1 fill loop that showed up as
-// ~25% of sweep time for write-heavy jobs, and 4-byte entries halve the
-// chunk-zeroing bandwidth of the original int64 tables. The bias caps a
-// device (or its logical space) at 2^32-2 pages, checked at build.
-type pageMap struct {
-	chunks [][]uint32
+// p2lChunkBits sizes the chunks of the reverse map to at most one block
+// and at most 2^8 entries. A plane fills one block at a time, so a
+// preload materialises about one chunk per block it opens instead of a
+// chunk spanning several planes.
+func p2lChunkBits(pagesPerBlock int) uint {
+	return uint(min(bits.Len(uint(pagesPerBlock))-1, 8))
 }
 
-func newPageMap(n int64) pageMap {
+// pageMap is a sparse array of page numbers defaulting to unmapped, whose
+// cost scales with the blocks a run touches rather than with the device.
+// A freshly built device maps nothing and a design point touches only its
+// window, so chunks materialise on first write.
+//
+// The map holds no pointers: dir has one uint32 per chunk, holding the
+// chunk's index in slab plus one (0 means absent, every entry unmapped),
+// and slab holds the materialised chunks back to back, growing by one
+// chunk on first write. Entries are uint32 biased by +1, so the zero
+// value of a fresh chunk already means unmapped; the bias caps a device
+// (or its logical space) at 2^32-2 pages, checked at build.
+//
+// NewFTL reserves slab room for the first chunk each plane opens, so a
+// preload never regrows it. NewDevice plus the preload of a GPT-13B
+// 128-unit colocated window allocates 0.06 / 0.48 / 0.95 MiB at 1 / 8 / 16
+// channels; the former 2^15-entry chunks, one per pair of planes touched,
+// made that 1.17 / 8.44 / 16.75 MiB.
+type pageMap struct {
+	bits uint     // log2 of the entries per chunk
+	dir  []uint32 // slab chunk index + 1 per chunk; 0 = absent
+	slab []uint32 // materialised chunks, entries biased by +1
+}
+
+// newPageMap builds a map over n entries in chunks of 2^chunkBits, with room
+// in the slab for reserve chunks before it first grows.
+func newPageMap(n int64, chunkBits uint, reserve int) pageMap {
 	if n >= 1<<32-1 {
 		panic(fmt.Sprintf("ssd: page map over %d pages exceeds uint32 encoding", n))
 	}
-	return pageMap{chunks: make([][]uint32, (n+pageMapChunkSize-1)>>pageMapChunkBits)}
+	return pageMap{
+		bits: chunkBits,
+		dir:  make([]uint32, (n+1<<chunkBits-1)>>chunkBits),
+		slab: make([]uint32, 0, reserve<<chunkBits),
+	}
 }
 
 func (m *pageMap) get(i int64) int64 {
-	c := m.chunks[i>>pageMapChunkBits]
-	if c == nil {
+	c := m.dir[i>>m.bits]
+	if c == 0 {
 		return unmapped
 	}
-	return int64(c[i&pageMapChunkMask]) - 1
+	return int64(m.slab[int64(c-1)<<m.bits|i&(1<<m.bits-1)]) - 1
 }
 
 func (m *pageMap) set(i, v int64) {
-	ci := i >> pageMapChunkBits
-	c := m.chunks[ci]
-	if c == nil {
+	ci := i >> m.bits
+	c := m.dir[ci]
+	if c == 0 {
 		if v == unmapped {
 			return
 		}
-		c = make([]uint32, pageMapChunkSize)
-		m.chunks[ci] = c
+		c = uint32(len(m.slab)>>m.bits) + 1
+		m.slab = append(m.slab, make([]uint32, 1<<m.bits)...)
+		m.dir[ci] = c
 	}
-	c[i&pageMapChunkMask] = uint32(v + 1)
+	m.slab[int64(c-1)<<m.bits|i&(1<<m.bits-1)] = uint32(v + 1)
 }
 
-// forEach visits every mapped entry in index order, skipping
-// unmaterialized chunks wholesale.
+// forEach visits every mapped entry in index order, skipping absent
+// chunks wholesale.
 func (m *pageMap) forEach(fn func(i, v int64)) {
-	for ci, c := range m.chunks {
-		if c == nil {
+	for ci, c := range m.dir {
+		if c == 0 {
 			continue
 		}
-		base := int64(ci) << pageMapChunkBits
-		for j, v := range c {
+		off := int(c-1) << m.bits
+		base := int64(ci) << m.bits
+		for j, v := range m.slab[off : off+1<<m.bits] {
 			if v != 0 {
 				fn(base+int64(j), int64(v)-1)
 			}
@@ -138,8 +158,8 @@ func NewFTL(geo Geometry, logicalPages int64) *FTL {
 	f := &FTL{
 		geo:           geo,
 		logicalPages:  logicalPages,
-		l2p:           newPageMap(logicalPages),
-		p2l:           newPageMap(total),
+		l2p:           newPageMap(logicalPages, l2pChunkBits, 1),
+		p2l:           newPageMap(total, p2lChunkBits(geo.PagesPerBlock), geo.Planes()),
 		validCount:    make([]int32, geo.BlocksTotal()),
 		erases:        make([]int32, geo.BlocksTotal()),
 		inflight:      make([]int32, geo.BlocksTotal()),
