@@ -85,7 +85,7 @@ fuzz-smoke:
 # more than 15% below the committed snapshot (see DESIGN.md — use
 # `go run ./cmd/bench -check -update` to accept a deliberate slowdown).
 # `go test -bench` remains available for ad-hoc runs of individual
-# benchmarks (e.g. -bench BenchmarkSweep32 ./internal/runner/).
+# benchmarks (e.g. -bench BenchmarkDeviceUpdateGC ./internal/ssd/).
 bench:
 	$(GO) run ./cmd/bench -write
 

@@ -7,13 +7,12 @@
 // a known number of simulated events per operation, so events/sec and
 // ns/event fall out of testing.Benchmark's wall-clock directly. The
 // sweep benchmarks run the canonical channel×system sweep (8 channel
-// counts × 5 systems, the cmd/sweep grid that BenchmarkSweep32 in
-// internal/runner times), counting events from the deterministic run
-// summary; the search benchmark runs the roofline-pruned autotuner
-// (internal/search) over its default grid, counting simulated design
-// points. Every measurement is best-of-three, each run started from a
-// freshly collected heap, to shave scheduler, GC, and page-cache noise
-// on small CI machines.
+// counts × 5 systems, the cmd/sweep grid), counting events from the
+// deterministic run summary; the search benchmark runs the roofline-
+// pruned autotuner (internal/search) over its default grid, counting
+// simulated design points. Every measurement is best-of-three, each run
+// started from a freshly collected heap, to shave scheduler, GC, and
+// page-cache noise on small CI machines.
 //
 // The snapshot file is the regression gate's contract: `make bench`
 // writes it, `make verify` re-measures and fails when any bench falls
@@ -90,9 +89,8 @@ const snapshotNote = "events/sec of the simulation kernel: microbenchmarks time 
 	"Best of three testing.Benchmark runs, each from a collected heap. pre_pr is the " +
 	"pre-overhaul kernel's sweep32 measurement, kept for the trajectory."
 
-// sweepJobs builds the canonical channel×system sweep workload — the same
-// grid BenchmarkSweep32 in internal/runner times (duplicated because a
-// package under test cannot import one that imports it back).
+// sweepJobs builds the canonical channel×system sweep workload, the grid
+// cmd/sweep -dim channels produces.
 func sweepJobs(traced bool) []runner.Job[*core.Report] {
 	channels := []int{1, 2, 3, 4, 6, 8, 12, 16}
 	var jobs []runner.Job[*core.Report]

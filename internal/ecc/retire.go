@@ -94,6 +94,7 @@ func (t *RetireTracker) Policy() RetirePolicy { return t.policy }
 // after the update.
 func (t *RetireTracker) OnRead(block, retries int) BlockHealth {
 	if retries < 0 {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ecc: negative retries %d", retries))
 	}
 	b := t.blocks[block]
@@ -101,7 +102,9 @@ func (t *RetireTracker) OnRead(block, retries int) BlockHealth {
 		if retries == 0 {
 			return BlockHealthy
 		}
-		b = &blockTrack{}
+		// A block's first retry allocates its tracking state: only reads
+		// that needed retries get here.
+		b = &blockTrack{} //simlint:allow hotalloc first retry on this block
 		t.blocks[block] = b
 	}
 	if b.health == BlockRetired {

@@ -12,10 +12,10 @@ import (
 
 // PoolSafe is the flow-sensitive use-after-release detector for pooled
 // kernel objects. Types annotated `//simlint:pooled` (sim.Event, the
-// Resource use-request, the Preemptible op) recycle through freelists;
-// functions annotated `//simlint:release` return their pooled argument
-// (or receiver) to the pool, after which the handle is dead — DESIGN.md
-// §9's handle contract. Any read, field write, call argument, or return
+// Resource use-request, the Preemptible op, the SSD op record) recycle
+// through freelists; functions annotated `//simlint:release` return
+// their pooled argument (or receiver) to the pool, after which the handle
+// is dead — DESIGN.md §9's handle contract. Any read, field write, call argument, or return
 // of a handle on a control-flow path after its release call is a
 // finding, as is releasing the same handle twice, or storing a pooled
 // pointer into a package-level variable (which outlives every handle).

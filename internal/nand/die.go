@@ -110,9 +110,11 @@ func (d *Die) Counts() OpCounts { return d.counts }
 
 func (d *Die) checkAddr(a Addr) *plane {
 	if d.failed {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("nand: %s: operation on failed die", d.name))
 	}
 	if !a.valid(d.params) {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("nand: %s: address %v outside geometry", d.name, a))
 	}
 	return d.planes[a.Plane]
@@ -158,10 +160,11 @@ func (d *Die) Program(a Addr, done func()) {
 	pl := d.checkAddr(a)
 	blk := &pl.blocks[a.Block]
 	if a.Page != blk.writePtr {
-		panic(fmt.Sprintf("nand: %s: program %v but write pointer at page %d",
+		panic(fmt.Sprintf("nand: %s: program %v but write pointer at page %d", //simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 			d.name, a, blk.writePtr))
 	}
 	if blk.writePtr >= d.params.PagesPerBlock {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("nand: %s: program into full block %v", d.name, a))
 	}
 	blk.writePtr++

@@ -43,11 +43,9 @@ type Resource struct {
 	inUse    int
 	draining bool
 
-	// FIFO queue with a head cursor instead of reslicing, so drained
-	// storage is reused rather than leaked; freeReqs recycles Use-path
+	// Waiting requests in arrival order; freeReqs recycles Use-path
 	// request structs.
-	q        []qent
-	head     int
+	q        FIFO[qent]
 	freeReqs []*useReq
 
 	// Utilisation accounting.
@@ -76,7 +74,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of requests waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.q) - r.head }
+func (r *Resource) QueueLen() int { return r.q.Len() }
 
 // Grants returns how many acquisitions have been granted in total.
 func (r *Resource) Grants() uint64 { return r.grants }
@@ -120,27 +118,20 @@ func (r *Resource) putReq(w *useReq) {
 
 // enqueue appends a request slot, tracking queue depth.
 func (r *Resource) enqueue(ent qent) {
-	//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-	r.q = append(r.q, ent)
-	if n := len(r.q) - r.head; n > r.peakQueue {
+	r.q.Push(ent)
+	if n := r.q.Len(); n > r.peakQueue {
 		r.peakQueue = n
 	}
 	if t := r.eng.trace; t != nil {
-		t.Counter(r.name, "queue", r.eng.now, float64(len(r.q)-r.head))
+		t.Counter(r.name, "queue", r.eng.now, float64(r.q.Len()))
 	}
 }
 
-// dequeue pops the FIFO head, compacting drained storage.
+// dequeue pops the FIFO head.
 func (r *Resource) dequeue() qent {
-	ent := r.q[r.head]
-	r.q[r.head] = qent{}
-	r.head++
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-	}
+	ent := r.q.Pop()
 	if t := r.eng.trace; t != nil {
-		t.Counter(r.name, "queue", r.eng.now, float64(len(r.q)-r.head))
+		t.Counter(r.name, "queue", r.eng.now, float64(r.q.Len()))
 	}
 	return ent
 }
@@ -156,6 +147,7 @@ func (r *Resource) dequeue() qent {
 // and event structs through freelists and allocates nothing in steady
 // state.
 func (r *Resource) Acquire(granted func(release func())) {
+	//simlint:allow hotalloc Acquire is the closure path (see above); its hot caller is the SSD write-cache slot wait
 	grant := func() {
 		r.account()
 		r.inUse++
@@ -180,13 +172,14 @@ func (r *Resource) Acquire(granted func(release func())) {
 	// queued; capacity can be momentarily free with a non-empty queue
 	// while a release drain is in progress, and granting here would let
 	// the newcomer overtake FIFO order.
-	if r.inUse < r.capacity && len(r.q) == r.head {
+	if r.inUse < r.capacity && r.q.Len() == 0 {
 		grant()
 		return
 	}
 	queued := grant
 	if t := r.eng.trace; t != nil {
 		enqAt := r.eng.now
+		//simlint:allow hotalloc Acquire is the closure path (see above); its hot caller is the SSD write-cache slot wait
 		queued = func() {
 			t.Span(r.name, "wait", enqAt, r.eng.now)
 			grant()
@@ -250,7 +243,7 @@ func (r *Resource) release() {
 		return
 	}
 	r.draining = true
-	for r.inUse < r.capacity && r.head < len(r.q) {
+	for r.inUse < r.capacity && r.q.Len() > 0 {
 		ent := r.dequeue()
 		if ent.w != nil {
 			if ent.w.enqAt >= 0 {
@@ -281,7 +274,7 @@ func (r *Resource) Use(d Time, done func()) {
 	w.d = d
 	w.done = done
 	w.enqAt = -1
-	if r.inUse < r.capacity && len(r.q) == r.head {
+	if r.inUse < r.capacity && r.q.Len() == 0 {
 		r.grantUse(w)
 		return
 	}

@@ -127,6 +127,48 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 // guard: a granted callback that releases synchronously and immediately
 // re-acquires must queue behind the already-waiting requests (capacity is
 // momentarily free mid-drain, but the queue is not empty).
+// TestResourceQueueReusesDrainedSlots is the regression test for the wait
+// queue's storage: a queue that never empties must reuse its drained
+// slots instead of growing by one slot per request, and stay FIFO. Each
+// completion submits two requests in one phase of 2048 completions and
+// none in the next, so the depth swings between 1 and about 2000;
+// a completion that would leave the queue empty submits one more.
+func TestResourceQueueReusesDrainedSlots(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "plane", 1)
+	const total = 100000
+	submitted, next := 0, 0
+	var submit func()
+	submit = func() {
+		id := submitted
+		submitted++
+		r.Use(1, func() {
+			if id != next {
+				t.Fatalf("request %d completed, want %d (FIFO broken)", id, next)
+			}
+			next++
+			if (id/2048)%2 == 0 {
+				for k := 0; k < 2 && submitted < total; k++ {
+					submit()
+				}
+			}
+			if r.QueueLen() == 0 && submitted < total {
+				submit()
+			}
+			if c, peak := cap(r.q.items), r.PeakQueue(); c > 2*peak {
+				t.Fatalf("after %d requests the queue array holds %d slots, peak depth %d", id+1, c, peak)
+			}
+		})
+	}
+	for i := 0; i < 64; i++ {
+		submit()
+	}
+	e.Run()
+	if next != total {
+		t.Fatalf("%d of %d requests completed", next, total)
+	}
+}
+
 func TestResourceAcquireDuringDrainKeepsFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)

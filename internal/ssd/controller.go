@@ -45,8 +45,12 @@ type Device struct {
 	planeFor   func(lpa int64) int
 
 	gcActive      []bool
-	planeInflight []int      // permits issued but not yet allocated, per plane
-	pending       [][]func() // writers waiting for reclaimable space, per plane
+	planeInflight []int              // permits issued but not yet allocated, per plane
+	pending       []sim.FIFO[func()] // steps of writers waiting for reclaimable space, per plane
+
+	// Op-record freelists (see op.go): I/O records, and the GC and
+	// retirement records that keep their resident-list storage.
+	freeOps, freeRelocs []*op
 
 	// dirty counts cache-resident (not yet flushed) copies per logical
 	// page: reads of these are served from DRAM.
@@ -97,7 +101,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		cacheSlots:    sim.NewResource(eng, "ssd/cache", cfg.CachePages),
 		gcActive:      make([]bool, geo.Planes()),
 		planeInflight: make([]int, geo.Planes()),
-		pending:       make([][]func(), geo.Planes()),
+		pending:       make([]sim.FIFO[func()], geo.Planes()),
 		dirty:         make(map[int64]int),
 	}
 	d.planeFor = func(lpa int64) int { return int(lpa % int64(geo.Planes())) }
@@ -136,17 +140,19 @@ func (d *Device) SetCommitHook(fn func(lpa, oldLin, newLin int64, gc bool)) {
 	d.commitHook = fn
 }
 
-// commit binds lpa to ppa and notifies the hook with the displaced
-// physical page.
+// commit binds lpa to ppa and notifies the hook, if one is installed,
+// with the displaced physical page.
 func (d *Device) commit(lpa int64, ppa PPA, gc bool) {
+	if d.commitHook == nil {
+		d.ftl.CommitWrite(lpa, ppa, gc)
+		return
+	}
 	oldLin := int64(-1)
 	if old, ok := d.ftl.Lookup(lpa); ok {
 		oldLin = d.geo.Linear(old)
 	}
 	d.ftl.CommitWrite(lpa, ppa, gc)
-	if d.commitHook != nil {
-		d.commitHook(lpa, oldLin, d.geo.Linear(ppa), gc)
-	}
+	d.commitHook(lpa, oldLin, d.geo.Linear(ppa), gc)
 }
 
 // SetPlaneMapper replaces the logical-page → plane placement function used
@@ -248,113 +254,55 @@ func (d *Device) hostCanWrite(plane int) bool {
 	return d.ftl.AvailablePages(plane)-d.planeInflight[plane] > reserve
 }
 
-// whenWritable runs fn now if the plane has safe allocation headroom, or
-// queues it until GC reclaims space. fn holds one in-flight permit, which
-// transfers to the allocation it will perform.
-func (d *Device) whenWritable(plane int, fn func()) {
-	if d.hostCanWrite(plane) && len(d.pending[plane]) == 0 {
+// whenWritable runs step now if the plane has safe allocation headroom,
+// or queues it until GC reclaims space. The step holds one in-flight
+// permit, which transfers to the allocation it will perform.
+func (d *Device) whenWritable(plane int, step func()) {
+	if d.hostCanWrite(plane) && d.pending[plane].Len() == 0 {
 		d.planeInflight[plane]++
-		fn()
+		step()
 		return
 	}
-	d.pending[plane] = append(d.pending[plane], fn)
+	d.pending[plane].Push(step)
 	d.maybeGC(plane)
 }
 
 func (d *Device) drainPending(plane int) {
-	for len(d.pending[plane]) > 0 && d.hostCanWrite(plane) {
-		fn := d.pending[plane][0]
-		d.pending[plane] = d.pending[plane][1:]
+	q := &d.pending[plane]
+	for q.Len() > 0 && d.hostCanWrite(plane) {
+		step := q.Pop()
 		d.planeInflight[plane]++
-		fn()
+		step()
 	}
 }
 
 // Read performs an external page read of lpa: NVMe command overhead, array
 // read, channel-bus transfer out. Reading an unmapped page panics (the
 // harness always writes before reading).
+//
+//simlint:hotpath
 func (d *Device) Read(lpa int64, done func()) {
 	d.opStart()
-	d.eng.Schedule(d.cfg.CmdLatency, func() {
-		// Cache-resident dirty data is served from DRAM — the freshest copy
-		// is not on NAND yet.
-		if d.dirty[lpa] > 0 {
-			d.eng.Schedule(d.cfg.DRAMPageLatency, func() {
-				d.cacheHits++
-				d.hostReads++
-				d.opDone()
-				if done != nil {
-					done()
-				}
-			})
-			return
-		}
-		ppa, ok := d.ftl.Lookup(lpa)
-		if !ok {
-			panic(fmt.Sprintf("ssd: read of unmapped lpa %d", lpa))
-		}
-		d.arrayReadRecovered(lpa, ppa, func() {
-			d.channels[ppa.Channel].TransferOut(ppa.Die, d.geo.PageSize, func() {
-				d.hostReads++
-				d.opDone()
-				if done != nil {
-					done()
-				}
-			})
-		})
-	})
+	o := d.getOp(kindRead)
+	o.lpa, o.done = lpa, done
+	o.stage = stageReadCmd
+	d.eng.Schedule(d.cfg.CmdLatency, o.step)
 }
 
 // Write performs an external page write of lpa through the DRAM cache:
 // done fires when the page is absorbed in DRAM (host completion); the
 // NAND program continues in the background with backpressure via the
-// cache slot pool.
+// cache slot pool. The flush moves the page over the bus to its die, then
+// allocates and programs (see program); the cache slot frees once the
+// mapping commits.
+//
+//simlint:hotpath
 func (d *Device) Write(lpa int64, done func()) {
 	d.opStart()
-	d.eng.Schedule(d.cfg.CmdLatency, func() {
-		d.cacheSlots.Acquire(func(release func()) {
-			d.eng.Schedule(d.cfg.DRAMPageLatency, func() {
-				d.dirty[lpa]++
-				if done != nil {
-					done()
-				}
-				plane := d.planeFor(lpa)
-				d.whenWritable(plane, func() { d.flush(lpa, plane, release) })
-			})
-		})
-	})
-}
-
-// flush moves one cached page to NAND: bus transfer to the die, then
-// allocate-and-program (adjacent, to keep plane write pointers coherent).
-// The mapping commits at program COMPLETION, not issue: a crash while the
-// program is in flight leaves the prior mapping intact and the partially
-// programmed page as unmapped garbage (torn-write semantics — the RAM L2P
-// is exactly the durable map).
-func (d *Device) flush(lpa int64, plane int, release func()) {
-	ch, die, _ := d.geo.PlaneLoc(plane)
-	chan_ := d.channels[ch]
-	chan_.TransferIn(die, d.geo.PageSize, func() {
-		ppa := d.ftl.AllocPage(plane)
-		d.planeInflight[plane]--
-		d.ftl.BeginProgram(ppa)
-		chan_.Die(die).Program(ppa.Addr, func() {
-			d.ftl.EndProgram(ppa)
-			// Commit before clearing dirty so a read never sees a window
-			// where the page is neither cached nor mapped.
-			d.commit(lpa, ppa, false)
-			d.hostWrites++
-			if d.dirty[lpa] > 1 {
-				d.dirty[lpa]--
-			} else {
-				delete(d.dirty, lpa)
-			}
-			d.boundary(BoundaryHostWrite, lpa)
-			release()
-			d.maybeGC(plane)
-			d.opDone()
-		})
-	})
+	o := d.getOp(kindWrite)
+	o.lpa, o.done = lpa, done
+	o.stage = stageWriteCmd
+	d.eng.Schedule(d.cfg.CmdLatency, o.step)
 }
 
 // Trim invalidates a logical page.
@@ -368,19 +316,19 @@ func (d *Device) Trim(lpa int64) {
 
 // ReadMapped performs an internal array read (no bus transfer) of the page
 // currently backing lpa — the first phase of an in-storage update.
+//
+//simlint:hotpath
 func (d *Device) ReadMapped(lpa int64, done func()) {
 	ppa, ok := d.ftl.Lookup(lpa)
 	if !ok {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
 		panic(fmt.Sprintf("ssd: internal read of unmapped lpa %d", lpa))
 	}
 	d.opStart()
 	d.updateReads++
-	d.arrayReadRecovered(lpa, ppa, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	o := d.getOp(kindScan)
+	o.lpa, o.ppa, o.done = lpa, ppa, done
+	d.arrayRead(o)
 }
 
 // InjectReadErrors arranges for the next n reads of lpa to come back
@@ -396,32 +344,6 @@ func (d *Device) InjectReadErrors(lpa int64, n int) {
 // readRetryFactor is the array-time multiple one read-retry recovery pass
 // costs (threshold-shifted re-reads until ECC converges).
 const readRetryFactor = 3
-
-// arrayReadRecovered performs the array read of lpa's page, transparently
-// absorbing injected uncorrectable errors with read-retry: each pending
-// error costs an extra readRetryFactor × tR of plane time.
-func (d *Device) arrayReadRecovered(lpa int64, ppa PPA, done func()) {
-	d.arrayReadRetried(lpa, ppa, 0, done)
-}
-
-func (d *Device) arrayReadRetried(lpa int64, ppa PPA, retries int, done func()) {
-	die := d.Die(ppa.Channel, ppa.Die)
-	die.Read(ppa.Addr, func() {
-		if d.injectedReadErrs[lpa] > 0 {
-			d.injectedReadErrs[lpa]--
-			d.recoveredErrors++
-			retry := readRetryFactor * d.cfg.Nand.ReadLatency
-			// Occupy the plane for the recovery passes, then re-check (in
-			// case more errors were injected).
-			die.Occupy(ppa.Addr, retry, func() {
-				d.arrayReadRetried(lpa, ppa, retries+1, done)
-			})
-			return
-		}
-		d.onReadDone(ppa, retries)
-		done()
-	})
-}
 
 // onReadDone feeds the block-retirement tracker after a read converges,
 // retiring the block when its cumulative retry budget is exhausted. Nil
@@ -441,52 +363,41 @@ func (d *Device) onReadDone(ppa PPA, retries int) {
 // same plane as its current mapping (array program only — the data comes
 // from the on-die compute unit's buffer) and remaps the page. The old page
 // becomes garbage for GC to reclaim.
+//
+//simlint:hotpath
 func (d *Device) ProgramUpdate(lpa int64, done func()) {
 	old, ok := d.ftl.Lookup(lpa)
 	if !ok {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
 		panic(fmt.Sprintf("ssd: update of unmapped lpa %d", lpa))
 	}
-	plane := d.geo.PlaneOf(old)
 	d.opStart()
-	d.whenWritable(plane, func() {
-		ppa := d.ftl.AllocPage(plane)
-		d.planeInflight[plane]--
-		d.ftl.BeginProgram(ppa)
-		d.Die(ppa.Channel, ppa.Die).Program(ppa.Addr, func() {
-			// Commit at completion — see flush for the torn-write contract.
-			d.ftl.EndProgram(ppa)
-			d.commit(lpa, ppa, false)
-			d.updateWrites++
-			d.boundary(BoundaryUpdate, lpa)
-			d.maybeGC(plane)
-			d.opDone()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	o := d.getOp(kindUpdate)
+	o.lpa, o.plane, o.done = lpa, d.geo.PlaneOf(old), done
+	o.stage = stageUpdatePermit
+	d.whenWritable(o.plane, o.step)
 }
 
 // TransferToDie models moving n bytes from the controller to a die's
 // compute buffer over the channel bus (gradient delivery).
+//
+//simlint:hotpath
 func (d *Device) TransferToDie(ch, die, n int, done func()) {
 	d.opStart()
-	d.channels[ch].TransferIn(die, n, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	o := d.getOp(kindTransfer)
+	o.done = done
+	o.stage = stageTransfer
+	d.channels[ch].TransferIn(die, n, o.step)
 }
 
 // TransferFromDie models moving n bytes from a die's compute buffer to the
 // controller over the channel bus (low-precision weights out).
+//
+//simlint:hotpath
 func (d *Device) TransferFromDie(ch, die, n int, done func()) {
 	d.opStart()
-	d.channels[ch].TransferOut(die, n, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	o := d.getOp(kindTransfer)
+	o.done = done
+	o.stage = stageTransfer
+	d.channels[ch].TransferOut(die, n, o.step)
 }

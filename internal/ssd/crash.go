@@ -98,6 +98,8 @@ func (d *Device) MappedPagesOnDie(ch, die int) int64 { return d.ftl.ValidPagesOn
 // retirement tracker without counting as host or update traffic. Scrubbing
 // an unmapped page is a no-op — it may have been trimmed since the scrub
 // was scheduled.
+//
+//simlint:hotpath
 func (d *Device) ScrubRead(lpa int64, done func()) {
 	ppa, ok := d.ftl.Lookup(lpa)
 	if !ok {
@@ -108,12 +110,9 @@ func (d *Device) ScrubRead(lpa int64, done func()) {
 	}
 	d.opStart()
 	d.scrubReads++
-	d.arrayReadRecovered(lpa, ppa, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	o := d.getOp(kindScan)
+	o.lpa, o.ppa, o.done = lpa, ppa, done
+	d.arrayRead(o)
 }
 
 // retireBlock takes a worn-out block out of service: relocate its valid
@@ -127,13 +126,9 @@ func (d *Device) retireBlock(plane, block int) {
 		return
 	}
 	d.opStart()
-	lpas := d.ftl.ValidLPAs(plane, block)
-	d.relocate(plane, block, lpas, 0, func() {
-		d.ftl.RetireBlock(plane, block)
-		d.boundary(BoundaryRetire, -1)
-		d.drainPending(plane)
-		d.opDone()
-	})
+	o := d.getOp(kindRetire)
+	o.plane = plane
+	d.relocateBlock(o, block)
 }
 
 // RecoveryInfo summarizes what a crash-recovery rebuild found.

@@ -72,6 +72,7 @@ func (m *pageMap) set(i, v int64) {
 			return
 		}
 		c = uint32(len(m.slab)>>m.bits) + 1
+		//simlint:allow hotalloc a chunk materialises on its first write; later writes reuse it
 		m.slab = append(m.slab, make([]uint32, 1<<m.bits)...)
 		m.dir[ci] = c
 	}
@@ -198,6 +199,7 @@ func (f *FTL) Lookup(lpa int64) (PPA, bool) {
 
 func (f *FTL) checkLPA(lpa int64) {
 	if lpa < 0 || lpa >= f.logicalPages {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: lpa %d outside logical capacity %d", lpa, f.logicalPages))
 	}
 }
@@ -248,6 +250,7 @@ func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
 			if stream == ColdStream && pa.open[HotStream] >= 0 {
 				s = int(HotStream)
 			} else {
+				//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 				panic(fmt.Sprintf("ssd: plane %d out of blocks", planeIdx))
 			}
 		} else {
@@ -262,6 +265,7 @@ func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
 				}
 			}
 			pa.open[s] = pa.free[best]
+			//simlint:allow hotalloc in-place removal; never grows
 			pa.free = append(pa.free[:best], pa.free[best+1:]...)
 			pa.next[s] = 0
 		}
@@ -273,6 +277,7 @@ func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
 	ppa.Page = pa.next[s]
 	pa.next[s]++
 	if pa.next[s] == f.geo.PagesPerBlock {
+		//simlint:allow hotalloc amortized growth, bounded by the plane's block count
 		pa.full = append(pa.full, pa.open[s])
 		pa.open[s] = -1
 	}
@@ -286,11 +291,12 @@ func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) {
 	f.checkLPA(lpa)
 	lin := f.geo.Linear(ppa)
 	if f.p2l.get(lin) != unmapped {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: commit to already-valid page %v", ppa))
 	}
 	if old := f.l2p.get(lpa); old != unmapped {
 		f.p2l.set(old, unmapped)
-		f.validCount[f.geo.BlockIndex(f.geo.FromLinear(old))]--
+		f.validCount[old/int64(f.geo.PagesPerBlock)]--
 	}
 	f.l2p.set(lpa, lin)
 	f.p2l.set(lin, lpa)
@@ -307,7 +313,7 @@ func (f *FTL) Invalidate(lpa int64) {
 	f.checkLPA(lpa)
 	if old := f.l2p.get(lpa); old != unmapped {
 		f.p2l.set(old, unmapped)
-		f.validCount[f.geo.BlockIndex(f.geo.FromLinear(old))]--
+		f.validCount[old/int64(f.geo.PagesPerBlock)]--
 		f.l2p.set(lpa, unmapped)
 	}
 }
@@ -328,6 +334,7 @@ func (f *FTL) EndProgram(ppa PPA) {
 	f.inflight[b]--
 	f.inflightPlane[f.geo.PlaneOf(ppa)]--
 	if f.inflight[b] < 0 {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: EndProgram without BeginProgram on %v", ppa))
 	}
 }
@@ -359,6 +366,7 @@ func (f *FTL) PickVictim(planeIdx int) (block int, ok bool) {
 		return 0, false
 	}
 	b := pa.full[best]
+	//simlint:allow hotalloc in-place removal; never grows
 	pa.full = append(pa.full[:best], pa.full[best+1:]...)
 	return int(b), true
 }
@@ -371,6 +379,7 @@ func (f *FTL) TakeBlock(planeIdx, block int) bool {
 	pa := &f.planes[planeIdx]
 	for i, b := range pa.full {
 		if int(b) == block {
+			//simlint:allow hotalloc in-place removal; never grows
 			pa.full = append(pa.full[:i], pa.full[i+1:]...)
 			return true
 		}
@@ -384,12 +393,15 @@ func (f *FTL) TakeBlock(planeIdx, block int) bool {
 func (f *FTL) RetireBlock(planeIdx, block int) {
 	g := planeIdx*f.geo.BlocksPerPlane + block
 	if f.retired[g] {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: block %d/%d retired twice", planeIdx, block))
 	}
 	if n := f.validCount[g]; n != 0 {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: retiring block %d/%d with %d valid pages", planeIdx, block, n))
 	}
 	if f.inflight[g] != 0 {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: retiring block %d/%d with in-flight programs", planeIdx, block))
 	}
 	// Drop stale reverse mappings so the retired block holds nothing.
@@ -477,15 +489,20 @@ func (f *FTL) restoreMapping(lpa int64, ppa PPA) {
 // ValidLPAs returns the logical pages still valid in a plane's block, in
 // physical page order — the relocation work list for GC.
 func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
+	return f.appendValidLPAs(nil, planeIdx, block)
+}
+
+// appendValidLPAs appends ValidLPAs(planeIdx, block) to dst.
+func (f *FTL) appendValidLPAs(dst []int64, planeIdx, block int) []int64 {
 	blockGlobal := planeIdx*f.geo.BlocksPerPlane + block
 	start := int64(blockGlobal) * int64(f.geo.PagesPerBlock)
-	var lpas []int64
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		if lpa := f.p2l.get(start + int64(p)); lpa != unmapped {
-			lpas = append(lpas, lpa)
+			//simlint:allow hotalloc amortized growth of a relocation record's resident list; reused across victims
+			dst = append(dst, lpa)
 		}
 	}
-	return lpas
+	return dst
 }
 
 // ValidCount returns the number of valid pages in a plane's block.
@@ -497,9 +514,11 @@ func (f *FTL) ValidCount(planeIdx, block int) int {
 // erased it. The block must hold no valid pages.
 func (f *FTL) OnErased(planeIdx, block int) {
 	if n := f.ValidCount(planeIdx, block); n != 0 {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: erasing block %d/%d with %d valid pages", planeIdx, block, n))
 	}
 	if f.Retired(planeIdx, block) {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: erasing retired block %d/%d", planeIdx, block))
 	}
 	// Drop stale reverse mappings for the erased block.
@@ -509,6 +528,7 @@ func (f *FTL) OnErased(planeIdx, block int) {
 		f.p2l.set(start+int64(p), unmapped)
 	}
 	f.erases[blockGlobal]++
+	//simlint:allow hotalloc amortized growth, bounded by the plane's block count
 	f.planes[planeIdx].free = append(f.planes[planeIdx].free, int32(block))
 }
 

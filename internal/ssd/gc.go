@@ -1,7 +1,5 @@
 package ssd
 
-import "repro/internal/nand"
-
 // Garbage collection. Each plane collects independently: when its free-
 // block count reaches the low watermark, the device greedily picks the
 // full block with the fewest valid pages, relocates those pages within the
@@ -15,19 +13,24 @@ func (d *Device) maybeGC(plane int) {
 	if d.gcActive[plane] {
 		return
 	}
-	if d.ftl.FreeBlocks(plane) > d.cfg.GCLowWater && len(d.pending[plane]) == 0 {
+	if d.ftl.FreeBlocks(plane) > d.cfg.GCLowWater && d.pending[plane].Len() == 0 {
 		return
 	}
 	d.gcActive[plane] = true
 	d.opStart()
-	d.gcStep(plane)
+	o := d.getOp(kindGC)
+	o.plane = plane
+	d.gcStep(o)
 }
 
-func (d *Device) gcStep(plane int) {
+// gcStep picks the next victim of o's plane and relocates it; erasing it
+// (stageErase) comes back here.
+func (d *Device) gcStep(o *op) {
+	plane := o.plane
 	// Collect until the high watermark is restored AND no writer is starved
 	// for space.
-	if d.ftl.FreeBlocks(plane) >= d.cfg.GCHighWater && len(d.pending[plane]) == 0 {
-		d.gcFinish(plane)
+	if d.ftl.FreeBlocks(plane) >= d.cfg.GCHighWater && d.pending[plane].Len() == 0 {
+		d.gcFinish(o)
 		return
 	}
 	victim, ok := d.ftl.PickVictim(plane)
@@ -36,80 +39,21 @@ func (d *Device) gcStep(plane int) {
 		// the plane that is transient — each completion commits a mapping
 		// and re-triggers maybeGC, so progress resumes. With none, pending
 		// writers can never be satisfied: a genuine wedge.
-		if len(d.pending[plane]) > 0 && d.ftl.FreeBlocks(plane) == 0 &&
+		if d.pending[plane].Len() > 0 && d.ftl.FreeBlocks(plane) == 0 &&
 			d.ftl.InflightPrograms(plane) == 0 {
+			//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 			panic("ssd: plane wedged: writers pending but nothing reclaimable " +
 				"(logical load exceeds physical capacity)")
 		}
-		d.gcFinish(plane)
+		d.gcFinish(o)
 		return
 	}
-	lpas := d.ftl.ValidLPAs(plane, victim)
-	d.relocate(plane, victim, lpas, 0, func() { d.eraseVictim(plane, victim) })
+	d.relocateBlock(o, victim)
 }
 
-// relocate moves the i-th still-valid page of a block, then recurses; when
-// the list is exhausted it calls then (GC erases the victim; retirement
-// seals the block). Relocation commits at program completion like every
-// other write: if an update or trim supersedes the page while the copyback
-// program is in flight, the commit is skipped and the target page becomes
-// dead garbage (counted in GCStalePrograms) — committing anyway would
-// resurrect trimmed data or roll an update back.
-func (d *Device) relocate(plane, victim int, lpas []int64, i int, then func()) {
-	if i >= len(lpas) {
-		then()
-		return
-	}
-	lpa := lpas[i]
-	old, ok := d.ftl.Lookup(lpa)
-	// Skip pages that were rewritten (and hence invalidated in the victim)
-	// after the work list was built.
-	if !ok || d.geo.PlaneOf(old) != plane || old.Block != victim {
-		d.relocate(plane, victim, lpas, i+1, then)
-		return
-	}
-	die := d.Die(old.Channel, old.Die)
-	die.Read(old.Addr, func() {
-		// Re-check: the mapping may have moved while the read was queued.
-		cur, ok := d.ftl.Lookup(lpa)
-		if !ok || cur != old {
-			d.relocate(plane, victim, lpas, i+1, then)
-			return
-		}
-		stream := HotStream
-		if d.cfg.HotColdSeparation {
-			stream = ColdStream
-		}
-		ppa := d.ftl.AllocPageStream(plane, stream)
-		d.ftl.BeginProgram(ppa)
-		die.Program(ppa.Addr, func() {
-			d.ftl.EndProgram(ppa)
-			if cur2, ok2 := d.ftl.Lookup(lpa); ok2 && cur2 == old {
-				d.commit(lpa, ppa, true)
-				d.gcRelocations++
-				d.boundary(BoundaryGC, lpa)
-			} else {
-				d.gcStale++
-				d.boundary(BoundaryGCStale, lpa)
-			}
-			d.relocate(plane, victim, lpas, i+1, then)
-		})
-	})
-}
-
-func (d *Device) eraseVictim(plane, victim int) {
-	ch, dieIdx, pl := d.geo.PlaneLoc(plane)
-	die := d.Die(ch, dieIdx)
-	die.Erase(nand.Addr{Plane: pl, Block: victim}, func() {
-		d.ftl.OnErased(plane, victim)
-		d.gcErases++
-		d.boundary(BoundaryErase, -1)
-		d.drainPending(plane)
-		d.gcStep(plane)
-	})
-}
-
-func (d *Device) gcFinish(plane int) {
+func (d *Device) gcFinish(o *op) {
+	plane := o.plane
+	d.putOp(o)
 	d.gcActive[plane] = false
 	d.drainPending(plane)
 	d.opDone()

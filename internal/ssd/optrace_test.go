@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ecc"
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // opTracer records a device's observable behaviour as text: every op
@@ -95,7 +96,7 @@ func scriptDevice(t *testing.T, cfg Config, seed int64) string {
 		for _, i := range rng.Perm(int(n)) {
 			lpa := int64(i)
 			kind := rng.Intn(12)
-			at += sim.Time(rng.Intn(40)) * sim.Microsecond
+			at += units.Micros(float64(rng.Intn(40)))
 			e.Schedule(at, func() {
 				switch kind {
 				case 0:
