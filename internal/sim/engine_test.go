@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -359,6 +360,40 @@ func TestPreemptibleDoubleSuspend(t *testing.T) {
 	}
 	if p.Preemptions() != 2 {
 		t.Fatalf("preemptions = %d", p.Preemptions())
+	}
+}
+
+// TestPreemptibleCompletionSubmitKeepsSuspendedOp is the regression test
+// for a completion callback that submits low-priority work while an
+// operation is suspended. A low op A runs, a high op H suspends it, and
+// H's callback submits a low op L; a second high op later suspends
+// whatever runs. The pre-fix submit started L at once (the server looked
+// idle inside the callback), so the second suspend overwrote A's slot and
+// A never completed.
+func TestPreemptibleCompletionSubmitKeepsSuspendedOp(t *testing.T) {
+	e := NewEngine()
+	p := NewPreemptible(e, "plane", 0)
+	var order []string
+	done := func(name string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%d", name, e.Now())) }
+	}
+	p.Use(100, done("A"))
+	e.Schedule(10, func() {
+		p.UsePriority(10, func() {
+			done("H")()
+			p.Use(50, done("L"))
+		})
+	})
+	e.Schedule(40, func() { p.UsePriority(10, done("H2")) })
+	e.Run()
+	// A resumes at 20 ahead of L with 90 to go, H2 suspends it at 40 with
+	// 70 to go, A ends at 50+70, then L runs 120..170.
+	want := []string{"H@20", "H2@50", "A@120", "L@170"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if p.Busy() || p.Preemptions() != 2 {
+		t.Fatalf("busy=%v preemptions=%d after drain", p.Busy(), p.Preemptions())
 	}
 }
 

@@ -22,12 +22,15 @@ type Preemptible struct {
 	// operation each time it resumes.
 	ResumeOverhead Time
 
-	busy      bool
-	curLowPri bool
-	curEnd    *Event
-	curOp     *pendingOp
-	curDone   func()
-	curFinish Time
+	busy bool
+	// completing is set while an operation's completion callback runs: the
+	// server looks idle then, but what runs next is dispatch's choice.
+	completing bool
+	curLowPri  bool
+	curEnd     *Event
+	curOp      *pendingOp
+	curDone    func()
+	curFinish  Time
 	// curOverhead is the resume-overhead share at the front of the
 	// current service interval: zero for a fresh operation,
 	// ResumeOverhead for a resumed one. Suspending again nets out the
@@ -116,11 +119,15 @@ func (p *Preemptible) UsePriority(d Time, done func()) {
 	p.submit(op)
 }
 
+// submit starts op, or queues it while the server is busy. Inside a
+// completion callback op always queues: starting it there would overtake
+// the high-priority queue and the suspended operation, which dispatch
+// considers first once the callback returns.
 func (p *Preemptible) submit(op *pendingOp) {
 	if !op.lowPri && p.busy && p.curLowPri {
 		p.suspendCurrent()
 	}
-	if p.busy {
+	if p.busy || p.completing {
 		if op.lowPri {
 			//simlint:allow hotalloc amortized queue growth; steady state reuses storage
 			p.loQueue = append(p.loQueue, op)
@@ -195,7 +202,9 @@ func finishPreemptible(arg any) {
 	p.curDone = nil
 	p.busyTime += p.eng.Now() - p.curStart
 	if done != nil {
+		p.completing = true
 		done()
+		p.completing = false
 	}
 	p.dispatch()
 }

@@ -153,11 +153,17 @@ func TestDeviceOpTraceGolden(t *testing.T) {
 	retire.Retire = ecc.RetirePolicy{RetryBudget: 6, ProbationReads: 2}
 	hotCold := smallConfig()
 	hotCold.HotColdSeparation = true
+	suspend := smallConfig()
+	suspend.Retire = retire.Retire
+	suspend.Nand.ReadSuspend = true
+	suspend.Nand.ResumeOverhead = 3 * sim.Microsecond
 	var b strings.Builder
 	b.WriteString("## retirement on\n")
 	b.WriteString(scriptDevice(t, retire, 5))
 	b.WriteString("## hot/cold separation, retirement off\n")
 	b.WriteString(scriptDevice(t, hotCold, 9))
+	b.WriteString("## read suspend, retirement on\n")
+	b.WriteString(scriptDevice(t, suspend, 5))
 	got := b.String()
 
 	const path = "testdata/device_op_trace.golden"
