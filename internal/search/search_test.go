@@ -61,7 +61,8 @@ func TestSearchDeterministicAcrossWidths(t *testing.T) {
 // a point that dominates it.
 func TestSearchFrontierContainsOrDominatesDefault(t *testing.T) {
 	res := runSmall(t, 0)
-	defHash := quickBase().CanonicalHash()
+	base := quickBase()
+	defHash := base.CanonicalHash()
 	var def *Point
 	for _, p := range res.Evaluated {
 		if p.Hash == defHash {
