@@ -1,13 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/energy"
 	"repro/internal/host"
-	"repro/internal/layout"
-	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // CtrlISP is the in-SSD-controller processing baseline: state pages leave
@@ -29,158 +24,23 @@ func (s *CtrlISP) Name() string { return "ctrl-isp" }
 // Run implements System.
 func (s *CtrlISP) Run() (*Report, error) {
 	cfg := s.cfg
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	if cfg.Trace != nil {
-		eng.SetTracer(cfg.Trace)
-	}
-	dev := ssd.NewDevice(eng, cfg.SSD)
-	geo := dev.Geometry()
-	link := host.NewLink(eng, cfg.Link)
-	ctrl := host.NewCPU(eng, cfg.CtrlCPU)
-
-	simUnits := cfg.SimUnits()
-	comps := cfg.Comps()
-	lay, err := layout.New(geo, comps, simUnits, cfg.Layout)
+	run, err := newRig(cfg, pipeCtrl)
 	if err != nil {
 		return nil, err
 	}
-	if lay.LogicalPages() > dev.FTL().LogicalPages() {
-		return nil, fmt.Errorf("core: window exceeds device capacity — lower MaxSimUnits")
-	}
-	dev.SetPlaneMapper(lay.PlaneMapper())
-	for lpa := int64(0); lpa < lay.LogicalPages(); lpa++ {
-		dev.Preload(lpa)
-	}
-	inj := armFaults(eng, dev, cfg)
-
-	elems := cfg.ElemsPerPage()
-	residentB := cfg.ResidentBytesPerUnit()
-	gradB := cfg.GradBytesPerUnit()
-	woutB := cfg.WeightOutBytesPerUnit()
-	kernel := kernelFor(cfg).FlopsPerElem
-	pageSize := geo.PageSize
-
-	// Inbound gradients over PCIe, chunked.
-	unitsPerChunk := cfg.TransferChunkBytes / gradB
-	if unitsPerChunk < 1 {
-		unitsPerChunk = 1
-	}
-	nChunks := (simUnits + unitsPerChunk - 1) / unitsPerChunk
-	arrived := scheduleGradArrivals(eng, link.ToDevice, gradSchedule(cfg, nChunks), simUnits, unitsPerChunk, gradB)
-
-	var endTime sim.Time
-	finished := false
-	outbound := newOutBatcher(cfg.TransferChunkBytes, link.FromDevice, func() {
-		dev.Drain(func() {
-			disarmFaults(inj)
-			endTime = eng.Now()
-			finished = true
-		})
-	})
-
-	// Admission window: ~4 units in flight per plane-slot a unit occupies,
-	// so planes stay pipelined regardless of how many pages a unit has
-	// (SGD's single-page units need a 3× deeper window than Adam's).
-	inflightCap := int64(4 * geo.Planes() / comps)
-	if min := int64(4 * geo.Dies()); inflightCap < min {
-		inflightCap = min
-	}
-	var next, completed int64
-	var launch func()
-	unitDone := func() {
-		completed++
-		if completed == simUnits {
-			outbound.close()
-		}
-		launch()
+	run.ctrl = host.NewCPU(run.eng, cfg.CtrlCPU)
+	// Inbound gradients and outbound weights over PCIe, chunked.
+	run.streamGrads()
+	run.inflightCap = run.planeWindow()
+	if err := run.simulate(s.Name()); err != nil {
+		return nil, err
 	}
 
-	startUnit := func(u int64) {
-		place := lay.Placement(u)
-		// Phase 1: gradient available + all pages pulled to the controller
-		// (array read, then bus transfer out of each component's die).
-		join := sim.NewCounter(1+comps, span(eng, "read-pull", func() {
-			// Phase 2: controller kernel over this unit's elements.
-			dramBytes := float64(2*residentB + gradB + woutB)
-			ctrl.Run(float64(elems)*float64(kernel), dramBytes, span(eng, "ctrl-kernel", func() {
-				// Phase 3: push updated pages back and program them.
-				c := sim.NewCounter(comps, span(eng, "program-push", func() {
-					outbound.add(woutB)
-					unitDone()
-				}))
-				for comp := 0; comp < comps; comp++ {
-					lpa := lay.LPA(u, comp)
-					wch, wdie, _ := geo.PlaneLoc(place.Planes[comp])
-					sim.Chain(c.Done,
-						func(nx func()) { dev.TransferToDie(wch, wdie, pageSize, nx) },
-						func(nx func()) { dev.ProgramUpdate(lpa, nx) },
-					)
-				}
-			}))
-		}))
-		arrived[u/unitsPerChunk].then(join.Done)
-		for comp := 0; comp < comps; comp++ {
-			lpa := lay.LPA(u, comp)
-			rch, rdie, _ := geo.PlaneLoc(place.Planes[comp])
-			sim.Chain(join.Done,
-				func(nx func()) { dev.ReadMapped(lpa, nx) },
-				func(nx func()) { dev.TransferFromDie(rch, rdie, pageSize, nx) },
-			)
-		}
-	}
-	launch = func() {
-		for next < simUnits && next-completed < inflightCap {
-			u := next
-			next++
-			startUnit(u)
-		}
-	}
-	launch()
-	eng.Run()
-	if !finished {
-		return nil, fmt.Errorf("core: ctrl-isp simulation wedged at %v (%d/%d units)",
-			eng.Now(), completed, simUnits)
-	}
-
-	scale := cfg.ScaleFactor()
-	counts := dev.Counts()
 	totalUnits := cfg.TouchedUnits()
-	r := &Report{
-		System:              s.Name(),
-		Model:               cfg.Model.Name,
-		Optimizer:           cfg.Optimizer.String(),
-		Precision:           cfg.Precision.String(),
-		Params:              cfg.Model.Params,
-		TotalUnits:          totalUnits,
-		SimUnits:            simUnits,
-		SimTime:             endTime,
-		SimEvents:           eng.Fired(),
-		SimPCIeToDevBytes:   int64(link.BytesToDevice()),
-		SimPCIeFromDevBytes: int64(link.BytesFromDevice()),
-		OptStepTime:         endTime.Scale(scale),
-		PCIeBytes:           (gradB + woutB) * totalUnits,
-		BusBytes:            int64(float64(counts.BytesIn+counts.BytesOut) * scale),
-		NANDReadBytes:       int64(float64(counts.Reads) * float64(pageSize) * scale),
-		NANDProgramBytes:    int64(float64(counts.Programs) * float64(pageSize) * scale),
-		DRAMBytes:           (2*residentB + gradB + woutB) * totalUnits,
-		WAF:                 dev.Stats().WAF,
-		Feasible:            true,
-	}
-	r.LinkUtil = link.Utilization()
-	r.BusUtil = meanBusUtil(dev)
-	evalEnergy(r, energy.Activity{
-		NANDReadBytes:    float64(r.NANDReadBytes),
-		NANDProgramBytes: float64(r.NANDProgramBytes),
-		NANDEraseBytes:   float64(counts.Erases) * float64(cfg.SSD.Nand.BlockBytes()) * scale,
-		BusBytes:         float64(r.BusBytes),
-		PCIeBytes:        float64(r.PCIeBytes),
-		DRAMBytes:        float64(r.DRAMBytes),
-		CPUOps:           float64(totalUnits) * float64(elems) * float64(kernel),
-	})
-	cfg.endToEnd(r)
-	accountFaults(cfg, r, inj)
-	return r, nil
+	r := run.report(s.Name())
+	r.PCIeBytes = (run.gradB + run.woutB) * totalUnits
+	r.DRAMBytes = (2*run.residentB + run.gradB + run.woutB) * totalUnits
+	return run.finish(r, energy.Activity{
+		CPUOps: float64(totalUnits) * float64(run.elems) * float64(run.kernel.FlopsPerElem),
+	}), nil
 }

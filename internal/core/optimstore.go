@@ -4,11 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/energy"
-	"repro/internal/host"
-	"repro/internal/layout"
 	"repro/internal/odp"
-	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // OptimStore is the paper's system: gradients stream to the SSD, each NAND
@@ -30,250 +26,36 @@ func (s *OptimStore) Name() string { return "optimstore" }
 // Run implements System.
 func (s *OptimStore) Run() (*Report, error) {
 	cfg := s.cfg
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	if cfg.Trace != nil {
-		eng.SetTracer(cfg.Trace)
-	}
-	dev := ssd.NewDevice(eng, cfg.SSD)
-	geo := dev.Geometry()
-	link := host.NewLink(eng, cfg.Link)
-
-	simUnits := cfg.SimUnits()
-	comps := cfg.Comps()
-	lay, err := layout.New(geo, comps, simUnits, cfg.Layout)
+	run, err := newRig(cfg, pipeOnDie)
 	if err != nil {
 		return nil, err
 	}
-	if lay.LogicalPages() > dev.FTL().LogicalPages() {
-		return nil, fmt.Errorf("core: window of %d pages exceeds device logical capacity %d — lower MaxSimUnits",
-			lay.LogicalPages(), dev.FTL().LogicalPages())
-	}
-	dev.SetPlaneMapper(lay.PlaneMapper())
-	for lpa := int64(0); lpa < lay.LogicalPages(); lpa++ {
-		dev.Preload(lpa)
-	}
-	inj := armFaults(eng, dev, cfg)
-
 	// One compute unit per die.
-	units := make([][]*odp.Unit, cfg.SSD.Channels)
-	for ch := range units {
-		units[ch] = make([]*odp.Unit, cfg.SSD.DiesPerChannel)
-		for die := range units[ch] {
-			units[ch][die] = odp.NewUnit(eng, fmt.Sprintf("ch%d/die%d", ch, die), cfg.ODP)
+	run.odp = make([][]*odp.Unit, cfg.SSD.Channels)
+	for ch := range run.odp {
+		run.odp[ch] = make([]*odp.Unit, cfg.SSD.DiesPerChannel)
+		for die := range run.odp[ch] {
+			run.odp[ch][die] = odp.NewUnit(run.eng, fmt.Sprintf("ch%d/die%d", ch, die), cfg.ODP)
 		}
 	}
-
-	kernel := kernelFor(cfg)
-	elems := cfg.ElemsPerPage()
-	gradB := cfg.GradBytesPerUnit()
-	woutB := cfg.WeightOutBytesPerUnit()
-	pageSize := geo.PageSize
-
-	// Inbound gradient stream: chunked PCIe transfers; units wait on their
-	// chunk's arrival.
-	unitsPerChunk := cfg.TransferChunkBytes / gradB
-	if unitsPerChunk < 1 {
-		unitsPerChunk = 1
-	}
-	nChunks := (simUnits + unitsPerChunk - 1) / unitsPerChunk
-	arrived := scheduleGradArrivals(eng, link.ToDevice, gradSchedule(cfg, nChunks), simUnits, unitsPerChunk, gradB)
-
-	var endTime sim.Time
-	finished := false
-	outbound := newOutBatcher(cfg.TransferChunkBytes,
-		link.FromDevice,
-		func() {
-			dev.Drain(func() {
-				disarmFaults(inj)
-				endTime = eng.Now()
-				finished = true
-			})
-		})
-
-	// Admission window: enough units in flight to keep every plane's read/
-	// program pipeline full, few enough that reads do not flood the plane
-	// queues ahead of programs.
-	// Admission window: ~4 units in flight per plane-slot a unit occupies,
-	// so planes stay pipelined regardless of how many pages a unit has
-	// (SGD's single-page units need a 3× deeper window than Adam's).
-	inflightCap := int64(4 * geo.Planes() / comps)
-	if min := int64(4 * geo.Dies()); inflightCap < min {
-		inflightCap = min
-	}
-	var next, completed int64
-	unitDone := func() {
-		completed++
-		if completed == simUnits {
-			outbound.close()
-		}
-	}
-	var launch func()
-	startUnit := func(u int64) {
-		place := lay.Placement(u)
-		odpU := units[place.HomeChannel][place.HomeDie]
-
-		readAll := func(done func()) {
-			c := sim.NewCounter(comps, span(eng, "read", done))
-			for comp := 0; comp < comps; comp++ {
-				lpa := lay.LPA(u, comp)
-				compPlane := place.Planes[comp]
-				rch, rdie, _ := geo.PlaneLoc(compPlane)
-				if rch == place.HomeChannel && rdie == place.HomeDie {
-					dev.ReadMapped(lpa, c.Done)
-					continue
-				}
-				// Mis-laid-out component: page must travel remote die →
-				// controller → home die over the channel buses.
-				sim.Chain(c.Done,
-					func(next func()) { dev.ReadMapped(lpa, next) },
-					func(next func()) { dev.TransferFromDie(rch, rdie, pageSize, next) },
-					func(next func()) {
-						dev.TransferToDie(place.HomeChannel, place.HomeDie, pageSize, next)
-					},
-				)
-			}
-		}
-		// Phase 3: program updated pages (remote components travel back).
-		programAll := func(done func()) {
-			c := sim.NewCounter(comps, span(eng, "program", done))
-			for comp := 0; comp < comps; comp++ {
-				lpa := lay.LPA(u, comp)
-				compPlane := place.Planes[comp]
-				rch, rdie, _ := geo.PlaneLoc(compPlane)
-				if rch == place.HomeChannel && rdie == place.HomeDie {
-					dev.ProgramUpdate(lpa, c.Done)
-					continue
-				}
-				sim.Chain(c.Done,
-					func(next func()) {
-						dev.TransferFromDie(place.HomeChannel, place.HomeDie, pageSize, next)
-					},
-					func(next func()) { dev.TransferToDie(rch, rdie, pageSize, next) },
-					func(next func()) { dev.ProgramUpdate(lpa, next) },
-				)
-			}
-		}
-
-		finish := func() {
-			dev.TransferFromDie(place.HomeChannel, place.HomeDie, int(woutB), span(eng, "writeback", func() {
-				outbound.add(woutB)
-				unitDone()
-				launch()
-			}))
-		}
-
-		// Phase 2: kernel execution, one or two passes.
-		compute := func() {
-			if cfg.ComputeHook != nil {
-				cfg.ComputeHook(u)
-			}
-			if kernel.ReadPasses == 1 {
-				odpU.Exec(elems, kernel.FlopsPerElem, span(eng, "kernel", func() { programAll(finish) }))
-				return
-			}
-			// LAMB: pass 1 computes moments and norms; a trust-ratio
-			// reduction bounces off the controller; pass 2 re-reads and
-			// applies.
-			half := (kernel.FlopsPerElem + 1) / 2
-			sim.Chain(func() { programAll(finish) },
-				func(next func()) { odpU.Exec(elems, half, span(eng, "kernel", next)) },
-				func(next func()) {
-					next = span(eng, "lamb-reduce", next)
-					dev.TransferFromDie(place.HomeChannel, place.HomeDie, 64, func() {
-						dev.TransferToDie(place.HomeChannel, place.HomeDie, 64, next)
-					})
-				},
-				func(next func()) { readAll(next) },
-				func(next func()) { odpU.Exec(elems, kernel.FlopsPerElem-half, span(eng, "kernel", next)) },
-			)
-		}
-
-		// Phase 1: gradient at die + resident pages in page registers.
-		join := sim.NewCounter(2, compute)
-		arrived[u/unitsPerChunk].then(func() {
-			dev.TransferToDie(place.HomeChannel, place.HomeDie, int(gradB), join.Done)
-		})
-		readAll(join.Done)
-	}
-	launch = func() {
-		for next < simUnits && next-completed < inflightCap {
-			u := next
-			next++
-			startUnit(u)
-		}
-	}
-	launch()
-	eng.Run()
-	if !finished {
-		return nil, fmt.Errorf("core: optimstore simulation wedged at %v (%d/%d units)",
-			eng.Now(), completed, simUnits)
-	}
-
-	r, err := s.report(cfg, dev, units, link, endTime, eng.Fired())
-	if err != nil {
+	// Gradients stream in as chunked PCIe transfers (units wait on their
+	// chunk's arrival); weights stream out the same way.
+	run.streamGrads()
+	run.inflightCap = run.planeWindow()
+	if err := run.simulate(s.Name()); err != nil {
 		return nil, err
-	}
-	accountFaults(cfg, r, inj)
-	return r, nil
-}
-
-func (s *OptimStore) report(cfg Config, dev *ssd.Device, units [][]*odp.Unit, link *host.Link, endTime sim.Time, fired uint64) (*Report, error) {
-	scale := cfg.ScaleFactor()
-	counts := dev.Counts()
-	var odpFlops float64
-	for _, row := range units {
-		for _, u := range row {
-			odpFlops += float64(u.Flops())
-		}
 	}
 	totalUnits := cfg.TouchedUnits()
-	gradB, woutB := cfg.GradBytesPerUnit(), cfg.WeightOutBytesPerUnit()
-	pageSize := int64(cfg.SSD.Nand.PageSize)
-	blockBytes := cfg.SSD.Nand.BlockBytes()
-
-	r := &Report{
-		System:              s.Name(),
-		Model:               cfg.Model.Name,
-		Optimizer:           cfg.Optimizer.String(),
-		Precision:           cfg.Precision.String(),
-		Params:              cfg.Model.Params,
-		TotalUnits:          totalUnits,
-		SimUnits:            cfg.SimUnits(),
-		SimTime:             endTime,
-		SimEvents:           fired,
-		SimPCIeToDevBytes:   int64(link.BytesToDevice()),
-		SimPCIeFromDevBytes: int64(link.BytesFromDevice()),
-		// The step is throughput-bound: extrapolate the window linearly.
-		OptStepTime:      endTime.Scale(scale),
-		PCIeBytes:        (gradB + woutB) * totalUnits,
-		BusBytes:         int64(float64(counts.BytesIn+counts.BytesOut) * scale),
-		NANDReadBytes:    int64(float64(counts.Reads) * float64(pageSize) * scale),
-		NANDProgramBytes: int64(float64(counts.Programs) * float64(pageSize) * scale),
-		DRAMBytes:        (gradB + woutB) * totalUnits,
-		WAF:              dev.Stats().WAF,
-		Feasible:         true,
-	}
-	r.LinkUtil = link.Utilization()
-	r.BusUtil = meanBusUtil(dev)
-	var odpUtil float64
-	for _, row := range units {
+	r := run.report(s.Name())
+	r.PCIeBytes = (run.gradB + run.woutB) * totalUnits
+	r.DRAMBytes = r.PCIeBytes
+	var odpFlops, odpUtil float64
+	for _, row := range run.odp {
 		for _, u := range row {
+			odpFlops += float64(u.Flops())
 			odpUtil += u.Utilization()
 		}
 	}
-	r.ODPUtil = odpUtil / float64(len(units)*len(units[0]))
-	evalEnergy(r, energy.Activity{
-		NANDReadBytes:    float64(r.NANDReadBytes),
-		NANDProgramBytes: float64(r.NANDProgramBytes),
-		NANDEraseBytes:   float64(counts.Erases) * float64(blockBytes) * scale,
-		BusBytes:         float64(r.BusBytes),
-		PCIeBytes:        float64(r.PCIeBytes),
-		DRAMBytes:        float64(r.DRAMBytes),
-		ODPOps:           odpFlops * scale,
-	})
-	cfg.endToEnd(r)
-	return r, nil
+	r.ODPUtil = odpUtil / float64(len(run.odp)*len(run.odp[0]))
+	return run.finish(r, energy.Activity{ODPOps: odpFlops * cfg.ScaleFactor()}), nil
 }

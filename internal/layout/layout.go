@@ -96,6 +96,7 @@ func (l *Layout) LogicalPages() int64 { return l.units * int64(l.comps) }
 // physical placement.
 func (l *Layout) LPA(unit int64, comp int) int64 {
 	if unit < 0 || unit >= l.units || comp < 0 || comp >= l.comps {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a caller bug
 		panic(fmt.Sprintf("layout: LPA(%d, %d) outside %d×%d", unit, comp, l.units, l.comps))
 	}
 	return unit*int64(l.comps) + int64(comp)
@@ -158,15 +159,24 @@ type Placement struct {
 	DistinctPlanes int
 }
 
-// Placement computes the physical placement of one unit.
-func (l *Layout) Placement(unit int64) Placement {
-	p := Placement{Planes: make([]int, l.comps), SameDie: true}
-	seen := map[int]bool{}
+// Placement computes the physical placement of one unit into p, reusing
+// the storage of p.Planes, so placing units one after another allocates
+// nothing once p.Planes holds Comps entries.
+func (l *Layout) Placement(unit int64, p *Placement) {
+	if cap(p.Planes) < l.comps {
+		//simlint:allow hotalloc first placement into a record sizes its storage; the record keeps it
+		p.Planes = make([]int, l.comps)
+	}
+	p.Planes = p.Planes[:l.comps]
+	p.SameDie = true
+	p.DistinctPlanes = 0
 	homeDie := -1
 	for c := 0; c < l.comps; c++ {
 		idx := l.PlaneIdx(unit, c)
 		p.Planes[c] = idx
-		seen[idx] = true
+		if !containsInt(p.Planes[:c], idx) {
+			p.DistinctPlanes++
+		}
 		die := idx / l.geo.PlanesPerDie
 		if homeDie == -1 {
 			homeDie = die
@@ -174,10 +184,18 @@ func (l *Layout) Placement(unit int64) Placement {
 			p.SameDie = false
 		}
 	}
-	p.DistinctPlanes = len(seen)
-	home := l.PlaneIdx(unit, 0)
-	p.HomeChannel, p.HomeDie, _ = l.geo.PlaneLoc(home)
-	return p
+	p.HomeChannel, p.HomeDie, _ = l.geo.PlaneLoc(p.Planes[0])
+}
+
+// containsInt reports whether xs holds x; a unit has a handful of
+// components, so a scan beats a set.
+func containsInt(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
 }
 
 // ColocationFraction returns the fraction of units whose pages share a die
@@ -190,8 +208,9 @@ func (l *Layout) ColocationFraction() float64 {
 		stride = n / 4096
 	}
 	var same, total int64
+	var p Placement
 	for u := int64(0); u < n; u += stride {
-		if l.Placement(u).SameDie {
+		if l.Placement(u, &p); p.SameDie {
 			same++
 		}
 		total++

@@ -74,8 +74,9 @@ func TestLPABoundsPanic(t *testing.T) {
 
 func TestColocatedProperties(t *testing.T) {
 	l := mustNew(t, 3, 1000, Colocated)
+	var p Placement
 	for u := int64(0); u < 1000; u += 7 {
-		p := l.Placement(u)
+		l.Placement(u, &p)
 		if !p.SameDie {
 			t.Fatalf("unit %d not on one die", u)
 		}
@@ -94,13 +95,48 @@ func TestColocatedBalancesDies(t *testing.T) {
 	dies := g.Dies()
 	l := mustNew(t, 3, int64(dies*10), Colocated)
 	count := make([]int, dies)
+	var p Placement
 	for u := int64(0); u < l.Units(); u++ {
-		p := l.Placement(u)
+		l.Placement(u, &p)
 		count[p.HomeChannel*g.DiesPerChannel+p.HomeDie]++
 	}
 	for d, c := range count {
 		if c != 10 {
 			t.Fatalf("die %d got %d units, want 10", d, c)
+		}
+	}
+}
+
+// TestPlacementAllocatesNothing pins the reuse contract: placing unit
+// after unit into one Placement allocates nothing, and the placement
+// matches PlaneIdx for every strategy, including split, whose components
+// share planes.
+func TestPlacementAllocatesNothing(t *testing.T) {
+	for _, s := range Strategies() {
+		l := mustNew(t, 3, 1000, s)
+		var p Placement
+		l.Placement(0, &p)
+		u := int64(0)
+		per := testing.AllocsPerRun(100, func() {
+			u = (u + 7) % l.Units()
+			l.Placement(u, &p)
+		})
+		//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
+		if per != 0 {
+			t.Errorf("%v: Placement allocates %v per call, want 0", s, per)
+		}
+		for u := int64(0); u < 200; u++ {
+			l.Placement(u, &p)
+			seen := map[int]bool{}
+			for c := 0; c < 3; c++ {
+				if p.Planes[c] != l.PlaneIdx(u, c) {
+					t.Fatalf("%v: unit %d comp %d on plane %d, want %d", s, u, c, p.Planes[c], l.PlaneIdx(u, c))
+				}
+				seen[p.Planes[c]] = true
+			}
+			if p.DistinctPlanes != len(seen) {
+				t.Fatalf("%v: unit %d distinct planes %d, want %d", s, u, p.DistinctPlanes, len(seen))
+			}
 		}
 	}
 }
@@ -124,8 +160,9 @@ func TestPlaneMapperMatchesPlacement(t *testing.T) {
 	for _, s := range Strategies() {
 		l := mustNew(t, 3, 500, s)
 		mapper := l.PlaneMapper()
+		var p Placement
 		for u := int64(0); u < 500; u += 13 {
-			p := l.Placement(u)
+			l.Placement(u, &p)
 			for c := 0; c < 3; c++ {
 				if mapper(l.LPA(u, c)) != p.Planes[c] {
 					t.Fatalf("%v: mapper disagrees with placement at (%d,%d)", s, u, c)
@@ -138,7 +175,8 @@ func TestPlaneMapperMatchesPlacement(t *testing.T) {
 func TestPlacementHomeDie(t *testing.T) {
 	g := testGeo()
 	l := mustNew(t, 3, 100, Colocated)
-	p := l.Placement(5)
+	var p Placement
+	l.Placement(5, &p)
 	// Unit 5 → die 5 → channel 1, die 1 with 4 dies/channel.
 	if p.HomeChannel != 1 || p.HomeDie != 1 {
 		t.Fatalf("home = ch%d/die%d", p.HomeChannel, p.HomeDie)

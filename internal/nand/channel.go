@@ -62,24 +62,6 @@ func (c *Channel) TransferOut(die int, n int, done func()) {
 	c.bus.Use(c.params.TransferTime(n), done)
 }
 
-// ReadPage performs a full external page read: array read (plane busy)
-// followed by bus transfer-out of the whole page.
-func (c *Channel) ReadPage(die int, a Addr, done func()) {
-	sim.Chain(done,
-		func(next func()) { c.dies[die].Read(a, next) },
-		func(next func()) { c.TransferOut(die, c.params.PageSize, next) },
-	)
-}
-
-// WritePage performs a full external page write: bus transfer-in of the
-// whole page followed by the array program (plane busy).
-func (c *Channel) WritePage(die int, a Addr, done func()) {
-	sim.Chain(done,
-		func(next func()) { c.TransferIn(die, c.params.PageSize, next) },
-		func(next func()) { c.dies[die].Program(a, next) },
-	)
-}
-
 // Counts sums operation tallies across all dies on the channel.
 func (c *Channel) Counts() OpCounts {
 	var total OpCounts

@@ -216,8 +216,12 @@ func TestChannelBusSerializes(t *testing.T) {
 	c := NewChannel(e, "ch0", p, 2)
 	var ends []sim.Time
 	// Array reads on two dies overlap, but their transfers share the bus.
-	c.ReadPage(0, Addr{0, 0, 0}, func() { ends = append(ends, e.Now()) })
-	c.ReadPage(1, Addr{0, 0, 0}, func() { ends = append(ends, e.Now()) })
+	for die := 0; die < 2; die++ {
+		die := die
+		c.Die(die).Read(Addr{0, 0, 0}, func() {
+			c.TransferOut(die, p.PageSize, func() { ends = append(ends, e.Now()) })
+		})
+	}
 	e.Run()
 	tR, tx := p.ReadLatency, p.PageTransferTime()
 	if ends[0] != tR+tx {
@@ -233,7 +237,9 @@ func TestChannelWritePage(t *testing.T) {
 	p := tinyParams()
 	c := NewChannel(e, "ch0", p, 1)
 	var doneAt sim.Time
-	c.WritePage(0, Addr{0, 0, 0}, func() { doneAt = e.Now() })
+	c.TransferIn(0, p.PageSize, func() {
+		c.Die(0).Program(Addr{0, 0, 0}, func() { doneAt = e.Now() })
+	})
 	e.Run()
 	want := p.PageTransferTime() + p.ProgramLatency
 	if doneAt != want {

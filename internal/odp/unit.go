@@ -105,6 +105,7 @@ func (u *Unit) Params() Params { return u.params }
 // serialize FIFO.
 func (u *Unit) Exec(elems, flopsPerElem int, done func()) {
 	if elems < 0 || flopsPerElem <= 0 {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a caller bug
 		panic(fmt.Sprintf("odp: Exec(%d elems, %d flops)", elems, flopsPerElem))
 	}
 	u.flops += uint64(elems) * uint64(flopsPerElem)

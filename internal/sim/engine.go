@@ -360,6 +360,15 @@ func (e *Engine) ScheduleBatch(items []Timed) {
 				items[i].Delay, i, e.now))
 		}
 	}
+	// A batch that outgrows the freelist tops it up with one slab.
+	if short := len(items) - len(e.free); short > 0 {
+		//simlint:allow hotalloc pool growth: one slab per batch that outgrows the freelist
+		slab := make([]Event, short)
+		for i := range slab {
+			//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
+			e.free = append(e.free, &slab[i])
+		}
+	}
 	// Small batches against a deep queue: individual pushes touch fewer
 	// slots than a full re-heapify would.
 	if len(items) < 8 || len(items) < len(e.queue)>>2 {

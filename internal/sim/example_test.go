@@ -24,19 +24,6 @@ func Example() {
 	// transfer B done at 200ns
 }
 
-// ExampleChain sequences dependent asynchronous stages — the idiom every
-// multi-phase NAND operation uses.
-func ExampleChain() {
-	eng := sim.NewEngine()
-	sim.Chain(func() { fmt.Println("write complete at", eng.Now()) },
-		func(next func()) { eng.Schedule(10, next) },  // bus transfer
-		func(next func()) { eng.Schedule(300, next) }, // program
-	)
-	eng.Run()
-	// Output:
-	// write complete at 310ns
-}
-
 // ExamplePreemptible shows program/erase suspend: a high-priority read
 // preempts a long program, which resumes afterwards.
 func ExamplePreemptible() {

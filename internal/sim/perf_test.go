@@ -62,35 +62,6 @@ func TestPreemptibleSuspendDuringResumeOverhead(t *testing.T) {
 	}
 }
 
-// TestCounterAddToZeroFires pins the Add completion semantics: a delta
-// that brings the count to zero fires the callback exactly like Done and
-// Arm. The pre-fix Add only adjusted the count, so a fork-join cancelling
-// its last outstanding branches via Add(-k) deadlocked silently.
-func TestCounterAddToZeroFires(t *testing.T) {
-	fired := false
-	c := NewCounter(3, func() { fired = true })
-	c.Done()
-	c.Add(-2) // cancel the two remaining branches
-	if !fired {
-		t.Fatal("Add reaching zero did not fire the callback")
-	}
-	if c.Remaining() != 0 {
-		t.Fatalf("remaining = %d", c.Remaining())
-	}
-}
-
-// TestCounterAddBelowZeroPanics pins the over-completion check: driving
-// the count negative via Add is the same bug Done catches, and must panic
-// rather than corrupt the join.
-func TestCounterAddBelowZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add below zero did not panic")
-		}
-	}()
-	NewCounter(1, nil).Add(-2)
-}
-
 // --- Allocation pins ----------------------------------------------------
 
 // TestScheduleSteadyStateZeroAllocs pins the pooled Schedule path: once

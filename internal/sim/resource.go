@@ -17,11 +17,21 @@ type useReq struct {
 	grantAt Time
 }
 
-// qent is one FIFO queue slot: either a pooled Use request or an
-// Acquire-path grant thunk. Exactly one field is set.
+// Grant is the token of one Acquire request. The caller keeps it,
+// typically in a pooled record of its own, from Acquire until Release;
+// it must not be copied meanwhile.
+type Grant struct {
+	held  bool
+	enqAt Time // wait-span start; -1 when not enqueued under tracing
+	at    Time // grant time: the start of the hold span
+}
+
+// qent is one FIFO queue slot: either a pooled Use request, or an
+// Acquire request's token and grant callback.
 type qent struct {
-	w  *useReq
-	fn func()
+	w       *useReq
+	g       *Grant
+	granted func()
 }
 
 // Resource models a server (or pool of identical servers) with a FIFO
@@ -136,56 +146,60 @@ func (r *Resource) dequeue() qent {
 	return ent
 }
 
-// Acquire requests one unit. When a unit is available — immediately, or
-// once earlier requests release — granted is invoked with a release
-// function that must be called exactly once. The grant happens
-// synchronously when capacity is free, so callers must not assume a
-// simulated-time delay.
+// Acquire requests one unit for the token g. When a unit is available —
+// immediately, or once earlier requests release — granted runs; the
+// holder then returns the unit with Release(g), exactly once. The grant
+// happens synchronously when capacity is free, so callers must not assume
+// a simulated-time delay.
 //
-// Acquire is the flexible (closure-allocating) path; the common
-// hold-for-a-duration pattern should use Use, which recycles its request
-// and event structs through freelists and allocates nothing in steady
-// state.
-func (r *Resource) Acquire(granted func(release func())) {
-	//simlint:allow hotalloc Acquire is the closure path (see above); its hot caller is the SSD write-cache slot wait
-	grant := func() {
-		r.account()
-		r.inUse++
-		r.grants++
-		grantAt := r.eng.now
-		if t := r.eng.trace; t != nil {
-			t.Counter(r.name, "in_use", grantAt, float64(r.inUse))
-		}
-		released := false
-		granted(func() {
-			if released {
-				panic(fmt.Sprintf("sim: double release of %q", r.name))
-			}
-			released = true
-			if t := r.eng.trace; t != nil {
-				t.Span(r.name, "hold", grantAt, r.eng.now)
-			}
-			r.release()
-		})
-	}
+// Acquire is the hold-until-released path; the common hold-for-a-duration
+// pattern should use Use. Neither allocates in steady state: the token
+// lives with the caller and granted is typically a method value bound
+// once.
+//
+//simlint:hotpath
+func (r *Resource) Acquire(g *Grant, granted func()) {
 	// A free unit is handed over only when no earlier request is still
 	// queued; capacity can be momentarily free with a non-empty queue
 	// while a release drain is in progress, and granting here would let
 	// the newcomer overtake FIFO order.
 	if r.inUse < r.capacity && r.q.Len() == 0 {
-		grant()
+		r.grant(g, granted)
 		return
 	}
-	queued := grant
-	if t := r.eng.trace; t != nil {
-		enqAt := r.eng.now
-		//simlint:allow hotalloc Acquire is the closure path (see above); its hot caller is the SSD write-cache slot wait
-		queued = func() {
-			t.Span(r.name, "wait", enqAt, r.eng.now)
-			grant()
-		}
+	g.enqAt = -1
+	if r.eng.trace != nil {
+		g.enqAt = r.eng.now
 	}
-	r.enqueue(qent{fn: queued})
+	r.enqueue(qent{g: g, granted: granted})
+}
+
+// grant hands one unit to the token g and runs its callback.
+func (r *Resource) grant(g *Grant, granted func()) {
+	r.account()
+	r.inUse++
+	r.grants++
+	g.held, g.at = true, r.eng.now
+	if t := r.eng.trace; t != nil {
+		t.Counter(r.name, "in_use", g.at, float64(r.inUse))
+	}
+	granted()
+}
+
+// Release returns the unit the token g holds. Releasing a token that
+// holds no unit — a second release of one grant — panics.
+//
+//simlint:hotpath
+func (r *Resource) Release(g *Grant) {
+	if !g.held {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
+		panic(fmt.Sprintf("sim: double release of %q", r.name))
+	}
+	g.held = false
+	if t := r.eng.trace; t != nil {
+		t.Span(r.name, "hold", g.at, r.eng.now)
+	}
+	r.release()
 }
 
 // grantUse starts service for a Use-path request: one unit is taken and
@@ -253,7 +267,12 @@ func (r *Resource) release() {
 			}
 			r.grantUse(ent.w)
 		} else {
-			ent.fn()
+			if ent.g.enqAt >= 0 {
+				if t := r.eng.trace; t != nil {
+					t.Span(r.name, "wait", ent.g.enqAt, r.eng.now)
+				}
+			}
+			r.grant(ent.g, ent.granted)
 		}
 	}
 	r.draining = false

@@ -76,29 +76,30 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
 
-	var hold func()
-	r.Acquire(func(release func()) { hold = release })
+	var hold Grant
+	r.Acquire(&hold, func() {})
 
 	var order []int
 	var times []Time
 	maxDepth := 0
 	pcs := make([]uintptr, 512)
+	grants := make([]Grant, waiters)
 	for i := 0; i < waiters; i++ {
 		i := i
-		r.Acquire(func(release func()) {
+		r.Acquire(&grants[i], func() {
 			order = append(order, i)
 			times = append(times, e.Now())
 			if d := runtime.Callers(0, pcs); d > maxDepth {
 				maxDepth = d
 			}
-			release()
+			r.Release(&grants[i])
 		})
 	}
 	if r.QueueLen() != waiters {
 		t.Fatalf("queue = %d, want %d", r.QueueLen(), waiters)
 	}
 
-	e.Schedule(100, hold)
+	e.Schedule(100, func() { r.Release(&hold) })
 	e.Run()
 
 	if len(order) != waiters {
@@ -174,22 +175,22 @@ func TestResourceAcquireDuringDrainKeepsFIFO(t *testing.T) {
 	r := NewResource(e, "r", 1)
 	var order []string
 
-	var hold func()
-	r.Acquire(func(release func()) { hold = release })
-	r.Acquire(func(release func()) {
+	var hold, a, a2, b Grant
+	r.Acquire(&hold, func() {})
+	r.Acquire(&a, func() {
 		order = append(order, "a")
-		release()
+		r.Release(&a)
 		// Queue is still holding b; this must not overtake it.
-		r.Acquire(func(release func()) {
+		r.Acquire(&a2, func() {
 			order = append(order, "a2")
-			release()
+			r.Release(&a2)
 		})
 	})
-	r.Acquire(func(release func()) {
+	r.Acquire(&b, func() {
 		order = append(order, "b")
-		release()
+		r.Release(&b)
 	})
-	e.Schedule(10, hold)
+	e.Schedule(10, func() { r.Release(&hold) })
 	e.Run()
 
 	want := []string{"a", "b", "a2"}
@@ -211,9 +212,10 @@ func TestResourceDoubleReleasePanics(t *testing.T) {
 			t.Fatal("double release did not panic")
 		}
 	}()
-	r.Acquire(func(release func()) {
-		release()
-		release()
+	var g Grant
+	r.Acquire(&g, func() {
+		r.Release(&g)
+		r.Release(&g)
 	})
 }
 
@@ -247,101 +249,6 @@ func TestResourceCounters(t *testing.T) {
 	}
 	if r.Name() != "r" || r.Capacity() != 1 {
 		t.Fatal("accessors wrong")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	fired := false
-	c := NewCounter(2, func() { fired = true })
-	c.Done()
-	if fired {
-		t.Fatal("fired early")
-	}
-	c.Done()
-	if !fired {
-		t.Fatal("did not fire")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Done below zero did not panic")
-		}
-	}()
-	c.Done()
-}
-
-func TestCounterArmZero(t *testing.T) {
-	fired := false
-	c := NewCounter(0, func() { fired = true })
-	c.Arm()
-	if !fired {
-		t.Fatal("Arm with zero outstanding did not fire")
-	}
-}
-
-func TestCounterAdd(t *testing.T) {
-	fired := false
-	c := NewCounter(1, func() { fired = true })
-	c.Add(1)
-	c.Done()
-	if fired || c.Remaining() != 1 {
-		t.Fatalf("fired=%v remaining=%d", fired, c.Remaining())
-	}
-	c.Done()
-	if !fired {
-		t.Fatal("did not fire after Add accounted")
-	}
-}
-
-func TestChain(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	Chain(func() { got = append(got, "done") },
-		func(next func()) { e.Schedule(10, func() { got = append(got, "a"); next() }) },
-		func(next func()) { e.Schedule(10, func() { got = append(got, "b"); next() }) },
-		func(next func()) { got = append(got, "c"); next() },
-	)
-	e.Run()
-	want := []string{"a", "b", "c", "done"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-	if e.Now() != 20 {
-		t.Fatalf("chain stages did not run sequentially: t=%d", e.Now())
-	}
-}
-
-func TestChainEmpty(t *testing.T) {
-	done := false
-	Chain(func() { done = true })
-	if !done {
-		t.Fatal("empty chain did not complete")
-	}
-}
-
-func TestForkJoin(t *testing.T) {
-	e := NewEngine()
-	var doneAt Time = -1
-	ForkJoin(func() { doneAt = e.Now() },
-		func(next func()) { e.Schedule(10, next) },
-		func(next func()) { e.Schedule(30, next) },
-		func(next func()) { e.Schedule(20, next) },
-	)
-	e.Run()
-	if doneAt != 30 {
-		t.Fatalf("join at %d, want 30 (max of branches)", doneAt)
-	}
-}
-
-func TestForkJoinEmpty(t *testing.T) {
-	done := false
-	ForkJoin(func() { done = true })
-	if !done {
-		t.Fatal("empty fork-join did not complete")
 	}
 }
 

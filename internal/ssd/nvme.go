@@ -44,15 +44,28 @@ func (q *QueuePair) Completed() uint64 { return q.completed }
 // invoke exactly once; done (optional) fires after the slot is released.
 func (q *QueuePair) Submit(op func(complete func()), done func()) {
 	q.submitted++
-	q.slots.Acquire(func(release func()) {
-		op(func() {
-			q.completed++
-			release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	c := &command{q: q, op: op, done: done}
+	q.slots.Acquire(&c.slot, c.start)
+}
+
+// command is one submitted command: its queue slot and callbacks.
+type command struct {
+	q    *QueuePair
+	slot sim.Grant
+	op   func(complete func())
+	done func()
+}
+
+// start issues the command once it holds a queue slot.
+func (c *command) start() { c.op(c.complete) }
+
+// complete releases the slot, then runs the submitter's callback.
+func (c *command) complete() {
+	c.q.completed++
+	c.q.slots.Release(&c.slot)
+	if c.done != nil {
+		c.done()
+	}
 }
 
 // Utilization returns the mean occupied fraction of the queue.

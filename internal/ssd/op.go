@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/nand"
+	"repro/internal/sim"
 )
 
 // Device op records. Every in-flight device operation — a host read or
@@ -57,8 +58,8 @@ const (
 //simlint:pooled
 type op struct {
 	d     *Device
-	step  func()               // o.advance, bound once when the record is made
-	grant func(release func()) // o.cacheSlotGranted, bound likewise
+	step  func() // o.advance, bound once when the record is made
+	grant func() // o.cacheSlotGranted, bound on the record's first write
 
 	kind    opKind
 	stage   opStage
@@ -68,7 +69,7 @@ type op struct {
 	plane   int
 	retries int // read-retry passes of the current array read
 	done    func()
-	release func() // Write: the held cache slot
+	slot    sim.Grant // Write: the held cache slot
 
 	victim int     // relocation: the block being emptied
 	lpas   []int64 // relocation: its residents; storage kept across reuse
@@ -101,8 +102,8 @@ func (d *Device) getOp(kind opKind) *op {
 	} else {
 		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
 		o = &op{d: d}
-		// Binding the method values allocates, once per record.
-		o.step, o.grant = o.advance, o.cacheSlotGranted
+		// Binding the method value allocates, once per record.
+		o.step = o.advance
 	}
 	o.kind = kind
 	return o
@@ -113,7 +114,7 @@ func (d *Device) getOp(kind opKind) *op {
 //simlint:hotpath
 //simlint:release
 func (d *Device) putOp(o *op) {
-	o.done, o.release = nil, nil
+	o.done = nil
 	o.retries = 0
 	o.lpas = o.lpas[:0]
 	free := d.freelist(o.kind)
@@ -134,8 +135,7 @@ func (d *Device) finish(o *op) {
 }
 
 // cacheSlotGranted is a Write's cache-slot grant.
-func (o *op) cacheSlotGranted(release func()) {
-	o.release = release
+func (o *op) cacheSlotGranted() {
 	o.stage = stageWriteAbsorb
 	o.d.eng.Schedule(o.d.cfg.DRAMPageLatency, o.step)
 }
@@ -190,7 +190,11 @@ func (o *op) advance() {
 		d.hostReads++
 		d.finish(o)
 	case stageWriteCmd:
-		d.cacheSlots.Acquire(o.grant)
+		if o.grant == nil {
+			// Binding the method value allocates, once per record that writes.
+			o.grant = o.cacheSlotGranted
+		}
+		d.cacheSlots.Acquire(&o.slot, o.grant)
 	case stageWriteAbsorb:
 		d.dirty[o.lpa]++
 		done := o.done
@@ -208,12 +212,11 @@ func (o *op) advance() {
 	case stageFlushIn:
 		d.program(o, stageFlushProgram)
 	case stageFlushProgram:
-		lpa, plane, release := o.lpa, o.plane, o.release
+		lpa, plane := o.lpa, o.plane
 		d.ftl.EndProgram(o.ppa)
 		// Commit before clearing dirty so a read never sees a window where
 		// the page is neither cached nor mapped.
 		d.commit(lpa, o.ppa, false)
-		d.putOp(o)
 		d.hostWrites++
 		if d.dirty[lpa] > 1 {
 			d.dirty[lpa]--
@@ -221,7 +224,8 @@ func (o *op) advance() {
 			delete(d.dirty, lpa)
 		}
 		d.boundary(BoundaryHostWrite, lpa)
-		release()
+		d.cacheSlots.Release(&o.slot)
+		d.putOp(o)
 		d.maybeGC(plane)
 		d.opDone()
 	case stageUpdatePermit:
