@@ -227,7 +227,7 @@ func (u *unit) begin() {
 		r.grads[u.idx/r.gradUnits].then(u.step)
 		for comp := 0; comp < r.comps; comp++ {
 			lpa := r.lay.LPA(u.idx, comp)
-			ch, die, _ := r.geo.PlaneLoc(u.place.Planes[comp])
+			ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
 			r.dev.ReadMapped(lpa, r.startComp(u, cPullSensed, lpa, ch, die).step)
 		}
 	case pipeOffload:
@@ -295,7 +295,7 @@ func (u *unit) advance() {
 		u.fanOut(uPush, r.comps)
 		for comp := 0; comp < r.comps; comp++ {
 			lpa := r.lay.LPA(u.idx, comp)
-			ch, die, _ := r.geo.PlaneLoc(u.place.Planes[comp])
+			ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
 			r.dev.TransferToDie(ch, die, r.pageSize, r.startComp(u, cProgramIn, lpa, ch, die).step)
 		}
 	case uPush:
@@ -359,7 +359,7 @@ func (u *unit) readAll(stage unitStage) {
 	u.fanOut(stage, r.comps)
 	for comp := 0; comp < r.comps; comp++ {
 		lpa := r.lay.LPA(u.idx, comp)
-		ch, die, _ := r.geo.PlaneLoc(u.place.Planes[comp])
+		ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
 		if ch == u.place.HomeChannel && die == u.place.HomeDie {
 			r.dev.ReadMapped(lpa, u.step)
 			continue
@@ -375,7 +375,7 @@ func (u *unit) programAll() {
 	u.fanOut(uProgram, r.comps)
 	for comp := 0; comp < r.comps; comp++ {
 		lpa := r.lay.LPA(u.idx, comp)
-		ch, die, _ := r.geo.PlaneLoc(u.place.Planes[comp])
+		ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
 		if ch == u.place.HomeChannel && die == u.place.HomeDie {
 			r.dev.ProgramUpdate(lpa, u.step)
 			continue

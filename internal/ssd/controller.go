@@ -140,19 +140,16 @@ func (d *Device) SetCommitHook(fn func(lpa, oldLin, newLin int64, gc bool)) {
 	d.commitHook = fn
 }
 
-// commit binds lpa to ppa and notifies the hook, if one is installed,
-// with the displaced physical page.
-func (d *Device) commit(lpa int64, ppa PPA, gc bool) {
+// commit binds lpa to the linear page lin and notifies the hook, if one
+// is installed, with the displaced physical page.
+func (d *Device) commit(lpa, lin int64, gc bool) {
 	if d.commitHook == nil {
-		d.ftl.CommitWrite(lpa, ppa, gc)
+		d.ftl.commit(lpa, lin, gc)
 		return
 	}
-	oldLin := int64(-1)
-	if old, ok := d.ftl.Lookup(lpa); ok {
-		oldLin = d.geo.Linear(old)
-	}
-	d.ftl.CommitWrite(lpa, ppa, gc)
-	d.commitHook(lpa, oldLin, d.geo.Linear(ppa), gc)
+	oldLin := d.ftl.lookupLinear(lpa)
+	d.ftl.commit(lpa, lin, gc)
+	d.commitHook(lpa, oldLin, lin, gc)
 }
 
 // SetPlaneMapper replaces the logical-page → plane placement function used
@@ -162,10 +159,19 @@ func (d *Device) SetPlaneMapper(fn func(lpa int64) int) { d.planeFor = fn }
 
 // PlaneOf returns the plane a logical page is (or would be) placed on.
 func (d *Device) PlaneOf(lpa int64) int {
-	if ppa, ok := d.ftl.Lookup(lpa); ok {
-		return d.geo.PlaneOf(ppa)
+	if lin := d.ftl.lookupLinear(lpa); lin != unmapped {
+		return d.ftl.dec.plane(lin)
 	}
 	return d.planeFor(lpa)
+}
+
+// PlaneLoc returns the (channel, die, plane-in-die) of a device-global
+// plane, as Geometry.PlaneLoc does, from a table built with the device.
+//
+//simlint:hotpath
+func (d *Device) PlaneLoc(plane int) (ch, die, pl int) {
+	l := d.ftl.dec.planes[plane]
+	return l.ch, l.die, l.plane
 }
 
 // Stats returns a snapshot of the device counters.
@@ -243,9 +249,10 @@ func (d *Device) Preload(lpa int64) {
 	if !d.ftl.CanAlloc(plane) {
 		panic(fmt.Sprintf("ssd: preload exhausted plane %d", plane))
 	}
-	ppa := d.ftl.AllocPage(plane)
-	d.commit(lpa, ppa, false)
-	d.Die(ppa.Channel, ppa.Die).MarkProgrammed(ppa.Addr)
+	lin := d.ftl.allocPage(plane, HotStream)
+	d.commit(lpa, lin, false)
+	p := d.ftl.dec.ppa(lin)
+	d.Die(p.Channel, p.Die).MarkProgrammed(p.Addr)
 }
 
 // hostCanWrite reports whether a new allocation on the plane can be
@@ -308,7 +315,7 @@ func (d *Device) Write(lpa int64, done func()) {
 
 // Trim invalidates a logical page.
 func (d *Device) Trim(lpa int64) {
-	_, mapped := d.ftl.Lookup(lpa)
+	mapped := d.ftl.lookupLinear(lpa) != unmapped
 	d.ftl.Invalidate(lpa)
 	if mapped {
 		d.boundary(BoundaryTrim, lpa)
@@ -320,15 +327,15 @@ func (d *Device) Trim(lpa int64) {
 //
 //simlint:hotpath
 func (d *Device) ReadMapped(lpa int64, done func()) {
-	ppa, ok := d.ftl.Lookup(lpa)
-	if !ok {
+	lin := d.ftl.lookupLinear(lpa)
+	if lin == unmapped {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
 		panic(fmt.Sprintf("ssd: internal read of unmapped lpa %d", lpa))
 	}
 	d.opStart()
 	d.updateReads++
 	o := d.getOp(kindScan)
-	o.lpa, o.ppa, o.done = lpa, ppa, done
+	o.lpa, o.lin, o.done = lpa, lin, done
 	d.arrayRead(o)
 }
 
@@ -349,14 +356,17 @@ const readRetryFactor = 3
 // onReadDone feeds the block-retirement tracker after a read converges,
 // retiring the block when its cumulative retry budget is exhausted. Nil
 // tracker (retirement disabled) keeps this a single branch.
-func (d *Device) onReadDone(ppa PPA, retries int) {
+func (d *Device) onReadDone(lin int64, retries int) {
 	if d.retire == nil {
 		return
 	}
-	plane := d.geo.PlaneOf(ppa)
-	if d.retire.OnRead(d.geo.BlockIndex(ppa), retries) == ecc.BlockRetired &&
-		!d.ftl.Retired(plane, ppa.Block) {
-		d.retireBlock(plane, ppa.Block)
+	b := d.ftl.dec.block(lin)
+	if d.retire.OnRead(b, retries) != ecc.BlockRetired {
+		return
+	}
+	plane := d.ftl.dec.plane(lin)
+	if block := b - plane*d.geo.BlocksPerPlane; !d.ftl.Retired(plane, block) {
+		d.retireBlock(plane, block)
 	}
 }
 
@@ -367,14 +377,14 @@ func (d *Device) onReadDone(ppa PPA, retries int) {
 //
 //simlint:hotpath
 func (d *Device) ProgramUpdate(lpa int64, done func()) {
-	old, ok := d.ftl.Lookup(lpa)
-	if !ok {
+	old := d.ftl.lookupLinear(lpa)
+	if old == unmapped {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
 		panic(fmt.Sprintf("ssd: update of unmapped lpa %d", lpa))
 	}
 	d.opStart()
 	o := d.getOp(kindUpdate)
-	o.lpa, o.plane, o.done = lpa, d.geo.PlaneOf(old), done
+	o.lpa, o.plane, o.done = lpa, d.ftl.dec.plane(old), done
 	o.stage = stageUpdatePermit
 	d.whenWritable(o.plane, o.step)
 }

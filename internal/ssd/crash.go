@@ -101,8 +101,8 @@ func (d *Device) MappedPagesOnDie(ch, die int) int64 { return d.ftl.ValidPagesOn
 //
 //simlint:hotpath
 func (d *Device) ScrubRead(lpa int64, done func()) {
-	ppa, ok := d.ftl.Lookup(lpa)
-	if !ok {
+	lin := d.ftl.lookupLinear(lpa)
+	if lin == unmapped {
 		if done != nil {
 			done()
 		}
@@ -111,7 +111,7 @@ func (d *Device) ScrubRead(lpa int64, done func()) {
 	d.opStart()
 	d.scrubReads++
 	o := d.getOp(kindScan)
-	o.lpa, o.ppa, o.done = lpa, ppa, done
+	o.lpa, o.lin, o.done = lpa, lin, done
 	d.arrayRead(o)
 }
 

@@ -358,10 +358,10 @@ func TestRetirementBelowBudgetDoesNothing(t *testing.T) {
 func TestDisabledFaultLayerAddsNoAllocations(t *testing.T) {
 	d := NewDevice(sim.NewEngine(), smallConfig())
 	d.Preload(0)
-	ppa, _ := d.FTL().Lookup(0)
+	lin := d.FTL().lookupLinear(0)
 	per := testing.AllocsPerRun(1000, func() {
 		d.boundary(BoundaryHostWrite, 0)
-		d.onReadDone(ppa, 0)
+		d.onReadDone(lin, 0)
 	})
 	//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
 	if per != 0 {

@@ -103,6 +103,7 @@ func (m *pageMap) forEach(fn func(i, v int64)) {
 // allocation and mapping decisions, so the FTL is directly unit-testable.
 type FTL struct {
 	geo          Geometry
+	dec          decoder
 	logicalPages int64
 
 	l2p        pageMap // logical page -> linear PPA, or unmapped
@@ -168,6 +169,7 @@ func NewFTL(geo Geometry, logicalPages int64) *FTL {
 		retired:       make([]bool, geo.BlocksTotal()),
 		planes:        make([]planeAlloc, geo.Planes()),
 	}
+	f.dec = newDecoder(geo)
 	for p := range f.planes {
 		pa := &f.planes[p]
 		pa.open[HotStream] = -1
@@ -189,12 +191,18 @@ func (f *FTL) LogicalPages() int64 { return f.logicalPages }
 // Lookup translates a logical page; ok is false when the page was never
 // written (or was trimmed).
 func (f *FTL) Lookup(lpa int64) (PPA, bool) {
-	f.checkLPA(lpa)
-	lin := f.l2p.get(lpa)
+	lin := f.lookupLinear(lpa)
 	if lin == unmapped {
 		return PPA{}, false
 	}
-	return f.geo.FromLinear(lin), true
+	return f.dec.ppa(lin), true
+}
+
+// lookupLinear translates a logical page to its linear physical page, or
+// unmapped.
+func (f *FTL) lookupLinear(lpa int64) int64 {
+	f.checkLPA(lpa)
+	return f.l2p.get(lpa)
 }
 
 func (f *FTL) checkLPA(lpa int64) {
@@ -242,6 +250,11 @@ func (f *FTL) AllocPage(planeIdx int) PPA {
 // long-lived and short-lived pages. A cold-stream allocation falls back to
 // the hot open block when no free block exists to open.
 func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
+	return f.dec.ppa(f.allocPage(planeIdx, stream))
+}
+
+// allocPage is AllocPageStream returning the page's linear index.
+func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 	pa := &f.planes[planeIdx]
 	s := int(stream)
 	if pa.open[s] < 0 {
@@ -270,37 +283,35 @@ func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
 			pa.next[s] = 0
 		}
 	}
-	ch, die, plane := f.geo.PlaneLoc(planeIdx)
-	ppa := PPA{Channel: ch, Die: die}
-	ppa.Plane = plane
-	ppa.Block = int(pa.open[s])
-	ppa.Page = pa.next[s]
+	lin := f.blockStart(planeIdx, int(pa.open[s])) + int64(pa.next[s])
 	pa.next[s]++
 	if pa.next[s] == f.geo.PagesPerBlock {
 		//simlint:allow hotalloc amortized growth, bounded by the plane's block count
 		pa.full = append(pa.full, pa.open[s])
 		pa.open[s] = -1
 	}
-	return ppa
+	return lin
 }
 
 // CommitWrite binds lpa to a freshly allocated ppa, invalidating any prior
 // mapping. Host writes and GC relocations are tallied separately for
 // write-amplification reporting.
-func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) {
+func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) { f.commit(lpa, f.geo.Linear(ppa), gc) }
+
+// commit is CommitWrite to the linear page lin.
+func (f *FTL) commit(lpa, lin int64, gc bool) {
 	f.checkLPA(lpa)
-	lin := f.geo.Linear(ppa)
 	if f.p2l.get(lin) != unmapped {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("ssd: commit to already-valid page %v", ppa))
+		panic(fmt.Sprintf("ssd: commit to already-valid page %v", f.dec.ppa(lin)))
 	}
 	if old := f.l2p.get(lpa); old != unmapped {
 		f.p2l.set(old, unmapped)
-		f.validCount[old/int64(f.geo.PagesPerBlock)]--
+		f.validCount[f.dec.block(old)]--
 	}
 	f.l2p.set(lpa, lin)
 	f.p2l.set(lin, lpa)
-	f.validCount[f.geo.BlockIndex(ppa)]++
+	f.validCount[f.dec.block(lin)]++
 	if gc {
 		f.gcProgrammed++
 	} else {
@@ -313,7 +324,7 @@ func (f *FTL) Invalidate(lpa int64) {
 	f.checkLPA(lpa)
 	if old := f.l2p.get(lpa); old != unmapped {
 		f.p2l.set(old, unmapped)
-		f.validCount[old/int64(f.geo.PagesPerBlock)]--
+		f.validCount[f.dec.block(old)]--
 		f.l2p.set(lpa, unmapped)
 	}
 }
@@ -321,21 +332,26 @@ func (f *FTL) Invalidate(lpa int64) {
 // BeginProgram records a program issued to ppa whose mapping will commit
 // at completion (EndProgram). The FTL refuses to pick blocks with in-
 // flight programs as GC victims while the count is nonzero.
-func (f *FTL) BeginProgram(ppa PPA) {
-	b := f.geo.BlockIndex(ppa)
-	f.inflight[b]++
-	f.inflightPlane[f.geo.PlaneOf(ppa)]++
+func (f *FTL) BeginProgram(ppa PPA) { f.beginProgram(f.geo.PlaneOf(ppa), f.geo.Linear(ppa)) }
+
+// beginProgram is BeginProgram on the linear page lin of plane.
+func (f *FTL) beginProgram(plane int, lin int64) {
+	f.inflight[f.dec.block(lin)]++
+	f.inflightPlane[plane]++
 }
 
 // EndProgram retires a BeginProgram record when the program completes (or
 // completes stale, in which case no mapping is committed).
-func (f *FTL) EndProgram(ppa PPA) {
-	b := f.geo.BlockIndex(ppa)
+func (f *FTL) EndProgram(ppa PPA) { f.endProgram(f.geo.PlaneOf(ppa), f.geo.Linear(ppa)) }
+
+// endProgram is EndProgram on the linear page lin of plane.
+func (f *FTL) endProgram(plane int, lin int64) {
+	b := f.dec.block(lin)
 	f.inflight[b]--
-	f.inflightPlane[f.geo.PlaneOf(ppa)]--
+	f.inflightPlane[plane]--
 	if f.inflight[b] < 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("ssd: EndProgram without BeginProgram on %v", ppa))
+		panic(fmt.Sprintf("ssd: EndProgram without BeginProgram on %v", f.dec.ppa(lin)))
 	}
 }
 
@@ -405,7 +421,7 @@ func (f *FTL) RetireBlock(planeIdx, block int) {
 		panic(fmt.Sprintf("ssd: retiring block %d/%d with in-flight programs", planeIdx, block))
 	}
 	// Drop stale reverse mappings so the retired block holds nothing.
-	start := int64(g) * int64(f.geo.PagesPerBlock)
+	start := f.blockStart(planeIdx, block)
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		f.p2l.set(start+int64(p), unmapped)
 	}
@@ -492,10 +508,15 @@ func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
 	return f.appendValidLPAs(nil, planeIdx, block)
 }
 
+// blockStart returns the linear index of the first page of a plane's
+// block.
+func (f *FTL) blockStart(planeIdx, block int) int64 {
+	return int64(planeIdx*f.geo.BlocksPerPlane+block) * int64(f.geo.PagesPerBlock)
+}
+
 // appendValidLPAs appends ValidLPAs(planeIdx, block) to dst.
 func (f *FTL) appendValidLPAs(dst []int64, planeIdx, block int) []int64 {
-	blockGlobal := planeIdx*f.geo.BlocksPerPlane + block
-	start := int64(blockGlobal) * int64(f.geo.PagesPerBlock)
+	start := f.blockStart(planeIdx, block)
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		if lpa := f.p2l.get(start + int64(p)); lpa != unmapped {
 			//simlint:allow hotalloc amortized growth of a relocation record's resident list; reused across victims
@@ -522,12 +543,11 @@ func (f *FTL) OnErased(planeIdx, block int) {
 		panic(fmt.Sprintf("ssd: erasing retired block %d/%d", planeIdx, block))
 	}
 	// Drop stale reverse mappings for the erased block.
-	blockGlobal := planeIdx*f.geo.BlocksPerPlane + block
-	start := int64(blockGlobal) * int64(f.geo.PagesPerBlock)
+	start := f.blockStart(planeIdx, block)
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		f.p2l.set(start+int64(p), unmapped)
 	}
-	f.erases[blockGlobal]++
+	f.erases[planeIdx*f.geo.BlocksPerPlane+block]++
 	//simlint:allow hotalloc amortized growth, bounded by the plane's block count
 	f.planes[planeIdx].free = append(f.planes[planeIdx].free, int32(block))
 }
@@ -589,7 +609,7 @@ func (f *FTL) CheckConsistent() error {
 			err = fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", lin, lpa, lpa, got)
 			return
 		}
-		counts[f.geo.BlockIndex(f.geo.FromLinear(lin))]++
+		counts[f.dec.block(lin)]++
 	})
 	if err != nil {
 		return err

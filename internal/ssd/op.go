@@ -64,14 +64,15 @@ type op struct {
 	kind    opKind
 	stage   opStage
 	lpa     int64
-	ppa     PPA // page being sensed or programmed
-	old     PPA // relocation: the resident being copied
+	lin     int64 // linear page being sensed or programmed
+	old     int64 // relocation: linear page of the resident being copied
 	plane   int
 	retries int // read-retry passes of the current array read
 	done    func()
 	slot    sim.Grant // Write: the held cache slot
 
 	victim int     // relocation: the block being emptied
+	start  int64   // relocation: the victim's first linear page
 	lpas   []int64 // relocation: its residents; storage kept across reuse
 	next   int     // relocation: index of the resident being moved
 }
@@ -154,12 +155,11 @@ func (o *op) advance() {
 			d.eng.Schedule(d.cfg.DRAMPageLatency, o.step)
 			return
 		}
-		ppa, ok := d.ftl.Lookup(o.lpa)
-		if !ok {
+		o.lin = d.ftl.lookupLinear(o.lpa)
+		if o.lin == unmapped {
 			//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
 			panic(fmt.Sprintf("ssd: read of unmapped lpa %d", o.lpa))
 		}
-		o.ppa = ppa
 		d.arrayRead(o)
 	case stageReadHit:
 		d.cacheHits++
@@ -174,16 +174,18 @@ func (o *op) advance() {
 			d.recoveredErrors++
 			o.retries++
 			o.stage = stageRetry
-			d.Die(o.ppa.Channel, o.ppa.Die).Occupy(o.ppa.Addr, readRetryFactor*d.cfg.Nand.ReadLatency, o.step)
+			p := d.ftl.dec.ppa(o.lin)
+			d.Die(p.Channel, p.Die).Occupy(p.Addr, readRetryFactor*d.cfg.Nand.ReadLatency, o.step)
 			return
 		}
-		d.onReadDone(o.ppa, o.retries)
+		d.onReadDone(o.lin, o.retries)
 		if o.kind != kindRead {
 			d.finish(o)
 			return
 		}
 		o.stage = stageReadOut
-		d.channels[o.ppa.Channel].TransferOut(o.ppa.Die, d.geo.PageSize, o.step)
+		ch, die, _ := d.PlaneLoc(d.ftl.dec.plane(o.lin))
+		d.channels[ch].TransferOut(die, d.geo.PageSize, o.step)
 	case stageRetry:
 		d.arrayRead(o)
 	case stageReadOut:
@@ -206,17 +208,17 @@ func (o *op) advance() {
 		o.stage = stageFlushPermit
 		d.whenWritable(o.plane, o.step)
 	case stageFlushPermit:
-		ch, die, _ := d.geo.PlaneLoc(o.plane)
+		ch, die, _ := d.PlaneLoc(o.plane)
 		o.stage = stageFlushIn
 		d.channels[ch].TransferIn(die, d.geo.PageSize, o.step)
 	case stageFlushIn:
 		d.program(o, stageFlushProgram)
 	case stageFlushProgram:
 		lpa, plane := o.lpa, o.plane
-		d.ftl.EndProgram(o.ppa)
+		d.ftl.endProgram(plane, o.lin)
 		// Commit before clearing dirty so a read never sees a window where
 		// the page is neither cached nor mapped.
-		d.commit(lpa, o.ppa, false)
+		d.commit(lpa, o.lin, false)
 		d.hostWrites++
 		if d.dirty[lpa] > 1 {
 			d.dirty[lpa]--
@@ -232,8 +234,8 @@ func (o *op) advance() {
 		d.program(o, stageUpdateProgram)
 	case stageUpdateProgram:
 		lpa, plane, done := o.lpa, o.plane, o.done
-		d.ftl.EndProgram(o.ppa)
-		d.commit(lpa, o.ppa, false)
+		d.ftl.endProgram(plane, o.lin)
+		d.commit(lpa, o.lin, false)
 		d.putOp(o)
 		d.updateWrites++
 		d.boundary(BoundaryUpdate, lpa)
@@ -246,7 +248,7 @@ func (o *op) advance() {
 		d.finish(o)
 	case stageRelocRead:
 		// Re-check: the mapping may have moved while the read was queued.
-		if cur, ok := d.ftl.Lookup(o.lpas[o.next]); !ok || cur != o.old {
+		if d.ftl.lookupLinear(o.lpas[o.next]) != o.old {
 			o.next++
 			d.relocateNext(o)
 			return
@@ -255,15 +257,15 @@ func (o *op) advance() {
 		if d.cfg.HotColdSeparation {
 			stream = ColdStream
 		}
-		o.ppa = d.ftl.AllocPageStream(o.plane, stream)
-		d.ftl.BeginProgram(o.ppa)
+		o.lin = d.ftl.allocPage(o.plane, stream)
+		d.ftl.beginProgram(o.plane, o.lin)
 		o.stage = stageRelocProgram
-		d.Die(o.ppa.Channel, o.ppa.Die).Program(o.ppa.Addr, o.step)
+		d.programDie(o)
 	case stageRelocProgram:
 		lpa := o.lpas[o.next]
-		d.ftl.EndProgram(o.ppa)
-		if cur, ok := d.ftl.Lookup(lpa); ok && cur == o.old {
-			d.commit(lpa, o.ppa, true)
+		d.ftl.endProgram(o.plane, o.lin)
+		if d.ftl.lookupLinear(lpa) == o.old {
+			d.commit(lpa, o.lin, true)
 			d.gcRelocations++
 			d.boundary(BoundaryGC, lpa)
 		} else {
@@ -281,10 +283,17 @@ func (o *op) advance() {
 	}
 }
 
-// arrayRead senses o.ppa for o.lpa; the result lands in stageArrayRead.
+// arrayRead senses o.lin for o.lpa; the result lands in stageArrayRead.
 func (d *Device) arrayRead(o *op) {
 	o.stage = stageArrayRead
-	d.Die(o.ppa.Channel, o.ppa.Die).Read(o.ppa.Addr, o.step)
+	p := d.ftl.dec.ppa(o.lin)
+	d.Die(p.Channel, p.Die).Read(p.Addr, o.step)
+}
+
+// programDie programs o.lin on its die.
+func (d *Device) programDie(o *op) {
+	p := d.ftl.dec.ppa(o.lin)
+	d.Die(p.Channel, p.Die).Program(p.Addr, o.step)
 }
 
 // program allocates the next hot-stream page of o.plane — the permit o
@@ -296,11 +305,11 @@ func (d *Device) arrayRead(o *op) {
 // and the partly programmed page as unmapped garbage, so the RAM L2P is
 // exactly the durable map.
 func (d *Device) program(o *op, next opStage) {
-	o.ppa = d.ftl.AllocPage(o.plane)
+	o.lin = d.ftl.allocPage(o.plane, HotStream)
 	d.planeInflight[o.plane]--
-	d.ftl.BeginProgram(o.ppa)
+	d.ftl.beginProgram(o.plane, o.lin)
 	o.stage = next
-	d.Die(o.ppa.Channel, o.ppa.Die).Program(o.ppa.Addr, o.step)
+	d.programDie(o)
 }
 
 // relocateBlock starts moving the still-valid pages of block victim on
@@ -308,6 +317,7 @@ func (d *Device) program(o *op, next opStage) {
 // program, no bus traffic).
 func (d *Device) relocateBlock(o *op, victim int) {
 	o.victim = victim
+	o.start = d.ftl.blockStart(o.plane, victim)
 	o.lpas = d.ftl.appendValidLPAs(o.lpas[:0], o.plane, victim)
 	o.next = 0
 	d.relocateNext(o)
@@ -325,17 +335,20 @@ func (d *Device) relocateBlock(o *op, victim int) {
 // roll an update back.
 func (d *Device) relocateNext(o *op) {
 	for ; o.next < len(o.lpas); o.next++ {
-		old, ok := d.ftl.Lookup(o.lpas[o.next])
-		if !ok || d.geo.PlaneOf(old) != o.plane || old.Block != o.victim {
+		// Still resident iff mapped into the victim's page range (unmapped
+		// is negative, below every range).
+		lin := d.ftl.lookupLinear(o.lpas[o.next])
+		if lin < o.start || lin >= o.start+int64(d.geo.PagesPerBlock) {
 			continue
 		}
-		o.old = old
+		o.old = lin
 		o.stage = stageRelocRead
-		d.Die(old.Channel, old.Die).Read(old.Addr, o.step)
+		ch, die, pl := d.PlaneLoc(o.plane)
+		d.Die(ch, die).Read(nand.Addr{Plane: pl, Block: o.victim, Page: int(lin - o.start)}, o.step)
 		return
 	}
 	if o.kind == kindGC {
-		ch, die, pl := d.geo.PlaneLoc(o.plane)
+		ch, die, pl := d.PlaneLoc(o.plane)
 		o.stage = stageErase
 		d.Die(ch, die).Erase(nand.Addr{Plane: pl, Block: o.victim}, o.step)
 		return
