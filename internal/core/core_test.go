@@ -295,6 +295,25 @@ func TestNewSystemUnknown(t *testing.T) {
 	}
 }
 
+// TestNewSystemAcceptsOwnName pins that every system's display name
+// round-trips through NewSystem to the same system.
+func TestNewSystemAcceptsOwnName(t *testing.T) {
+	cfg := testConfig(dnn.BERTLarge())
+	for _, name := range SystemNames() {
+		s, err := NewSystem(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := NewSystem(s.Name(), cfg)
+		if err != nil {
+			t.Fatalf("NewSystem(%q), the Name() of %q: %v", s.Name(), name, err)
+		}
+		if again.Name() != s.Name() {
+			t.Fatalf("NewSystem(%q) built %q", s.Name(), again.Name())
+		}
+	}
+}
+
 // Paged-equivalence coverage lives in functional_test.go.
 
 func TestMixedPrecisionDriftBounded(t *testing.T) {

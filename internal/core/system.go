@@ -17,7 +17,8 @@ type System interface {
 }
 
 // NewSystem constructs a system by name: "optimstore", "hostoffload",
-// "interleaved", "ctrlisp" or "gpuresident".
+// "interleaved", "ctrlisp" or "gpuresident". It also accepts each
+// system's own Name(), so a report's system name round-trips.
 func NewSystem(name string, cfg Config) (System, error) {
 	switch name {
 	case "optimstore":
@@ -26,9 +27,9 @@ func NewSystem(name string, cfg Config) (System, error) {
 		return NewHostOffload(cfg), nil
 	case "interleaved":
 		return NewInterleavedOffload(cfg), nil
-	case "ctrlisp":
+	case "ctrlisp", "ctrl-isp":
 		return NewCtrlISP(cfg), nil
-	case "gpuresident":
+	case "gpuresident", "gpu-resident":
 		return NewGPUResident(cfg), nil
 	default:
 		return nil, fmt.Errorf("core: unknown system %q", name)

@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/layout"
+	"repro/internal/nand"
 	"repro/internal/optim"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -218,37 +219,17 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	res := &Result{System: system}
 
 	// Steady-state WAF per distinct over-provisioning, measured up front
-	// in axis order so the schedule does not depend on pool width.
-	cell := base.SSD.Nand.Cell
-	wafByOP := make(map[float64]float64)
-	ops := space.OverProvision
-	if len(ops) == 0 {
-		ops = []float64{base.SSD.OverProvision}
-	}
-	for _, op := range ops {
-		if _, done := wafByOP[op]; done {
-			continue
-		}
-		waf, err := core.MeasureUpdateWAF(cell, op, opts.wafSteps())
-		if err != nil {
-			return nil, fmt.Errorf("search: WAF measurement at OP %g: %w", op, err)
-		}
-		wafByOP[op] = waf
-	}
-	lifetimeOf := func(cfg core.Config) float64 {
-		waf, ok := wafByOP[cfg.SSD.OverProvision]
-		if !ok {
-			waf = 1
-		}
-		life, fits := core.AnalyticLifetime(cfg, cell, waf)
-		if !fits {
-			return 0
-		}
-		return life
+	// in axis order so the schedule does not depend on pool width. The
+	// base's own OP comes last: it prices the seed, which may lie outside
+	// the grid, and is the grid's only OP when the axis is empty.
+	ops := append(append([]float64(nil), space.OverProvision...), base.SSD.OverProvision)
+	waf, err := measureWAF(base.SSD.Nand.Cell, ops, opts.wafSteps())
+	if err != nil {
+		return nil, err
 	}
 
 	// Enumerate and price the grid.
-	candidates := enumerate(base, space, system, lifetimeOf, &res.Stats)
+	candidates := enumerate(base, space, system, waf.lifetime, &res.Stats)
 
 	// Admission order: optimistic step bound, then energy bound, then
 	// longest lifetime, then grid index — a total, deterministic order
@@ -312,7 +293,7 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	if b, ok := core.BoundFor(system, base); ok {
 		seed.Bound = b
 	}
-	seed.Lifetime = lifetimeOf(base)
+	seed.Lifetime = waf.lifetime(base)
 	for _, c := range candidates {
 		if c.Hash == seed.Hash {
 			seed.Index = c.Index // the base is itself a grid point
@@ -356,6 +337,44 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 
 	res.Frontier = frontier(res.Evaluated)
 	return res, nil
+}
+
+// wafTable maps each over-provisioning a search prices to the steady-state
+// update WAF measured there, for the search's one cell type.
+type wafTable map[float64]float64
+
+// measureWAF measures the update WAF of cell at each distinct
+// over-provisioning in ops, in order.
+func measureWAF(cell nand.CellType, ops []float64, steps int) (wafTable, error) {
+	t := make(wafTable)
+	for _, op := range ops {
+		if _, done := t[op]; done {
+			continue
+		}
+		w, err := core.MeasureUpdateWAF(cell, op, steps)
+		if err != nil {
+			return nil, fmt.Errorf("search: WAF measurement at OP %g: %w", op, err)
+		}
+		t[op] = w
+	}
+	return t, nil
+}
+
+// lifetime prices cfg's wear-limited lifetime in optimizer steps with the
+// WAF measured at its over-provisioning, or 0 when the state does not
+// fit. Run measures every OP before it prices any point, so a missing
+// measurement is a bug; it panics naming the OP rather than pricing the
+// point with a guessed WAF.
+func (t wafTable) lifetime(cfg core.Config) float64 {
+	waf, ok := t[cfg.SSD.OverProvision]
+	if !ok {
+		panic(fmt.Sprintf("search: no update WAF measured at over-provisioning %g", cfg.SSD.OverProvision))
+	}
+	life, fits := core.AnalyticLifetime(cfg, cfg.SSD.Nand.Cell, waf)
+	if !fits {
+		return 0
+	}
+	return life
 }
 
 // enumerate expands the grid row-major over the base configuration,

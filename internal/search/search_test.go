@@ -1,6 +1,7 @@
 package search
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -165,6 +166,50 @@ func TestSearchPruningEffective(t *testing.T) {
 		// not a grid point; in the default space it is, so every candidate
 		// is accounted for exactly once.
 		t.Fatalf("candidate accounting does not add up: %+v", s)
+	}
+}
+
+// TestLifetimeFailsOnUnmeasuredOP pins the loud failure that replaced a
+// silent WAF of 1: pricing a grid whose over-provisioning was never
+// measured panics and names the OP.
+func TestLifetimeFailsOnUnmeasuredOP(t *testing.T) {
+	base := quickBase()
+	waf, err := measureWAF(base.SSD.Nand.Cell, []float64{0.25}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "over-provisioning 0.07") {
+			t.Fatalf("panic %q does not name the unmeasured OP 0.07", msg)
+		}
+	}()
+	enumerate(base, Space{OverProvision: []float64{0.25, 0.07}}, "optimstore", waf.lifetime, &Stats{})
+	t.Fatal("a grid OP without a WAF measurement was priced")
+}
+
+// TestSearchPricesSeedOutsideGrid checks that a base configuration whose
+// over-provisioning is not on the grid is priced with its own measured
+// WAF, not a guess.
+func TestSearchPricesSeedOutsideGrid(t *testing.T) {
+	base := quickBase()
+	base.SSD.OverProvision = 0.07
+	res, err := Run(base, Space{OverProvision: []float64{0.25}}, Options{Budget: 1, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := res.Evaluated[0]
+	if seed.Index != -1 {
+		t.Fatalf("first evaluated point is grid index %d, want the out-of-grid seed", seed.Index)
+	}
+	waf, err := core.MeasureUpdateWAF(base.SSD.Nand.Cell, 0.07, Options{}.wafSteps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := core.AnalyticLifetime(base, base.SSD.Nand.Cell, waf)
+	//simlint:allow floateq the seed must be priced by this exact computation
+	if seed.Lifetime != want {
+		t.Fatalf("seed lifetime %g, want %g (WAF %g measured at OP 0.07)", seed.Lifetime, want, waf)
 	}
 }
 

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in simulated time, in nanoseconds since simulation start.
@@ -88,7 +89,9 @@ const (
 // stays accurate (At/Fired/Canceled, and Cancel stays a no-op) until the
 // engine reuses it, so handles must not be kept past the point where the
 // owner knows the event completed — clear them in the callback or after
-// Cancel, as the in-tree callers do.
+// Cancel, as the in-tree callers do. A cancelled event waiting in a delay
+// lane is recycled only when it reaches the lane's head, which changes
+// nothing for the holder: the handle reads Canceled until reuse either way.
 //
 //simlint:pooled
 type Event struct {
@@ -98,8 +101,10 @@ type Event struct {
 	// afn/arg is the allocation-free callback form used by the kernel's
 	// pooled internal paths: a package-level function plus a pointer-typed
 	// argument costs no closure allocation per event.
-	afn   func(any)
-	arg   any
+	afn func(any)
+	arg any
+	// index is the event's heap slot, inLane while it waits in a delay
+	// lane, or -1 once it has left the queue.
 	index int32
 	state uint8
 }
@@ -124,18 +129,43 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// maxLanes caps the delay lanes an engine keeps. A run of the simulated
+// systems uses 5–9 distinct delays; the cap bounds the per-event scan.
+const maxLanes = 16
+
+// inLane is the index of an event queued in a delay lane rather than the
+// heap.
+const inLane int32 = -2
+
+// lane is a FIFO of pending events that were all scheduled with one
+// delay. Neither the clock nor the insertion sequence ever decreases, so
+// events entering a lane with a fixed delay arrive in (at, seq) order and
+// the lane is sorted without any sifting.
+type lane struct {
+	delay Time
+	q     FIFO[*Event]
+}
+
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; construct with NewEngine.
 //
-// The pending-event queue is an inlined 4-ary min-heap specialized to
-// *Event: compared to container/heap's binary heap over an interface, it
-// removes interface dispatch on every comparison and swap, halves tree
-// depth (fewer cache lines touched per operation), and sifts with direct
-// slice writes instead of Swap calls.
+// Pending events live in up to maxLanes delay lanes, one FIFO per delay
+// class that Schedule and the kernel's pooled paths use, plus an inlined
+// 4-ary min-heap for everything else: delays beyond the lane cap,
+// ScheduleBatch fan-outs and absolute-time At calls. Step fires the least
+// (at, seq) among the lane heads and the heap top, so the firing order is
+// the engine's total order whichever structure holds an event. The heap
+// is specialized to *Event: compared to container/heap's binary heap over
+// an interface, it removes interface dispatch on every comparison and
+// swap, halves tree depth, and sifts with direct slice writes.
 type Engine struct {
 	now     Time
 	seq     uint64
 	queue   []*Event
+	lanes   [maxLanes]lane
+	nlanes  int      // lanes assigned a delay so far; lanes[nlanes:] are unused
+	busy    uint16   // bit i set while lanes[i] holds events, tombstones included
+	dead    int      // cancelled events still waiting in a lane
 	free    []*Event // recycled Event structs (see Event doc)
 	fired   uint64
 	stopped bool
@@ -165,7 +195,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int {
+	n := len(e.queue) - e.dead
+	for i := 0; i < e.nlanes; i++ {
+		n += e.lanes[i].q.Len()
+	}
+	return n
+}
 
 // alloc takes an Event from the freelist (or the heap allocator when the
 // freelist is dry) and initializes it as pending at time t.
@@ -255,6 +291,63 @@ func (e *Engine) push(ev *Event) {
 	e.siftUp(len(e.queue)-1, ev)
 }
 
+// enqueue queues an event scheduled delay after now: into its delay's
+// lane when one is free for it, else into the heap.
+//
+//simlint:hotpath
+func (e *Engine) enqueue(delay Time, ev *Event) {
+	i := e.laneFor(delay)
+	if i < 0 {
+		e.push(ev)
+		return
+	}
+	ev.index = inLane
+	e.lanes[i].q.Push(ev)
+	e.busy |= 1 << i
+}
+
+// laneFor returns the index of delay's lane: the lane already holding
+// that delay, else an unused lane, else an empty one, since an empty lane
+// may change its delay without breaking its order. It returns -1 when
+// every lane holds events of another delay.
+func (e *Engine) laneFor(delay Time) int {
+	empty := -1
+	for i := 0; i < e.nlanes; i++ {
+		if e.lanes[i].delay == delay {
+			return i
+		}
+		if empty < 0 && e.busy&(1<<i) == 0 {
+			empty = i
+		}
+	}
+	if e.nlanes < maxLanes {
+		empty = e.nlanes
+		e.nlanes++
+	}
+	if empty >= 0 {
+		e.lanes[empty].delay = delay
+	}
+	return empty
+}
+
+// dropCancelled pops and recycles the cancelled events at the head of
+// lane i, and returns the pending event behind them; it returns nil, and
+// marks the lane empty, when none is left.
+func (e *Engine) dropCancelled(i int) *Event {
+	q := &e.lanes[i].q
+	for q.Len() > 0 {
+		h := q.Peek()
+		if h.state == statePending {
+			return h
+		}
+		q.Pop()
+		e.dead--
+		e.recycle(h)
+	}
+	e.busy &^= 1 << i
+	return nil
+}
+
 // pop removes and returns the earliest pending event.
 func (e *Engine) pop() *Event {
 	q := e.queue
@@ -298,11 +391,16 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("sim: negative delay %d at t=%d", delay, e.now))
 	}
-	return e.At(e.now+delay, fn)
+	ev := e.alloc(e.now + delay)
+	ev.fn = fn
+	e.enqueue(delay, ev)
+	return ev
 }
 
 // At arranges for fn to run at absolute simulated time t, which must not be
-// in the past.
+// in the past. Absolute-time events go to the heap: a plan planted up
+// front (fault injection) would otherwise hold delay lanes for the whole
+// run.
 //
 //simlint:hotpath
 func (e *Engine) At(t Time, fn func()) *Event {
@@ -330,7 +428,7 @@ func (e *Engine) scheduleArg(delay Time, fn func(any), arg any) *Event {
 	ev := e.alloc(e.now + delay)
 	ev.afn = fn
 	ev.arg = arg
-	e.push(ev)
+	e.enqueue(delay, ev)
 	return ev
 }
 
@@ -394,14 +492,20 @@ func (e *Engine) ScheduleBatch(items []Timed) {
 // Cancel removes a scheduled event. Cancelling an event that already
 // fired, or was already cancelled, is a harmless no-op — in particular a
 // fired event stays Fired (and reports Canceled() == false), so callers
-// can always distinguish "ran" from "removed before running".
+// can always distinguish "ran" from "removed before running". A heap
+// event is removed and recycled at once; a lane event stays in its lane
+// as a tombstone until it reaches the head, where Step drops it.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.state != statePending || ev.index < 0 {
+	if ev == nil || ev.state != statePending {
 		return
 	}
 	ev.state = stateCanceled
-	e.remove(int(ev.index))
-	e.recycle(ev)
+	if ev.index == inLane {
+		e.dead++
+	} else {
+		e.remove(int(ev.index))
+		e.recycle(ev)
+	}
 	if e.trace != nil {
 		e.trace.Instant("engine", "cancel", e.now)
 	}
@@ -411,11 +515,48 @@ func (e *Engine) Cancel(ev *Event) {
 // its timestamp. It returns false when the queue is empty.
 //
 //simlint:hotpath
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+func (e *Engine) Step() bool { return !e.idle() && e.stepUntil(math.MaxInt64) }
+
+// idle reports whether nothing is queued, not even a cancelled lane event.
+func (e *Engine) idle() bool { return len(e.queue) == 0 && e.busy == 0 }
+
+// stepUntil executes the earliest pending event if it is due by deadline,
+// and reports whether it did. The earliest event is the least (at, seq)
+// among the heap top and the lane heads; cancelled events met at a lane
+// head are dropped and recycled on the way.
+//
+//simlint:hotpath
+func (e *Engine) stepUntil(deadline Time) bool {
+	var ev *Event
+	from := -1
+	if len(e.queue) > 0 {
+		ev = e.queue[0]
+	}
+	for m := e.busy; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
+		h := e.lanes[i].q.Peek()
+		if h.state != statePending {
+			if h = e.dropCancelled(i); h == nil {
+				continue
+			}
+		}
+		if ev == nil || eventLess(h, ev) {
+			ev, from = h, i
+		}
+	}
+	if ev == nil || ev.at > deadline {
 		return false
 	}
-	ev := e.pop()
+	if from < 0 {
+		e.pop()
+	} else {
+		q := &e.lanes[from].q
+		q.Pop()
+		if q.Len() == 0 {
+			e.busy &^= 1 << from
+		}
+		ev.index = -1
+	}
 	e.now = ev.at
 	e.fired++
 	ev.state = stateFired
@@ -453,8 +594,7 @@ func (e *Engine) Run() Time {
 // actually halted rather than silently jumping to the deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
+	for !e.stopped && !e.idle() && e.stepUntil(deadline) {
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline

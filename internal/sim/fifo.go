@@ -52,3 +52,7 @@ func (q *FIFO[T]) makeRoom() {
 	}
 	q.head = 0
 }
+
+// Peek returns the head entry without removing it; the queue must be
+// non-empty.
+func (q *FIFO[T]) Peek() T { return q.items[q.head] }

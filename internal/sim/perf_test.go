@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -65,23 +67,48 @@ func TestPreemptibleSuspendDuringResumeOverhead(t *testing.T) {
 // --- Allocation pins ----------------------------------------------------
 
 // TestScheduleSteadyStateZeroAllocs pins the pooled Schedule path: once
-// the freelist and queue storage are warm, a Schedule+Run cycle performs
-// zero heap allocations — the Event comes from the per-engine freelist
-// and a capture-free callback is a static func value.
+// the freelist, lane and queue storage are warm, a Schedule+Run cycle
+// performs zero heap allocations — the Event comes from the per-engine
+// freelist and a capture-free callback is a static func value. The second
+// cycle spreads events over several delay lanes and cancels lane events
+// at the head and behind it, whose tombstones are recycled as they reach
+// the head.
 func TestScheduleSteadyStateZeroAllocs(t *testing.T) {
-	e := NewEngine()
 	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i%7), fn)
-	}
-	e.Run()
-	per := testing.AllocsPerRun(1000, func() {
-		e.Schedule(1, fn)
+	for _, c := range []struct {
+		name  string
+		cycle func(e *Engine)
+	}{
+		{"one-class", func(e *Engine) {
+			e.Schedule(1, fn)
+			e.Run()
+		}},
+		{"classes+cancel", func(e *Engine) {
+			e.Cancel(e.Schedule(9, fn)) // the head of its lane
+			for d := Time(0); d < 6; d++ {
+				e.Schedule(d, fn)
+				e.Schedule(d, fn)
+			}
+			e.Cancel(e.Schedule(4, fn)) // behind the head
+			e.Schedule(9, fn)
+			e.Run()
+		}},
+	} {
+		name, cycle := c.name, c.cycle
+		e := NewEngine()
+		for i := 0; i < 64; i++ {
+			e.Schedule(Time(i%7), fn)
+		}
 		e.Run()
-	})
-	//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
-	if per != 0 {
-		t.Fatalf("Schedule+Run allocates %v in steady state, want 0 (event pool broken)", per)
+		cycle(e)
+		per := testing.AllocsPerRun(1000, func() { cycle(e) })
+		//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
+		if per != 0 {
+			t.Fatalf("%s: Schedule+Run allocates %v in steady state, want 0 (event pool broken)", name, per)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%s: %d events pending after Run", name, e.Pending())
+		}
 	}
 }
 
@@ -214,6 +241,49 @@ func TestEventPoolReuseDeterminism(t *testing.T) {
 		if idsA[i] != idsB[i] || timesA[i] != timesB[i] {
 			t.Fatalf("divergence at %d: cold (%d@%d) vs warm (%d@%d)",
 				i, idsA[i], timesA[i], idsB[i], timesB[i])
+		}
+	}
+}
+
+// --- Kernel benchmark ---------------------------------------------------
+
+// BenchmarkEngineScheduleFire measures the engine's schedule-and-fire
+// loop at a constant queue depth: every event, when it fires, schedules
+// one replacement, cycling through `classes` distinct delays. One class
+// is a single lane, 8 fit the lanes, and 32 overflow half of them to the
+// heap. It reports ns/event and allocs/event of the warm loop.
+func BenchmarkEngineScheduleFire(b *testing.B) {
+	for _, classes := range []int{1, 8, 32} {
+		for _, depth := range []int{64, 512} {
+			b.Run(fmt.Sprintf("classes=%d/depth=%d", classes, depth), func(b *testing.B) {
+				delays := make([]Time, classes)
+				for i := range delays {
+					delays[i] = Time(1000 + 137*i)
+				}
+				e := NewEngine()
+				k := 0
+				var fn func()
+				fn = func() {
+					k++
+					e.Schedule(delays[k%classes], fn)
+				}
+				for i := 0; i < depth; i++ {
+					e.Schedule(delays[i%classes], fn)
+				}
+				for i := 0; i < 16*depth; i++ {
+					e.Step()
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Step()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/event")
+			})
 		}
 	}
 }
