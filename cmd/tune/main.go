@@ -32,7 +32,6 @@ func main() {
 		system   = flag.String("system", "optimstore", "system to tune")
 		budget   = flag.Int("budget", 64, "maximum number of simulations")
 		units    = flag.Int64("units", 512, "simulation window in update units")
-		wafSteps = flag.Int("wafsteps", 3, "steady-state WAF measurement sweeps per over-provisioning value")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per simulation wave (1 = sequential)")
 		csvOut   = flag.String("csv", "", "also write the frontier CSV to this file")
 	)
@@ -49,7 +48,6 @@ func main() {
 		System:   *system,
 		Budget:   *budget,
 		Parallel: *parallel,
-		WAFSteps: *wafSteps,
 	})
 	if err != nil {
 		fail(err)

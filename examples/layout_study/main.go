@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("\nHow the cell mode decides lifetime (GPT-13B, Adam):")
 	et := stats.NewTable("", "cell", "capacity-TB", "fits", "WAF", "lifetime-steps", "lifetime-days")
 	for _, cell := range []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC} {
-		rep, err := core.RunEndurance(cfg, cell, 4)
+		rep, err := core.RunEndurance(cfg, cell)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func main() {
 			continue
 		}
 		et.AddRow(cell.String(), units.Bytes(rep.DeviceBytes).TBf(), true,
-			rep.MeasuredWAF, rep.LifetimeSteps, rep.LifetimeDays)
+			rep.SweepWAF, rep.LifetimeSteps, rep.LifetimeDays)
 	}
 	fmt.Print(et)
 	fmt.Println(`

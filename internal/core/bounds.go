@@ -116,28 +116,48 @@ func energyFloor(system string, cfg Config) float64 {
 }
 
 // MeasureUpdateWAF measures the steady-state write-amplification factor
-// of the full-sweep update stream on a scaled-down device of the given
-// cell type and over-provisioning (see measureUpdateWAF). WAF depends
-// only on (cell, overProvision), so the autotuner memoizes it per pair.
+// of the full-sweep update stream by simulating it on one fixed
+// scaled-down device of the given cell type and over-provisioning
+// (ssd.UpdateWAFConfig), whatever geometry a configuration has. Lifetime
+// pricing does not use it: SweepWAF decides the WAF from the full drive's
+// own geometry. It remains the simulation that cross-checks that rule.
 func MeasureUpdateWAF(cell nand.CellType, overProvision float64, steps int) (float64, error) {
-	return measureUpdateWAF(cell, overProvision, steps)
+	return measureUpdateWAFOn(ssd.UpdateWAFConfig(cell, overProvision), steps)
+}
+
+// SweepWAF decides the steady-state update WAF of cfg's full drive with
+// the state region in the given cell mode (ssd.Config.SweepWAF): exactly
+// 1, or an error naming the shortfall when greedy GC could relocate valid
+// pages.
+func SweepWAF(cfg Config, cell nand.CellType) (float64, error) {
+	return fullDrive(cfg, cell).SweepWAF()
+}
+
+// fullDrive is the drive a configuration describes, with its state region
+// in the given cell mode: cfg's channels, dies, over-provisioning and GC
+// policy over the full datasheet die of that cell (1024 blocks per
+// plane), not the reduced simulation window.
+func fullDrive(cfg Config, cell nand.CellType) ssd.Config {
+	d := cfg.SSD
+	d.Nand = nand.ParamsFor(cell)
+	return d
 }
 
 // AnalyticLifetime computes the wear-limited device lifetime of a
 // configuration, in optimizer steps, at a given steady-state WAF: the
 // state footprint times WAF is programmed each step, spread across the
-// full-geometry device's blocks with ideal wear levelling. fits is false
-// (and steps zero) when the state does not fit the usable capacity —
-// the same capacity test RunEndurance applies.
+// full drive's blocks with ideal wear levelling. fits is false (and steps
+// zero) when the state does not fit the usable capacity — the same
+// capacity test RunEndurance applies.
 func AnalyticLifetime(cfg Config, cell nand.CellType, waf float64) (steps float64, fits bool) {
 	stateBytes := int64(float64(cfg.Model.Params) * cfg.Spec().ResidentBytes())
-	full := nand.ParamsFor(cell)
-	geo := ssd.GeometryOf(cfg.SSD.Channels, cfg.SSD.DiesPerChannel, full)
+	drive := fullDrive(cfg, cell)
+	geo := drive.Geometry()
 	usable := float64(geo.TotalBytes()) * (1 - cfg.SSD.OverProvision)
 	if float64(stateBytes) > usable {
 		return 0, false
 	}
 	wear := nand.DefaultWearModel(cell)
-	erasesPerStep := float64(stateBytes) * waf / float64(full.BlockBytes())
+	erasesPerStep := float64(stateBytes) * waf / float64(drive.Nand.BlockBytes())
 	return wear.LifetimeSteps(geo.BlocksTotal(), erasesPerStep), true
 }

@@ -24,10 +24,11 @@ type EnduranceReport struct {
 	// Fits is false when the state does not fit the device at all.
 	Fits bool
 
-	// MeasuredWAF comes from a steady-state multi-step simulation of the
-	// update stream on a scaled-down device with identical occupancy.
-	MeasuredWAF float64
-	// ProgramBytesPerStep = StateBytes × MeasuredWAF.
+	// SweepWAF is the steady-state update WAF, decided analytically from
+	// the full drive's geometry, over-provisioning and GC watermarks by
+	// SweepWAF (ssd.Config.SweepWAF); no GC is simulated.
+	SweepWAF float64
+	// ProgramBytesPerStep = StateBytes × SweepWAF.
 	ProgramBytesPerStep float64
 
 	// LifetimeSteps is how many optimizer steps the device survives with
@@ -41,14 +42,11 @@ type EnduranceReport struct {
 }
 
 // RunEndurance evaluates flash lifetime for a configuration with the state
-// region in the given cell mode. steps sets the length of the steady-state
-// WAF measurement (≥2; more steps tighten the estimate).
-func RunEndurance(cfg Config, cell nand.CellType, steps int) (*EnduranceReport, error) {
+// region in the given cell mode. The WAF comes from SweepWAF on the full
+// drive; a drive whose WAF that rule cannot decide is an error.
+func RunEndurance(cfg Config, cell nand.CellType) (*EnduranceReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if steps < 2 {
-		return nil, fmt.Errorf("core: endurance needs >=2 steps, got %d", steps)
 	}
 
 	rep := &EnduranceReport{
@@ -61,22 +59,18 @@ func RunEndurance(cfg Config, cell nand.CellType, steps int) (*EnduranceReport, 
 
 	// Full-geometry capacity in the chosen cell mode (not the reduced
 	// simulation window): a real 8×4-die drive with 1024 blocks/plane.
-	full := nand.ParamsFor(cell)
-	geo := ssd.GeometryOf(cfg.SSD.Channels, cfg.SSD.DiesPerChannel, full)
-	rep.DeviceBytes = geo.TotalBytes()
+	rep.DeviceBytes = fullDrive(cfg, cell).Geometry().TotalBytes()
 	usable := float64(rep.DeviceBytes) * (1 - cfg.SSD.OverProvision)
 	rep.Fits = float64(rep.StateBytes) <= usable
 	if !rep.Fits {
 		return rep, nil
 	}
 
-	// Steady-state WAF: drive a scaled-down device of the same cell type
-	// and over-provisioning through full update sweeps.
-	waf, err := measureUpdateWAF(cell, cfg.SSD.OverProvision, steps)
+	waf, err := SweepWAF(cfg, cell)
 	if err != nil {
 		return nil, err
 	}
-	rep.MeasuredWAF = waf
+	rep.SweepWAF = waf
 	rep.ProgramBytesPerStep = float64(rep.StateBytes) * waf
 
 	// Lifetime: block erases per step spread across the whole device.
@@ -94,25 +88,10 @@ func RunEndurance(cfg Config, cell nand.CellType, steps int) (*EnduranceReport, 
 	return rep, nil
 }
 
-// measureUpdateWAF runs `steps` full update sweeps over a small device at
-// (1 − overProvision) occupancy and reports the write-amplification factor
-// of everything after the first sweep (the first fills the log cold).
-func measureUpdateWAF(cell nand.CellType, overProvision float64, steps int) (float64, error) {
-	n := nand.ParamsFor(cell)
-	n.BlocksPerPlane = 16
-	n.PagesPerBlock = 32
-	n.PlanesPerDie = 2
-	devCfg := ssd.Config{
-		Channels:        2,
-		DiesPerChannel:  2,
-		Nand:            n,
-		OverProvision:   overProvision,
-		GCLowWater:      2,
-		GCHighWater:     3,
-		CachePages:      64,
-		DRAMPageLatency: 2 * sim.Microsecond,
-		CmdLatency:      5 * sim.Microsecond,
-	}
+// measureUpdateWAFOn runs `steps` full update sweeps over devCfg's
+// logical space and reports the write-amplification factor of everything
+// after the first sweep (the first fills the log cold).
+func measureUpdateWAFOn(devCfg ssd.Config, steps int) (float64, error) {
 	if err := devCfg.Validate(); err != nil {
 		return 0, err
 	}

@@ -3,20 +3,22 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dnn"
 	"repro/internal/nand"
 	"repro/internal/optim"
+	"repro/internal/ssd"
 )
 
 func TestEnduranceSLCBeatsTLC(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
-	tlc, err := RunEndurance(cfg, nand.TLC, 3)
+	tlc, err := RunEndurance(cfg, nand.TLC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slc, err := RunEndurance(cfg, nand.SLC, 3)
+	slc, err := RunEndurance(cfg, nand.SLC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +37,15 @@ func TestEnduranceSLCBeatsTLC(t *testing.T) {
 
 func TestEnduranceWAFNearOneForSequentialUpdates(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
-	rep, err := RunEndurance(cfg, nand.TLC, 3)
+	rep, err := RunEndurance(cfg, nand.TLC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dense optimizer updates sweep the state sequentially, invalidating
-	// whole blocks: write amplification should be mild.
-	if rep.MeasuredWAF < 1 || rep.MeasuredWAF > 1.6 {
-		t.Fatalf("sequential-update WAF = %v, want ~1", rep.MeasuredWAF)
+	// whole blocks: the full drive's spare blocks clear the GC watermark,
+	// so write amplification is exactly 1.
+	if math.Float64bits(rep.SweepWAF) != math.Float64bits(1) {
+		t.Fatalf("sequential-update WAF = %v, want 1", rep.SweepWAF)
 	}
 	if rep.ProgramBytesPerStep < float64(rep.StateBytes) {
 		t.Fatal("program bytes cannot be below state bytes")
@@ -58,7 +61,7 @@ func TestEnduranceWAFNearOneForSequentialUpdates(t *testing.T) {
 func TestEnduranceQ8ScaleOverhead(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
 	cfg.Precision = optim.Q8State
-	rep, err := RunEndurance(cfg, nand.TLC, 3)
+	rep, err := RunEndurance(cfg, nand.TLC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestEnduranceQ8ScaleOverhead(t *testing.T) {
 func TestEnduranceDoesNotFit(t *testing.T) {
 	// GPT-175B Adam state is 2.1 TB; a 0.7 TB SLC-mode device cannot hold it.
 	cfg := testConfig(dnn.GPT175B())
-	rep, err := RunEndurance(cfg, nand.SLC, 2)
+	rep, err := RunEndurance(cfg, nand.SLC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +92,30 @@ func TestEnduranceDoesNotFit(t *testing.T) {
 	}
 }
 
-func TestEnduranceRejectsBadSteps(t *testing.T) {
-	if _, err := RunEndurance(testConfig(dnn.GPT2XL()), nand.TLC, 1); err == nil {
-		t.Fatal("steps=1 accepted")
+// TestEnduranceRejectsUndecidedWAF checks that a drive whose sweep WAF
+// cannot be decided fails loudly: at 0.2% over-provisioning a 1024-block
+// plane keeps about 2 spare blocks, below GC high water 4.
+func TestEnduranceRejectsUndecidedWAF(t *testing.T) {
+	cfg := testConfig(dnn.GPT2XL())
+	cfg.SSD.OverProvision = 0.002
+	rep, err := RunEndurance(cfg, nand.TLC)
+	if err == nil {
+		t.Fatalf("OP 0.002 priced with WAF %v", rep.SweepWAF)
+	}
+	for _, want := range []string{"OP 0.002", "GC high water 4", "short by"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 
 func TestMeasureUpdateWAFMoreOPLessWAF(t *testing.T) {
 	// Shrinking over-provisioning must not reduce write amplification.
-	low, err := measureUpdateWAF(nand.TLC, 0.07, 3)
+	low, err := MeasureUpdateWAF(nand.TLC, 0.07, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := measureUpdateWAF(nand.TLC, 0.28, 3)
+	high, err := MeasureUpdateWAF(nand.TLC, 0.28, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +124,12 @@ func TestMeasureUpdateWAFMoreOPLessWAF(t *testing.T) {
 	}
 }
 
-// TestMeasureUpdateWAFPins pins the exact float64 bits of the WAF the
-// autotuner memoizes into every point's lifetime, for every cell type at
-// the over-provisioning values the default search space visits. A change
-// to the FTL, GC or device addressing must leave them bit-identical.
+// TestMeasureUpdateWAFPins pins the exact float64 bits of the simulated
+// WAF on the scaled-down measurement device, for every cell type at the
+// over-provisioning values the default search space visits. A change to
+// the FTL, GC or device addressing must leave them bit-identical. At 7%
+// the device's 16-block planes keep about one spare block, so GC
+// relocates; SweepWAF refuses that device (TestSweepWAFMatchesSimulation).
 func TestMeasureUpdateWAFPins(t *testing.T) {
 	const heavy = 0x4020c07cbd87b20a // 8.3759516933578375: 7% OP relocates
 	const one = 0x3ff0000000000000   // 1: whole blocks go stale
@@ -132,9 +148,8 @@ func TestMeasureUpdateWAFPins(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasureUpdateWAF times one MeasureUpdateWAF call as the
-// autotuner makes it (TLC, three steps) at each over-provisioning value of
-// the default search space. At 7% GC relocates heavily; at 12.5% and 25%
+// BenchmarkMeasureUpdateWAF times one MeasureUpdateWAF call (TLC, three
+// steps) at each over-provisioning value of the default search space. At 7% GC relocates heavily; at 12.5% and 25%
 // whole blocks go stale and the sweep is mostly plain updates.
 func BenchmarkMeasureUpdateWAF(b *testing.B) {
 	for _, op := range []float64{0.07, 0.125, 0.25} {
@@ -147,4 +162,93 @@ func BenchmarkMeasureUpdateWAF(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSweepWAFMatchesSimulation cross-checks the analytic sweep WAF with
+// GC simulation over cells × OP × blocks per plane × pages per block × GC
+// watermarks × hot/cold separation, on one die of the measurement device
+// (2 planes), and on the measurement device itself. Wherever SweepWAF
+// answers, simulation must give exactly 1; wherever it refuses,
+// simulation must relocate valid pages (WAF > 1). The grid holds
+// answers where a plain spare-block count would refuse (K divides a
+// plane's pages) and refusals where it would answer (the oldest valid
+// page's offset pushes the valid span one block wider). Each point runs
+// PagesPerBlock+2 steps: every step moves that offset by the plane's page
+// count, and that many steps visit every offset it can take.
+func TestSweepWAFMatchesSimulation(t *testing.T) {
+	one := math.Float64bits(1)
+	// spareClears is the plain count the rule refines: the fullest plane's
+	// spare blocks against GC high water.
+	spareClears := func(cfg ssd.Config) bool {
+		planes := int64(cfg.Geometry().Planes())
+		n := (cfg.LogicalPages() + planes - 1) / planes
+		k := int64(cfg.Nand.PagesPerBlock)
+		return int64(cfg.Nand.BlocksPerPlane)-(n+k-1)/k >= int64(cfg.GCHighWater)
+	}
+	var answered, refused, answeredShort, refusedClear int
+	check := func(name string, cfg ssd.Config, steps int) {
+		t.Helper()
+		simulated, err := measureUpdateWAFOn(cfg, steps)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		waf, err := cfg.SweepWAF()
+		if err != nil {
+			refused++
+			if spareClears(cfg) {
+				refusedClear++
+			}
+			if !(simulated > 1) {
+				t.Errorf("%s: SweepWAF refused (%v) but simulation gives %v", name, err, simulated)
+			}
+			return
+		}
+		answered++
+		if !spareClears(cfg) {
+			answeredShort++
+		}
+		if math.Float64bits(waf) != one || math.Float64bits(simulated) != one {
+			t.Errorf("%s: SweepWAF %v, simulated %v; want both exactly 1", name, waf, simulated)
+		}
+	}
+
+	// The measurement device itself: refused at 7% OP, where its pinned
+	// simulated WAF is 8.376, and exactly 1 at 12.5% and 25%.
+	for _, op := range []float64{0.07, 0.125, 0.25} {
+		cfg := ssd.UpdateWAFConfig(nand.TLC, op)
+		check(fmt.Sprintf("measurement device op=%v", op), cfg, cfg.Nand.PagesPerBlock+2)
+	}
+	if _, err := ssd.UpdateWAFConfig(nand.TLC, 0.07).SweepWAF(); err == nil {
+		t.Error("measurement device at OP 0.07 answered")
+	}
+
+	// The grid stops at 5% OP: below it some of these planes wedge the
+	// simulated device, as 7% does on 16-block planes with hot/cold
+	// separation, and a wedged device gives no WAF to compare.
+	for _, cell := range []nand.CellType{nand.SLC, nand.TLC} {
+		for _, op := range []float64{0.05, 0.07, 0.1} {
+			for _, blocks := range []int{40, 64} {
+				for _, pages := range []int{8, 16} {
+					for _, wm := range [][2]int{{2, 3}, {1, 5}} {
+						for _, hcs := range []bool{false, true} {
+							cfg := ssd.UpdateWAFConfig(cell, op)
+							cfg.Channels, cfg.DiesPerChannel = 1, 1
+							cfg.Nand.BlocksPerPlane = blocks
+							cfg.Nand.PagesPerBlock = pages
+							cfg.GCLowWater, cfg.GCHighWater = wm[0], wm[1]
+							cfg.HotColdSeparation = hcs
+							check(fmt.Sprintf("%v op=%v blocks=%d pages=%d gc=%v hcs=%v",
+								cell, op, blocks, pages, wm, hcs), cfg, pages+2)
+						}
+					}
+				}
+			}
+		}
+	}
+	if answeredShort == 0 || refusedClear == 0 {
+		t.Fatalf("table does not straddle the boundary: %d answered (%d short of spare blocks), "+
+			"%d refused (%d with spare blocks clear)", answered, answeredShort, refused, refusedClear)
+	}
+	t.Logf("%d answered (%d short of spare blocks), %d refused (%d with spare blocks clear)",
+		answered, answeredShort, refused, refusedClear)
 }

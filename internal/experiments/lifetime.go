@@ -18,7 +18,7 @@ func runF9(opts Options) (*Result, error) {
 	cells := []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC}
 	for i, cell := range cells {
 		cfg := baseConfig(opts, dnn.GPT13B())
-		rep, err := core.RunEndurance(cfg, cell, opts.wafSteps())
+		rep, err := core.RunEndurance(cfg, cell)
 		if err != nil {
 			return nil, err
 		}
@@ -26,7 +26,7 @@ func runF9(opts Options) (*Result, error) {
 			t.AddRow(cell.String(), units.Bytes(rep.DeviceBytes).TBf(), false, "-", "-", "-")
 			continue
 		}
-		t.AddRow(cell.String(), units.Bytes(rep.DeviceBytes).TBf(), true, rep.MeasuredWAF,
+		t.AddRow(cell.String(), units.Bytes(rep.DeviceBytes).TBf(), true, rep.SweepWAF,
 			rep.LifetimeSteps, rep.LifetimeDays)
 		s.Add(float64(i), rep.LifetimeSteps)
 	}
@@ -38,7 +38,7 @@ func runF9(opts Options) (*Result, error) {
 	}
 	for _, m := range models {
 		cfg := baseConfig(opts, m)
-		rep, err := core.RunEndurance(cfg, nand.TLC, opts.wafSteps())
+		rep, err := core.RunEndurance(cfg, nand.TLC)
 		if err != nil {
 			return nil, err
 		}

@@ -374,7 +374,7 @@ func specF8() Spec {
 		},
 		Systems: []string{"hostoffload", "optimstore"},
 		Derive: func(opts Options, c *Cell) (any, error) {
-			return core.RunEndurance(c.Cfg, nand.TLC, opts.wafSteps())
+			return core.RunEndurance(c.Cfg, nand.TLC)
 		},
 		Tables: []TableSpec{{
 			Title: "F8: precision ablation (GPT-13B, Adam)",
@@ -614,7 +614,7 @@ func specF18() Spec {
 		},
 		Systems: []string{"optimstore"},
 		Derive: func(opts Options, c *Cell) (any, error) {
-			return core.RunEndurance(c.Cfg, c.Values[0].Meta.(nand.CellType), opts.wafSteps())
+			return core.RunEndurance(c.Cfg, c.Values[0].Meta.(nand.CellType))
 		},
 		Tables: []TableSpec{{
 			Title: "F18: state-region cell mode (GPT-13B, Adam, OptimStore)",

@@ -223,3 +223,28 @@ func TestStrategyString(t *testing.T) {
 		t.Fatal("Strategies()")
 	}
 }
+
+// lpaSink keeps BenchmarkLPA's results live.
+var lpaSink int64
+
+// BenchmarkLPA measures the per-page address work a layout does for the
+// device: a unit component's logical page, then the plane its first write
+// lands on, for each strategy over a GPT-13B-scale window of 3-page units.
+func BenchmarkLPA(b *testing.B) {
+	const units = 1 << 20
+	for _, s := range Strategies() {
+		b.Run(s.String(), func(b *testing.B) {
+			l, err := New(testGeo(), 3, units, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			planeOf := l.PlaneMapper()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lpa := l.LPA(int64(i)%units, i%3)
+				lpaSink += lpa + int64(planeOf(lpa))
+			}
+		})
+	}
+}

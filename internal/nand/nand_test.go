@@ -404,3 +404,57 @@ func TestValidateRejectsNegativeResume(t *testing.T) {
 		t.Fatal("negative resume overhead accepted")
 	}
 }
+
+// BenchmarkDieRead measures one page read of a die — plane occupancy for
+// tR and its completion event — per op, after one untimed read warms the
+// plane's request pool.
+func BenchmarkDieRead(b *testing.B) {
+	e := sim.NewEngine()
+	d := NewDie(e, "d", ParamsFor(TLC))
+	done := func() {}
+	read := func(i int) {
+		d.Read(Addr{Plane: i % d.params.PlanesPerDie, Block: i % d.params.BlocksPerPlane}, done)
+		e.Run()
+	}
+	read(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+	b.StopTimer()
+	if got := d.Counts().Reads; got != uint64(b.N)+1 {
+		b.Fatalf("%d reads, want %d", got, b.N+1)
+	}
+}
+
+// BenchmarkDieProgram measures one sequential page program of a die per
+// op. Pages fill block after block on one plane; a block is erased,
+// untimed, before the op that reprograms it.
+func BenchmarkDieProgram(b *testing.B) {
+	e := sim.NewEngine()
+	p := ParamsFor(TLC)
+	d := NewDie(e, "d", p)
+	done := func() {}
+	program := func(i int) {
+		a := Addr{Block: i / p.PagesPerBlock % p.BlocksPerPlane, Page: i % p.PagesPerBlock}
+		if a.Page == 0 && d.WritePtr(0, a.Block) == p.PagesPerBlock {
+			b.StopTimer()
+			d.Erase(a, done)
+			e.Run()
+			b.StartTimer()
+		}
+		d.Program(a, done)
+		e.Run()
+	}
+	program(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		program(i)
+	}
+	b.StopTimer()
+	if got := d.Counts().Programs; got != uint64(b.N)+1 {
+		b.Fatalf("%d programs, want %d", got, b.N+1)
+	}
+}

@@ -157,3 +157,26 @@ func TestCostModel(t *testing.T) {
 		t.Fatal("op energy")
 	}
 }
+
+// BenchmarkUnitExec measures one kernel invocation of an on-die unit —
+// Adam's 13 flops over a 16 KiB page of fp32 elements — and its
+// completion event per op, after one untimed invocation warms the pool.
+func BenchmarkUnitExec(b *testing.B) {
+	e := sim.NewEngine()
+	u := NewUnit(e, "u", DefaultParams())
+	done := func() {}
+	exec := func() {
+		u.Exec(4096, 13, done)
+		e.Run()
+	}
+	exec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exec()
+	}
+	b.StopTimer()
+	if got := u.Execs(); got != uint64(b.N)+1 {
+		b.Fatalf("%d invocations, want %d", got, b.N+1)
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/layout"
-	"repro/internal/nand"
 	"repro/internal/optim"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -91,9 +90,6 @@ type Options struct {
 	// Parallel is the worker-pool width for each simulation wave; ≤0 uses
 	// one worker per CPU. The result is byte-identical at any width.
 	Parallel int
-	// WAFSteps sets the steady-state WAF measurement length per distinct
-	// (cell, over-provisioning) pair; default 3.
-	WAFSteps int
 }
 
 func (o Options) system() string {
@@ -110,13 +106,6 @@ func (o Options) budget() int {
 	return o.Budget
 }
 
-func (o Options) wafSteps() int {
-	if o.WAFSteps < 2 {
-		return 3
-	}
-	return o.WAFSteps
-}
-
 // Point is one design point: its configuration, analytic bounds, and —
 // once simulated — its measured objectives.
 type Point struct {
@@ -130,8 +119,8 @@ type Point struct {
 	Bound core.Bound
 	// Lifetime is the analytic wear-limited lifetime in optimizer steps
 	// (zero when the state does not fit the device's usable capacity).
-	// Lifetime is exact, not a bound: it depends only on geometry, cell
-	// wear, and the memoized steady-state WAF.
+	// Lifetime is exact, not a bound: it depends only on the full drive's
+	// geometry, cell wear, and the sweep WAF that geometry decides.
 	Lifetime float64
 
 	// Simulated objectives, set once the point is evaluated.
@@ -218,18 +207,11 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	}
 	res := &Result{System: system}
 
-	// Steady-state WAF per distinct over-provisioning, measured up front
-	// in axis order so the schedule does not depend on pool width. The
-	// base's own OP comes last: it prices the seed, which may lie outside
-	// the grid, and is the grid's only OP when the axis is empty.
-	ops := append(append([]float64(nil), space.OverProvision...), base.SSD.OverProvision)
-	waf, err := measureWAF(base.SSD.Nand.Cell, ops, opts.wafSteps())
+	// Enumerate and price the grid.
+	candidates, err := enumerate(base, space, system, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-
-	// Enumerate and price the grid.
-	candidates := enumerate(base, space, system, waf.lifetime, &res.Stats)
 
 	// Admission order: optimistic step bound, then energy bound, then
 	// longest lifetime, then grid index — a total, deterministic order
@@ -289,11 +271,14 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	}
 
 	// Seed: the base configuration is simulated first, unconditionally.
+	// It may lie outside the grid, so it is priced from its own config.
 	seed := &Point{Index: -1, Cfg: base, Hash: base.CanonicalHash()}
 	if b, ok := core.BoundFor(system, base); ok {
 		seed.Bound = b
 	}
-	seed.Lifetime = waf.lifetime(base)
+	if seed.Lifetime, err = lifetime(base); err != nil {
+		return nil, fmt.Errorf("search: base configuration: %w", err)
+	}
 	for _, c := range candidates {
 		if c.Hash == seed.Hash {
 			seed.Index = c.Index // the base is itself a grid point
@@ -339,48 +324,27 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// wafTable maps each over-provisioning a search prices to the steady-state
-// update WAF measured there, for the search's one cell type.
-type wafTable map[float64]float64
-
-// measureWAF measures the update WAF of cell at each distinct
-// over-provisioning in ops, in order.
-func measureWAF(cell nand.CellType, ops []float64, steps int) (wafTable, error) {
-	t := make(wafTable)
-	for _, op := range ops {
-		if _, done := t[op]; done {
-			continue
-		}
-		w, err := core.MeasureUpdateWAF(cell, op, steps)
-		if err != nil {
-			return nil, fmt.Errorf("search: WAF measurement at OP %g: %w", op, err)
-		}
-		t[op] = w
+// lifetime prices cfg's wear-limited lifetime in optimizer steps, or 0
+// when the state does not fit. The update WAF is decided from the full
+// drive's own geometry (core.SweepWAF); a drive whose WAF that rule
+// cannot decide is an error, never a guess.
+func lifetime(cfg core.Config) (float64, error) {
+	cell := cfg.SSD.Nand.Cell
+	waf, err := core.SweepWAF(cfg, cell)
+	if err != nil {
+		return 0, err
 	}
-	return t, nil
-}
-
-// lifetime prices cfg's wear-limited lifetime in optimizer steps with the
-// WAF measured at its over-provisioning, or 0 when the state does not
-// fit. Run measures every OP before it prices any point, so a missing
-// measurement is a bug; it panics naming the OP rather than pricing the
-// point with a guessed WAF.
-func (t wafTable) lifetime(cfg core.Config) float64 {
-	waf, ok := t[cfg.SSD.OverProvision]
-	if !ok {
-		panic(fmt.Sprintf("search: no update WAF measured at over-provisioning %g", cfg.SSD.OverProvision))
-	}
-	life, fits := core.AnalyticLifetime(cfg, cfg.SSD.Nand.Cell, waf)
+	life, fits := core.AnalyticLifetime(cfg, cell, waf)
 	if !fits {
-		return 0
+		return 0, nil
 	}
-	return life
+	return life, nil
 }
 
 // enumerate expands the grid row-major over the base configuration,
-// pricing every valid point with its analytic bound and lifetime.
-func enumerate(base core.Config, space Space, system string,
-	lifetimeOf func(core.Config) float64, stats *Stats) []*Point {
+// pricing every valid point with its analytic bound and lifetime. A point
+// whose lifetime cannot be priced fails the whole enumeration.
+func enumerate(base core.Config, space Space, system string, stats *Stats) ([]*Point, error) {
 	channels := intAxis(space.Channels, base.SSD.Channels)
 	dies := intAxis(space.DiesPerChannel, base.SSD.DiesPerChannel)
 	planes := intAxis(space.PlanesPerDie, base.SSD.Nand.PlanesPerDie)
@@ -432,13 +396,17 @@ func enumerate(base core.Config, space Space, system string,
 										stats.Invalid++
 										continue
 									}
+									life, err := lifetime(cfg)
+									if err != nil {
+										return nil, fmt.Errorf("search: grid point %d: %w", idx, err)
+									}
 									stats.Candidates++
 									out = append(out, &Point{
 										Index:    idx,
 										Cfg:      cfg,
 										Hash:     cfg.CanonicalHash(),
 										Bound:    bound,
-										Lifetime: lifetimeOf(cfg),
+										Lifetime: life,
 									})
 								}
 							}
@@ -448,7 +416,7 @@ func enumerate(base core.Config, space Space, system string,
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func intAxis(vals []int, def int) []int {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -169,28 +170,38 @@ func TestSearchPruningEffective(t *testing.T) {
 	}
 }
 
-// TestLifetimeFailsOnUnmeasuredOP pins the loud failure that replaced a
-// silent WAF of 1: pricing a grid whose over-provisioning was never
-// measured panics and names the OP.
-func TestLifetimeFailsOnUnmeasuredOP(t *testing.T) {
-	base := quickBase()
-	waf, err := measureWAF(base.SSD.Nand.Cell, []float64{0.25}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "over-provisioning 0.07") {
-			t.Fatalf("panic %q does not name the unmeasured OP 0.07", msg)
+// TestSearchRejectsUndecidedWAF checks that a point whose update WAF
+// cannot be decided fails the search instead of being priced with a
+// guess: at 0.2% over-provisioning a 1024-block plane keeps about 2 spare
+// blocks, below GC high water 4. The error names the OP and the shortfall,
+// whether the point is the seed or a grid point.
+func TestSearchRejectsUndecidedWAF(t *testing.T) {
+	seedLow := quickBase()
+	seedLow.SSD.OverProvision = 0.002
+	for _, tc := range []struct {
+		name  string
+		base  core.Config
+		space Space
+	}{
+		{"seed", seedLow, Space{OverProvision: []float64{0.25}}},
+		{"grid point", quickBase(), Space{OverProvision: []float64{0.25, 0.002}}},
+	} {
+		res, err := Run(tc.base, tc.space, Options{Budget: 1, Parallel: 1})
+		if err == nil {
+			t.Errorf("%s at OP 0.002: search priced it (frontier %d points)", tc.name, len(res.Frontier))
+			continue
 		}
-	}()
-	enumerate(base, Space{OverProvision: []float64{0.25, 0.07}}, "optimstore", waf.lifetime, &Stats{})
-	t.Fatal("a grid OP without a WAF measurement was priced")
+		for _, want := range []string{"OP 0.002", "short by"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+			}
+		}
+	}
 }
 
 // TestSearchPricesSeedOutsideGrid checks that a base configuration whose
-// over-provisioning is not on the grid is priced with its own measured
-// WAF, not a guess.
+// over-provisioning is not on the grid is priced from its own config: the
+// sweep WAF and lifetime of its own full drive.
 func TestSearchPricesSeedOutsideGrid(t *testing.T) {
 	base := quickBase()
 	base.SSD.OverProvision = 0.07
@@ -202,14 +213,34 @@ func TestSearchPricesSeedOutsideGrid(t *testing.T) {
 	if seed.Index != -1 {
 		t.Fatalf("first evaluated point is grid index %d, want the out-of-grid seed", seed.Index)
 	}
-	waf, err := core.MeasureUpdateWAF(base.SSD.Nand.Cell, 0.07, Options{}.wafSteps())
+	cell := base.SSD.Nand.Cell
+	waf, err := core.SweepWAF(base, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := core.AnalyticLifetime(base, base.SSD.Nand.Cell, waf)
+	want, _ := core.AnalyticLifetime(base, cell, waf)
 	//simlint:allow floateq the seed must be priced by this exact computation
 	if seed.Lifetime != want {
-		t.Fatalf("seed lifetime %g, want %g (WAF %g measured at OP 0.07)", seed.Lifetime, want, waf)
+		t.Fatalf("seed lifetime %g, want %g (WAF %g on its own drive at OP 0.07)", seed.Lifetime, want, waf)
+	}
+}
+
+// TestSearchDefaultSpaceSweepWAFIsOne checks that every point of the
+// default space runs on a full drive whose spare blocks clear the GC
+// watermark, so its lifetime is priced at WAF exactly 1.
+func TestSearchDefaultSpaceSweepWAFIsOne(t *testing.T) {
+	points, err := enumerate(quickBase(), DefaultSpace(), "optimstore", &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != DefaultSpace().Size() {
+		t.Fatalf("%d of %d default-space points are candidates", len(points), DefaultSpace().Size())
+	}
+	for _, p := range points {
+		waf, err := core.SweepWAF(p.Cfg, p.Cfg.SSD.Nand.Cell)
+		if err != nil || math.Float64bits(waf) != math.Float64bits(1) {
+			t.Fatalf("point %d (OP %v): WAF %v, %v; want 1", p.Index, p.Cfg.SSD.OverProvision, waf, err)
+		}
 	}
 }
 
@@ -232,4 +263,23 @@ func BenchmarkSearch(b *testing.B) {
 	perOp := b.Elapsed().Seconds() / float64(b.N)
 	b.ReportMetric(float64(res.Stats.Evaluated)/perOp, "configs/s")
 	b.ReportMetric(res.Stats.PrunedFraction(), "pruned-frac")
+}
+
+// BenchmarkSearchEnumerate times grid enumeration alone: expanding the
+// default space over the base configuration, validating each point and
+// pricing it with its analytic bound, canonical hash and lifetime. It is
+// the part of a search that does not simulate, and it reports ns/point.
+func BenchmarkSearchEnumerate(b *testing.B) {
+	base := quickBase()
+	space := DefaultSpace()
+	var points []*Point
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := enumerate(base, space, "optimstore", &Stats{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		points = p
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(points))), "ns/point")
 }

@@ -50,33 +50,13 @@ func TestUpdateCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// updateWAFConfig is the device core.MeasureUpdateWAF simulates, at the
-// 7% over-provisioning where its GC works hardest.
-func updateWAFConfig() Config {
-	n := nand.ParamsFor(nand.TLC)
-	n.BlocksPerPlane = 16
-	n.PagesPerBlock = 32
-	n.PlanesPerDie = 2
-	return Config{
-		Channels:        2,
-		DiesPerChannel:  2,
-		Nand:            n,
-		OverProvision:   0.07,
-		GCLowWater:      2,
-		GCHighWater:     3,
-		CachePages:      64,
-		DRAMPageLatency: 2 * sim.Microsecond,
-		CmdLatency:      5 * sim.Microsecond,
-	}
-}
-
 // BenchmarkDeviceUpdateGC measures in-storage updates under steady GC: one
 // op is one ProgramUpdate of every logical page of the full device, then
 // a drain, as each step of core.MeasureUpdateWAF does. One untimed step
 // first fills the op-record freelist.
 func BenchmarkDeviceUpdateGC(b *testing.B) {
 	e := sim.NewEngine()
-	d := NewDevice(e, updateWAFConfig())
+	d := NewDevice(e, UpdateWAFConfig(nand.TLC, 0.07)) // 7% OP, where its GC works hardest
 	pages := d.FTL().LogicalPages()
 	for lpa := int64(0); lpa < pages; lpa++ {
 		d.Preload(lpa)
