@@ -35,20 +35,26 @@ func runExperiment(b *testing.B, id string) *experiments.Result {
 	return res
 }
 
+// runSystem builds and runs one system.
+func runSystem(b *testing.B, name string, cfg core.Config) *core.Report {
+	b.Helper()
+	sys, err := core.NewSystem(name, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := sys.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // headline runs the two headline systems once and reports speedup metrics.
 func headline(b *testing.B, model dnn.Model) (*core.Report, *core.Report) {
 	b.Helper()
 	cfg := core.DefaultConfig(model)
 	cfg.MaxSimUnits = 256
-	off, err := core.NewHostOffload(cfg).Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt, err := core.NewOptimStore(cfg).Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return off, opt
+	return runSystem(b, "hostoffload", cfg), runSystem(b, "optimstore", cfg)
 }
 
 func BenchmarkT1_Config(b *testing.B) {
@@ -147,10 +153,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var ops float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.NewOptimStore(cfg).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runSystem(b, "optimstore", cfg)
 		ops = float64(r.SimUnits) * float64(3+3) // reads+programs per unit
 	}
 	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds(), "sim-nand-ops/s")

@@ -34,15 +34,7 @@ func main() {
 	// System comparison at the default batch.
 	var reports []*core.Report
 	for _, name := range core.SystemNames() {
-		sys, err := core.NewSystem(name, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := sys.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		reports = append(reports, r)
+		reports = append(reports, run(name, cfg))
 	}
 	fmt.Print(core.ReportTable("GPT-13B, Adam, mixed precision, batch 8", reports))
 	fmt.Println()
@@ -65,16 +57,22 @@ func main() {
 	for _, batch := range []int{1, 4, 8, 16, 32} {
 		c := cfg
 		c.Batch = batch
-		off, err := core.NewHostOffload(c).Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		ost, err := core.NewOptimStore(c).Run()
-		if err != nil {
-			log.Fatal(err)
-		}
+		off, ost := run("hostoffload", c), run("optimstore", c)
 		t.AddRow(batch, off.TokensPerSec, ost.TokensPerSec,
 			fmt.Sprintf("%.2fx", ost.TokensPerSec/off.TokensPerSec))
 	}
 	fmt.Print(t)
+}
+
+// run builds and runs one system, exiting on error.
+func run(name string, cfg core.Config) *core.Report {
+	sys, err := core.NewSystem(name, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := sys.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

@@ -30,7 +30,11 @@ func main() {
 	for i, strat := range layout.Strategies() {
 		c := cfg
 		c.Layout = strat
-		r, err := core.NewOptimStore(c).Run()
+		sys, err := core.NewSystem("optimstore", c)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := sys.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,85 +34,65 @@ type Bound struct {
 // BoundFor computes the analytic bound of one (system, config) point.
 // ok is false for unknown system names.
 func BoundFor(system string, cfg Config) (Bound, bool) {
-	r, ok := RooflineFor(system, cfg)
+	d, ok := LookupSystem(system)
 	if !ok {
 		return Bound{}, false
 	}
+	q := d.quantities(&cfg)
+	r := d.roofline(q)
 	return Bound{
 		StepFloor:   r.Floor(),
-		EnergyFloor: energyFloor(system, cfg),
+		EnergyFloor: energy.DefaultCosts().Evaluate(d.floorActivity(q)).Total(),
 		Binding:     r.Binding(),
 	}, true
 }
 
-// energyFloor prices the mandatory traffic of one step. Every Activity
-// component mirrors either the exact analytic assignment the system's
-// report() makes (PCIe, DRAM, HBM, compute ops) or the conservation floor
-// the invariant registry enforces on the simulated counters (NAND reads/
-// programs, channel bus), using the same scaled-window arithmetic, so the
-// floor can never exceed what the simulation reports.
-func energyFloor(system string, cfg Config) float64 {
-	kernel := kernelFor(cfg)
-	simUnits := cfg.SimUnits()
-	scale := cfg.ScaleFactor()
-	totalUnits := cfg.TouchedUnits()
-	comps := int64(cfg.Comps())
-	pageSize := int64(cfg.SSD.Nand.PageSize)
-	gradB := cfg.GradBytesPerUnit()
-	woutB := cfg.WeightOutBytesPerUnit()
-	residentB := cfg.ResidentBytesPerUnit()
-	elems := int64(cfg.ElemsPerPage())
-	flops := int64(kernel.FlopsPerElem)
-
+// floorActivity is the mandatory activity of one step: the window traffic
+// the conservation invariants enforce on the simulated counters (NAND
+// reads and programs, channel bus), extrapolated with the reports'
+// scaled-window arithmetic, plus the host traffic and kernel work every
+// report assigns exactly. The simulation can only add to it.
+func (d *Design) floorActivity(q quantities) energy.Activity {
+	scale := q.cfg.ScaleFactor()
 	scaled := func(window int64) float64 {
 		return float64(int64(float64(window) * scale))
 	}
-
-	var a energy.Activity
-	switch system {
-	case "optimstore":
-		passes := int64(kernel.ReadPasses)
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize * passes)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		// Scattered layouts add cross-die hops on top; the colocated
-		// window is the proven floor for every layout.
-		busWindow := simUnits * (gradB + woutB)
-		if kernel.ReadPasses > 1 {
-			busWindow += simUnits * 128 // trust-ratio reduction round trip
-		}
-		a.BusBytes = scaled(busWindow)
-		a.PCIeBytes = float64((gradB + woutB) * totalUnits)
-		a.DRAMBytes = float64((gradB + woutB) * totalUnits)
-		a.ODPOps = float64(simUnits*elems*flops) * scale
-	case "hostoffload":
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		a.BusBytes = scaled(simUnits * comps * pageSize * 2)
-		a.PCIeBytes = float64(2 * residentB * totalUnits)
-		a.DRAMBytes = float64(2 * residentB * totalUnits)
-		a.HBMBytes = float64((2*residentB + gradB + woutB) * totalUnits)
-		a.GPUOps = float64(totalUnits) * float64(elems) * float64(flops)
-	case "interleaved":
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		a.BusBytes = scaled(simUnits * comps * pageSize * 2)
-		a.PCIeBytes = float64(2 * residentB * totalUnits)
-		a.DRAMBytes = float64((2*residentB + gradB + woutB) * totalUnits)
-		a.CPUOps = float64(totalUnits) * float64(elems) * float64(flops)
-	case "ctrlisp":
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		a.BusBytes = scaled(simUnits * comps * pageSize * 2)
-		a.PCIeBytes = float64((gradB + woutB) * totalUnits)
-		a.DRAMBytes = float64((2*residentB + gradB + woutB) * totalUnits)
-		a.CPUOps = float64(totalUnits) * float64(elems) * float64(flops)
-	case "gpuresident":
-		spec := cfg.Spec()
-		touched := float64(cfg.Model.Params) * cfg.Model.UpdateFraction()
-		a.HBMBytes = touched * (2*spec.ResidentBytes() + float64(spec.GradBytes+spec.WeightOutBytes))
-		a.GPUOps = touched * float64(flops)
+	w := d.window(q)
+	// Scattered layouts add cross-die hops on top of the window's bus
+	// bytes; the colocated window is the floor for every layout.
+	a := energy.Activity{
+		NANDReadBytes:    scaled(w.NANDRead),
+		NANDProgramBytes: scaled(w.NANDProgram),
+		BusBytes:         scaled(w.Bus),
+		PCIeBytes:        q.units * d.toDev.plus(d.fromDev).per(q),
+		DRAMBytes:        q.units * d.dram.per(q),
+		HBMBytes:         q.units * d.hbm.per(q),
 	}
-	return energy.DefaultCosts().Evaluate(a).Total()
+	d.exec.charge(&a, d.exec.ops(q))
+	return a
+}
+
+// ops is the kernel work of one step on the executor. On-die work is
+// counted over the simulated window and extrapolated, as the simulated
+// units' own counters are; the other executors run every touched unit.
+func (e executor) ops(q quantities) float64 {
+	flops := int64(q.kernel.FlopsPerElem)
+	if e == execODP {
+		return float64(q.cfg.SimUnits()*int64(q.elems)*flops) * q.cfg.ScaleFactor()
+	}
+	return q.units * q.elems * float64(flops)
+}
+
+// charge books n kernel operations to the executor's energy account.
+func (e executor) charge(a *energy.Activity, n float64) {
+	switch e {
+	case execODP:
+		a.ODPOps = n
+	case execGPU:
+		a.GPUOps = n
+	default: // execCtrl, execHostCPU
+		a.CPUOps = n
+	}
 }
 
 // MeasureUpdateWAF measures the steady-state write-amplification factor

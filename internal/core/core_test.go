@@ -32,6 +32,15 @@ func mustRun(t *testing.T, name string, cfg Config) *Report {
 	return r
 }
 
+func mustRoofline(t *testing.T, name string, cfg Config) Roofline {
+	t.Helper()
+	r, ok := RooflineFor(name, cfg)
+	if !ok {
+		t.Fatalf("RooflineFor(%q) unknown", name)
+	}
+	return r
+}
+
 func TestAllSystemsRun(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
 	for _, name := range SystemNames() {
@@ -287,8 +296,14 @@ func TestODPBufferMustFitWorkingSet(t *testing.T) {
 }
 
 func TestNewSystemUnknown(t *testing.T) {
-	if _, err := NewSystem("bogus", testConfig(dnn.BERTLarge())); err == nil {
+	_, err := NewSystem("bogus", testConfig(dnn.BERTLarge()))
+	if err == nil {
 		t.Fatal("unknown system accepted")
+	}
+	for _, key := range SystemNames() {
+		if !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown-system error %q does not list %q", err, key)
+		}
 	}
 	if len(SystemNames()) != 5 {
 		t.Fatal("system names")
@@ -569,7 +584,7 @@ func TestSimulationRespectsRoofline(t *testing.T) {
 	}
 	for i, cfg := range cases {
 		opt := mustRun(t, "optimstore", cfg)
-		floor := OptimStoreRoofline(cfg).Floor()
+		floor := mustRoofline(t, "optimstore", cfg).Floor()
 		if opt.OptStepTime < floor {
 			t.Errorf("case %d: optimstore %v beat the analytic floor %v", i, opt.OptStepTime, floor)
 		}
@@ -577,7 +592,7 @@ func TestSimulationRespectsRoofline(t *testing.T) {
 			t.Errorf("case %d: optimstore %v more than 2x floor %v — pipeline stall", i, opt.OptStepTime, floor)
 		}
 		off := mustRun(t, "hostoffload", cfg)
-		ofloor := HostOffloadRoofline(cfg).Floor()
+		ofloor := mustRoofline(t, "hostoffload", cfg).Floor()
 		if off.OptStepTime < ofloor {
 			t.Errorf("case %d: offload %v beat the analytic floor %v", i, off.OptStepTime, ofloor)
 		}
@@ -590,12 +605,12 @@ func TestSimulationRespectsRoofline(t *testing.T) {
 func TestRooflineIdentifiesBottleneck(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
 	// OptimStore at the default point is media-bound.
-	r := OptimStoreRoofline(cfg)
+	r := mustRoofline(t, "optimstore", cfg)
 	if r.Floor() != r.Media {
 		t.Fatalf("optimstore floor should be media: %+v", r)
 	}
 	// Host offload is PCIe-bound.
-	o := HostOffloadRoofline(cfg)
+	o := mustRoofline(t, "hostoffload", cfg)
 	if o.Floor() != o.PCIe {
 		t.Fatalf("offload floor should be PCIe: %+v", o)
 	}

@@ -77,7 +77,10 @@ func RunEndurance(cfg Config, cell nand.CellType) (*EnduranceReport, error) {
 	rep.LifetimeSteps, _ = AnalyticLifetime(cfg, cell, waf)
 
 	// Wall-clock lifetime at this configuration's training cadence.
-	sys := NewOptimStore(cfg)
+	sys, err := NewSystem(SystemOptimStore, cfg)
+	if err != nil {
+		return nil, err
+	}
 	r, err := sys.Run()
 	if err != nil {
 		return nil, err

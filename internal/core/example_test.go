@@ -16,14 +16,18 @@ func Example() {
 	cfg := core.DefaultConfig(dnn.GPT13B())
 	cfg.MaxSimUnits = 256
 
-	offload, err := core.NewHostOffload(cfg).Run()
-	if err != nil {
-		log.Fatal(err)
+	run := func(name string) *core.Report {
+		sys, err := core.NewSystem(name, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := sys.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
-	optimstore, err := core.NewOptimStore(cfg).Run()
-	if err != nil {
-		log.Fatal(err)
-	}
+	offload, optimstore := run("hostoffload"), run("optimstore")
 	fmt.Printf("PCIe traffic: offload %d GB, in-storage %d GB\n",
 		units.Bytes(offload.PCIeBytes)/units.GB, units.Bytes(optimstore.PCIeBytes)/units.GB)
 	fmt.Printf("in-storage wins on the optimizer step: %v\n",

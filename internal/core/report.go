@@ -98,6 +98,17 @@ type Report struct {
 	Violations []string
 }
 
+// identity starts a report with the header every system fills alike.
+func identity(name string, cfg *Config) *Report {
+	return &Report{
+		System:    name,
+		Model:     cfg.Model.Name,
+		Optimizer: cfg.Optimizer.String(),
+		Precision: cfg.Precision.String(),
+		Params:    cfg.Model.Params,
+	}
+}
+
 // InvariantViolations reports the violations recorded on this report,
 // satisfying the runner's InvariantReporter interface so run summaries can
 // count them.

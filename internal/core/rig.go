@@ -24,9 +24,10 @@ const phaseTrack = "phase"
 type pipelineKind uint8
 
 const (
-	pipeOnDie   pipelineKind = iota // OptimStore: update on the home die's ODP unit
-	pipeCtrl                        // CtrlISP: update in the controller
-	pipeOffload                     // HostOffload, InterleavedOffload: update on the host
+	pipeOnDie    pipelineKind = iota // update on the home die's ODP unit
+	pipeCtrl                         // update in the controller
+	pipeOffload                      // update on a host executor
+	pipeAnalytic                     // no pipeline: evaluated in closed form
 )
 
 // rig is one simulated run's state: the engine, the device with the
@@ -67,6 +68,7 @@ type rig struct {
 	outInFlight int
 	odp         [][]*odp.Unit // OnDie: one ODP unit per die
 	ctrl        *host.CPU     // Ctrl: the controller's cores
+	gpu         *host.GPU     // Offload on the GPU, for its utilization
 
 	// Offload: the executor and link verbs, the phase names and the
 	// batch being filled.
@@ -138,6 +140,39 @@ func newRig(config Config, kind pipelineKind) (*rig, error) {
 	return r, nil
 }
 
+// setup builds the row's executor, wires its pipeline's gradient stream
+// and link verbs, and sets its admission window.
+func (r *rig) setup(d *Design) {
+	cfg := r.cfg
+	var exec func(flops, bytes float64, done func())
+	switch d.exec {
+	case execODP:
+		// One compute unit per die.
+		r.odp = make([][]*odp.Unit, cfg.SSD.Channels)
+		for ch := range r.odp {
+			r.odp[ch] = make([]*odp.Unit, cfg.SSD.DiesPerChannel)
+			for die := range r.odp[ch] {
+				r.odp[ch][die] = odp.NewUnit(r.eng, fmt.Sprintf("ch%d/die%d", ch, die), cfg.ODP)
+			}
+		}
+	case execCtrl:
+		r.ctrl = host.NewCPU(r.eng, cfg.CtrlCPU)
+	case execGPU:
+		r.gpu = host.NewGPU(r.eng, cfg.GPU)
+		exec = r.gpu.Run
+	case execHostCPU:
+		exec = host.NewCPU(r.eng, cfg.HostCPU).Run
+	}
+	if r.kind == pipeOffload {
+		r.offload(exec, d.stream, d.exec)
+	} else {
+		// Gradients stream in as chunked PCIe transfers (units wait on
+		// their chunk's arrival); weights stream out the same way.
+		r.postGrads(max(cfg.TransferChunkBytes/r.gradB, 1), r.gradB)
+	}
+	r.inflightCap = d.admit(r)
+}
+
 // planeWindow is the admission window of the device-side pipelines: ~4
 // units in flight per plane-slot a unit occupies, so planes stay
 // pipelined regardless of how many pages a unit has (SGD's single-page
@@ -150,20 +185,33 @@ func (r *rig) planeWindow() int64 {
 	return c
 }
 
-// streamGrads sets up the device-side pipelines' gradient stream: chunks
-// of gradients arrive over PCIe.
-func (r *rig) streamGrads() {
-	r.postGrads(max(r.cfg.TransferChunkBytes/r.gradB, 1), r.gradB)
+// subgroupWindow is the interleaved design's admission window: only three
+// subgroups may be host-resident at once (the one updating, the one
+// prefetching, the one writing back), so at most 3·⌈units/K⌉ units are in
+// flight. A degenerate partition still pipelines minimally.
+func (r *rig) subgroupWindow() int64 {
+	depth := int64(r.cfg.Depth())
+	return max(3*((r.simUnits+depth-1)/depth), 4)
 }
 
 // offload sets up the host-offload pipeline: units whose states reach
 // the host gather into batches of about one transfer chunk, and exec
 // updates a batch once its gradients are available. The backward pass
 // produces gradients into host memory, so their availability needs no
+// transfer. Streaming DMA rides a standing descriptor ring, so segments
+// pay wire occupancy without per-DMA setup; chunked DMA pays it per
 // transfer.
-func (r *rig) offload(exec func(flops, bytes float64, done func()), fromDev, toDev func(int64, func()), fetchPhase, execPhase string) {
-	r.exec, r.fromDev, r.toDev = exec, fromDev, toDev
-	r.fetchPhase, r.execPhase = fetchPhase, execPhase
+func (r *rig) offload(exec func(flops, bytes float64, done func()), stream bool, e executor) {
+	r.exec = exec
+	if stream {
+		r.fromDev, r.toDev, r.fetchPhase = r.link.StreamFromDevice, r.link.StreamToDevice, "prefetch"
+	} else {
+		r.fromDev, r.toDev, r.fetchPhase = r.link.FromDevice, r.link.ToDevice, "read"
+	}
+	r.execPhase = "cpu-batch"
+	if e == execGPU {
+		r.execPhase = "gpu-batch"
+	}
 	r.postGrads(max(r.cfg.TransferChunkBytes/r.residentB, 1), 0)
 }
 
@@ -281,36 +329,32 @@ func (r *rig) drained() {
 }
 
 // report starts a simulated system's report with what every pipeline
-// reports alike: identity, the window's totals, device traffic and time
-// extrapolated to the full step, and link and bus utilization. The caller
-// adds its host-side traffic and executor figures, then calls finish.
+// reports alike: the identity header, the window's totals, device traffic
+// and time extrapolated to the full step, and link and bus utilization.
+// The caller adds its host-side traffic and executor figures, then calls
+// finish.
 func (r *rig) report(name string) *Report {
 	cfg := r.cfg
 	scale := cfg.ScaleFactor()
 	counts := r.dev.Counts()
 	pageSize := float64(r.pageSize)
-	return &Report{
-		System:              name,
-		Model:               cfg.Model.Name,
-		Optimizer:           cfg.Optimizer.String(),
-		Precision:           cfg.Precision.String(),
-		Params:              cfg.Model.Params,
-		TotalUnits:          cfg.TouchedUnits(),
-		SimUnits:            r.simUnits,
-		SimTime:             r.endTime,
-		SimEvents:           r.eng.Fired(),
-		SimPCIeToDevBytes:   int64(r.link.BytesToDevice()),
-		SimPCIeFromDevBytes: int64(r.link.BytesFromDevice()),
-		// The step is throughput-bound: extrapolate the window linearly.
-		OptStepTime:      r.endTime.Scale(scale),
-		BusBytes:         int64(float64(counts.BytesIn+counts.BytesOut) * scale),
-		NANDReadBytes:    int64(float64(counts.Reads) * pageSize * scale),
-		NANDProgramBytes: int64(float64(counts.Programs) * pageSize * scale),
-		WAF:              r.dev.Stats().WAF,
-		LinkUtil:         r.link.Utilization(),
-		BusUtil:          meanBusUtil(r.dev),
-		Feasible:         true,
-	}
+	rep := identity(name, cfg)
+	rep.TotalUnits = cfg.TouchedUnits()
+	rep.SimUnits = r.simUnits
+	rep.SimTime = r.endTime
+	rep.SimEvents = r.eng.Fired()
+	rep.SimPCIeToDevBytes = int64(r.link.BytesToDevice())
+	rep.SimPCIeFromDevBytes = int64(r.link.BytesFromDevice())
+	// The step is throughput-bound: extrapolate the window linearly.
+	rep.OptStepTime = r.endTime.Scale(scale)
+	rep.BusBytes = int64(float64(counts.BytesIn+counts.BytesOut) * scale)
+	rep.NANDReadBytes = int64(float64(counts.Reads) * pageSize * scale)
+	rep.NANDProgramBytes = int64(float64(counts.Programs) * pageSize * scale)
+	rep.WAF = r.dev.Stats().WAF
+	rep.LinkUtil = r.link.Utilization()
+	rep.BusUtil = meanBusUtil(r.dev)
+	rep.Feasible = true
+	return rep
 }
 
 // finish prices rep's energy from its traffic plus the executor work in

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/energy"
 	"repro/internal/optim"
@@ -16,29 +17,110 @@ type System interface {
 	Run() (*Report, error)
 }
 
-// NewSystem constructs a system by name: "optimstore", "hostoffload",
-// "interleaved", "ctrlisp" or "gpuresident". It also accepts each
-// system's own Name(), so a report's system name round-trips.
+// NewSystem builds the system a table key or display name names, so a
+// report's system name round-trips.
 func NewSystem(name string, cfg Config) (System, error) {
-	switch name {
-	case "optimstore":
-		return NewOptimStore(cfg), nil
-	case "hostoffload":
-		return NewHostOffload(cfg), nil
-	case "interleaved":
-		return NewInterleavedOffload(cfg), nil
-	case "ctrlisp", "ctrl-isp":
-		return NewCtrlISP(cfg), nil
-	case "gpuresident", "gpu-resident":
-		return NewGPUResident(cfg), nil
-	default:
-		return nil, fmt.Errorf("core: unknown system %q", name)
+	d, ok := LookupSystem(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown system %q (want one of %s)",
+			name, strings.Join(SystemNames(), ", "))
 	}
+	return instance{d, cfg}, nil
 }
 
-// SystemNames lists the systems in presentation order.
-func SystemNames() []string {
-	return []string{"gpuresident", "hostoffload", "interleaved", "ctrlisp", "optimstore"}
+// instance is one row bound to a configuration.
+type instance struct {
+	d   *Design
+	cfg Config
+}
+
+// Name implements System: the display name.
+func (s instance) Name() string { return s.d.name }
+
+// Run implements System.
+func (s instance) Run() (*Report, error) {
+	if s.d.Simulated() {
+		return s.d.simulate(s.cfg)
+	}
+	return s.d.evaluate(s.cfg)
+}
+
+// simulate runs a simulated row: the rig, the row's executor and
+// admission window, the window's simulation and report, then the row's
+// host-side traffic over the full step.
+func (d *Design) simulate(cfg Config) (*Report, error) {
+	run, err := newRig(cfg, d.pipe)
+	if err != nil {
+		return nil, err
+	}
+	run.setup(d)
+	if err := run.simulate(d.name); err != nil {
+		return nil, err
+	}
+	r := run.report(d.name)
+	touched := cfg.TouchedUnits()
+	res, grad, wout := run.residentB, run.gradB, run.woutB
+	r.PCIeBytes = d.toDev.plus(d.fromDev).bytes(res, grad, wout) * touched
+	r.DRAMBytes = d.dram.bytes(res, grad, wout) * touched
+	r.HBMBytes = d.hbm.bytes(res, grad, wout) * touched
+	ops := d.exec.ops(d.quantities(&cfg))
+	switch d.exec {
+	case execODP:
+		var odpFlops, odpUtil float64
+		for _, row := range run.odp {
+			for _, u := range row {
+				odpFlops += float64(u.Flops())
+				odpUtil += u.Utilization()
+			}
+		}
+		r.ODPUtil = odpUtil / float64(len(run.odp)*len(run.odp[0]))
+		ops = odpFlops * cfg.ScaleFactor()
+	case execGPU:
+		r.GPUUtil = run.gpu.Utilization()
+	}
+	var act energy.Activity
+	d.exec.charge(&act, ops)
+	return run.finish(r, act), nil
+}
+
+// evaluate runs the analytic row: its step is its roofline floor and its
+// energy its energy floor, provided the whole training footprint (FP16
+// weights and gradients plus the resident state — 16 B/param for Adam)
+// and a 20% activation allowance fit GPU memory.
+func (d *Design) evaluate(cfg Config) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	r := identity(d.name, &cfg)
+	r.TotalUnits = cfg.TotalUnits()
+	spec := cfg.Spec()
+	footprint := float64(spec.GradBytes+spec.WeightOutBytes) + spec.ResidentBytes()
+	needBytes := footprint * float64(r.Params) * 1.2
+	haveBytes := cfg.GPU.MemoryGB * units.BytesPerGB
+	if needBytes > haveBytes {
+		r.Notes = fmt.Sprintf("needs %.1f GB, GPU has %.0f GB", needBytes/units.BytesPerGB, cfg.GPU.MemoryGB)
+		r.CheckpointPolicy = cfg.Checkpoint.String()
+		return r, nil
+	}
+	r.Feasible = true
+	q := d.quantities(&cfg)
+	act := d.floorActivity(q)
+	r.OptStepTime = d.roofline(q).Floor()
+	r.SimTime = r.OptStepTime
+	r.SimUnits = r.TotalUnits
+	r.HBMBytes = int64(act.HBMBytes)
+	r.WAF = 1
+	// No event engine: the fused kernel is one synthetic span.
+	if cfg.Trace != nil {
+		cfg.Trace.Span(phaseTrack, "update", 0, r.OptStepTime)
+	}
+	evalEnergy(r, act)
+	cfg.endToEnd(r)
+	if r.OptStepTime <= 0 {
+		r.OptStepTime = sim.Time(1)
+	}
+	accountFaultsAnalytic(cfg, r, int64(footprint*float64(r.Params)))
+	return r, nil
 }
 
 // future is a one-shot completion records wait on: a gradient chunk

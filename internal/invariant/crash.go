@@ -60,7 +60,7 @@ func checkFaultAccounting(system string, cfg core.Config, r *core.Report) error 
 	}
 	// Only the in-place policy snapshots device-side, and only systems
 	// with device-resident state pay its NAND programs.
-	wantProg := cfg.Checkpoint == fault.CheckpointInPlace && system != GPUResident
+	wantProg := cfg.Checkpoint == fault.CheckpointInPlace && deviceBacked(system)
 	if wantProg != (r.CheckpointProgramBytes > 0) {
 		return fmt.Errorf("policy %s on %s: checkpoint programs %d NAND bytes",
 			r.CheckpointPolicy, system, r.CheckpointProgramBytes)
@@ -74,7 +74,7 @@ func checkFaultAccounting(system string, cfg core.Config, r *core.Report) error 
 	if terminal > 0 && r.RecoveryTime <= 0 {
 		return fmt.Errorf("%d terminal faults but free recovery", terminal)
 	}
-	if system == GPUResident && r.RecoveryProgramBytes != 0 {
+	if !deviceBacked(system) && r.RecoveryProgramBytes != 0 {
 		return fmt.Errorf("analytic reference programmed %d NAND bytes recovering", r.RecoveryProgramBytes)
 	}
 	return nil

@@ -133,7 +133,7 @@ func TestFaultFreeEquivalence(t *testing.T) {
 	}
 	var jobs []pair
 	for _, cfg := range cfgs {
-		for _, sys := range SystemNames() {
+		for _, sys := range core.SystemNames() {
 			jobs = append(jobs, pair{sys, cfg})
 		}
 	}
@@ -194,7 +194,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	// update) and interleaved (host update via subgroup streams) schedule
 	// faults against very different event shapes, so determinism of one
 	// does not imply the other.
-	systems := []string{OptimStore, Interleaved}
+	systems := []string{core.SystemOptimStore, core.SystemInterleaved}
 	sweep := func(width int) []string {
 		cfgs := faultStormConfigs()
 		results := runner.Map(width, cfgs, func(cfg core.Config) (string, error) {

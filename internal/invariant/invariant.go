@@ -16,8 +16,10 @@
 //     sweeps the property set across the design space rather than a
 //     handful of hand-picked points.
 //
-// Systems are keyed by their constructor names — the strings
-// core.NewSystem accepts — not by Report.System display names.
+// Systems are keyed by their core.SystemNames keys — the constructor names
+// core.NewSystem accepts — not by Report.System display names. What each
+// property expects of a system comes from its row of core's systems table
+// (core.LookupSystem), never from a per-system switch here.
 package invariant
 
 import (
@@ -26,19 +28,8 @@ import (
 	"repro/internal/core"
 )
 
-// Constructor-name keys for the five systems (see core.NewSystem).
-const (
-	OptimStore  = "optimstore"
-	HostOffload = "hostoffload"
-	Interleaved = "interleaved"
-	CtrlISP     = "ctrlisp"
-	GPUResident = "gpuresident"
-)
-
-// SystemNames lists the auditable systems in core's presentation order.
-func SystemNames() []string {
-	return []string{GPUResident, HostOffload, Interleaved, CtrlISP, OptimStore}
-}
+// GPUResident is the analytic reference's key.
+const GPUResident = core.SystemGPUResident
 
 // Property is one checkable invariant. Check returns nil when the report
 // satisfies the property for the given system and configuration, or a

@@ -50,7 +50,7 @@ func TestRegistryCoversAllSystems(t *testing.T) {
 		}
 		seen[p.Name] = true
 	}
-	for _, sys := range SystemNames() {
+	for _, sys := range core.SystemNames() {
 		if n := len(Properties(sys)); n < 3 {
 			t.Errorf("system %s has only %d applicable properties", sys, n)
 		}
@@ -67,7 +67,7 @@ func TestSweepAllSystems(t *testing.T) {
 	}
 	results := runner.Map(0, cfgs, func(cfg core.Config) (*verdict, error) {
 		v := &verdict{}
-		for _, sys := range SystemNames() {
+		for _, sys := range core.SystemNames() {
 			r, err := Run(sys, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", sys, err)
@@ -113,7 +113,7 @@ func TestDeterminismAcrossSweep(t *testing.T) {
 	}
 	var jobs []pair
 	for _, cfg := range cfgs {
-		for _, sys := range SystemNames() {
+		for _, sys := range core.SystemNames() {
 			jobs = append(jobs, pair{sys, cfg})
 		}
 	}
@@ -135,7 +135,7 @@ func TestResourceMonotonicity(t *testing.T) {
 	}
 	var jobs []pair
 	for _, cfg := range cfgs {
-		for _, sys := range SystemNames() {
+		for _, sys := range core.SystemNames() {
 			jobs = append(jobs, pair{sys, cfg})
 		}
 	}
@@ -161,7 +161,7 @@ func TestModelMonotonicity(t *testing.T) {
 	}
 	var jobs []pair
 	for _, cfg := range cfgs {
-		for _, sys := range SystemNames() {
+		for _, sys := range core.SystemNames() {
 			jobs = append(jobs, pair{sys, cfg})
 		}
 	}
@@ -213,14 +213,14 @@ func TestBrokenModelCaught(t *testing.T) {
 
 	// Sanity: the honest simulator on the honest config is clean, and the
 	// bus really is the binding constraint (otherwise the test is vacuous).
-	honest, err := Run(OptimStore, trueCfg)
+	honest, err := Run(core.SystemOptimStore, trueCfg)
 	if err != nil {
 		t.Fatalf("honest run: %v", err)
 	}
 	if len(honest.Violations) > 0 {
 		t.Fatalf("honest run not clean: %v", honest.Violations)
 	}
-	rf, _ := core.RooflineFor(OptimStore, trueCfg)
+	rf, _ := core.RooflineFor(core.SystemOptimStore, trueCfg)
 	if rf.Binding() != "bus" {
 		t.Fatalf("config not bus-bound (binding=%s); negative test is vacuous", rf.Binding())
 	}
@@ -229,7 +229,7 @@ func TestBrokenModelCaught(t *testing.T) {
 	// moves bytes twice as fast as the configuration says it should.
 	brokenCfg := trueCfg
 	brokenCfg.SSD.Nand.BusMBps *= 2
-	sys, err := core.NewSystem(OptimStore, brokenCfg)
+	sys, err := core.NewSystem(core.SystemOptimStore, brokenCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestBrokenModelCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	violations := Check(OptimStore, trueCfg, report)
+	violations := Check(core.SystemOptimStore, trueCfg, report)
 	found := false
 	for _, v := range violations {
 		if strings.HasPrefix(v, "roofline-sandwich:") {
@@ -255,7 +255,7 @@ func TestBrokenModelCaught(t *testing.T) {
 // serialization) must also be flagged.
 func TestSerializationCaught(t *testing.T) {
 	cfg := busBoundConfig()
-	r, err := Run(OptimStore, cfg)
+	r, err := Run(core.SystemOptimStore, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestSerializationCaught(t *testing.T) {
 		t.Fatalf("clean run expected, got %v", r.Violations)
 	}
 	r.OptStepTime *= 100
-	violations := Check(OptimStore, cfg, r)
+	violations := Check(core.SystemOptimStore, cfg, r)
 	found := false
 	for _, v := range violations {
 		if strings.HasPrefix(v, "roofline-sandwich:") {
@@ -279,13 +279,13 @@ func TestSerializationCaught(t *testing.T) {
 // report so sweep tables and run summaries can surface them.
 func TestAuditRecordsOnReport(t *testing.T) {
 	cfg := busBoundConfig()
-	r, err := Run(OptimStore, cfg)
+	r, err := Run(core.SystemOptimStore, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Violations = nil
 	r.OptStepTime = 0 // structural breakage: report-sane must fire
-	got := Audit(OptimStore, cfg, r)
+	got := Audit(core.SystemOptimStore, cfg, r)
 	if len(got) == 0 || len(r.Violations) == 0 {
 		t.Fatalf("Audit did not record violations: ret=%v field=%v", got, r.Violations)
 	}

@@ -82,7 +82,8 @@ func (s Space) Size() int {
 
 // Options tunes a search run.
 type Options struct {
-	// System is the engine to tune; default "optimstore".
+	// System is the engine to tune, by core.SystemNames key; default
+	// core.SystemOptimStore.
 	System string
 	// Budget caps the number of simulations (the expensive operation);
 	// bound computation and pruning are analytic and uncapped. Default 64.
@@ -94,7 +95,7 @@ type Options struct {
 
 func (o Options) system() string {
 	if o.System == "" {
-		return "optimstore"
+		return core.SystemOptimStore
 	}
 	return o.System
 }
@@ -202,7 +203,7 @@ const waveSize = 8
 // always contains the base configuration or points that dominate it.
 func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	system := opts.system()
-	if _, ok := core.RooflineFor(system, base); !ok {
+	if _, ok := core.LookupSystem(system); !ok {
 		return nil, fmt.Errorf("search: unknown system %q", system)
 	}
 	res := &Result{System: system}
