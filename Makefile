@@ -34,8 +34,11 @@ FUZZTIME ?= 10s
 
 verify: tier1 tier2 tier3 tier4 tier5 tier6 trace-verify bench-smoke bench-gate
 
+# wallbench is its own module, so ./... never reaches it; vetting it
+# compiles the benchmark and its tests against the current API.
 vet:
 	$(GO) vet ./...
+	cd wallbench && $(GO) vet ./...
 
 tier1:
 	$(GO) build ./...

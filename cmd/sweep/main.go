@@ -13,13 +13,7 @@
 //	sweep -dim batch    -values 1,4,16,64
 //	sweep -dim channels -values 4,8 -fault seed=1,pl=2000,df=500,ecc=5000,horizon=5 -checkpoint inplace
 //
-// With -search the one-dimensional sweep is replaced by the design-space
-// autotuner (internal/search): the full default grid is explored under a
-// simulation budget with roofline pruning, the Pareto-frontier CSV goes to
-// stdout and the search summary to stderr:
-//
-//	sweep -search -budget 64 -model GPT-13B
-//	sweep -search -systems optimstore -units 256
+// The design-space autotuner is cmd/tune.
 package main
 
 import (
@@ -37,7 +31,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/invariant"
 	"repro/internal/runner"
-	"repro/internal/search"
 	"repro/internal/tracing"
 	"repro/internal/units"
 )
@@ -54,18 +47,12 @@ func main() {
 		traceTo  = flag.String("trace", "", "record an event trace per sweep point and write one combined Chrome trace_event JSON file here (one process lane per point; open in chrome://tracing or ui.perfetto.dev)")
 		faultArg = flag.String("fault", "", "arm a fault storm on every sweep point: seed=N,pl=R,df=R,ecc=R,start=MS,horizon=MS (rates per second of sim time; empty = disabled)")
 		ckptArg  = flag.String("checkpoint", "none", "checkpoint policy priced into every point: none, inplace (ODP copyback) or hostpull")
-		doSearch = flag.Bool("search", false, "run the design-space autotuner over the default grid instead of a one-dimensional sweep; frontier CSV to stdout, summary to stderr")
-		budget   = flag.Int("budget", 64, "simulation budget for -search")
 	)
 	flag.Parse()
 
 	m, err := dnn.ByName(*model)
 	if err != nil {
 		fail(err)
-	}
-	if *doSearch {
-		runSearch(m, splitList(*systems), *units, *budget, *parallel)
-		return
 	}
 	vals, err := parseValues(*values)
 	if err != nil {
@@ -119,28 +106,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", *traceTo)
 	}
 	fmt.Fprintln(os.Stderr, "sweep:", summary)
-}
-
-// runSearch is the -search mode: the design-space autotuner over the
-// default grid. The system to tune is the sole -systems entry, or
-// optimstore when the flag still holds the multi-system sweep default.
-func runSearch(m dnn.Model, systems []string, simUnits int64, budget, parallel int) {
-	system := "optimstore"
-	if len(systems) == 1 {
-		system = systems[0]
-	}
-	base := core.DefaultConfig(m)
-	base.MaxSimUnits = simUnits
-	res, err := search.Run(base, search.DefaultSpace(), search.Options{
-		System:   system,
-		Budget:   budget,
-		Parallel: parallel,
-	})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print(res.CSV())
-	fmt.Fprint(os.Stderr, res.Summary().String())
 }
 
 // sweepSpec is one fully parsed sweep invocation.

@@ -102,7 +102,8 @@ func (e executor) charge(a *energy.Activity, n float64) {
 // pricing does not use it: SweepWAF decides the WAF from the full drive's
 // own geometry. It remains the simulation that cross-checks that rule.
 func MeasureUpdateWAF(cell nand.CellType, overProvision float64, steps int) (float64, error) {
-	return measureUpdateWAFOn(ssd.UpdateWAFConfig(cell, overProvision), steps)
+	waf, _, err := ssd.UpdateWAFConfig(cell, overProvision).SimulateSweeps(nil, steps)
+	return waf, err
 }
 
 // SweepWAF decides the steady-state update WAF of cfg's full drive with

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/nand"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // EnduranceReport answers the first question anyone asks about in-storage
@@ -89,42 +86,4 @@ func RunEndurance(cfg Config, cell nand.CellType) (*EnduranceReport, error) {
 	stepsPerDay := 86400.0 / r.StepTime.Seconds()
 	rep.LifetimeDays = rep.LifetimeSteps / stepsPerDay
 	return rep, nil
-}
-
-// measureUpdateWAFOn runs `steps` full update sweeps over devCfg's
-// logical space and reports the write-amplification factor of everything
-// after the first sweep (the first fills the log cold).
-func measureUpdateWAFOn(devCfg ssd.Config, steps int) (float64, error) {
-	if err := devCfg.Validate(); err != nil {
-		return 0, err
-	}
-	eng := sim.NewEngine()
-	dev := ssd.NewDevice(eng, devCfg)
-	pages := dev.FTL().LogicalPages()
-	for lpa := int64(0); lpa < pages; lpa++ {
-		dev.Preload(lpa)
-	}
-
-	var baseHost, baseGC uint64
-	for s := 0; s < steps; s++ {
-		for lpa := int64(0); lpa < pages; lpa++ {
-			dev.ProgramUpdate(lpa, nil)
-		}
-		wedged := true
-		dev.Drain(func() { wedged = false })
-		eng.Run()
-		if wedged {
-			return 0, fmt.Errorf("core: WAF measurement wedged at step %d", s)
-		}
-		if s == 0 {
-			baseHost = dev.FTL().HostProgrammed()
-			baseGC = dev.FTL().GCProgrammed()
-		}
-	}
-	host := dev.FTL().HostProgrammed() - baseHost
-	gc := dev.FTL().GCProgrammed() - baseGC
-	if host == 0 {
-		return 1, nil
-	}
-	return float64(host+gc) / float64(host), nil
 }

@@ -252,13 +252,17 @@ func (r *rig) nextGrads() {
 }
 
 // simulate admits the first window of units, runs the engine dry and
-// reports a run that never drained.
+// reports a run that never drained, naming the plane when one wedged.
 func (r *rig) simulate(name string) error {
 	r.launch()
 	r.eng.Run()
 	if !r.finished {
-		return fmt.Errorf("core: %s simulation wedged at %v (%d/%d units)",
+		err := fmt.Errorf("core: %s simulation wedged at %v (%d/%d units)",
 			name, r.eng.Now(), r.completed, r.simUnits)
+		if werr := r.dev.Wedged(); werr != nil {
+			return fmt.Errorf("%w: %w", err, werr)
+		}
+		return err
 	}
 	return nil
 }

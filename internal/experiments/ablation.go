@@ -1,117 +1,87 @@
 package experiments
 
 import (
-	"repro/internal/runner"
-	"repro/internal/sim"
+	"fmt"
+
+	"repro/internal/nand"
 	"repro/internal/ssd"
-	"repro/internal/stats"
 )
 
-// runF11 regenerates the GC/over-provisioning sensitivity: steady-state
-// write amplification and update throughput of the state region under
-// dense (sequential) and sparse (random) update streams.
-func runF11(opts Options) (*Result, error) {
-	t := stats.NewTable("F11: GC sensitivity of the state region",
-		"over-provision", "workload", "WAF", "updates/s (window)")
-	fig := stats.NewFigure("F11: WAF vs over-provisioning", "OP fraction", "WAF")
-	seqS := fig.AddSeries("dense sequential updates")
-	rndS := fig.AddSeries("sparse random updates")
-	ops := []float64{0.07, 0.125, 0.20, 0.28}
-	if opts.Quick {
-		ops = []float64{0.07, 0.28}
+// regionWAF is one measured point of the state region's update stream.
+type regionWAF struct{ waf, rate float64 }
+
+// specF11 is the GC/over-provisioning sensitivity: steady-state write
+// amplification and update throughput of the state region under dense
+// (sequential) and sparse (random) update streams.
+func specF11() Spec {
+	wafPoint := func(random bool) func(Options, *Grid, *Cell) (float64, float64, bool) {
+		return func(o Options, g *Grid, c *Cell) (float64, float64, bool) {
+			return c.Values[0].X, c.Aux.(regionWAF).waf, c.Values[1].Meta.(bool) == random
+		}
 	}
-	// Flatten (over-provision × workload) into independent pool jobs; the
-	// pairs come back in grid order for the table.
-	type wafPoint struct {
-		op     float64
-		random bool
+	return Spec{
+		ID: "F11", Title: "GC / over-provisioning sensitivity",
+		Axes: func(opts Options) []Axis {
+			ops := []float64{0.07, 0.125, 0.20, 0.28}
+			if opts.Quick {
+				ops = []float64{0.07, 0.28}
+			}
+			opVals := make([]AxisValue, len(ops))
+			for i, op := range ops {
+				opVals[i] = AxisValue{Label: fmt.Sprint(op), X: op, Meta: op}
+			}
+			return []Axis{
+				{Name: "over-provision", Values: opVals},
+				{Name: "workload", Values: []AxisValue{
+					{Label: "sequential", Meta: false},
+					{Label: "random", Meta: true},
+				}},
+			}
+		},
+		Derive: func(opts Options, c *Cell) (any, error) {
+			sweeps := 8
+			if opts.Quick {
+				sweeps = 3
+			}
+			cfg := ssd.UpdateWAFConfig(nand.TLC, c.Values[0].Meta.(float64))
+			var order []int64
+			if c.Values[1].Meta.(bool) {
+				order = shuffledPages(cfg.LogicalPages(), 0x9E3779B97F4A7C15, 0)
+			}
+			waf, rate, err := cfg.SimulateSweeps(order, sweeps)
+			return regionWAF{waf, rate}, err
+		},
+		Tables: []TableSpec{{
+			Title:  "F11: GC sensitivity of the state region",
+			Header: []string{"over-provision", "workload", "WAF", "updates/s (window)"},
+			Rows: func(o Options, g *Grid, c *Cell) [][]any {
+				r := c.Aux.(regionWAF)
+				return [][]any{{c.Values[0].Meta.(float64), c.Values[1].Label, r.waf, r.rate}}
+			},
+		}},
+		Figures: []FigureSpec{{
+			Title: "F11: WAF vs over-provisioning", XLabel: "OP fraction", YLabel: "WAF",
+			Series: []SeriesSpec{
+				{Name: "dense sequential updates", Point: wafPoint(false)},
+				{Name: "sparse random updates", Point: wafPoint(true)},
+			},
+		}},
 	}
-	var points []wafPoint
-	for _, op := range ops {
-		points = append(points, wafPoint{op, false}, wafPoint{op, true})
-	}
-	type wafResult struct{ waf, rate float64 }
-	results := runner.Map(opts.Parallel, points, func(p wafPoint) (wafResult, error) {
-		waf, rate, err := measureRegionWAF(p.op, p.random, opts.wafSteps())
-		return wafResult{waf, rate}, err
-	})
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	for i, op := range ops {
-		seq, rnd := results[2*i].Value, results[2*i+1].Value
-		t.AddRow(op, "sequential", seq.waf, seq.rate)
-		t.AddRow(op, "random", rnd.waf, rnd.rate)
-		seqS.Add(op, seq.waf)
-		rndS.Add(op, rnd.waf)
-	}
-	return &Result{Tables: []*stats.Table{t}, Figures: []*stats.Figure{fig}}, nil
 }
 
-// measureRegionWAF drives a small state region through update sweeps and
-// reports steady-state WAF and update throughput.
-func measureRegionWAF(overProvision float64, random bool, steps int) (waf, updatesPerSec float64, err error) {
-	dev, eng, pages, err := newRegionDevice(overProvision)
-	if err != nil {
-		return 0, 0, err
-	}
+// shuffledPages is a deterministic permutation of the logical pages: a
+// Fisher–Yates shuffle driven by an LCG from seed, each draw shifted right
+// by shift bits.
+func shuffledPages(pages int64, seed uint64, shift uint) []int64 {
 	order := make([]int64, pages)
 	for i := range order {
 		order[i] = int64(i)
 	}
-	if random {
-		// Deterministic shuffle (LCG) — no time-dependent seeding.
-		state := uint64(0x9E3779B97F4A7C15)
-		for i := len(order) - 1; i > 0; i-- {
-			state = state*6364136223846793005 + 1442695040888963407
-			j := int(state % uint64(i+1))
-			order[i], order[j] = order[j], order[i]
-		}
+	state := seed
+	for i := len(order) - 1; i > 0; i-- {
+		state = state*6364136223846793005 + 1442695040888963407
+		j := int((state >> shift) % uint64(i+1))
+		order[i], order[j] = order[j], order[i]
 	}
-	var baseHost, baseGC uint64
-	var startTime, endTime sim.Time
-	for s := 0; s < steps; s++ {
-		for _, lpa := range order {
-			dev.ProgramUpdate(lpa, nil)
-		}
-		ok := false
-		dev.Drain(func() { ok = true })
-		eng.Run()
-		if !ok {
-			return 0, 0, errWedged
-		}
-		if s == 0 {
-			baseHost = dev.FTL().HostProgrammed()
-			baseGC = dev.FTL().GCProgrammed()
-			startTime = eng.Now()
-		}
-	}
-	endTime = eng.Now()
-	host := dev.FTL().HostProgrammed() - baseHost
-	gc := dev.FTL().GCProgrammed() - baseGC
-	if host == 0 {
-		return 1, 0, nil
-	}
-	waf = float64(host+gc) / float64(host)
-	elapsed := (endTime - startTime).Seconds()
-	if elapsed > 0 {
-		updatesPerSec = float64(host) / elapsed
-	}
-	return waf, updatesPerSec, nil
-}
-
-// newRegionDevice builds the small preconditioned device used by the GC
-// experiments.
-func newRegionDevice(overProvision float64) (*ssd.Device, *simEngine, int64, error) {
-	cfg := regionConfig(overProvision)
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, 0, err
-	}
-	eng := newSimEngine()
-	dev := ssd.NewDevice(eng, cfg)
-	pages := dev.FTL().LogicalPages()
-	for lpa := int64(0); lpa < pages; lpa++ {
-		dev.Preload(lpa)
-	}
-	return dev, eng, pages, nil
+	return order
 }

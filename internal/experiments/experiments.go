@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
-// reconstructed evaluation (see DESIGN.md §3). Each experiment is a pure
-// function from an Options struct to tables/figures, shared by the
-// cmd/optimstore CLI and the root benchmark harness so both always report
-// the same numbers.
+// reconstructed evaluation (see DESIGN.md §3). Each experiment is a
+// declarative Spec (specs.go) that one executor (spec.go) turns into
+// tables and figures, shared by the cmd/optimstore CLI and the root
+// benchmark harness so both always report the same numbers.
 package experiments
 
 import (
@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/fault"
-	"repro/internal/invariant"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -43,23 +42,9 @@ type Options struct {
 	// physical invariants (internal/invariant): conservation, roofline
 	// sandwich, structural sanity. Violations are recorded on the reports
 	// (surfacing in runner summaries as an INVARIANT VIOLATIONS count) and
-	// returned as errors from runSystems, so a miscalibrated model fails
+	// returned as errors from runSystem, so a miscalibrated model fails
 	// the experiment instead of silently producing a wrong table.
 	CheckInvariants bool
-}
-
-func (o Options) simUnits() int64 {
-	if o.Quick {
-		return 256
-	}
-	return 2048
-}
-
-func (o Options) wafSteps() int {
-	if o.Quick {
-		return 3
-	}
-	return 8
 }
 
 // Result is the output of one experiment.
@@ -174,7 +159,7 @@ func Run(id string, opts Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
-	res, err := s.run(opts)
+	res, err := execute(s, opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
@@ -201,47 +186,15 @@ func RunMany(ids []string, opts Options) ([]*Result, runner.Summary, error) {
 	return runner.Values(results), runner.Summarize(results), nil
 }
 
-// baseConfig is the shared default experiment point.
+// baseConfig is the shared default experiment point: 2048 simulated
+// units, 256 in quick mode.
 func baseConfig(opts Options, model dnn.Model) core.Config {
 	cfg := core.DefaultConfig(model)
-	cfg.MaxSimUnits = opts.simUnits()
+	cfg.MaxSimUnits = 2048
+	if opts.Quick {
+		cfg.MaxSimUnits = 256
+	}
 	cfg.Fault = opts.Fault
 	cfg.Checkpoint = opts.Checkpoint
 	return cfg
-}
-
-// defaultBase is the starting configuration of spec cells with no Base
-// hook: the shared GPT-13B default point.
-func defaultBase(opts Options) core.Config { return baseConfig(opts, dnn.GPT13B()) }
-
-// joinViolations formats an invariant-violation list for error text.
-func joinViolations(v []string) string { return strings.Join(v, "; ") }
-
-// runSystems runs the named systems on a config across the worker pool
-// and returns their reports in name order. Each system constructs its own
-// engine from a private copy of cfg, so points are fully independent.
-func runSystems(opts Options, cfg core.Config, names ...string) ([]*core.Report, error) {
-	if len(names) == 0 {
-		names = core.SystemNames()
-	}
-	results := runner.Map(opts.Parallel, names, func(n string) (*core.Report, error) {
-		sys, err := core.NewSystem(n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sys.Run()
-		if err != nil {
-			return nil, err
-		}
-		if opts.CheckInvariants {
-			if v := invariant.Audit(n, cfg, r); len(v) > 0 {
-				return r, fmt.Errorf("system %s violates invariants: %s", n, strings.Join(v, "; "))
-			}
-		}
-		return r, nil
-	})
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	return runner.Values(results), nil
 }

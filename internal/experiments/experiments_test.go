@@ -52,8 +52,8 @@ func TestRunUnknownID(t *testing.T) {
 
 // TestParallelDeterminism pins the runner guarantee at the experiment
 // level: fan-out across the worker pool renders byte-identical tables and
-// figures to fully sequential execution. F2 exercises the parallel
-// runSystems path, F7/F11 the converted ablation fan-outs.
+// figures to fully sequential execution. F2 fans out system runs, F7
+// system runs beside Derive jobs, F11 Derive jobs alone.
 func TestParallelDeterminism(t *testing.T) {
 	for _, id := range []string{"F2", "F7", "F11"} {
 		seqRes, err := Run(id, Options{Quick: true, Parallel: 1})

@@ -1,79 +1,110 @@
 package experiments
 
 import (
-	"repro/internal/runner"
+	"repro/internal/nand"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/stats"
 )
 
-// runF17 regenerates the read-QoS extension: tail latency of foreground
-// reads (e.g. inference serving from the same drive) while the training
-// update stream hammers the planes, with and without program/erase
-// suspend. Suspend lets a 65 µs read preempt a 300 µs program instead of
-// queueing behind it.
-func runF17(opts Options) (*Result, error) {
-	t := stats.NewTable("F17: foreground-read QoS under update load",
-		"read-suspend", "read-p50-us", "read-p99-us", "updates-done", "preemptions")
-	rounds := 6
-	if opts.Quick {
-		rounds = 3
-	}
-	type qosResult struct {
-		p50, p99          float64
-		updates, preempts uint64
-	}
-	results := runner.Map(opts.Parallel, []bool{false, true}, func(suspend bool) (qosResult, error) {
-		p50, p99, updates, preempts, err := measureReadQoS(suspend, rounds)
-		return qosResult{p50, p99, updates, preempts}, err
-	})
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	for i, suspend := range []bool{false, true} {
-		q := results[i].Value
-		t.AddRow(suspend, q.p50, q.p99, q.updates, q.preempts)
-	}
-	return &Result{Tables: []*stats.Table{t}}, nil
+// boolAxis is a two-valued axis, false first.
+func boolAxis(name string) Axis {
+	return Axis{Name: name, Values: []AxisValue{
+		{Label: "false", Meta: false},
+		{Label: "true", Meta: true},
+	}}
 }
 
-// measureReadQoS runs a background update stream with periodic foreground
-// reads and reports the read-latency percentiles.
-func measureReadQoS(suspend bool, rounds int) (p50, p99 float64, updates, preempts uint64, err error) {
-	cfg := regionConfig(0.2)
+// updateLoad is the windowed background update stream of F17 and F19:
+// total ProgramUpdates on dev, at most 64 in flight, the i-th to page
+// next(i).
+type updateLoad struct {
+	dev                 *ssd.Device
+	next                func(i int64) int64
+	total, issued, done int64
+	// onDone, when set, runs after each completion is counted and before
+	// the window refills.
+	onDone func()
+}
+
+func (l *updateLoad) pump() {
+	for l.issued-l.done < 64 && l.issued < l.total {
+		lpa := l.next(l.issued)
+		l.issued++
+		l.dev.ProgramUpdate(lpa, l.completed)
+	}
+}
+
+func (l *updateLoad) completed() {
+	l.done++
+	if l.onDone != nil {
+		l.onDone()
+	}
+	l.pump()
+}
+
+// run issues the first window, lets start (when set) add foreground
+// load, and runs the device until it drains.
+func (l *updateLoad) run(start func()) error {
+	l.pump()
+	if start != nil {
+		start()
+	}
+	return l.dev.RunDrained()
+}
+
+// readQoS is one F17 row.
+type readQoS struct {
+	p50, p99          float64
+	updates, preempts uint64
+}
+
+// specF17 is the read-QoS extension: tail latency of foreground reads
+// (e.g. inference serving from the same drive) while the training update
+// stream hammers the planes, with and without program/erase suspend.
+// Suspend lets a 65 µs read preempt a 300 µs program instead of queueing
+// behind it.
+func specF17() Spec {
+	return Spec{
+		ID: "F17", Title: "Read QoS under update load: program suspend (extension)",
+		Axes: func(Options) []Axis { return []Axis{boolAxis("read-suspend")} },
+		Derive: func(opts Options, c *Cell) (any, error) {
+			rounds := 6
+			if opts.Quick {
+				rounds = 3
+			}
+			return measureReadQoS(c.Values[0].Meta.(bool), rounds)
+		},
+		Tables: []TableSpec{{
+			Title:  "F17: foreground-read QoS under update load",
+			Header: []string{"read-suspend", "read-p50-us", "read-p99-us", "updates-done", "preemptions"},
+			Rows: func(o Options, g *Grid, c *Cell) [][]any {
+				q := c.Aux.(readQoS)
+				return [][]any{{c.Values[0].Meta.(bool), q.p50, q.p99, q.updates, q.preempts}}
+			},
+		}},
+	}
+}
+
+// measureReadQoS runs `rounds` full update sweeps in the background with a
+// foreground read every 200 µs and reports the read-latency percentiles.
+func measureReadQoS(suspend bool, rounds int) (readQoS, error) {
+	cfg := ssd.UpdateWAFConfig(nand.TLC, 0.2)
 	cfg.Nand.ReadSuspend = suspend
 	cfg.Nand.ResumeOverhead = 20 * sim.Microsecond
-	if err := cfg.Validate(); err != nil {
-		return 0, 0, 0, 0, err
+	dev, err := ssd.NewPreloaded(cfg, nil)
+	if err != nil {
+		return readQoS{}, err
 	}
-	eng := newSimEngine()
-	dev := ssd.NewDevice(eng, cfg)
-	pages := dev.FTL().LogicalPages()
-	for lpa := int64(0); lpa < pages; lpa++ {
-		dev.Preload(lpa)
-	}
+	eng := dev.Engine()
+	pages := cfg.LogicalPages()
+	load := &updateLoad{dev: dev, total: pages * int64(rounds),
+		next: func(i int64) int64 { return i % pages }}
 
-	// Background: `rounds` full update sweeps, windowed.
-	total := pages * int64(rounds)
-	var issued, done int64
-	var pump func()
-	pump = func() {
-		for issued-done < 64 && issued < total {
-			lpa := issued % pages
-			issued++
-			dev.ProgramUpdate(lpa, func() {
-				done++
-				pump()
-			})
-		}
-	}
-	pump()
-
-	// Foreground: one random-ish read every 200 µs.
-	lat := newHist()
+	lat := stats.NewHist("lat")
 	var reader func(i int64)
 	reader = func(i int64) {
-		if done >= total {
+		if load.done >= load.total {
 			return
 		}
 		lpa := (i * 7919) % pages
@@ -83,126 +114,94 @@ func measureReadQoS(suspend bool, rounds int) (p50, p99 float64, updates, preemp
 		})
 		eng.Schedule(200*sim.Microsecond, func() { reader(i + 1) })
 	}
-	eng.Schedule(0, func() { reader(0) })
-
-	wedged := true
-	dev.Drain(func() { wedged = false })
-	eng.Run()
-	if wedged {
-		return 0, 0, 0, 0, errWedged
+	if err := load.run(func() { eng.Schedule(0, func() { reader(0) }) }); err != nil {
+		return readQoS{}, err
 	}
-	var preemptTotal uint64
+	var preempts uint64
 	for ch := 0; ch < cfg.Channels; ch++ {
 		for _, die := range dev.Channel(ch).Dies() {
-			preemptTotal += die.Preemptions()
+			preempts += die.Preemptions()
 		}
 	}
-	return lat.Percentile(50), lat.Percentile(99), dev.Stats().UpdateWrites, preemptTotal, nil
+	return readQoS{lat.Percentile(50), lat.Percentile(99), dev.Stats().UpdateWrites, preempts}, nil
 }
 
-// runF19 regenerates the GC stream-separation ablation: write amplification
-// of a skewed update stream (a hot subset rewritten constantly over a cold
-// majority) with GC relocations directed to their own blocks vs mixed into
-// the update stream's blocks.
-func runF19(opts Options) (*Result, error) {
-	t := stats.NewTable("F19: GC hot/cold stream separation",
-		"separation", "WAF", "gc-relocations", "updates/s (window)")
-	rounds := 10
-	if opts.Quick {
-		rounds = 5
-	}
-	type sepResult struct {
-		waf    float64
-		relocs uint64
-		rate   float64
-	}
-	results := runner.Map(opts.Parallel, []bool{false, true}, func(sep bool) (sepResult, error) {
-		waf, relocs, rate, err := measureSkewedWAF(sep, rounds)
-		return sepResult{waf, relocs, rate}, err
-	})
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	for i, sep := range []bool{false, true} {
-		r := results[i].Value
-		t.AddRow(sep, r.waf, r.relocs, r.rate)
-	}
-	return &Result{Tables: []*stats.Table{t}}, nil
+// skewedWAF is one F19 row.
+type skewedWAF struct {
+	waf    float64
+	relocs uint64
+	rate   float64
 }
 
-// measureSkewedWAF drives a hot/cold skewed update stream: 25% of the
-// pages receive 90% of the updates.
-func measureSkewedWAF(separation bool, rounds int) (waf float64, relocs uint64, rate float64, err error) {
-	cfg := regionConfig(0.125)
+// specF19 is the GC stream-separation ablation: write amplification of a
+// skewed update stream (a hot subset rewritten constantly over a cold
+// majority) with GC relocations directed to their own blocks vs mixed
+// into the update stream's blocks.
+func specF19() Spec {
+	return Spec{
+		ID: "F19", Title: "GC hot/cold stream separation (extension)",
+		Axes: func(Options) []Axis { return []Axis{boolAxis("separation")} },
+		Derive: func(opts Options, c *Cell) (any, error) {
+			rounds := 10
+			if opts.Quick {
+				rounds = 5
+			}
+			return measureSkewedWAF(c.Values[0].Meta.(bool), rounds)
+		},
+		Tables: []TableSpec{{
+			Title:  "F19: GC hot/cold stream separation",
+			Header: []string{"separation", "WAF", "gc-relocations", "updates/s (window)"},
+			Rows: func(o Options, g *Grid, c *Cell) [][]any {
+				r := c.Aux.(skewedWAF)
+				return [][]any{{c.Values[0].Meta.(bool), r.waf, r.relocs, r.rate}}
+			},
+		}},
+	}
+}
+
+// measureSkewedWAF drives a hot/cold skewed update stream: a quarter of
+// the pages receive 98% of the updates.
+func measureSkewedWAF(separation bool, rounds int) (skewedWAF, error) {
+	cfg := ssd.UpdateWAFConfig(nand.TLC, 0.125)
 	cfg.HotColdSeparation = separation
-	if err := cfg.Validate(); err != nil {
-		return 0, 0, 0, err
-	}
-	eng := newSimEngine()
-	dev := ssd.NewDevice(eng, cfg)
-	pages := dev.FTL().LogicalPages()
+	pages := cfg.LogicalPages()
 	// Precondition in shuffled order so hot and cold pages start physically
 	// interleaved, as on an aged drive — the state stream separation has to
 	// untangle.
-	order := make([]int64, pages)
-	for i := range order {
-		order[i] = int64(i)
+	dev, err := ssd.NewPreloaded(cfg, shuffledPages(pages, 0x2545F4914F6CDD1D, 33))
+	if err != nil {
+		return skewedWAF{}, err
 	}
-	shuf := uint64(0x2545F4914F6CDD1D)
-	for i := len(order) - 1; i > 0; i-- {
-		shuf = shuf*6364136223846793005 + 1442695040888963407
-		j := int((shuf >> 33) % uint64(i+1))
-		order[i], order[j] = order[j], order[i]
-	}
-	for _, lpa := range order {
-		dev.Preload(lpa)
-	}
+	eng, ftl := dev.Engine(), dev.FTL()
 	hot := pages / 4
-	// Deterministic LCG picks the next update target: 90% hot, 10% cold.
+	// Deterministic LCG picks the next update target: 98% hot, 2% cold.
 	state := uint64(0x853C49E6748FEA9B)
-	next := func() int64 {
+	load := &updateLoad{dev: dev, total: pages * int64(rounds), next: func(int64) int64 {
 		state = state*6364136223846793005 + 1442695040888963407
 		r := state >> 33
 		if r%100 < 98 {
 			return int64(r) % hot
 		}
 		return hot + int64(r)%(pages-hot)
-	}
-	total := pages * int64(rounds)
-	var issued, done int64
+	}}
 	var baseHost, baseGC uint64
 	var start sim.Time
-	var pump func()
-	pump = func() {
-		for issued-done < 64 && issued < total {
-			issued++
-			dev.ProgramUpdate(next(), func() {
-				done++
-				if done == total/4 { // skip warm-up for steady-state WAF
-					baseHost = dev.FTL().HostProgrammed()
-					baseGC = dev.FTL().GCProgrammed()
-					start = eng.Now()
-				}
-				pump()
-			})
+	load.onDone = func() {
+		if load.done == load.total/4 { // skip warm-up for steady-state WAF
+			baseHost, baseGC, start = ftl.HostProgrammed(), ftl.GCProgrammed(), eng.Now()
 		}
 	}
-	pump()
-	ok := false
-	dev.Drain(func() { ok = true })
-	eng.Run()
-	if !ok {
-		return 0, 0, 0, errWedged
+	if err := load.run(nil); err != nil {
+		return skewedWAF{}, err
 	}
-	host := dev.FTL().HostProgrammed() - baseHost
-	gc := dev.FTL().GCProgrammed() - baseGC
+	host := ftl.HostProgrammed() - baseHost
+	gc := ftl.GCProgrammed() - baseGC
 	if host == 0 {
-		return 1, 0, 0, nil
+		return skewedWAF{waf: 1}, nil
 	}
-	waf = float64(host+gc) / float64(host)
-	elapsed := (eng.Now() - start).Seconds()
-	if elapsed > 0 {
-		rate = float64(host) / elapsed
+	r := skewedWAF{waf: float64(host+gc) / float64(host), relocs: dev.Stats().GCRelocations}
+	if elapsed := (eng.Now() - start).Seconds(); elapsed > 0 {
+		r.rate = float64(host) / elapsed
 	}
-	return waf, dev.Stats().GCRelocations, rate, nil
+	return r, nil
 }

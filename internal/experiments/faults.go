@@ -24,45 +24,48 @@ func f20Storm(opts Options) fault.Spec {
 	}
 }
 
-// runF20 compares the checkpoint policies under a mixed fault storm. The
+// specF20 compares the checkpoint policies under a mixed fault storm. The
 // policy is pure accounting — the same seed fires the identical fault set
 // under each policy — so the table isolates the trade the paper's
 // recovery discussion frames: in-place (ODP copyback) checkpoints are
 // cheap to take and to restore but program NAND (WAF cost) and lose a
 // die's checkpoint shard with the die; host-pull checkpoints pay the
 // external link both ways but write nothing device-side.
-func runF20(opts Options) (*Result, error) {
-	storm := f20Storm(opts)
-
-	// Policy comparison on the flagship offload point: OptimStore on a
-	// model that cannot stay GPU-resident.
-	policies := []fault.Policy{fault.CheckpointNone, fault.CheckpointInPlace, fault.CheckpointHostPull}
-	var polReports []*core.Report
-	for _, p := range policies {
-		cfg := baseConfig(opts, dnn.GPT13B())
-		cfg.Fault = storm
-		cfg.Checkpoint = p
-		rs, err := runSystems(opts, cfg, "optimstore")
-		if err != nil {
-			return nil, err
-		}
-		polReports = append(polReports, rs...)
+func specF20() Spec {
+	stormed := func(opts Options, model dnn.Model) core.Config {
+		cfg := baseConfig(opts, model)
+		cfg.Fault = f20Storm(opts)
+		return cfg
 	}
-
-	// The same storm surfaced to all four systems (BERT-Large so the
-	// GPU-resident reference is feasible and prices its analytic row).
-	cfg := baseConfig(opts, dnn.BERTLarge())
-	cfg.Fault = storm
-	cfg.Checkpoint = fault.CheckpointInPlace
-	sysReports, err := runSystems(opts, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		Tables: []*stats.Table{
-			core.FaultTable("Checkpoint policies under a mixed fault storm (OptimStore, GPT-13B)", polReports),
-			core.FaultTable("Fault storm across systems (in-place checkpoints, BERT-Large)", sysReports),
+	return Spec{
+		ID: "F20", Title: "Fault storms: checkpoint policy comparison (extension)",
+		// Policy comparison on the flagship offload point: OptimStore on a
+		// model that cannot stay GPU-resident.
+		Base: func(opts Options) core.Config { return stormed(opts, dnn.GPT13B()) },
+		Axes: func(Options) []Axis {
+			policies := []fault.Policy{fault.CheckpointNone, fault.CheckpointInPlace, fault.CheckpointHostPull}
+			vals := make([]AxisValue, len(policies))
+			for i, p := range policies {
+				vals[i] = AxisValue{Label: p.String(), Meta: p, Apply: func(c *core.Config) { c.Checkpoint = p }}
+			}
+			return []Axis{{Name: "checkpoint", Values: vals}}
 		},
-	}, nil
+		Systems: []string{core.SystemOptimStore},
+		Tables: []TableSpec{{Build: func(o Options, g *Grid) *stats.Table {
+			return core.FaultTable("Checkpoint policies under a mixed fault storm (OptimStore, GPT-13B)", g.AllReports())
+		}}},
+		// The same storm surfaced to every system (BERT-Large so the
+		// GPU-resident reference is feasible and prices its analytic row).
+		Then: &Spec{
+			Base: func(opts Options) core.Config {
+				cfg := stormed(opts, dnn.BERTLarge())
+				cfg.Checkpoint = fault.CheckpointInPlace
+				return cfg
+			},
+			Systems: core.SystemNames(),
+			Tables: []TableSpec{{Build: func(o Options, g *Grid) *stats.Table {
+				return core.FaultTable("Fault storm across systems (in-place checkpoints, BERT-Large)", g.AllReports())
+			}}},
+		},
+	}
 }

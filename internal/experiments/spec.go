@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dnn"
 	"repro/internal/invariant"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -13,8 +15,8 @@ import (
 // An experiment is data: the axes to sweep, the systems to run at every
 // grid cell, an optional per-cell derived computation, and the tables and
 // figures to assemble from the completed grid. One generic executor
-// (exec.go) expands the axes into (cell, system) simulation points, fans
-// them across the worker pool, and renders the declared output — replacing
+// expands the axes into (cell, system) simulation points, fans them
+// across the worker pool, and renders the declared output — replacing
 // the hand-coded run function every experiment used to be.
 
 // AxisValue is one setting of a sweep axis: a config mutation plus the
@@ -56,9 +58,6 @@ type Cell struct {
 	// Aux is whatever the spec's Derive hook computed for this cell.
 	Aux any
 }
-
-// Report returns the cell's report for the i-th spec system.
-func (c *Cell) Report(i int) *core.Report { return c.Reports[i] }
 
 // Grid is the fully evaluated experiment: every cell with its reports and
 // derived values, in row-major axis order.
@@ -126,11 +125,6 @@ type Spec struct {
 	ID    string
 	Title string
 
-	// Custom short-circuits the executor for experiments that are not
-	// grid-shaped (bespoke device-level measurements, fault storms). A
-	// spec sets either Custom or the declarative fields, never both.
-	Custom func(Options) (*Result, error)
-
 	// Axes returns the sweep dimensions for the options (quick mode
 	// typically thins the value lists). Nil or empty means a single cell.
 	Axes func(Options) []Axis
@@ -146,20 +140,18 @@ type Spec struct {
 
 	Tables  []TableSpec
 	Figures []FigureSpec
-}
 
-// run executes the spec: Custom when set, the generic executor otherwise.
-func (s *Spec) run(opts Options) (*Result, error) {
-	if s.Custom != nil {
-		return s.Custom(opts)
-	}
-	return execute(s, opts)
+	// Then is a second grid, evaluated after this one, whose tables and
+	// figures are appended to this spec's (F9's per-model table, F20's
+	// cross-system storm). Its ID and Title are unused.
+	Then *Spec
 }
 
 // execute expands a declarative spec into its grid, fans every (cell,
-// system) simulation and every Derive across the worker pool, and renders
-// the declared tables and figures. All outputs are deterministic, so the
-// fan-out granularity never changes a byte of the result.
+// system) simulation and every Derive across the worker pool, renders
+// the declared tables and figures, and appends those of the Then grid.
+// All outputs are deterministic, so the fan-out granularity never changes
+// a byte of the result.
 func execute(s *Spec, opts Options) (*Result, error) {
 	grid, err := expand(s, opts)
 	if err != nil {
@@ -168,7 +160,17 @@ func execute(s *Spec, opts Options) (*Result, error) {
 	if err := evaluate(s, opts, grid); err != nil {
 		return nil, err
 	}
-	return render(s, opts, grid)
+	res, err := render(s, opts, grid)
+	if err != nil || s.Then == nil {
+		return res, err
+	}
+	then, err := execute(s.Then, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Tables = append(res.Tables, then.Tables...)
+	res.Figures = append(res.Figures, then.Figures...)
+	return res, nil
 }
 
 // expand builds the grid cells: the cross-product of the axes in
@@ -199,7 +201,7 @@ func expand(s *Spec, opts Options) (*Grid, error) {
 		if s.Base != nil {
 			c.Cfg = s.Base(opts)
 		} else {
-			c.Cfg = defaultBase(opts)
+			c.Cfg = baseConfig(opts, dnn.GPT13B())
 		}
 		for ai, a := range axes {
 			v := a.Values[coord[ai]]
@@ -269,8 +271,8 @@ func evaluate(s *Spec, opts Options, g *Grid) error {
 }
 
 // runSystem runs one system on one configuration, auditing the report
-// against the physical-invariant registry when the options ask for it —
-// the same contract runSystems gives the custom experiments.
+// against the physical-invariant registry when the options ask for it.
+// Every simulated experiment point runs through it.
 func runSystem(opts Options, name string, cfg core.Config) (*core.Report, error) {
 	sys, err := core.NewSystem(name, cfg)
 	if err != nil {
@@ -282,7 +284,7 @@ func runSystem(opts Options, name string, cfg core.Config) (*core.Report, error)
 	}
 	if opts.CheckInvariants {
 		if v := invariant.Audit(name, cfg, r); len(v) > 0 {
-			return r, fmt.Errorf("system %s violates invariants: %s", name, joinViolations(v))
+			return r, fmt.Errorf("system %s violates invariants: %s", name, strings.Join(v, "; "))
 		}
 	}
 	return r, nil

@@ -147,3 +147,15 @@ func TestSortIDs(t *testing.T) {
 		})
 	}
 }
+
+// TestQuickSuiteAudited runs every experiment of the quick suite with
+// invariant auditing on: each simulated report passes through runSystem's
+// audit, the run path every spec shares.
+func TestQuickSuiteAudited(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite run in -short mode")
+	}
+	if _, _, err := RunMany(IDs(), Options{Quick: true, CheckInvariants: true}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,13 +13,12 @@ import (
 	"repro/internal/units"
 )
 
-// specs is the experiment registry, in data form. Grid-shaped experiments
-// declare axes/systems/derive/tables/figures and run through the generic
-// executor; device-level measurements that drive the SSD model directly
-// (GC, QoS, fault storms) keep their bespoke run functions behind Custom.
+// specs is the experiment registry, in data form: every experiment
+// declares axes/systems/derive/tables/figures (and at most one Then grid)
+// and runs through the one executor (spec.go).
 var specs = []Spec{
-	{ID: "T1", Title: "System configuration", Custom: runT1},
-	{ID: "T2", Title: "Model zoo and state footprints", Custom: runT2},
+	specT1(),
+	specT2(),
 	specF1(),
 	specF2(),
 	specF3(),
@@ -28,19 +27,28 @@ var specs = []Spec{
 	specF6(),
 	specF7(),
 	specF8(),
-	{ID: "F9", Title: "Endurance and lifetime", Custom: runF9},
+	specF9(),
 	specF10(),
-	{ID: "F11", Title: "GC / over-provisioning sensitivity", Custom: runF11},
+	specF11(),
 	specF12(),
 	specF13(),
 	specF14(),
 	specF15(),
 	specF16(),
-	{ID: "F17", Title: "Read QoS under update load: program suspend (extension)", Custom: runF17},
+	specF17(),
 	specF18(),
-	{ID: "F19", Title: "GC hot/cold stream separation (extension)", Custom: runF19},
-	{ID: "F20", Title: "Fault storms: checkpoint policy comparison (extension)", Custom: runF20},
+	specF19(),
+	specF20(),
 	specF21(),
+}
+
+// perfModels is the model subset used by the latency experiments: the
+// offload-relevant range.
+func perfModels(opts Options) []dnn.Model {
+	if opts.Quick {
+		return []dnn.Model{dnn.GPT2XL(), dnn.GPT13B()}
+	}
+	return []dnn.Model{dnn.BERTLarge(), dnn.GPT2XL(), dnn.GPT6B7(), dnn.GPT13B(), dnn.GPT30B()}
 }
 
 // modelAxis builds an axis whose values swap the model under test.
@@ -440,8 +448,9 @@ func specF12() Spec {
 			return []Axis{intAxis("lanes", []int{1, 2, 4, 8, 16, 32}, func(*core.Config, int) {})}
 		},
 		Derive: func(opts Options, c *Cell) (any, error) {
-			p := defaultODPWithLanes(c.Values[0].Meta.(int))
-			return lanePoint{p: p, c: odpCost(p)}, nil
+			p := odp.DefaultParams()
+			p.Lanes = c.Values[0].Meta.(int)
+			return lanePoint{p: p, c: odp.CostFor(p)}, nil
 		},
 		Tables: []TableSpec{{
 			Title:  "F12: on-die processing unit cost model",

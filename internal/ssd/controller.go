@@ -80,6 +80,8 @@ type Device struct {
 
 	outstanding  int
 	drainWaiters []func()
+	// wedged is set when a plane's writers can never get space (gc.go).
+	wedged error
 
 	hostReads, hostWrites     uint64
 	updateReads, updateWrites uint64
@@ -239,6 +241,25 @@ func (d *Device) Drain(done func()) {
 	}
 	//simlint:allow hotalloc a run drains once, after its last unit
 	d.drainWaiters = append(d.drainWaiters, done)
+}
+
+// Wedged returns the error of the first plane that wedged, or nil.
+func (d *Device) Wedged() error { return d.wedged }
+
+// RunDrained runs the engine until every outstanding operation completes.
+// A run that ends first returns the wedged plane's error, or one naming
+// the operations left outstanding.
+func (d *Device) RunDrained() error {
+	drained := false
+	d.Drain(func() { drained = true })
+	d.eng.Run()
+	switch {
+	case drained:
+		return nil
+	case d.wedged != nil:
+		return d.wedged
+	}
+	return fmt.Errorf("ssd: device did not drain: %d operations outstanding", d.outstanding)
 }
 
 // Preload installs a mapping for lpa without consuming simulated time,

@@ -1,5 +1,7 @@
 package ssd
 
+import "fmt"
+
 // Garbage collection. Each plane collects independently: when its free-
 // block count reaches the low watermark, the device greedily picks the
 // full block with the fewest valid pages, relocates those pages within the
@@ -38,17 +40,28 @@ func (d *Device) gcStep(o *op) {
 		// Nothing reclaimable right now. With programs still in flight on
 		// the plane that is transient — each completion commits a mapping
 		// and re-triggers maybeGC, so progress resumes. With none, pending
-		// writers can never be satisfied: a genuine wedge.
+		// writers can never be satisfied: a genuine wedge, recorded and
+		// ending the run undrained.
 		if d.pending[plane].Len() > 0 && d.ftl.FreeBlocks(plane) == 0 &&
 			d.ftl.InflightPrograms(plane) == 0 {
-			//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-			panic("ssd: plane wedged: writers pending but nothing reclaimable " +
-				"(logical load exceeds physical capacity)")
+			d.wedge(plane)
+			return
 		}
 		d.gcFinish(o)
 		return
 	}
 	d.relocateBlock(o, victim)
+}
+
+// wedge records the first wedged plane and stops the engine; the pending
+// writers and the plane's GC op stay outstanding, so the device never
+// drains.
+func (d *Device) wedge(plane int) {
+	if d.wedged == nil {
+		//simlint:allow hotalloc cold path; formatting happens once, on a wedged device
+		d.wedged = fmt.Errorf("ssd: plane %d wedged: writers pending but nothing reclaimable (logical load exceeds physical capacity)", plane)
+	}
+	d.eng.Stop()
 }
 
 func (d *Device) gcFinish(o *op) {

@@ -7,10 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// UpdateWAFConfig is the scaled-down device core.MeasureUpdateWAF drives
-// through update sweeps: 2 channels × 2 dies × 2 planes of 16 blocks × 32
-// pages of the given cell type, GC watermarks 2 and 3, at the given
-// over-provisioning.
+// UpdateWAFConfig is the scaled-down state region the update-stream
+// measurements drive (core.MeasureUpdateWAF, experiments F11, F17 and
+// F19): 2 channels × 2 dies × 2 planes of 16 blocks × 32 pages of the
+// given cell type, GC watermarks 2 and 3, at the given over-provisioning.
 func UpdateWAFConfig(cell nand.CellType, overProvision float64) Config {
 	n := nand.ParamsFor(cell)
 	n.BlocksPerPlane = 16
@@ -27,6 +27,65 @@ func UpdateWAFConfig(cell nand.CellType, overProvision float64) Config {
 		DRAMPageLatency: 2 * sim.Microsecond,
 		CmdLatency:      5 * sim.Microsecond,
 	}
+}
+
+// NewPreloaded builds the device c describes on a fresh engine and
+// preloads every logical page, in order when order is non-nil and
+// ascending otherwise: a drive whose state region is written once.
+func NewPreloaded(c Config, order []int64) (*Device, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	d := NewDevice(sim.NewEngine(), c)
+	eachPage(order, d.ftl.LogicalPages(), d.Preload)
+	return d, nil
+}
+
+// eachPage calls fn on every logical page, in order when order is non-nil
+// and ascending otherwise.
+func eachPage(order []int64, pages int64, fn func(lpa int64)) {
+	if order != nil {
+		for _, lpa := range order {
+			fn(lpa)
+		}
+		return
+	}
+	for lpa := int64(0); lpa < pages; lpa++ {
+		fn(lpa)
+	}
+}
+
+// SimulateSweeps measures the update stream SweepWAF decides: on a
+// preloaded device, sweeps full passes of ProgramUpdate over every logical
+// page, in order when order is non-nil and ascending otherwise, draining
+// after each pass. It returns the write-amplification factor and the
+// update rate of every pass after the first, which fills the log cold.
+func (c Config) SimulateSweeps(order []int64, sweeps int) (waf, updatesPerSec float64, err error) {
+	d, err := NewPreloaded(c, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	update := func(lpa int64) { d.ProgramUpdate(lpa, nil) }
+	var baseHost, baseGC uint64
+	var start sim.Time
+	for s := 0; s < sweeps; s++ {
+		eachPage(order, d.ftl.LogicalPages(), update)
+		if err := d.RunDrained(); err != nil {
+			return 0, 0, fmt.Errorf("ssd: update sweep %d of %d: %w", s+1, sweeps, err)
+		}
+		if s == 0 {
+			baseHost, baseGC, start = d.ftl.HostProgrammed(), d.ftl.GCProgrammed(), d.eng.Now()
+		}
+	}
+	host := d.ftl.HostProgrammed() - baseHost
+	gc := d.ftl.GCProgrammed() - baseGC
+	if host == 0 {
+		return 1, 0, nil
+	}
+	if elapsed := (d.eng.Now() - start).Seconds(); elapsed > 0 {
+		updatesPerSec = float64(host) / elapsed
+	}
+	return float64(host+gc) / float64(host), updatesPerSec, nil
 }
 
 // SweepWAF decides the steady-state write-amplification factor of the
