@@ -25,14 +25,16 @@
 # re-runs the tracing layer's contract tests by name (byte-identical
 # Chrome files across pool widths, zero disabled-tracer allocations,
 # trace/utilization reconciliation — DESIGN.md §8) so a verify log shows
-# their verdict explicitly. Run `make verify` before sending changes.
+# their verdict explicitly; examples runs every program under examples/
+# end to end, so one that compiles but fails at run time breaks the
+# build. Run `make verify` before sending changes.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify vet tier1 tier2 tier3 tier4 tier5 tier6 fuzz-smoke trace-verify bench bench-gate bench-smoke
+.PHONY: verify vet tier1 tier2 tier3 tier4 tier5 tier6 fuzz-smoke trace-verify examples bench bench-gate bench-smoke
 
-verify: tier1 tier2 tier3 tier4 tier5 tier6 trace-verify bench-smoke bench-gate
+verify: tier1 tier2 tier3 tier4 tier5 tier6 trace-verify examples bench-smoke bench-gate
 
 # wallbench is its own module, so ./... never reaches it; vetting it
 # compiles the benchmark and its tests against the current API.
@@ -71,6 +73,14 @@ trace-verify:
 	$(GO) test -run 'TestTracedSweepDeterministicAcrossWidths' -v ./cmd/sweep/
 	$(GO) test -run 'TestDisabledTracerAddsNoAllocations|TestTracerObservesEngineAndResource' -v ./internal/sim/
 	$(GO) test -run 'TestTracedRunMatchesUntraced|TestTraceReconcilesWithReportedLinkUtil' -v ./internal/core/
+
+# Each example prints its study to stdout; only its exit status matters.
+examples:
+	$(GO) run ./examples/gpt_offload > /dev/null
+	$(GO) run ./examples/layout_study > /dev/null
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/ssd_explorer > /dev/null
+	$(GO) run ./examples/train_demo > /dev/null
 
 # One `go test -fuzz` invocation per target: the fuzz engine accepts a
 # single fuzz pattern per run. -run='^$$' skips the unit tests each time;

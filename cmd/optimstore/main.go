@@ -78,8 +78,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	opts := experiments.Options{
+		Quick: *quick, Parallel: *parallel, CheckInvariants: *check,
+		Fault: faultSpec, Checkpoint: ckpt,
+	}
 	if *traceTo != "" {
-		opts := experiments.Options{Quick: *quick, Parallel: *parallel, Fault: faultSpec, Checkpoint: ckpt}
 		res, traces, summary, err := experiments.TraceSystems(opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "optimstore:", err)
@@ -111,10 +114,6 @@ func main() {
 		for i := range ids {
 			ids[i] = strings.TrimSpace(ids[i])
 		}
-	}
-	opts := experiments.Options{
-		Quick: *quick, Parallel: *parallel, CheckInvariants: *check,
-		Fault: faultSpec, Checkpoint: ckpt,
 	}
 	// Experiments fan across the worker pool; results come back in the
 	// requested order, so the emitted report stream is identical at any

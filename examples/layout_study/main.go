@@ -30,11 +30,7 @@ func main() {
 	for i, strat := range layout.Strategies() {
 		c := cfg
 		c.Layout = strat
-		sys, err := core.NewSystem("optimstore", c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := sys.Run()
+		r, err := run(c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,10 +55,16 @@ func main() {
              gathers pages across dies over the channel buses.`)
 
 	// --- Endurance ----------------------------------------------------------
+	// Lifetime is priced, not simulated: one OptimStore run sets the
+	// training cadence that converts steps to days for every cell mode.
 	fmt.Println("\nHow the cell mode decides lifetime (GPT-13B, Adam):")
+	opt, err := run(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	et := stats.NewTable("", "cell", "capacity-TB", "fits", "WAF", "lifetime-steps", "lifetime-days")
 	for _, cell := range []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC} {
-		rep, err := core.RunEndurance(cfg, cell)
+		rep, err := core.RunEndurance(cfg, cell, opt.StepTime)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,4 +81,13 @@ func main() {
   cycles make that a consumable; an SLC-mode state region (1 bit/cell,
   ~100K usable cycles) trades 3x capacity for ~30-50x lifetime — the
   deployment-defining knob for in-storage training.`)
+}
+
+// run simulates OptimStore on one configuration.
+func run(cfg core.Config) (*core.Report, error) {
+	sys, err := core.NewSystem("optimstore", cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run()
 }

@@ -128,10 +128,10 @@ func fullDrive(cfg Config, cell nand.CellType) ssd.Config {
 // configuration, in optimizer steps, at a given steady-state WAF: the
 // state footprint times WAF is programmed each step, spread across the
 // full drive's blocks with ideal wear levelling. fits is false (and steps
-// zero) when the state does not fit the usable capacity — the same
-// capacity test RunEndurance applies.
+// zero) when the state does not fit the usable capacity. RunEndurance is
+// built on it, so this is the one capacity test lifetime answers apply.
 func AnalyticLifetime(cfg Config, cell nand.CellType, waf float64) (steps float64, fits bool) {
-	stateBytes := int64(float64(cfg.Model.Params) * cfg.Spec().ResidentBytes())
+	stateBytes := cfg.StateBytes()
 	drive := fullDrive(cfg, cell)
 	geo := drive.Geometry()
 	usable := float64(geo.TotalBytes()) * (1 - cfg.SSD.OverProvision)

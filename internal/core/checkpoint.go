@@ -47,7 +47,8 @@ func Checkpoint(cfg Config) (*CheckpointReport, error) {
 	// to end; binary units appear only in capacity math
 	// (Geometry().TotalBytes() below). Both closed forms live in
 	// checkpointTimes, shared with the fault accounting.
-	hostStream, inStorage, state := checkpointTimes(cfg)
+	hostStream, inStorage := checkpointTimes(cfg)
+	state := cfg.StateBytes()
 	r := &CheckpointReport{Model: cfg.Model.Name, StateBytes: state}
 	r.HostStreamTime = hostStream
 	r.InStorageCopyTime = inStorage

@@ -59,27 +59,26 @@ type ClusterReport struct {
 	Efficiency float64
 }
 
-// RunCluster evaluates one system under data-parallel scaling. Per-shard
-// device behaviour comes from a real simulation of the sharded
-// configuration; the collectives use the standard ring cost model
-// (2(N−1)/N volume for all-reduce, (N−1)/N for all-gather).
-func RunCluster(cfg Config, cc ClusterConfig, system string) (*ClusterReport, error) {
+// ShardParams is the parameter count each of workers devices owns when
+// the state is sharded 1/N per device: ceil(params/workers).
+func ShardParams(params int64, workers int) int64 {
+	return int64(math.Ceil(float64(params) / float64(workers)))
+}
+
+// RunCluster prices one system under data-parallel scaling from two
+// reports the caller simulated; it simulates nothing. shard is the system
+// on cfg with Model.Params cut to ShardParams(Params, cc.Workers), and
+// single the same system on cfg itself, whose rate Efficiency compares
+// against. The collectives use the standard ring cost model (2(N−1)/N
+// volume for all-reduce, (N−1)/N for all-gather).
+func RunCluster(cfg Config, cc ClusterConfig, shard, single *Report) (*ClusterReport, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	// Shard the parameter space: each device owns 1/N of the units.
-	shard := cfg
-	shard.Model.Params = int64(math.Ceil(float64(cfg.Model.Params) / float64(cc.Workers)))
-	sys, err := NewSystem(system, shard)
-	if err != nil {
-		return nil, err
-	}
-	r, err := sys.Run()
-	if err != nil {
-		return nil, err
-	}
-	if !r.Feasible {
-		return nil, fmt.Errorf("core: %s infeasible on shard: %s", system, r.Notes)
+	for _, r := range []*Report{shard, single} {
+		if !r.Feasible {
+			return nil, fmt.Errorf("core: %s infeasible on shard: %s", r.System, r.Notes)
+		}
 	}
 
 	spec := cfg.Spec()
@@ -89,10 +88,10 @@ func RunCluster(cfg Config, cc ClusterConfig, system string) (*ClusterReport, er
 	n := float64(cc.Workers)
 	bw := units.GBps(cc.InterconnectGBps)
 	rep := &ClusterReport{
-		System:       system,
+		System:       shard.System,
 		Model:        cfg.Model.Name,
 		Workers:      cc.Workers,
-		ShardOptStep: r.OptStepTime,
+		ShardOptStep: shard.OptStepTime,
 		FwdBwd:       cfg.GPU.ComputeTime(cfg.Model.StepFlops(cfg.Batch)),
 	}
 	if cc.Workers > 1 {
@@ -103,23 +102,18 @@ func RunCluster(cfg Config, cc ClusterConfig, system string) (*ClusterReport, er
 	// Serial composition with the same scalar overlap applied to the
 	// optimizer phase as in the single-device model.
 	hidden := rep.FwdBwd.Scale(cfg.OverlapFraction)
-	exposed := rep.ShardOptStep + rep.AllReduce + rep.AllGather - hidden
-	if exposed < 0 {
-		exposed = 0
+	step := func(exposed sim.Time) sim.Time {
+		if exposed < 0 {
+			exposed = 0
+		}
+		return rep.FwdBwd + exposed
 	}
-	rep.StepTime = rep.FwdBwd + exposed
-	globalTokens := float64(cfg.Model.BatchTokens(cfg.Batch)) * n
-	rep.TokensPerSec = globalTokens / rep.StepTime.Seconds()
+	rep.StepTime = step(rep.ShardOptStep + rep.AllReduce + rep.AllGather - hidden)
+	tokens := float64(cfg.Model.BatchTokens(cfg.Batch))
+	rep.TokensPerSec = tokens * n / rep.StepTime.Seconds()
 
 	// Efficiency vs N× the single-worker rate.
-	if cc.Workers == 1 {
-		rep.Efficiency = 1
-		return rep, nil
-	}
-	single, err := RunCluster(cfg, ClusterConfig{Workers: 1, InterconnectGBps: cc.InterconnectGBps}, system)
-	if err != nil {
-		return nil, err
-	}
-	rep.Efficiency = rep.TokensPerSec / (n * single.TokensPerSec)
+	singleRate := tokens / step(single.OptStepTime-hidden).Seconds()
+	rep.Efficiency = rep.TokensPerSec / (n * singleRate)
 	return rep, nil
 }

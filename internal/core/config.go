@@ -277,11 +277,18 @@ func (c Config) WeightOutBytesPerUnit() int64 {
 	return int64(c.ElemsPerPage()) * int64(c.Spec().WeightOutBytes)
 }
 
+// StateBytes is the byte-exact analytic footprint of the resident
+// optimizer state, Model.Params × Spec().ResidentBytes(): what a
+// checkpoint moves and what every optimizer step programs (times WAF).
+func (c Config) StateBytes() int64 {
+	return int64(float64(c.Model.Params) * c.Spec().ResidentBytes())
+}
+
 // ResidentBytesPerUnit is the in-storage footprint per unit. It is
 // page-rounded (Comps whole NAND pages) — intentionally larger than the
-// byte-exact analytic footprint Model.Params × Spec().ResidentBytes(),
-// because a page is the smallest unit NAND can read or program: internal
-// fragmentation is real capacity and real traffic. The invariant registry
+// per-unit share of the byte-exact StateBytes, because a page is the
+// smallest unit NAND can read or program: internal fragmentation is real
+// capacity and real traffic. The invariant registry
 // pins the direction of the gap (analytic ≤ page-rounded) so the two
 // accountings can never silently invert.
 func (c Config) ResidentBytesPerUnit() int64 {

@@ -488,16 +488,23 @@ func TestLayerwiseOverlapBeatsNoOverlap(t *testing.T) {
 	}
 }
 
+// cluster prices cfg on a ring of cc.Workers from optimstore runs on the
+// shard and on cfg itself, as experiment F16 does.
+func cluster(t *testing.T, cfg Config, cc ClusterConfig) *ClusterReport {
+	t.Helper()
+	shard := cfg
+	shard.Model.Params = ShardParams(cfg.Model.Params, cc.Workers)
+	rep, err := RunCluster(cfg, cc, mustRun(t, SystemOptimStore, shard), mustRun(t, SystemOptimStore, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestClusterScaling(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
-	r1, err := RunCluster(cfg, DefaultCluster(1), "optimstore")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := RunCluster(cfg, DefaultCluster(4), "optimstore")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := cluster(t, cfg, DefaultCluster(1))
+	r4 := cluster(t, cfg, DefaultCluster(4))
 	// Shard step shrinks roughly 1/N.
 	ratio := float64(r1.ShardOptStep) / float64(r4.ShardOptStep)
 	if ratio < 3 || ratio > 5 {
@@ -513,10 +520,7 @@ func TestClusterScaling(t *testing.T) {
 		t.Fatalf("efficiency = %v, expected >1 while the optimizer dominates", r4.Efficiency)
 	}
 	// …and the gain is interconnect-bound: a slow ring erodes it.
-	slow, err := RunCluster(cfg, ClusterConfig{Workers: 4, InterconnectGBps: 1}, "optimstore")
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := cluster(t, cfg, ClusterConfig{Workers: 4, InterconnectGBps: 1})
 	if slow.TokensPerSec >= r4.TokensPerSec {
 		t.Fatalf("1 GB/s ring (%v tok/s) should underperform 25 GB/s (%v tok/s)",
 			slow.TokensPerSec, r4.TokensPerSec)
@@ -535,11 +539,14 @@ func TestClusterScaling(t *testing.T) {
 
 func TestClusterValidate(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
-	if _, err := RunCluster(cfg, ClusterConfig{Workers: 0, InterconnectGBps: 25}, "optimstore"); err == nil {
+	opt := mustRun(t, SystemOptimStore, cfg)
+	if _, err := RunCluster(cfg, ClusterConfig{Workers: 0, InterconnectGBps: 25}, opt, opt); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	if _, err := RunCluster(cfg, DefaultCluster(2), "bogus"); err == nil {
-		t.Fatal("unknown system accepted")
+	infeasible := *opt
+	infeasible.Feasible = false
+	if _, err := RunCluster(cfg, DefaultCluster(2), &infeasible, opt); err == nil {
+		t.Fatal("infeasible shard accepted")
 	}
 }
 

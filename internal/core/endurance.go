@@ -31,59 +31,44 @@ type EnduranceReport struct {
 	// LifetimeSteps is how many optimizer steps the device survives with
 	// ideal wear levelling.
 	LifetimeSteps float64
-	// LifetimeDays converts steps to wall time using the end-to-end step
-	// latency of the OptimStore system on this configuration.
+	// LifetimeDays converts steps to wall time at the step time
+	// RunEndurance is given.
 	LifetimeDays float64
-	// StepTime is the end-to-end step time used for LifetimeDays.
-	StepTime sim.Time
 }
 
-// RunEndurance evaluates flash lifetime for a configuration with the state
-// region in the given cell mode. The WAF comes from SweepWAF on the full
-// drive; a drive whose WAF that rule cannot decide is an error.
-func RunEndurance(cfg Config, cell nand.CellType) (*EnduranceReport, error) {
+// RunEndurance prices flash lifetime for a configuration with the state
+// region in the given cell mode; it simulates nothing. The WAF comes from
+// SweepWAF on the full drive (a drive whose WAF that rule cannot decide
+// is an error) and the lifetime from AnalyticLifetime, the pipeline the
+// design-space search prices every point with. step is the end-to-end
+// step time of the OptimStore system on cfg, taken from the report the
+// caller already holds; it converts steps to days.
+func RunEndurance(cfg Config, cell nand.CellType, step sim.Time) (*EnduranceReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
-	rep := &EnduranceReport{
-		Model:     cfg.Model.Name,
-		Optimizer: cfg.Optimizer.String(),
-		Cell:      cell,
-	}
-	spec := cfg.Spec()
-	rep.StateBytes = int64(float64(cfg.Model.Params) * spec.ResidentBytes())
-
-	// Full-geometry capacity in the chosen cell mode (not the reduced
-	// simulation window): a real 8×4-die drive with 1024 blocks/plane.
-	rep.DeviceBytes = fullDrive(cfg, cell).Geometry().TotalBytes()
-	usable := float64(rep.DeviceBytes) * (1 - cfg.SSD.OverProvision)
-	rep.Fits = float64(rep.StateBytes) <= usable
-	if !rep.Fits {
-		return rep, nil
-	}
-
 	waf, err := SweepWAF(cfg, cell)
 	if err != nil {
 		return nil, err
 	}
+	steps, fits := AnalyticLifetime(cfg, cell, waf)
+	rep := &EnduranceReport{
+		Model:      cfg.Model.Name,
+		Optimizer:  cfg.Optimizer.String(),
+		Cell:       cell,
+		StateBytes: cfg.StateBytes(),
+		// Full-geometry capacity in the chosen cell mode (not the reduced
+		// simulation window): a real 8×4-die drive with 1024 blocks/plane.
+		DeviceBytes: fullDrive(cfg, cell).Geometry().TotalBytes(),
+		Fits:        fits,
+	}
+	if !fits {
+		return rep, nil
+	}
 	rep.SweepWAF = waf
 	rep.ProgramBytesPerStep = float64(rep.StateBytes) * waf
-
-	// Lifetime: block erases per step spread across the whole device.
-	rep.LifetimeSteps, _ = AnalyticLifetime(cfg, cell, waf)
-
+	rep.LifetimeSteps = steps
 	// Wall-clock lifetime at this configuration's training cadence.
-	sys, err := NewSystem(SystemOptimStore, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r, err := sys.Run()
-	if err != nil {
-		return nil, err
-	}
-	rep.StepTime = r.StepTime
-	stepsPerDay := 86400.0 / r.StepTime.Seconds()
-	rep.LifetimeDays = rep.LifetimeSteps / stepsPerDay
+	rep.LifetimeDays = steps / (86400 / step.Seconds())
 	return rep, nil
 }

@@ -9,18 +9,24 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/nand"
 	"repro/internal/optim"
+	"repro/internal/sim"
 )
+
+// endurance prices cfg's lifetime in the given cell mode at the step time
+// of an OptimStore run on cfg, as the experiments do.
+func endurance(t *testing.T, cfg Config, cell nand.CellType) *EnduranceReport {
+	t.Helper()
+	rep, err := RunEndurance(cfg, cell, mustRun(t, SystemOptimStore, cfg).StepTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 func TestEnduranceSLCBeatsTLC(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
-	tlc, err := RunEndurance(cfg, nand.TLC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slc, err := RunEndurance(cfg, nand.SLC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tlc := endurance(t, cfg, nand.TLC)
+	slc := endurance(t, cfg, nand.SLC)
 	if !tlc.Fits || !slc.Fits {
 		t.Fatalf("GPT-2-XL state (%d B) should fit both modes", tlc.StateBytes)
 	}
@@ -35,11 +41,7 @@ func TestEnduranceSLCBeatsTLC(t *testing.T) {
 }
 
 func TestEnduranceWAFNearOneForSequentialUpdates(t *testing.T) {
-	cfg := testConfig(dnn.GPT2XL())
-	rep, err := RunEndurance(cfg, nand.TLC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := endurance(t, testConfig(dnn.GPT2XL()), nand.TLC)
 	// Dense optimizer updates sweep the state sequentially, invalidating
 	// whole blocks: the full drive's spare blocks clear the GC watermark,
 	// so write amplification is exactly 1.
@@ -60,10 +62,7 @@ func TestEnduranceWAFNearOneForSequentialUpdates(t *testing.T) {
 func TestEnduranceQ8ScaleOverhead(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
 	cfg.Precision = optim.Q8State
-	rep, err := RunEndurance(cfg, nand.TLC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := endurance(t, cfg, nand.TLC)
 	scaleFree := cfg.Model.Params * int64(cfg.Spec().MasterBytes+cfg.Spec().StateBytes)
 	if rep.StateBytes <= scaleFree {
 		t.Fatalf("Q8 StateBytes %d not above scale-free %d: per-block scale overhead lost",
@@ -81,11 +80,7 @@ func TestEnduranceQ8ScaleOverhead(t *testing.T) {
 
 func TestEnduranceDoesNotFit(t *testing.T) {
 	// GPT-175B Adam state is 2.1 TB; a 0.7 TB SLC-mode device cannot hold it.
-	cfg := testConfig(dnn.GPT175B())
-	rep, err := RunEndurance(cfg, nand.SLC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := endurance(t, testConfig(dnn.GPT175B()), nand.SLC)
 	if rep.Fits {
 		t.Fatalf("175B state (%d B) reported as fitting %d B device", rep.StateBytes, rep.DeviceBytes)
 	}
@@ -97,7 +92,7 @@ func TestEnduranceDoesNotFit(t *testing.T) {
 func TestEnduranceRejectsUndecidedWAF(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
 	cfg.SSD.OverProvision = 0.002
-	rep, err := RunEndurance(cfg, nand.TLC)
+	rep, err := RunEndurance(cfg, nand.TLC, sim.Second) // the step time plays no part
 	if err == nil {
 		t.Fatalf("OP 0.002 priced with WAF %v", rep.SweepWAF)
 	}

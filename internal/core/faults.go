@@ -12,20 +12,19 @@ import (
 // the aggregate channel buses) and die-internally via plane-local
 // copyback. Shared by the standalone Checkpoint report and the fault
 // accounting; bandwidth units are decimal end to end (see Checkpoint).
-func checkpointTimes(cfg Config) (hostStream, inStorage sim.Time, stateBytes int64) {
-	stateBytes = int64(float64(cfg.Model.Params) * cfg.Spec().ResidentBytes())
-
+func checkpointTimes(cfg Config) (hostStream, inStorage sim.Time) {
+	state := float64(cfg.StateBytes())
 	extGBps := cfg.Link.EffectiveGBps()
 	if busGBps := cfg.SSD.ChannelMBps().GBps(); busGBps < extGBps {
 		extGBps = busGBps
 	}
-	hostStream = extGBps.TransferTimeF(float64(stateBytes))
+	hostStream = extGBps.TransferTimeF(state)
 
 	n := cfg.SSD.Nand
 	perPlane := units.RateBps(units.Bytes(n.PageSize), n.ReadLatency+n.ProgramLatency)
 	agg := perPlane.Scale(float64(cfg.SSD.Geometry().Planes()))
-	inStorage = agg.TransferTimeF(float64(stateBytes))
-	return hostStream, inStorage, stateBytes
+	inStorage = agg.TransferTimeF(state)
+	return hostStream, inStorage
 }
 
 // physBlocksPerPlane is the real device's per-plane block count: the
@@ -38,7 +37,7 @@ const physBlocksPerPlane = 1024
 // summary read per physical block of the real (non-windowed) geometry,
 // all planes scanning in parallel.
 func faultCosts(cfg Config) fault.Costs {
-	hostStream, inStorage, _ := checkpointTimes(cfg)
+	hostStream, inStorage := checkpointTimes(cfg)
 	return fault.Costs{
 		HostStream: hostStream,
 		InStorage:  inStorage,
@@ -80,7 +79,7 @@ func disarmFaults(inj *fault.Injector) {
 func accountFaults(cfg Config, r *Report, inj *fault.Injector) {
 	r.CheckpointPolicy = cfg.Checkpoint.String()
 	costs := faultCosts(cfg)
-	_, _, state := checkpointTimes(cfg)
+	state := cfg.StateBytes()
 	r.CheckpointTime = costs.CheckpointTime(cfg.Checkpoint)
 	if cfg.Checkpoint == fault.CheckpointInPlace {
 		r.CheckpointProgramBytes = state

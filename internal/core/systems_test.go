@@ -136,3 +136,56 @@ func TestSystemNamesLiveInTheTable(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulationsRunThroughOnePath guards the single audited run path:
+// no non-test file of core outside system.go may call NewSystem, so
+// core's analyses price reports their callers already hold, and no
+// non-test file of experiments may call core.NewSystem anywhere but
+// runSystem, which audits every report when the options ask for it.
+func TestSimulationsRunThroughOnePath(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pkg := range []struct {
+		dir     string
+		call    func(*ast.CallExpr) bool
+		allowed func(file, fn string) bool
+	}{
+		{".", func(c *ast.CallExpr) bool {
+			id, ok := ast.Unparen(c.Fun).(*ast.Ident)
+			return ok && id.Name == "NewSystem"
+		}, func(file, _ string) bool { return file == "system.go" }},
+		{"../experiments", func(c *ast.CallExpr) bool {
+			sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "NewSystem" {
+				return false
+			}
+			id, ok := sel.X.(*ast.Ident)
+			return ok && id.Name == "core"
+		}, func(_, fn string) bool { return fn == "runSystem" }},
+	} {
+		files, err := filepath.Glob(filepath.Join(pkg.dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn := ""
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					fn = d.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if c, ok := n.(*ast.CallExpr); ok && pkg.call(c) && !pkg.allowed(filepath.Base(path), fn) {
+						t.Errorf("%s: NewSystem called outside the audited run path", fset.Position(c.Pos()))
+					}
+					return true
+				})
+			}
+		}
+	}
+}

@@ -7,10 +7,24 @@ import (
 	"repro/internal/units"
 )
 
+// lifetime prices cell c's flash lifetime with the state region in the
+// given cell mode, at the step time of the cell's OptimStore report. It
+// runs at render time, once every report exists; an error fails the
+// render (Grid.fail).
+func lifetime(g *Grid, c *Cell, cell nand.CellType) *core.EnduranceReport {
+	rep, err := core.RunEndurance(c.Cfg, cell, g.report(c, "optimstore").StepTime)
+	if err != nil {
+		g.fail(err)
+		return &core.EnduranceReport{}
+	}
+	return rep
+}
+
 // specF9 is the endurance study: device lifetime under the training update
 // stream, per cell mode, on a model whose state fits; then per model in
-// TLC.
+// TLC. Lifetime days come from each cell's OptimStore run.
 func specF9() Spec {
+	cellOf := func(c *Cell) nand.CellType { return c.Values[0].Meta.(nand.CellType) }
 	return Spec{
 		ID: "F9", Title: "Endurance and lifetime",
 		Axes: func(Options) []Axis {
@@ -21,14 +35,12 @@ func specF9() Spec {
 			}
 			return []Axis{{Name: "cell", Values: vals}}
 		},
-		Derive: func(opts Options, c *Cell) (any, error) {
-			return core.RunEndurance(c.Cfg, c.Values[0].Meta.(nand.CellType))
-		},
+		Systems: []string{"optimstore"},
 		Tables: []TableSpec{{
 			Title:  "F9: endurance of the state region (GPT-13B, Adam)",
 			Header: []string{"cell", "device-TB", "state-fits", "WAF", "lifetime-steps", "lifetime-days"},
 			Rows: func(o Options, g *Grid, c *Cell) [][]any {
-				rep := c.Aux.(*core.EnduranceReport)
+				rep := lifetime(g, c, cellOf(c))
 				if !rep.Fits {
 					return [][]any{{c.Values[0].Label, units.Bytes(rep.DeviceBytes).TBf(), false, "-", "-", "-"}}
 				}
@@ -40,7 +52,7 @@ func specF9() Spec {
 			Title: "F9: lifetime vs cell mode", XLabel: "cell index", YLabel: "lifetime steps",
 			Series: []SeriesSpec{{Name: "lifetime",
 				Point: func(o Options, g *Grid, c *Cell) (float64, float64, bool) {
-					rep := c.Aux.(*core.EnduranceReport)
+					rep := lifetime(g, c, cellOf(c))
 					return c.Values[0].X, rep.LifetimeSteps, rep.Fits
 				}}},
 		}},
@@ -52,12 +64,12 @@ func specF9() Spec {
 				}
 				return []Axis{modelAxis(models)}
 			},
-			Derive: func(opts Options, c *Cell) (any, error) { return core.RunEndurance(c.Cfg, nand.TLC) },
+			Systems: []string{"optimstore"},
 			Tables: []TableSpec{{
 				Title:  "F9b: per-model TLC lifetime",
 				Header: []string{"model", "state-GB", "lifetime-steps", "lifetime-days"},
 				Rows: func(o Options, g *Grid, c *Cell) [][]any {
-					rep := c.Aux.(*core.EnduranceReport)
+					rep := lifetime(g, c, nand.TLC)
 					if !rep.Fits {
 						return [][]any{{c.Cfg.Model.Name, units.Bytes(rep.StateBytes).GBf(), "-", "-"}}
 					}

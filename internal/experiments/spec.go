@@ -65,6 +65,30 @@ type Grid struct {
 	Axes    []Axis
 	Systems []string
 	Cells   []*Cell
+
+	// err is the first error a render-time pricing recorded with fail.
+	err error
+}
+
+// report returns cell c's report of the named spec system, nil when the
+// spec does not run it.
+func (g *Grid) report(c *Cell, system string) *core.Report {
+	for i, name := range g.Systems {
+		if name == system {
+			return c.Reports[i]
+		}
+	}
+	return nil
+}
+
+// fail records an error met while pricing reports at render time (the
+// lifetimes and cluster steps derived from a grid's reports). The row or
+// point being built carries on with a zero value; render then returns the
+// first recorded error instead of its tables.
+func (g *Grid) fail(err error) {
+	if g.err == nil {
+		g.err = err
+	}
 }
 
 // AllReports flattens every cell's reports in grid-then-system order —
@@ -129,13 +153,17 @@ type Spec struct {
 	// typically thins the value lists). Nil or empty means a single cell.
 	Axes func(Options) []Axis
 	// Systems are run at every cell, in order. Empty runs none (Derive
-	// carries the computation instead).
+	// carries the computation instead). Analyses that price a system's
+	// report (lifetime, cluster scaling) list the system here and price
+	// its report at render time, so every simulation is a system run.
 	Systems []string
 	// Base returns the starting configuration of every cell before axis
 	// values apply. Nil uses baseConfig(opts, dnn.GPT13B()).
 	Base func(Options) core.Config
-	// Derive computes a per-cell auxiliary value (an endurance report, a
-	// layout fraction, a cluster report) into Cell.Aux. Nil skips it.
+	// Derive computes a per-cell auxiliary value (a layout fraction, an
+	// ODP cost point, a checkpoint report, a WAF measurement) into
+	// Cell.Aux. Nil skips it. It runs in the pool beside the systems, so
+	// it cannot see their reports.
 	Derive func(Options, *Cell) (any, error)
 
 	Tables  []TableSpec
@@ -312,6 +340,9 @@ func render(s *Spec, opts Options, g *Grid) (*Result, error) {
 			return nil, err
 		}
 		res.Figures = append(res.Figures, fig)
+	}
+	if g.err != nil {
+		return nil, g.err
 	}
 	return res, nil
 }

@@ -361,8 +361,8 @@ func specF7() Spec {
 }
 
 // specF8 is the precision ablation, including block-wise 8-bit quantized
-// optimizer state; each cell derives a TLC endurance report alongside its
-// two system runs.
+// optimizer state; each cell prices a TLC lifetime from its OptimStore
+// run.
 func specF8() Spec {
 	return Spec{
 		ID: "F8", Title: "Precision ablation",
@@ -381,15 +381,12 @@ func specF8() Spec {
 			return []Axis{{Name: "precision", Values: vals}}
 		},
 		Systems: []string{"hostoffload", "optimstore"},
-		Derive: func(opts Options, c *Cell) (any, error) {
-			return core.RunEndurance(c.Cfg, nand.TLC)
-		},
 		Tables: []TableSpec{{
 			Title: "F8: precision ablation (GPT-13B, Adam)",
 			Header: []string{"precision", "system", "opt-step-s", "pcie-GB", "nand-prog-GB",
 				"energy-J", "tlc-lifetime-steps"},
 			Rows: func(o Options, g *Grid, c *Cell) [][]any {
-				end := c.Aux.(*core.EnduranceReport)
+				end := lifetime(g, c, nand.TLC)
 				var rows [][]any
 				for _, r := range c.Reports {
 					life := "-"
@@ -564,8 +561,28 @@ func specF15() Spec {
 	}
 }
 
-// specF16 is the data-parallel scaling extension: the cluster model per
-// worker count, analytic on top of one shard's OptimStore run.
+// clusterAt prices cell c's shard report as one data-parallel step of
+// specF16, against the workers=1 cell, whose configuration is the whole
+// model and whose report is the single-worker rate. It runs at render
+// time, once every report exists; an error fails the render (Grid.fail).
+func clusterAt(g *Grid, c *Cell) *core.ClusterReport {
+	var one *Cell
+	for _, cell := range g.Cells {
+		if cell.Values[0].Meta.(int) == 1 {
+			one = cell
+		}
+	}
+	r, err := core.RunCluster(one.Cfg, core.DefaultCluster(c.Values[0].Meta.(int)), c.Reports[0], one.Reports[0])
+	if err != nil {
+		g.fail(err)
+		return &core.ClusterReport{}
+	}
+	return r
+}
+
+// specF16 is the data-parallel scaling extension: each cell runs
+// OptimStore on its 1/N shard of the model, and the cluster model prices
+// collectives, step time and efficiency from those reports.
 func specF16() Spec {
 	return Spec{
 		ID: "F16", Title: "Data-parallel cluster scaling (extension)",
@@ -574,16 +591,16 @@ func specF16() Spec {
 			if opts.Quick {
 				workers = []int{1, 4, 16}
 			}
-			return []Axis{intAxis("workers", workers, func(*core.Config, int) {})}
+			return []Axis{intAxis("workers", workers, func(c *core.Config, n int) {
+				c.Model.Params = core.ShardParams(c.Model.Params, n)
+			})}
 		},
-		Derive: func(opts Options, c *Cell) (any, error) {
-			return core.RunCluster(c.Cfg, core.DefaultCluster(c.Values[0].Meta.(int)), "optimstore")
-		},
+		Systems: []string{"optimstore"},
 		Tables: []TableSpec{{
 			Title:  "F16: data-parallel scaling (GPT-13B, Adam, 25 GB/s ring)",
 			Header: []string{"workers", "shard-opt-s", "allreduce-s", "step-s", "tokens/s", "efficiency"},
 			Rows: func(o Options, g *Grid, c *Cell) [][]any {
-				r := c.Aux.(*core.ClusterReport)
+				r := clusterAt(g, c)
 				return [][]any{{c.Values[0].Meta.(int), r.ShardOptStep.Seconds(), r.AllReduce.Seconds(),
 					r.StepTime.Seconds(), r.TokensPerSec, r.Efficiency}}
 			},
@@ -592,7 +609,7 @@ func specF16() Spec {
 			Title: "F16: cluster throughput", XLabel: "workers", YLabel: "tokens/s",
 			Series: []SeriesSpec{{Name: "optimstore cluster",
 				Point: func(o Options, g *Grid, c *Cell) (float64, float64, bool) {
-					return c.Values[0].X, c.Aux.(*core.ClusterReport).TokensPerSec, true
+					return c.Values[0].X, clusterAt(g, c).TokensPerSec, true
 				}}},
 		}},
 	}
@@ -622,15 +639,12 @@ func specF18() Spec {
 			return []Axis{{Name: "cell", Values: vals}}
 		},
 		Systems: []string{"optimstore"},
-		Derive: func(opts Options, c *Cell) (any, error) {
-			return core.RunEndurance(c.Cfg, c.Values[0].Meta.(nand.CellType))
-		},
 		Tables: []TableSpec{{
 			Title: "F18: state-region cell mode (GPT-13B, Adam, OptimStore)",
 			Header: []string{"cell", "tPROG/page", "opt-step-s", "capacity-TB",
 				"lifetime-steps", "lifetime-days"},
 			Rows: func(o Options, g *Grid, c *Cell) [][]any {
-				end := c.Aux.(*core.EnduranceReport)
+				end := lifetime(g, c, c.Values[0].Meta.(nand.CellType))
 				tprog := c.Cfg.SSD.Nand.ProgramLatency.String()
 				if !end.Fits {
 					return [][]any{{c.Values[0].Label, tprog, c.Reports[0].OptStepTime.Seconds(),

@@ -36,11 +36,7 @@ func TraceSystems(opts Options) (*Result, []*tracing.Trace, runner.Summary, erro
 		c := cfg
 		tr := tracing.New(n)
 		c.Trace = tr
-		sys, err := core.NewSystem(n, c)
-		if err != nil {
-			return tracedSystem{}, err
-		}
-		r, err := sys.Run()
+		r, err := runSystem(opts, n, c)
 		if err != nil {
 			return tracedSystem{}, err
 		}
