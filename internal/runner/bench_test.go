@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkOverhead measures the pool's fixed cost on empty jobs — the
 // price of ordering and panic capture when jobs do no work. The sweep
-// workload itself is benchmarked once, in internal/bench.
+// workload itself is benchmarked end to end by wallbench's sweep workload.
 func BenchmarkOverhead(b *testing.B) {
 	jobs := make([]Job[int], 256)
 	for i := range jobs {

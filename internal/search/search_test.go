@@ -246,9 +246,9 @@ func TestSearchDefaultSpaceSweepWAFIsOne(t *testing.T) {
 
 // BenchmarkSearch times the full autotune workload — grid enumeration,
 // analytic bound pricing, hashing, pruning, and the budgeted simulations
-// — over the default grid. internal/bench runs the same workload for the
-// committed snapshot; this entry point serves ad-hoc profiling
-// (`go test -bench BenchmarkSearch ./internal/search/`).
+// — over the default grid. wallbench's tune workload times the same
+// search end to end for the regression gate; this entry point serves
+// ad-hoc profiling (`go test -bench BenchmarkSearch ./internal/search/`).
 func BenchmarkSearch(b *testing.B) {
 	base := quickBase()
 	base.MaxSimUnits = 128

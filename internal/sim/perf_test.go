@@ -245,7 +245,7 @@ func TestEventPoolReuseDeterminism(t *testing.T) {
 	}
 }
 
-// --- Kernel benchmark ---------------------------------------------------
+// --- Kernel benchmarks --------------------------------------------------
 
 // BenchmarkEngineScheduleFire measures the engine's schedule-and-fire
 // loop at a constant queue depth: every event, when it fires, schedules
@@ -285,5 +285,37 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/event")
 			})
 		}
+	}
+}
+
+// BenchmarkScheduleBatch measures one 64-event ScheduleBatch, over seven
+// delays, and the Run that drains it. It reports ns/event.
+func BenchmarkScheduleBatch(b *testing.B) {
+	const batch = 64
+	e := NewEngine()
+	fn := func() {}
+	items := make([]Timed, batch)
+	for i := range items {
+		items[i] = Timed{Delay: Time(i % 7), Fn: fn}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleBatch(items)
+		e.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
+}
+
+// BenchmarkResourceUse measures one Resource.Use on an idle resource and
+// the Run that fires its completion.
+func BenchmarkResourceUse(b *testing.B) {
+	e := NewEngine()
+	r := NewResource(e, "r", 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Use(1, nil)
+		e.Run()
 	}
 }
