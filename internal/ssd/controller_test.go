@@ -488,3 +488,33 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 		t.Fatal("unexpected extra cache hit")
 	}
 }
+
+// TestQueueDepthUnlocksParallelism bounds the commands outstanding on the
+// device with a host-side slot pool of the given depth. QD1 pays the full
+// device round trip per read; a deep queue lets the planes overlap them.
+func TestQueueDepthUnlocksParallelism(t *testing.T) {
+	run := func(depth int) sim.Time {
+		e := sim.NewEngine()
+		d := NewDevice(e, smallConfig())
+		slots := sim.NewResource(e, "io/qd", depth)
+		n := int64(d.Geometry().Planes() * 4)
+		for lpa := int64(0); lpa < n; lpa++ {
+			d.Preload(lpa)
+		}
+		for lpa := int64(0); lpa < n; lpa++ {
+			lpa := lpa
+			g := new(sim.Grant)
+			slots.Acquire(g, func() { d.Read(lpa, func() { slots.Release(g) }) })
+		}
+		runDrained(t, e, d)
+		if slots.InUse() != 0 || slots.QueueLen() != 0 {
+			t.Fatalf("depth %d: queue not drained", depth)
+		}
+		return e.Now()
+	}
+	qd1 := run(1)
+	qd32 := run(32)
+	if qd32*4 > qd1 {
+		t.Fatalf("QD32 (%v) should be ≥4× faster than QD1 (%v)", qd32, qd1)
+	}
+}
