@@ -77,6 +77,7 @@ trace-verify:
 	$(GO) test -run 'TestTracedSweepDeterministicAcrossWidths' -v ./cmd/sweep/
 	$(GO) test -run 'TestDisabledTracerAddsNoAllocations|TestTracerObservesEngineAndResource' -v ./internal/sim/
 	$(GO) test -run 'TestTracedRunMatchesUntraced|TestTraceReconcilesWithReportedLinkUtil' -v ./internal/core/
+	$(GO) test -run 'TestCacheTrackTracesWriteSlots' -v ./internal/ssd/
 
 # Each example prints its study to stdout; only its exit status matters.
 examples:
