@@ -91,10 +91,9 @@ type Report struct {
 	RecoveryTime         sim.Time
 	RecoveryProgramBytes int64
 
-	// Violations holds human-readable invariant-violation descriptions when
-	// the run was executed with invariant checking enabled (see
-	// internal/invariant and experiments.Options.CheckInvariants). Empty on
-	// a clean run or when checking is off.
+	// Violations holds human-readable invariant-violation descriptions
+	// recorded by invariant.Audit. Empty on a clean run or when the report
+	// was not audited.
 	Violations []string
 }
 
@@ -108,11 +107,6 @@ func identity(name string, cfg *Config) *Report {
 		Params:    cfg.Model.Params,
 	}
 }
-
-// InvariantViolations reports the violations recorded on this report,
-// satisfying the runner's InvariantReporter interface so run summaries can
-// count them.
-func (r *Report) InvariantViolations() []string { return r.Violations }
 
 // EventCount reports the simulated-event cost of producing this report,
 // satisfying the runner's EventCounter interface for run summaries.

@@ -40,10 +40,9 @@ type Options struct {
 
 	// CheckInvariants audits every simulated report against the registered
 	// physical invariants (internal/invariant): conservation, roofline
-	// sandwich, structural sanity. Violations are recorded on the reports
-	// (surfacing in runner summaries as an INVARIANT VIOLATIONS count) and
-	// returned as errors from runSystem, so a miscalibrated model fails
-	// the experiment instead of silently producing a wrong table.
+	// sandwich, structural sanity. Violations are returned as errors from
+	// runSystem, so a miscalibrated model fails the experiment instead of
+	// silently producing a wrong table.
 	CheckInvariants bool
 }
 

@@ -71,17 +71,6 @@ func (in *Injector) Disarm() {
 // Fired returns the records of every fault that fired, in firing order.
 func (in *Injector) Fired() []Record { return in.fired }
 
-// CountKind returns how many fired faults were of kind k.
-func (in *Injector) CountKind(k Kind) int {
-	n := 0
-	for _, r := range in.fired {
-		if r.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 func (in *Injector) fire(ev Event) {
 	rec := Record{Event: ev, FiredAt: in.eng.Now(), LPA: -1}
 	switch ev.Kind {

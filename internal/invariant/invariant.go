@@ -101,8 +101,8 @@ func Check(system string, cfg core.Config, r *core.Report) []string {
 }
 
 // Audit runs Check and records the violations on the report itself
-// (Report.Violations), so downstream consumers — run summaries, sweep
-// tables — can surface them. It returns the violations for convenience.
+// (Report.Violations), where Run's callers read them. It returns the
+// violations for convenience.
 func Audit(system string, cfg core.Config, r *core.Report) []string {
 	v := Check(system, cfg, r)
 	r.Violations = append(r.Violations, v...)

@@ -17,13 +17,6 @@ func All() []*lint.Analyzer {
 	return []*lint.Analyzer{Nondeterminism, UnitConv, FloatEq, SimTime, TraceSink}
 }
 
-// AllModule returns every module-wide simlint analyzer in stable order.
-// Module analyzers run once over the whole load set (call graph in
-// hand) rather than once per compilation unit.
-func AllModule() []*lint.ModuleAnalyzer {
-	return []*lint.ModuleAnalyzer{HotAlloc, PoolSafe, GlobalState}
-}
-
 // calleeObj resolves the object a call expression invokes, or nil.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {

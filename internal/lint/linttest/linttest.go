@@ -18,10 +18,8 @@
 package linttest
 
 import (
-	"fmt"
 	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -172,15 +170,4 @@ func collectWants(t *testing.T, unit *lint.Unit) []*want {
 		}
 	}
 	return wants
-}
-
-// Describe formats diagnostics for debugging failed expectations.
-func Describe(unit *lint.Unit, diags []lint.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		pos := unit.Fset.Position(d.Pos)
-		fmt.Fprintf(&b, "%s:%d:%d: [%s/%s] %s\n",
-			pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Category, d.Message)
-	}
-	return b.String()
 }

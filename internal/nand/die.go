@@ -37,20 +37,17 @@ type blockState struct {
 type planeServer interface {
 	low(d sim.Time, done func())
 	high(d sim.Time, done func())
-	utilization() float64
 }
 
 type fifoPlane struct{ r *sim.Resource }
 
 func (f fifoPlane) low(d sim.Time, done func())  { f.r.Use(d, done) }
 func (f fifoPlane) high(d sim.Time, done func()) { f.r.Use(d, done) }
-func (f fifoPlane) utilization() float64         { return f.r.Utilization() }
 
 type suspendPlane struct{ p *sim.Preemptible }
 
 func (s suspendPlane) low(d sim.Time, done func())  { s.p.Use(d, done) }
 func (s suspendPlane) high(d sim.Time, done func()) { s.p.UsePriority(d, done) }
-func (s suspendPlane) utilization() float64         { return s.p.Utilization() }
 
 // plane is one independently operating plane of a die.
 type plane struct {
@@ -237,15 +234,6 @@ func (d *Die) TotalEraseCount() int64 {
 		}
 	}
 	return total
-}
-
-// PlaneUtilization returns the mean busy fraction of each plane.
-func (d *Die) PlaneUtilization() []float64 {
-	u := make([]float64, len(d.planes))
-	for i, pl := range d.planes {
-		u[i] = pl.busy.utilization()
-	}
-	return u
 }
 
 // Preemptions returns the total program/erase suspends across all planes

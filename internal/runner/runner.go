@@ -49,10 +49,6 @@ type Result[T any] struct {
 	// Events is the number of simulated events the job reported, via the
 	// EventCounter interface on its Value (0 if not implemented).
 	Events int64
-	// Violations is the invariant violations the job's value carried, via
-	// the InvariantReporter interface on its Value (nil if not implemented
-	// or clean). Populated only for successful jobs.
-	Violations []string
 	// TraceEvents is the number of trace events the job's value carried,
 	// via the TraceCarrier interface on its Value (0 if not implemented or
 	// tracing was disabled). Populated only for successful jobs.
@@ -78,20 +74,11 @@ type EventCounter interface {
 	EventCount() int64
 }
 
-// InvariantReporter is implemented by job results that carry self-audit
-// findings (e.g. *core.Report when a run executes with invariant checking
-// enabled). The runner copies them into Result.Violations so Summarize can
-// surface a sweep-wide violation count without the caller unpacking every
-// value.
-type InvariantReporter interface {
-	InvariantViolations() []string
-}
-
 // TraceCarrier is implemented by job results that carry a recorded event
 // trace (e.g. a sweep row holding its point's *tracing.Trace). The runner
 // copies the count into Result.TraceEvents so Summarize can report how
 // much trace data a run produced without the runner importing the tracing
-// package — the same decoupling EventCounter and InvariantReporter use.
+// package — the same decoupling EventCounter uses.
 type TraceCarrier interface {
 	TraceEventCount() int64
 }
@@ -210,9 +197,6 @@ func execute[T any](index int, job Job[T]) Result[T] {
 	if ec, ok := any(res.Value).(EventCounter); ok && res.Err == nil {
 		res.Events = ec.EventCount()
 	}
-	if ir, ok := any(res.Value).(InvariantReporter); ok && res.Err == nil {
-		res.Violations = ir.InvariantViolations()
-	}
 	if tc, ok := any(res.Value).(TraceCarrier); ok && res.Err == nil {
 		res.TraceEvents = tc.TraceEventCount()
 	}
@@ -224,7 +208,6 @@ type Summary struct {
 	Jobs        int
 	Errors      int
 	Panics      int
-	Violations  int           // total invariant violations across jobs
 	Events      int64         // total simulated events across jobs
 	TraceEvents int64         // total recorded trace events across jobs
 	Busy        time.Duration // sum of per-job wall time (CPU work done)
@@ -242,7 +225,6 @@ func Summarize[T any](results []Result[T]) Summary {
 				s.Panics++
 			}
 		}
-		s.Violations += len(r.Violations)
 		s.Events += r.Events
 		s.TraceEvents += r.TraceEvents
 		s.Busy += r.Wall
@@ -265,9 +247,6 @@ func (s Summary) String() string {
 	}
 	if s.Errors > 0 {
 		line += fmt.Sprintf(", %d errors (%d panics)", s.Errors, s.Panics)
-	}
-	if s.Violations > 0 {
-		line += fmt.Sprintf(", %d INVARIANT VIOLATIONS", s.Violations)
 	}
 	return line
 }

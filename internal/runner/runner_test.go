@@ -168,37 +168,6 @@ func TestEventMetricsAndSummary(t *testing.T) {
 	}
 }
 
-type auditedResult struct{ violations []string }
-
-func (a auditedResult) InvariantViolations() []string { return a.violations }
-
-// TestInvariantViolationsSurface checks InvariantReporter values flow into
-// Result.Violations (successful jobs only) and Summarize counts them.
-func TestInvariantViolationsSurface(t *testing.T) {
-	jobs := []Job[auditedResult]{
-		func() (auditedResult, error) { return auditedResult{nil}, nil },
-		func() (auditedResult, error) { return auditedResult{[]string{"a: broke", "b: broke"}}, nil },
-		func() (auditedResult, error) { return auditedResult{[]string{"ignored"}}, errors.New("bad point") },
-	}
-	rs := Run(2, jobs)
-	if len(rs[0].Violations) != 0 || len(rs[1].Violations) != 2 {
-		t.Fatalf("violations = %v, %v; want none and two", rs[0].Violations, rs[1].Violations)
-	}
-	if len(rs[2].Violations) != 0 {
-		t.Fatalf("failed job surfaced violations %v, want none", rs[2].Violations)
-	}
-	s := Summarize(rs)
-	if s.Violations != 2 {
-		t.Fatalf("summary violations = %d, want 2", s.Violations)
-	}
-	if !strings.Contains(s.String(), "2 INVARIANT VIOLATIONS") {
-		t.Fatalf("summary string %q missing violation count", s.String())
-	}
-	if clean := Summarize(rs[:1]); strings.Contains(clean.String(), "VIOLATIONS") {
-		t.Fatalf("clean summary %q mentions violations", clean.String())
-	}
-}
-
 // TestFirstErr checks error selection follows submission order.
 func TestFirstErr(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")

@@ -65,69 +65,55 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-// TestResourceDeepContentionIterativeDrain queues 100k waiters behind one
-// held unit whose granted callbacks release synchronously, so a single
-// release drains the entire queue in one cascade. The pre-fix recursive
-// hand-off built a release→grant→release call chain one frame per waiter
-// deep (a ~100k-frame stack); the iterative drain must keep the call
-// stack flat while preserving exact FIFO grant order and timestamps.
+// TestResourceDeepContentionIterativeDrain queues 100k requests behind
+// one held unit. Each release hands the freed unit to the head of the
+// queue and only schedules its completion, so the queue drains one grant
+// per completion event: the call stack stays flat however deep the queue
+// was, and the requests complete in exact FIFO order, back to back.
 func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 	const waiters = 100_000
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
 
-	var hold Grant
-	r.Acquire(&hold, func() {})
-
+	r.Use(100, nil)
 	var order []int
 	var times []Time
 	maxDepth := 0
 	pcs := make([]uintptr, 512)
-	grants := make([]Grant, waiters)
 	for i := 0; i < waiters; i++ {
 		i := i
-		r.Acquire(&grants[i], func() {
+		r.Use(1, func() {
 			order = append(order, i)
 			times = append(times, e.Now())
 			if d := runtime.Callers(0, pcs); d > maxDepth {
 				maxDepth = d
 			}
-			r.Release(&grants[i])
 		})
 	}
-	if r.QueueLen() != waiters {
-		t.Fatalf("queue = %d, want %d", r.QueueLen(), waiters)
+	if r.q.Len() != waiters {
+		t.Fatalf("queue = %d, want %d", r.q.Len(), waiters)
 	}
-
-	e.Schedule(100, func() { r.Release(&hold) })
 	e.Run()
 
 	if len(order) != waiters {
-		t.Fatalf("granted %d waiters, want %d", len(order), waiters)
+		t.Fatalf("completed %d waiters, want %d", len(order), waiters)
 	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("grant order broken at %d: got %d (FIFO violated)", i, v)
+			t.Fatalf("completion order broken at %d: got %d (FIFO violated)", i, v)
 		}
-		if times[i] != 100 {
-			t.Fatalf("waiter %d granted at t=%d, want 100", i, times[i])
+		if want := Time(100 + i + 1); times[i] != want {
+			t.Fatalf("waiter %d completed at t=%d, want %d", i, times[i], want)
 		}
 	}
-	if r.Grants() != waiters+1 || r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("grants=%d inUse=%d queue=%d after drain", r.Grants(), r.InUse(), r.QueueLen())
+	if r.inUse != 0 || r.q.Len() != 0 {
+		t.Fatalf("inUse=%d queue=%d after drain", r.inUse, r.q.Len())
 	}
-	// The recursive version exceeds any fixed bound (one release and one
-	// grant frame per queued waiter); the iterative drain stays shallow no
-	// matter how deep the queue was.
 	if maxDepth >= len(pcs) {
 		t.Fatalf("call stack reached %d+ frames during drain; hand-off is recursing", maxDepth)
 	}
 }
 
-// TestResourceAcquireDuringDrainKeepsFIFO pins the companion Acquire
-// guard: a granted callback that releases synchronously and immediately
-// re-acquires must queue behind the already-waiting requests (capacity is
-// momentarily free mid-drain, but the queue is not empty).
 // TestResourceQueueReusesDrainedSlots is the regression test for the wait
 // queue's storage: a queue that never empties must reuse its drained
 // slots instead of growing by one slot per request, and stay FIFO. Each
@@ -138,11 +124,12 @@ func TestResourceQueueReusesDrainedSlots(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "plane", 1)
 	const total = 100000
-	submitted, next := 0, 0
+	submitted, next, peak := 0, 0, 0
 	var submit func()
 	submit = func() {
 		id := submitted
 		submitted++
+		defer func() { peak = max(peak, r.q.Len()) }()
 		r.Use(1, func() {
 			if id != next {
 				t.Fatalf("request %d completed, want %d (FIFO broken)", id, next)
@@ -153,10 +140,10 @@ func TestResourceQueueReusesDrainedSlots(t *testing.T) {
 					submit()
 				}
 			}
-			if r.QueueLen() == 0 && submitted < total {
+			if r.q.Len() == 0 && submitted < total {
 				submit()
 			}
-			if c, peak := cap(r.q.items), r.PeakQueue(); c > 2*peak {
+			if c := cap(r.q.items); c > 2*peak {
 				t.Fatalf("after %d requests the queue array holds %d slots, peak depth %d", id+1, c, peak)
 			}
 		})
@@ -168,55 +155,6 @@ func TestResourceQueueReusesDrainedSlots(t *testing.T) {
 	if next != total {
 		t.Fatalf("%d of %d requests completed", next, total)
 	}
-}
-
-func TestResourceAcquireDuringDrainKeepsFIFO(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "r", 1)
-	var order []string
-
-	var hold, a, a2, b Grant
-	r.Acquire(&hold, func() {})
-	r.Acquire(&a, func() {
-		order = append(order, "a")
-		r.Release(&a)
-		// Queue is still holding b; this must not overtake it.
-		r.Acquire(&a2, func() {
-			order = append(order, "a2")
-			r.Release(&a2)
-		})
-	})
-	r.Acquire(&b, func() {
-		order = append(order, "b")
-		r.Release(&b)
-	})
-	e.Schedule(10, func() { r.Release(&hold) })
-	e.Run()
-
-	want := []string{"a", "b", "a2"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestResourceDoubleReleasePanics(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "r", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
-		}
-	}()
-	var g Grant
-	r.Acquire(&g, func() {
-		r.Release(&g)
-		r.Release(&g)
-	})
 }
 
 func TestResourceZeroCapacityPanics(t *testing.T) {
@@ -231,24 +169,22 @@ func TestResourceZeroCapacityPanics(t *testing.T) {
 func TestResourceCounters(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
+	completed := 0
 	for i := 0; i < 3; i++ {
-		r.Use(10, nil)
+		r.Use(10, func() { completed++ })
 	}
-	if r.QueueLen() != 2 {
-		t.Fatalf("queue = %d, want 2", r.QueueLen())
-	}
-	if r.PeakQueue() != 2 {
-		t.Fatalf("peak = %d", r.PeakQueue())
+	if r.inUse != 1 || r.q.Len() != 2 {
+		t.Fatalf("inUse = %d, queue = %d; want 1 and 2", r.inUse, r.q.Len())
 	}
 	e.Run()
-	if r.Grants() != 3 {
-		t.Fatalf("grants = %d", r.Grants())
+	if completed != 3 {
+		t.Fatalf("completed = %d", completed)
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("inUse = %d after drain", r.InUse())
+	if r.inUse != 0 || r.q.Len() != 0 {
+		t.Fatalf("inUse = %d, queue = %d after drain", r.inUse, r.q.Len())
 	}
-	if r.Name() != "r" || r.Capacity() != 1 {
-		t.Fatal("accessors wrong")
+	if r.Name() != "r" {
+		t.Fatal("name wrong")
 	}
 }
 
@@ -299,7 +235,7 @@ func TestTracerObservesEngineAndResource(t *testing.T) {
 		t.Fatalf("hold span sum = %d, want 300", got)
 	}
 	// Reconciliation: span sum / (now * capacity) == Utilization.
-	wantUtil := float64(tr.spanSum["bus/hold"]) / (float64(e.Now()) * float64(r.Capacity()))
+	wantUtil := float64(tr.spanSum["bus/hold"]) / (float64(e.Now()) * float64(r.capacity))
 	//simlint:allow floateq reconciliation is specified bit-exact: same division, same operands
 	if got := r.Utilization(); got != wantUtil {
 		t.Fatalf("utilization %v != trace-derived %v", got, wantUtil)

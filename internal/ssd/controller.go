@@ -41,8 +41,11 @@ type Device struct {
 	channels []*nand.Channel
 	ftl      *FTL
 
-	cacheSlots *sim.Resource
-	planeFor   func(lpa int64) int
+	// The DRAM write cache's slots: a write holds one from its command
+	// until its flush commits (op.go); writes wait for one in order.
+	cacheUsed int
+	cacheWait sim.FIFO[*op]
+	planeFor  func(lpa int64) int
 
 	gcActive      []bool
 	planeInflight []int              // permits issued but not yet allocated, per plane
@@ -100,7 +103,6 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		cfg:           cfg,
 		geo:           geo,
 		ftl:           NewFTL(geo, cfg.LogicalPages()),
-		cacheSlots:    sim.NewResource(eng, "ssd/cache", cfg.CachePages),
 		gcActive:      make([]bool, geo.Planes()),
 		planeInflight: make([]int, geo.Planes()),
 		pending:       make([]sim.FIFO[func()], geo.Planes()),
@@ -305,6 +307,70 @@ func (d *Device) drainPending(plane int) {
 	}
 }
 
+// cacheTrackName is the trace track of the write cache's slots. It
+// carries what a sim.Resource of CachePages units would: "hold" and
+// "wait" spans and "in_use" and "queue" counters.
+const cacheTrackName = "ssd/cache"
+
+// takeCacheSlot gives the write o a cache slot and schedules its DRAM
+// absorb, or queues it behind the writes already waiting for a slot.
+//
+//simlint:hotpath
+func (d *Device) takeCacheSlot(o *op) {
+	o.stage = stageWriteAbsorb
+	// A slot is free only while no write waits: freeCacheSlot hands each
+	// freed slot straight to the head of the queue.
+	if d.cacheUsed < d.cfg.CachePages {
+		d.grantCacheSlot(o)
+		return
+	}
+	o.at = d.eng.Now()
+	d.cacheWait.Push(o)
+	if t := d.eng.Tracer(); t != nil {
+		t.Counter(cacheTrackName, "queue", o.at, float64(d.cacheWait.Len()))
+	}
+}
+
+// grantCacheSlot takes a slot for the write o and schedules its absorb.
+//
+//simlint:hotpath
+func (d *Device) grantCacheSlot(o *op) {
+	d.cacheUsed++
+	o.at = d.eng.Now()
+	if t := d.eng.Tracer(); t != nil {
+		t.Counter(cacheTrackName, "in_use", o.at, float64(d.cacheUsed))
+	}
+	d.eng.Schedule(d.cfg.DRAMPageLatency, o.step)
+}
+
+// freeCacheSlot returns the slot the write o holds and hands it to the
+// first waiting write. Freeing more slots than were taken panics.
+//
+//simlint:hotpath
+func (d *Device) freeCacheSlot(o *op) {
+	now := d.eng.Now()
+	t := d.eng.Tracer()
+	if t != nil {
+		t.Span(cacheTrackName, "hold", o.at, now)
+	}
+	d.cacheUsed--
+	if d.cacheUsed < 0 {
+		panic("ssd: cache slot freed below zero")
+	}
+	if t != nil {
+		t.Counter(cacheTrackName, "in_use", now, float64(d.cacheUsed))
+	}
+	if d.cacheWait.Len() == 0 {
+		return
+	}
+	w := d.cacheWait.Pop()
+	if t != nil {
+		t.Counter(cacheTrackName, "queue", now, float64(d.cacheWait.Len()))
+		t.Span(cacheTrackName, "wait", w.at, now)
+	}
+	d.grantCacheSlot(w)
+}
+
 // Read performs an external page read of lpa: NVMe command overhead, array
 // read, channel-bus transfer out. Reading an unmapped page panics (the
 // harness always writes before reading).
@@ -320,10 +386,10 @@ func (d *Device) Read(lpa int64, done func()) {
 
 // Write performs an external page write of lpa through the DRAM cache:
 // done fires when the page is absorbed in DRAM (host completion); the
-// NAND program continues in the background with backpressure via the
-// cache slot pool. The flush moves the page over the bus to its die, then
-// allocates and programs (see program); the cache slot frees once the
-// mapping commits.
+// NAND program continues in the background, with backpressure from the
+// cache's CachePages slots. The flush moves the page over the bus to its
+// die, then allocates and programs (see program); the cache slot frees
+// once the mapping commits.
 //
 //simlint:hotpath
 func (d *Device) Write(lpa int64, done func()) {

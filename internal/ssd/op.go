@@ -57,9 +57,8 @@ const (
 //
 //simlint:pooled
 type op struct {
-	d     *Device
-	step  func() // o.advance, bound once when the record is made
-	grant func() // o.cacheSlotGranted, bound on the record's first write
+	d    *Device
+	step func() // o.advance, bound once when the record is made
 
 	kind    opKind
 	stage   opStage
@@ -69,7 +68,7 @@ type op struct {
 	plane   int
 	retries int // read-retry passes of the current array read
 	done    func()
-	slot    sim.Grant // Write: the held cache slot
+	at      sim.Time // Write: start of its cache-slot wait, then of its hold
 
 	victim int     // relocation: the block being emptied
 	start  int64   // relocation: the victim's first linear page
@@ -135,12 +134,6 @@ func (d *Device) finish(o *op) {
 	}
 }
 
-// cacheSlotGranted is a Write's cache-slot grant.
-func (o *op) cacheSlotGranted() {
-	o.stage = stageWriteAbsorb
-	o.d.eng.Schedule(o.d.cfg.DRAMPageLatency, o.step)
-}
-
 // advance runs the record's current stage.
 //
 //simlint:hotpath
@@ -192,11 +185,7 @@ func (o *op) advance() {
 		d.hostReads++
 		d.finish(o)
 	case stageWriteCmd:
-		if o.grant == nil {
-			// Binding the method value allocates, once per record that writes.
-			o.grant = o.cacheSlotGranted
-		}
-		d.cacheSlots.Acquire(&o.slot, o.grant)
+		d.takeCacheSlot(o)
 	case stageWriteAbsorb:
 		d.dirty[o.lpa]++
 		done := o.done
@@ -226,7 +215,7 @@ func (o *op) advance() {
 			delete(d.dirty, lpa)
 		}
 		d.boundary(BoundaryHostWrite, lpa)
-		d.cacheSlots.Release(&o.slot)
+		d.freeCacheSlot(o)
 		d.putOp(o)
 		d.maybeGC(plane)
 		d.opDone()

@@ -10,6 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
+// contendedCapacity is the capacity contendedRun builds each resource
+// with, by name.
+var contendedCapacity = map[string]int{"bus": 1, "dies": 4}
+
 // contendedRun drives a small two-resource contention workload and
 // returns the engine, resources, and the recorded trace.
 func contendedRun(t *testing.T) (*sim.Engine, []*sim.Resource, *Trace) {
@@ -17,8 +21,8 @@ func contendedRun(t *testing.T) (*sim.Engine, []*sim.Resource, *Trace) {
 	e := sim.NewEngine()
 	tr := New("test")
 	e.SetTracer(tr)
-	bus := sim.NewResource(e, "bus", 1)
-	dies := sim.NewResource(e, "dies", 4)
+	bus := sim.NewResource(e, "bus", contendedCapacity["bus"])
+	dies := sim.NewResource(e, "dies", contendedCapacity["dies"])
 	for i := 0; i < 16; i++ {
 		//simlint:allow simtime arbitrary synthetic nanosecond durations for contention
 		d := sim.Time(50 + 7*i)
@@ -53,7 +57,7 @@ func TestHoldSpansReconcileWithUtilization(t *testing.T) {
 	e, resources, tr := contendedRun(t)
 	for _, r := range resources {
 		busy := tr.BusyTime(r.Name(), "hold")
-		got := float64(busy) / (float64(e.Now()) * float64(r.Capacity()))
+		got := float64(busy) / (float64(e.Now()) * float64(contendedCapacity[r.Name()]))
 		want := r.Utilization()
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s: trace-derived utilization %v, resource reports %v", r.Name(), got, want)
@@ -232,7 +236,7 @@ func TestUtilizationTimeline(t *testing.T) {
 		if r == nil {
 			t.Fatalf("series %s has no matching resource", s.Name)
 		}
-		want := r.Utilization() * float64(e.Now()) * float64(r.Capacity())
+		want := r.Utilization() * float64(e.Now()) * float64(contendedCapacity[r.Name()])
 		//simlint:allow unitconv 1e-6 is a relative tolerance, not a unit conversion
 		if math.Abs(total-want) > 1e-6*want {
 			t.Errorf("%s: timeline integrates to %v, busy time is %v", s.Name, total, want)
