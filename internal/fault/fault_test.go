@@ -311,3 +311,26 @@ func TestDisarmedFaultsAreFree(t *testing.T) {
 			f0, f1, n0, n1, s0, s1)
 	}
 }
+
+// TestDisarmLeavesReusedEventsAlone checks that Disarm cancels only
+// faults still pending. The engine recycles a fired event's struct for a
+// later schedule, so a handle kept past its fault's firing may by then
+// name another model's event, which Disarm must not cancel.
+func TestDisarmLeavesReusedEventsAlone(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := ssd.NewDevice(eng, smallConfig())
+	var inj Injector
+	inj.Arm(eng, dev, Plan{{Kind: PowerLoss, At: 10 * sim.Microsecond, Pick: 1}})
+	probed := false
+	eng.At(20*sim.Microsecond, func() {
+		eng.Schedule(50*sim.Microsecond, inj.Disarm)
+		eng.Schedule(100*sim.Microsecond, func() { probed = true })
+	})
+	eng.Run()
+	if len(inj.Fired()) != 1 {
+		t.Fatalf("fired %d faults, want 1", len(inj.Fired()))
+	}
+	if !probed {
+		t.Fatal("Disarm cancelled an event scheduled after its fault fired")
+	}
+}
