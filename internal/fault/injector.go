@@ -48,12 +48,17 @@ type Injector struct {
 }
 
 // Arm schedules every event of the plan. Call once, after the device is
-// built (and preloaded) but before the engine runs.
+// built (and preloaded) but before the engine runs. A fault drops its
+// handle as it fires: the engine recycles a fired event's struct for a
+// later schedule, so a kept handle could make Disarm cancel that one.
 func (in *Injector) Arm(eng *sim.Engine, dev *ssd.Device, plan Plan) {
 	in.eng, in.dev = eng, dev
 	for _, ev := range plan {
-		ev := ev
-		in.events = append(in.events, eng.At(ev.At, func() { in.fire(ev) }))
+		ev, slot := ev, len(in.events)
+		in.events = append(in.events, eng.At(ev.At, func() {
+			in.events[slot] = nil
+			in.fire(ev)
+		}))
 	}
 }
 
