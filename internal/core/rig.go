@@ -217,23 +217,19 @@ func (r *rig) offload(exec func(flops, bytes float64, done func()), stream bool,
 
 // postGrads posts the backward pass's gradients as one future per
 // unitsPer units, available at gradSchedule's times; with bytesPerUnit
-// set, each then crosses PCIe to the device. The arrivals go out in one
-// ScheduleBatch call: the largest same-time burst of a run (hundreds of
-// chunks at paper scale), which the engine's batch path amortizes into
-// one heapify.
+// set, each then crosses PCIe to the device. Arrival k is posted k-th, so
+// equal times fire in index order.
 func (r *rig) postGrads(unitsPer, bytesPerUnit int64) {
 	n := (r.simUnits + unitsPer - 1) / unitsPer
 	avail := gradSchedule(*r.cfg, n)
 	r.gradUnits = unitsPer
 	r.grads = make([]future, n)
-	items := make([]sim.Timed, n)
 	next := r.nextGrads
 	for k := range r.grads {
 		r.grads[k].r = r
 		r.grads[k].bytes = min(unitsPer, r.simUnits-int64(k)*unitsPer) * bytesPerUnit
-		items[k] = sim.Timed{Delay: avail[k], Fn: next}
+		r.eng.At(r.eng.Now()+avail[k], next)
 	}
-	r.eng.ScheduleBatch(items)
 }
 
 // nextGrads makes the next future's gradients available, sending them

@@ -53,8 +53,6 @@ func (p CPUParams) KernelTime(flops, bytes float64) sim.Time {
 type CPU struct {
 	params CPUParams
 	busy   *sim.Resource
-	flops  float64
-	bytes  float64
 }
 
 // NewCPU builds a CPU on the engine; invalid params panic.
@@ -70,16 +68,8 @@ func (c *CPU) Params() CPUParams { return c.params }
 
 // Run executes a kernel with the given footprint, then calls done.
 func (c *CPU) Run(flops, bytes float64, done func()) {
-	c.flops += flops
-	c.bytes += bytes
 	c.busy.Use(c.params.KernelTime(flops, bytes), done)
 }
-
-// Flops returns the cumulative FLOPs executed.
-func (c *CPU) Flops() float64 { return c.flops }
-
-// DRAMBytes returns the cumulative memory traffic.
-func (c *CPU) DRAMBytes() float64 { return c.bytes }
 
 // Utilization returns the busy fraction since simulation start.
 func (c *CPU) Utilization() float64 { return c.busy.Utilization() }

@@ -77,8 +77,6 @@ func (p GPUParams) KernelTime(flops, bytes float64) sim.Time {
 type GPU struct {
 	params GPUParams
 	busy   *sim.Resource
-	flops  float64
-	bytes  float64
 }
 
 // NewGPU builds a GPU on the engine; invalid params panic.
@@ -94,16 +92,8 @@ func (g *GPU) Params() GPUParams { return g.params }
 
 // Run executes a kernel with the given roofline footprint, then calls done.
 func (g *GPU) Run(flops, bytes float64, done func()) {
-	g.flops += flops
-	g.bytes += bytes
 	g.busy.Use(g.params.KernelTime(flops, bytes), done)
 }
-
-// Flops returns the cumulative FLOPs executed.
-func (g *GPU) Flops() float64 { return g.flops }
-
-// HBMBytes returns the cumulative HBM traffic.
-func (g *GPU) HBMBytes() float64 { return g.bytes }
 
 // Utilization returns the busy fraction since simulation start.
 func (g *GPU) Utilization() float64 { return g.busy.Utilization() }

@@ -3,8 +3,6 @@ package host
 import (
 	"testing"
 
-	"repro/internal/approx"
-
 	"repro/internal/sim"
 )
 
@@ -136,13 +134,9 @@ func TestGPURunSerializes(t *testing.T) {
 	if ends[0] != sim.Millisecond || ends[1] != 2*sim.Millisecond {
 		t.Fatalf("ends = %v", ends)
 	}
-	if !approx.Equal(g.Flops(), 2e9) {
-		t.Fatal("flop counter")
-	}
 	if g.Params().Name != "g" {
 		t.Fatal("params accessor")
 	}
-	_ = g.HBMBytes()
 	_ = g.Utilization()
 }
 
@@ -181,9 +175,6 @@ func TestCPURun(t *testing.T) {
 	e.Run()
 	if at != 1000 {
 		t.Fatalf("ran at %v", at)
-	}
-	if !approx.Equal(c.DRAMBytes(), 1000) || !approx.Equal(c.Flops(), 0) {
-		t.Fatal("counters")
 	}
 	if c.Params().Name != "c" {
 		t.Fatal("params")

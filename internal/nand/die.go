@@ -31,29 +31,27 @@ type blockState struct {
 	eraseCount int
 }
 
-// planeServer abstracts the plane's occupancy model: a plain FIFO resource,
-// or a preemptible one when read-suspend is enabled. Reads go through
-// high(); programs and erases through low().
-type planeServer interface {
-	low(d sim.Time, done func())
-	high(d sim.Time, done func())
-}
-
-type fifoPlane struct{ r *sim.Resource }
-
-func (f fifoPlane) low(d sim.Time, done func())  { f.r.Use(d, done) }
-func (f fifoPlane) high(d sim.Time, done func()) { f.r.Use(d, done) }
-
-type suspendPlane struct{ p *sim.Preemptible }
-
-func (s suspendPlane) low(d sim.Time, done func())  { s.p.Use(d, done) }
-func (s suspendPlane) high(d sim.Time, done func()) { s.p.UsePriority(d, done) }
-
-// plane is one independently operating plane of a die.
+// plane is one independently operating plane of a die. Its server is a
+// FIFO resource, or a preemptible one when read-suspend is enabled: then
+// reads and Occupy take priority, and programs and erases can be
+// suspended.
 type plane struct {
-	busy   planeServer
+	fifo   *sim.Resource
 	pre    *sim.Preemptible // non-nil when read-suspend is enabled
 	blocks []blockState
+}
+
+// use occupies the plane for d, then calls done; priority work suspends a
+// preemptible plane's program or erase.
+func (pl *plane) use(d sim.Time, priority bool, done func()) {
+	switch {
+	case pl.pre == nil:
+		pl.fifo.Use(d, done)
+	case priority:
+		pl.pre.UsePriority(d, done)
+	default:
+		pl.pre.Use(d, done)
+	}
 }
 
 // Die models one NAND die: PlanesPerDie independently schedulable planes,
@@ -87,9 +85,8 @@ func NewDie(eng *sim.Engine, name string, p Params) *Die {
 		planeName := fmt.Sprintf("%s/plane%d", name, i)
 		if p.ReadSuspend {
 			pl.pre = sim.NewPreemptible(eng, planeName, p.ResumeOverhead)
-			pl.busy = suspendPlane{pl.pre}
 		} else {
-			pl.busy = fifoPlane{sim.NewResource(eng, planeName, 1)}
+			pl.fifo = sim.NewResource(eng, planeName, 1)
 		}
 		d.planes[i] = pl
 	}
@@ -148,7 +145,7 @@ func (d *Die) RestoreBlock(planeIdx, block, writePtr, eraseCount int) {
 func (d *Die) Read(a Addr, done func()) {
 	pl := d.checkAddr(a)
 	d.counts.Reads++
-	pl.busy.high(d.params.ReadLatency, done)
+	pl.use(d.params.ReadLatency, true, done)
 }
 
 // Program writes the page register into page a, occupying the plane for
@@ -166,7 +163,7 @@ func (d *Die) Program(a Addr, done func()) {
 	}
 	blk.writePtr++
 	d.counts.Programs++
-	pl.busy.low(d.params.ProgramLatency, done)
+	pl.use(d.params.ProgramLatency, false, done)
 }
 
 // Occupy holds a.Plane busy for an arbitrary duration — used by the
@@ -174,7 +171,7 @@ func (d *Die) Program(a Addr, done func()) {
 // that consume plane time without being ordinary array operations.
 func (d *Die) Occupy(a Addr, dur sim.Time, done func()) {
 	pl := d.checkAddr(a)
-	pl.busy.high(dur, done)
+	pl.use(dur, true, done)
 }
 
 // MarkProgrammed advances a block's write pointer without simulating the
@@ -199,7 +196,7 @@ func (d *Die) Erase(a Addr, done func()) {
 	blk.writePtr = 0
 	blk.eraseCount++
 	d.counts.Erases++
-	pl.busy.low(d.params.EraseLatency, done)
+	pl.use(d.params.EraseLatency, false, done)
 }
 
 // WritePtr returns the next programmable page index of a block.

@@ -82,8 +82,6 @@ type Unit struct {
 	params Params
 	busy   *sim.Resource
 	flops  uint64
-	elems  uint64
-	execs  uint64
 }
 
 // NewUnit builds a unit; invalid parameters panic at configuration time.
@@ -109,19 +107,11 @@ func (u *Unit) Exec(elems, flopsPerElem int, done func()) {
 		panic(fmt.Sprintf("odp: Exec(%d elems, %d flops)", elems, flopsPerElem))
 	}
 	u.flops += uint64(elems) * uint64(flopsPerElem)
-	u.elems += uint64(elems)
-	u.execs++
 	u.busy.Use(u.params.ComputeTime(elems, flopsPerElem), done)
 }
 
 // Flops returns the total scalar operations executed.
 func (u *Unit) Flops() uint64 { return u.flops }
-
-// Elems returns the total elements processed.
-func (u *Unit) Elems() uint64 { return u.elems }
-
-// Execs returns the number of kernel invocations.
-func (u *Unit) Execs() uint64 { return u.execs }
 
 // Utilization returns the busy fraction of the unit since simulation start.
 func (u *Unit) Utilization() float64 { return u.busy.Utilization() }

@@ -73,25 +73,21 @@ type Tracer interface {
 }
 
 // Event lifecycle states. A pending event is queued; it leaves the queue
-// exactly once, by firing or by cancellation, and the two are
-// distinguishable forever after (Fired vs Canceled).
+// exactly once, by firing or by cancellation.
 const (
 	statePending uint8 = iota
 	stateFired
 	stateCanceled
 )
 
-// Event is a scheduled callback. It is returned by the scheduling methods
-// so callers can cancel it before it fires.
+// Event is a scheduled callback. The scheduling methods return it as an
+// opaque handle whose only use is to be passed to Cancel before the event
+// fires.
 //
 // Events are pooled: once an event has fired or been cancelled the engine
-// recycles the struct for a later Schedule/At call. A retained *Event
-// stays accurate (At/Fired/Canceled, and Cancel stays a no-op) until the
-// engine reuses it, so handles must not be kept past the point where the
-// owner knows the event completed — clear them in the callback or after
-// Cancel, as the in-tree callers do. A cancelled event waiting in a delay
-// lane is recycled only when it reaches the lane's head, which changes
-// nothing for the holder: the handle reads Canceled until reuse either way.
+// recycles the struct for a later Schedule/At call, and the handle may then
+// name another caller's event. Drop a handle when its event fires (clear
+// it in the callback) or right after Cancel.
 //
 //simlint:pooled
 type Event struct {
@@ -108,16 +104,6 @@ type Event struct {
 	index int32
 	state uint8
 }
-
-// At reports the simulated time this event will fire at.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel removed the event before it fired. An
-// event that actually executed reports false (see Fired).
-func (e *Event) Canceled() bool { return e.state == stateCanceled }
-
-// Fired reports whether the event executed.
-func (e *Event) Fired() bool { return e.state == stateFired }
 
 // eventLess is the engine's total order: time, ties broken by insertion
 // sequence. Sequences are unique, so the order is strict — heap shape can
@@ -151,13 +137,13 @@ type lane struct {
 //
 // Pending events live in up to maxLanes delay lanes, one FIFO per delay
 // class that Schedule and the kernel's pooled paths use, plus an inlined
-// 4-ary min-heap for everything else: delays beyond the lane cap,
-// ScheduleBatch fan-outs and absolute-time At calls. Step fires the least
-// (at, seq) among the lane heads and the heap top, so the firing order is
-// the engine's total order whichever structure holds an event. The heap
-// is specialized to *Event: compared to container/heap's binary heap over
-// an interface, it removes interface dispatch on every comparison and
-// swap, halves tree depth, and sifts with direct slice writes.
+// 4-ary min-heap for everything else: delays beyond the lane cap and
+// absolute-time At calls. step fires the least (at, seq) among the lane
+// heads and the heap top, so the firing order is the engine's total
+// order whichever structure holds an event. The heap is specialized to
+// *Event: compared to container/heap's binary heap over an interface, it
+// removes interface dispatch on every comparison and swap, halves tree
+// depth, and sifts with direct slice writes.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -165,7 +151,6 @@ type Engine struct {
 	lanes   [maxLanes]lane
 	nlanes  int      // lanes assigned a delay so far; lanes[nlanes:] are unused
 	busy    uint16   // bit i set while lanes[i] holds events, tombstones included
-	dead    int      // cancelled events still waiting in a lane
 	free    []*Event // recycled Event structs (see Event doc)
 	fired   uint64
 	stopped bool
@@ -194,29 +179,28 @@ func (e *Engine) Now() Time { return e.now }
 // detecting runaway simulations in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int {
-	n := len(e.queue) - e.dead
-	for i := 0; i < e.nlanes; i++ {
-		n += e.lanes[i].q.Len()
-	}
-	return n
-}
+// eventSlab is how many Events the freelist gains each time it runs dry:
+// a burst of events posted at once (the gradient arrivals of a run) then
+// costs one allocation per slab rather than one per event.
+const eventSlab = 64
 
-// alloc takes an Event from the freelist (or the heap allocator when the
-// freelist is dry) and initializes it as pending at time t.
+// alloc takes an Event from the freelist, refilling a dry freelist with a
+// slab, and initializes it as pending at time t.
 //
 //simlint:hotpath
 func (e *Engine) alloc(t Time) *Event {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-		ev = &Event{}
+	if len(e.free) == 0 {
+		//simlint:allow hotalloc pool growth: one slab per dry freelist while the pool warms up
+		slab := make([]Event, eventSlab)
+		for i := range slab {
+			//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
+			e.free = append(e.free, &slab[i])
+		}
 	}
+	n := len(e.free)
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
 	*ev = Event{at: t, seq: e.seq}
 	e.seq++
 	return ev
@@ -224,8 +208,8 @@ func (e *Engine) alloc(t Time) *Event {
 
 // recycle returns a completed (fired or cancelled) event to the freelist.
 // The callback fields are dropped immediately so the pool never pins model
-// closures; at/seq/state stay readable through retained handles until the
-// struct is reused.
+// closures; the state stays, so a Cancel through a handle not yet dropped
+// is still a no-op until the struct is reused.
 //
 //simlint:hotpath
 //simlint:release
@@ -341,7 +325,6 @@ func (e *Engine) dropCancelled(i int) *Event {
 			return h
 		}
 		q.Pop()
-		e.dead--
 		e.recycle(h)
 	}
 	e.busy &^= 1 << i
@@ -432,77 +415,17 @@ func (e *Engine) scheduleArg(delay Time, fn func(any), arg any) *Event {
 	return ev
 }
 
-// Timed pairs a delay with a callback for ScheduleBatch.
-type Timed struct {
-	Delay Time
-	Fn    func()
-}
-
-// ScheduleBatch schedules every item relative to the current simulated
-// time in one call. Insertion sequence follows slice order, so the firing
-// order is identical to calling Schedule in a loop; what changes is cost:
-// a batch that is large relative to the pending queue is appended whole
-// and re-heapified bottom-up (O(queue+batch)) instead of sifting each
-// event up a log-depth path (O(batch·log(queue))) — the shape that
-// matters for the per-die fan-out storms at simulation start, where
-// thousands of events land in an empty queue.
-//
-// Batch events return no handles and cannot be cancelled individually; a
-// fan-out that needs cancellation schedules through Schedule/At.
-//
-//simlint:hotpath
-func (e *Engine) ScheduleBatch(items []Timed) {
-	for i := range items {
-		if items[i].Delay < 0 {
-			panic(fmt.Sprintf("sim: negative delay %d in batch item %d at t=%d", //simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-				items[i].Delay, i, e.now))
-		}
-	}
-	// A batch that outgrows the freelist tops it up with one slab.
-	if short := len(items) - len(e.free); short > 0 {
-		//simlint:allow hotalloc pool growth: one slab per batch that outgrows the freelist
-		slab := make([]Event, short)
-		for i := range slab {
-			//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-			e.free = append(e.free, &slab[i])
-		}
-	}
-	// Small batches against a deep queue: individual pushes touch fewer
-	// slots than a full re-heapify would.
-	if len(items) < 8 || len(items) < len(e.queue)>>2 {
-		for i := range items {
-			ev := e.alloc(e.now + items[i].Delay)
-			ev.fn = items[i].Fn
-			e.push(ev)
-		}
-		return
-	}
-	for i := range items {
-		ev := e.alloc(e.now + items[i].Delay)
-		ev.fn = items[i].Fn
-		ev.index = int32(len(e.queue))
-		//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-		e.queue = append(e.queue, ev)
-	}
-	for i := (len(e.queue) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i, e.queue[i])
-	}
-}
-
-// Cancel removes a scheduled event. Cancelling an event that already
-// fired, or was already cancelled, is a harmless no-op — in particular a
-// fired event stays Fired (and reports Canceled() == false), so callers
-// can always distinguish "ran" from "removed before running". A heap
-// event is removed and recycled at once; a lane event stays in its lane
-// as a tombstone until it reaches the head, where Step drops it.
+// Cancel removes a scheduled event. Cancelling nil, or an event that
+// already fired or was already cancelled (and not yet reused), is a
+// harmless no-op. A heap event is removed and recycled at once; a lane
+// event stays in its lane as a tombstone until it reaches the head, where
+// step drops it.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.state != statePending {
 		return
 	}
 	ev.state = stateCanceled
-	if ev.index == inLane {
-		e.dead++
-	} else {
+	if ev.index != inLane {
 		e.remove(int(ev.index))
 		e.recycle(ev)
 	}
@@ -511,22 +434,13 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// Step executes the single earliest pending event and advances the clock to
-// its timestamp. It returns false when the queue is empty.
+// step executes the earliest pending event, advancing the clock to its
+// timestamp, and reports whether there was one. The earliest event is the
+// least (at, seq) among the heap top and the lane heads; cancelled events
+// met at a lane head are dropped and recycled on the way.
 //
 //simlint:hotpath
-func (e *Engine) Step() bool { return !e.idle() && e.stepUntil(math.MaxInt64) }
-
-// idle reports whether nothing is queued, not even a cancelled lane event.
-func (e *Engine) idle() bool { return len(e.queue) == 0 && e.busy == 0 }
-
-// stepUntil executes the earliest pending event if it is due by deadline,
-// and reports whether it did. The earliest event is the least (at, seq)
-// among the heap top and the lane heads; cancelled events met at a lane
-// head are dropped and recycled on the way.
-//
-//simlint:hotpath
-func (e *Engine) stepUntil(deadline Time) bool {
+func (e *Engine) step() bool {
 	var ev *Event
 	from := -1
 	if len(e.queue) > 0 {
@@ -544,7 +458,7 @@ func (e *Engine) stepUntil(deadline Time) bool {
 			ev, from = h, i
 		}
 	}
-	if ev == nil || ev.at > deadline {
+	if ev == nil {
 		return false
 	}
 	if from < 0 {
@@ -578,30 +492,16 @@ func (e *Engine) stepUntil(deadline Time) bool {
 }
 
 // Run executes events until the queue drains or Stop is called, and returns
-// the final simulated time.
+// the final simulated time. After a Stop the clock stays at the stopping
+// event's timestamp, the pending events are kept, and a later Run resumes
+// them.
 func (e *Engine) Run() Time {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped && e.step() {
 	}
 	return e.now
 }
 
-// RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued. The clock advances to the deadline
-// only when the loop exhausted the work before it — the queue drained or
-// only later events remain; after a Stop the clock stays at the stopping
-// event's timestamp, so the returned time reports where the simulation
-// actually halted rather than silently jumping to the deadline.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped && !e.idle() && e.stepUntil(deadline) {
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Stop makes the innermost Run or RunUntil return after the current event
-// completes. Pending events are preserved.
+// Stop makes the innermost Run return after the current event completes.
+// Pending events are preserved.
 func (e *Engine) Stop() { e.stopped = true }

@@ -89,7 +89,7 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
+	if ev.state != stateCanceled {
 		t.Fatal("event not marked cancelled")
 	}
 	// Double cancel and cancelling nil must be no-ops.
@@ -110,63 +110,31 @@ func TestEngineCancelMiddleKeepsOthers(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
+// TestEngineRunUntilStop pins Run's stop contract: when Stop fires
+// mid-run the clock stays at the stopping event's timestamp, the pending
+// events are kept, and a second Run resumes them.
+func TestEngineRunUntilStop(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	for _, d := range []Time{10, 20, 30, 40} {
+	for _, d := range []Time{10, 20, 30} {
 		d := d
 		e.Schedule(d, func() { fired = append(fired, d) })
 	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v before deadline 25", fired)
-	}
-	if e.Now() != 25 {
-		t.Fatalf("now = %d, want clock advanced to deadline 25", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("remaining events lost: %v", fired)
-	}
-}
-
-// TestEngineRunUntilStop pins the RunUntil stop-time contract: when Stop
-// fires mid-run the clock must stay at the stopping event's timestamp.
-// The pre-fix code advanced it to the deadline unconditionally, so a
-// harness sampling state at the stop point read the wrong time.
-func TestEngineRunUntilStop(t *testing.T) {
-	e := NewEngine()
-	for _, d := range []Time{10, 20, 30} {
-		e.Schedule(d, func() {})
-	}
 	e.Schedule(15, func() { e.Stop() })
-	if end := e.RunUntil(100); end != 15 {
-		t.Fatalf("RunUntil after Stop returned %d, want stop time 15", end)
+	if end := e.Run(); end != 15 {
+		t.Fatalf("Run after Stop returned %d, want stop time 15", end)
 	}
 	if e.Now() != 15 {
 		t.Fatalf("now = %d after Stop, want 15", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want the 20 and 30 events preserved", e.Pending())
+	if n := pendingEvents(e); n != 2 {
+		t.Fatalf("pending = %d, want the 20 and 30 events preserved", n)
 	}
-	// Resuming past the stop still honours the deadline semantics: the
-	// remaining events fire and the clock lands on the deadline.
-	if end := e.RunUntil(100); end != 100 {
-		t.Fatalf("resumed RunUntil = %d, want 100", end)
+	if end := e.Run(); end != 30 {
+		t.Fatalf("resumed Run = %d, want 30", end)
 	}
-}
-
-// TestEngineRunUntilStopAtDeadlineBoundary checks Stop fired by the last
-// event before the deadline also pins the clock to that event.
-func TestEngineRunUntilStopAtDeadlineBoundary(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(40, func() { e.Stop() })
-	e.Schedule(60, func() {})
-	if end := e.RunUntil(50); end != 40 {
-		t.Fatalf("RunUntil = %d, want 40 (stopped)", end)
+	if len(fired) != 3 {
+		t.Fatalf("fired %v, want all three timed events", fired)
 	}
 }
 
@@ -185,8 +153,8 @@ func TestEngineStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", count)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7 preserved", e.Pending())
+	if n := pendingEvents(e); n != 7 {
+		t.Fatalf("pending = %d, want 7 preserved", n)
 	}
 }
 
@@ -392,22 +360,8 @@ func TestPreemptibleCompletionSubmitKeepsSuspendedOp(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	if p.Busy() || p.Preemptions() != 2 {
-		t.Fatalf("busy=%v preemptions=%d after drain", p.Busy(), p.Preemptions())
-	}
-}
-
-func TestPreemptibleUtilization(t *testing.T) {
-	e := NewEngine()
-	p := NewPreemptible(e, "plane", 0)
-	p.Use(100, nil)
-	e.Schedule(200, func() {})
-	e.Run()
-	if u := p.Utilization(); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if p.Busy() {
-		t.Fatal("still busy")
+	if p.busy || p.Preemptions() != 2 {
+		t.Fatalf("busy=%v preemptions=%d after drain", p.busy, p.Preemptions())
 	}
 }
 

@@ -22,7 +22,7 @@ type firedRecord struct {
 //	5    cancel a pending Schedule/At child, chosen by the delay bits, at a
 //	     lane's head, behind it or in the heap
 //	6    At(now + delay), an absolute-time child
-//	7    ScheduleBatch of 2–9 children with delays derived from the byte
+//	7    a burst of 2–9 At children at one time, now + delay
 //
 // Events that fire after being cancelled report id -1 or a cancelled id.
 func runSchedule(data []byte) (trace []firedRecord, cancelled map[int]bool) {
@@ -75,13 +75,11 @@ func runSchedule(data []byte) (trace []firedRecord, cancelled map[int]bool) {
 			id, fn := child(e.Now() + delay)
 			pending = append(pending, pendingEvent{id, e.At(e.Now()+delay, fn)})
 		case 7:
-			items := make([]Timed, 2+int(b&7))
-			for i := range items {
-				d := (delay + Time(7*i)) & 0x1F
-				_, fn := child(e.Now() + d)
-				items[i] = Timed{Delay: d, Fn: fn}
+			at := e.Now() + delay
+			for i := 2 + int(b&7); i > 0; i-- {
+				_, fn := child(at)
+				e.At(at, fn)
 			}
-			e.ScheduleBatch(items)
 		default:
 			id, fn := child(e.Now() + delay)
 			pending = append(pending, pendingEvent{id, e.Schedule(delay, fn)})
@@ -91,7 +89,7 @@ func runSchedule(data []byte) (trace []firedRecord, cancelled map[int]bool) {
 		plant()
 	}
 	e.Run()
-	if e.Pending() != 0 {
+	if pendingEvents(e) != 0 {
 		panic("Run returned with events still pending")
 	}
 	return trace, cancelled
@@ -103,7 +101,7 @@ func runSchedule(data []byte) (trace []firedRecord, cancelled map[int]bool) {
 // scheduled for, no cancelled event ever fires, and the whole run is
 // bit-reproducible — an identical schedule yields an identical trace.
 // The committed corpus holds one entry per queue shape: lane overflow,
-// lane cancellation, lane reassignment, At and ScheduleBatch mixes.
+// lane cancellation, lane reassignment, At and same-time At burst mixes.
 func FuzzEngineOrdering(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})                     // all at t=0: pure FIFO
@@ -129,7 +127,7 @@ func FuzzEngineOrdering(f *testing.F) {
 				t.Fatalf("time ran backwards: event %d at %v after event %d at %v",
 					r.id, r.at, prev.id, prev.at)
 			}
-			// ids follow Schedule/At/ScheduleBatch call order, which is
+			// ids follow Schedule/At call order, which is
 			// exactly the engine's insertion sequence, so ties must fire in
 			// id order.
 			if r.at == prev.at && r.id < prev.id {

@@ -5,24 +5,22 @@ import (
 	"testing"
 )
 
-// handle is what the reference-order test observes of a retained event.
-type handle interface {
-	At() Time
-	Fired() bool
-	Canceled() bool
-}
+// handle is a retained event: an *Event or a *refEvent.
+type handle any
 
 // scheduler is the engine surface the reference-order test drives, so one
-// script can run on the Engine and on refEngine alike.
+// script can run on the Engine and on refEngine alike. queued and
+// inspect read the queue and a handle's fields, which the engine does not
+// export.
 type scheduler interface {
 	Now() Time
 	Schedule(delay Time, fn func()) handle
 	At(t Time, fn func()) handle
-	ScheduleBatch(items []Timed)
 	Cancel(h handle)
-	RunUntil(deadline Time) Time
+	Run() Time
 	Stop()
-	Pending() int
+	queued() int
+	inspect(h handle) (at Time, state uint8)
 }
 
 // engineUnderTest adapts *Engine to scheduler.
@@ -31,6 +29,27 @@ type engineUnderTest struct{ *Engine }
 func (e engineUnderTest) Schedule(d Time, fn func()) handle { return e.Engine.Schedule(d, fn) }
 func (e engineUnderTest) At(t Time, fn func()) handle       { return e.Engine.At(t, fn) }
 func (e engineUnderTest) Cancel(h handle)                   { e.Engine.Cancel(h.(*Event)) }
+func (e engineUnderTest) queued() int                       { return pendingEvents(e.Engine) }
+
+func (e engineUnderTest) inspect(h handle) (Time, uint8) {
+	ev := h.(*Event)
+	return ev.at, ev.state
+}
+
+// pendingEvents counts the events e still holds: the heap's, plus the
+// lanes' minus their cancelled tombstones.
+func pendingEvents(e *Engine) int {
+	n := len(e.queue)
+	for i := 0; i < e.nlanes; i++ {
+		q := &e.lanes[i].q
+		for _, ev := range q.items[q.head:] {
+			if ev.state == statePending {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // refEvent is one pending or completed event of refEngine.
 type refEvent struct {
@@ -39,10 +58,6 @@ type refEvent struct {
 	fn    func()
 	state uint8
 }
-
-func (r *refEvent) At() Time       { return r.at }
-func (r *refEvent) Fired() bool    { return r.state == stateFired }
-func (r *refEvent) Canceled() bool { return r.state == stateCanceled }
 
 // refEngine is the reference the engine's queue must match: an unsorted
 // list of pending events, each step firing the least (at, seq) found by a
@@ -54,9 +69,14 @@ type refEngine struct {
 	stopped bool
 }
 
-func (r *refEngine) Now() Time    { return r.now }
-func (r *refEngine) Pending() int { return len(r.pending) }
-func (r *refEngine) Stop()        { r.stopped = true }
+func (r *refEngine) Now() Time   { return r.now }
+func (r *refEngine) queued() int { return len(r.pending) }
+func (r *refEngine) Stop()       { r.stopped = true }
+
+func (r *refEngine) inspect(h handle) (Time, uint8) {
+	ev := h.(*refEvent)
+	return ev.at, ev.state
+}
 
 func (r *refEngine) Schedule(d Time, fn func()) handle { return r.At(r.now+d, fn) }
 
@@ -65,12 +85,6 @@ func (r *refEngine) At(t Time, fn func()) handle {
 	r.seq++
 	r.pending = append(r.pending, ev)
 	return ev
-}
-
-func (r *refEngine) ScheduleBatch(items []Timed) {
-	for _, it := range items {
-		r.Schedule(it.Delay, it.Fn)
-	}
 }
 
 func (r *refEngine) Cancel(h handle) {
@@ -84,7 +98,7 @@ func (r *refEngine) Cancel(h handle) {
 	}
 }
 
-func (r *refEngine) RunUntil(deadline Time) Time {
+func (r *refEngine) Run() Time {
 	r.stopped = false
 	for !r.stopped && len(r.pending) > 0 {
 		m := 0
@@ -94,16 +108,10 @@ func (r *refEngine) RunUntil(deadline Time) Time {
 			}
 		}
 		ev := r.pending[m]
-		if ev.at > deadline {
-			break
-		}
 		r.pending = append(r.pending[:m], r.pending[m+1:]...)
 		r.now = ev.at
 		ev.state = stateFired
 		ev.fn()
-	}
-	if !r.stopped && r.now < deadline {
-		r.now = deadline
 	}
 	return r.now
 }
@@ -116,7 +124,7 @@ type obs struct {
 }
 
 // orderScript drives a scheduler with a seeded random interleaving of
-// Schedule, At, ScheduleBatch, Cancel, RunUntil and Stop, and records
+// Schedule, At, same-time At bursts, Cancel, Run and Stop, and records
 // what it observes. The rng is consumed identically on both sides for as
 // long as their behaviour agrees, so the first differing observation is
 // the first divergence.
@@ -147,8 +155,9 @@ func (o *orderScript) event(id int) func() {
 		for i, r := range o.retained {
 			if r.id == id {
 				// The engine recycled the struct just before this callback
-				// and has not reused it yet, so the handle still reads true.
-				o.note("fired-handle", int64(id), b2i(r.h.Fired()), b2i(r.h.Canceled()))
+				// and has not reused it yet, so the handle still reads fired.
+				_, state := o.s.inspect(r.h)
+				o.note("fired-handle", int64(id), int64(state), 0)
 				o.retained = append(o.retained[:i], o.retained[i+1:]...)
 				break
 			}
@@ -164,7 +173,7 @@ func (o *orderScript) event(id int) func() {
 	}
 }
 
-// act performs one random operation; RunUntil only from the top level.
+// act performs one random operation; Run only from the top level.
 func (o *orderScript) act(top bool) {
 	ops := 4
 	if top {
@@ -186,12 +195,11 @@ func (o *orderScript) act(top bool) {
 		if top {
 			n = 12
 		}
-		items := make([]Timed, 1+o.rng.Intn(n))
-		for i := range items {
-			items[i] = Timed{Delay: Time(o.rng.Intn(o.classes)), Fn: o.event(o.nextID)}
+		at := o.s.Now() + Time(o.rng.Intn(o.classes))
+		for i := 1 + o.rng.Intn(n); i > 0; i-- {
+			o.s.At(at, o.event(o.nextID))
 			o.nextID++
 		}
-		o.s.ScheduleBatch(items)
 	case 3:
 		if len(o.retained) == 0 {
 			return
@@ -200,12 +208,13 @@ func (o *orderScript) act(top bool) {
 		r := o.retained[k]
 		o.retained = append(o.retained[:k], o.retained[k+1:]...)
 		o.s.Cancel(r.h)
-		o.note("cancel", int64(r.id), b2i(r.h.Fired()), b2i(r.h.Canceled()))
+		_, state := o.s.inspect(r.h)
+		o.note("cancel", int64(r.id), int64(state), 0)
 		o.s.Cancel(r.h) // a second Cancel is a no-op
-		o.note("recancel", int64(o.s.Pending()), b2i(r.h.Fired()), b2i(r.h.Canceled()))
+		_, state = o.s.inspect(r.h)
+		o.note("recancel", int64(o.s.queued()), int64(state), 0)
 	case 4:
-		deadline := o.s.Now() + Time(o.rng.Intn(3*o.classes))
-		o.note("run-until", int64(deadline), int64(o.s.RunUntil(deadline)), 0)
+		o.note("run", int64(o.s.Run()), 0, 0)
 	}
 }
 
@@ -217,38 +226,33 @@ func (o *orderScript) retain(id int, h handle) {
 	}
 }
 
-// run executes steps top-level operations, observing Pending and every
-// retained (still pending) handle after each, then drains the queue.
+// run executes steps top-level operations, observing the pending count
+// and every retained (still pending) handle after each, then drains the
+// queue.
 func (o *orderScript) run(steps int) {
 	for i := 0; i < steps; i++ {
 		o.act(true)
-		o.note("pending", int64(o.s.Pending()), 0, 0)
+		o.note("pending", int64(o.s.queued()), 0, 0)
 		for _, r := range o.retained {
-			o.note("handle", int64(r.id), int64(r.h.At()), b2i(r.h.Fired())<<1|b2i(r.h.Canceled()))
+			at, state := o.s.inspect(r.h)
+			o.note("handle", int64(r.id), int64(at), int64(state))
 		}
 	}
 	// Stop may cut a drain short; a bounded retry keeps a miscounting
-	// Pending from looping forever.
-	for i := 0; i < 100 && o.s.Pending() > 0; i++ {
-		o.note("drain", int64(o.s.RunUntil(o.s.Now()+1<<40)), 0, 0)
+	// pending from looping forever.
+	for i := 0; i < 100 && o.s.queued() > 0; i++ {
+		o.note("drain", int64(o.s.Run()), 0, 0)
 	}
-	o.note("pending", int64(o.s.Pending()), 0, 0)
-}
-
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
+	o.note("pending", int64(o.s.queued()), 0, 0)
 }
 
 // TestEngineMatchesReferenceOrder runs seeded random interleavings of the
 // whole scheduling API on the engine and on a reference that sorts by
 // (at, seq), with more delay classes than the engine has lanes, and
-// requires the same firing sequence, clock, Pending count and handle
+// requires the same firing sequence, clock, pending count and handle
 // states throughout. Delays are small integers, so events of different
-// lanes, of the heap and of batches often tie on time and only the
-// insertion sequence can order them.
+// lanes, of the heap and of same-time bursts often tie on time and only
+// the insertion sequence can order them.
 func TestEngineMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, classes := range []int{3, 2 * maxLanes} {

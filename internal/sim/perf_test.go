@@ -13,7 +13,7 @@ import (
 // cancelling an event that already executed must be a no-op, not
 // retroactively mark it cancelled. The pre-fix code set canceled = true
 // unconditionally, so callers racing a completion (plane suspend logic,
-// timeout cleanup) saw Canceled() == true for work that actually ran.
+// timeout cleanup) saw a cancelled state for work that actually ran.
 // The handle stays valid here because nothing is scheduled after the
 // fire, so the pool has not reused the struct.
 func TestEngineCancelAfterFireKeepsFired(t *testing.T) {
@@ -24,15 +24,12 @@ func TestEngineCancelAfterFireKeepsFired(t *testing.T) {
 	if !ran {
 		t.Fatal("event did not run")
 	}
-	if !ev.Fired() || ev.Canceled() {
-		t.Fatalf("after fire: Fired=%v Canceled=%v, want true/false", ev.Fired(), ev.Canceled())
+	if ev.state != stateFired {
+		t.Fatalf("after fire: state %d, want fired (%d)", ev.state, stateFired)
 	}
 	e.Cancel(ev)
-	if ev.Canceled() {
-		t.Fatal("Cancel marked an already-fired event as cancelled")
-	}
-	if !ev.Fired() {
-		t.Fatal("Cancel cleared the fired state")
+	if ev.state != stateFired {
+		t.Fatalf("Cancel moved an already-fired event to state %d", ev.state)
 	}
 }
 
@@ -106,88 +103,10 @@ func TestScheduleSteadyStateZeroAllocs(t *testing.T) {
 		if per != 0 {
 			t.Fatalf("%s: Schedule+Run allocates %v in steady state, want 0 (event pool broken)", name, per)
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("%s: %d events pending after Run", name, e.Pending())
+		if n := pendingEvents(e); n != 0 {
+			t.Fatalf("%s: %d events pending after Run", name, n)
 		}
 	}
-}
-
-// TestScheduleBatchSteadyStateZeroAllocs pins the batch path the same
-// way: the caller owns the Timed slice, so a warm batch insert allocates
-// nothing beyond it.
-func TestScheduleBatchSteadyStateZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	items := make([]Timed, 16)
-	for i := range items {
-		items[i] = Timed{Delay: Time(i % 5), Fn: fn}
-	}
-	e.ScheduleBatch(items)
-	e.Run()
-	per := testing.AllocsPerRun(1000, func() {
-		e.ScheduleBatch(items)
-		e.Run()
-	})
-	//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
-	if per != 0 {
-		t.Fatalf("ScheduleBatch+Run allocates %v in steady state, want 0", per)
-	}
-}
-
-// --- ScheduleBatch contract ---------------------------------------------
-
-// TestScheduleBatchMatchesIndividual proves the batch API is purely a
-// performance hint: for the same (delay, fn) sequence — ties included —
-// batch insertion fires callbacks in exactly the order a loop of
-// Schedule calls would, on both the bulk-heapify path (large batch into
-// an empty queue) and the incremental path (small batch into a populated
-// queue).
-func TestScheduleBatchMatchesIndividual(t *testing.T) {
-	delays := []Time{30, 10, 10, 0, 20, 10, 5, 5, 40, 0, 25, 30, 15, 7, 7, 7}
-	run := func(batch bool, preload int) []int {
-		e := NewEngine()
-		var got []int
-		// Background events exercise merging into a non-empty queue.
-		for i := 0; i < preload; i++ {
-			i := i
-			e.Schedule(Time(i*3+1), func() { got = append(got, 1000+i) })
-		}
-		items := make([]Timed, len(delays))
-		for i, d := range delays {
-			i := i
-			items[i] = Timed{Delay: d, Fn: func() { got = append(got, i) }}
-		}
-		if batch {
-			e.ScheduleBatch(items)
-		} else {
-			for _, it := range items {
-				e.Schedule(it.Delay, it.Fn)
-			}
-		}
-		e.Run()
-		return got
-	}
-	for _, preload := range []int{0, 100} {
-		a := run(false, preload)
-		b := run(true, preload)
-		if len(a) != len(b) {
-			t.Fatalf("preload=%d: fired %d vs %d events", preload, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("preload=%d: firing order diverges at %d: individual %v, batch %v", preload, i, a, b)
-			}
-		}
-	}
-}
-
-func TestScheduleBatchNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative batch delay did not panic")
-		}
-	}()
-	NewEngine().ScheduleBatch([]Timed{{Delay: 5}, {Delay: -1}})
 }
 
 // --- Pool-reuse determinism ---------------------------------------------
@@ -271,13 +190,13 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 					e.Schedule(delays[i%classes], fn)
 				}
 				for i := 0; i < 16*depth; i++ {
-					e.Step()
+					e.step()
 				}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.Step()
+					e.step()
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
@@ -286,25 +205,6 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkScheduleBatch measures one 64-event ScheduleBatch, over seven
-// delays, and the Run that drains it. It reports ns/event.
-func BenchmarkScheduleBatch(b *testing.B) {
-	const batch = 64
-	e := NewEngine()
-	fn := func() {}
-	items := make([]Timed, batch)
-	for i := range items {
-		items[i] = Timed{Delay: Time(i % 7), Fn: fn}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleBatch(items)
-		e.Run()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
 }
 
 // BenchmarkResourceUse measures one Resource.Use on an idle resource and

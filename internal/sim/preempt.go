@@ -29,7 +29,6 @@ type Preemptible struct {
 	curLowPri  bool
 	curEnd     *Event
 	curOp      *pendingOp
-	curDone    func()
 	curFinish  Time
 	// curOverhead is the resume-overhead share at the front of the
 	// current service interval: zero for a fresh operation,
@@ -40,12 +39,11 @@ type Preemptible struct {
 
 	suspended    suspendedOp
 	hasSuspended bool
-	hiQueue      []*pendingOp
-	loQueue      []*pendingOp
+	hiQueue      FIFO[*pendingOp]
+	loQueue      FIFO[*pendingOp]
 	freeOps      []*pendingOp
 
 	preemptions uint64
-	busyTime    Time
 	curStart    Time
 }
 
@@ -76,9 +74,6 @@ func NewPreemptible(eng *Engine, name string, resumeOverhead Time) *Preemptible 
 
 // Preemptions returns how many suspends occurred.
 func (p *Preemptible) Preemptions() uint64 { return p.preemptions }
-
-// Busy reports whether an operation is executing right now.
-func (p *Preemptible) Busy() bool { return p.busy }
 
 //simlint:hotpath
 func (p *Preemptible) getOp() *pendingOp {
@@ -129,11 +124,9 @@ func (p *Preemptible) submit(op *pendingOp) {
 	}
 	if p.busy || p.completing {
 		if op.lowPri {
-			//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-			p.loQueue = append(p.loQueue, op)
+			p.loQueue.Push(op)
 		} else {
-			//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-			p.hiQueue = append(p.hiQueue, op)
+			p.hiQueue.Push(op)
 		}
 		return
 	}
@@ -160,24 +153,19 @@ func (p *Preemptible) suspendCurrent() {
 			remaining = 0
 		}
 	}
-	p.busyTime += now - p.curStart
 	p.eng.Cancel(p.curEnd)
-	if p.curOp != nil {
-		p.putOp(p.curOp)
-		p.curOp = nil
-	}
-	p.suspended = suspendedOp{remaining: remaining, done: p.curDone}
+	p.suspended = suspendedOp{remaining: remaining, done: p.curOp.done}
+	p.putOp(p.curOp)
+	p.curOp = nil
 	p.hasSuspended = true
 	p.preemptions++
 	p.busy = false
 	p.curEnd = nil
-	p.curDone = nil
 }
 
 func (p *Preemptible) start(d Time, done func(), lowPri bool, overhead Time) {
 	p.busy = true
 	p.curLowPri = lowPri
-	p.curDone = done
 	p.curStart = p.eng.Now()
 	p.curFinish = p.eng.Now() + d
 	p.curOverhead = overhead
@@ -199,8 +187,6 @@ func finishPreemptible(arg any) {
 	p.putOp(op)
 	p.busy = false
 	p.curEnd = nil
-	p.curDone = nil
-	p.busyTime += p.eng.Now() - p.curStart
 	if done != nil {
 		p.completing = true
 		done()
@@ -215,10 +201,8 @@ func (p *Preemptible) dispatch() {
 	if p.busy {
 		return
 	}
-	if len(p.hiQueue) > 0 {
-		op := p.hiQueue[0]
-		copy(p.hiQueue, p.hiQueue[1:])
-		p.hiQueue = p.hiQueue[:len(p.hiQueue)-1]
+	if p.hiQueue.Len() > 0 {
+		op := p.hiQueue.Pop()
 		p.start(op.d, op.done, false, 0)
 		p.putOp(op)
 		return
@@ -230,24 +214,9 @@ func (p *Preemptible) dispatch() {
 		p.start(s.remaining+p.ResumeOverhead, s.done, true, p.ResumeOverhead)
 		return
 	}
-	if len(p.loQueue) > 0 {
-		op := p.loQueue[0]
-		copy(p.loQueue, p.loQueue[1:])
-		p.loQueue = p.loQueue[:len(p.loQueue)-1]
+	if p.loQueue.Len() > 0 {
+		op := p.loQueue.Pop()
 		p.start(op.d, op.done, true, 0)
 		p.putOp(op)
 	}
-}
-
-// Utilization returns the busy fraction since simulation start.
-func (p *Preemptible) Utilization() float64 {
-	now := p.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	total := p.busyTime
-	if p.busy {
-		total += now - p.curStart
-	}
-	return float64(total) / float64(now)
 }

@@ -54,9 +54,6 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, capacity: capacity}
 }
 
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
-
 func (r *Resource) account() {
 	now := r.eng.Now()
 	r.busyTime += Time(r.inUse) * (now - r.lastChange)

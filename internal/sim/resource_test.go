@@ -183,7 +183,7 @@ func TestResourceCounters(t *testing.T) {
 	if r.inUse != 0 || r.q.Len() != 0 {
 		t.Fatalf("inUse = %d, queue = %d after drain", r.inUse, r.q.Len())
 	}
-	if r.Name() != "r" {
+	if r.name != "r" {
 		t.Fatal("name wrong")
 	}
 }

@@ -115,7 +115,8 @@ func TestDevicePreload(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, smallConfig())
 	d.Preload(9)
-	if e.Now() != 0 || e.Pending() != 0 {
+	e.Run()
+	if e.Now() != 0 || e.Fired() != 0 {
 		t.Fatal("preload consumed simulated time")
 	}
 	if _, ok := d.FTL().Lookup(9); !ok {
@@ -458,17 +459,17 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, smallConfig())
 	cfg := d.Config()
-	// Write, then read immediately — before the background flush finishes.
-	written := false
-	d.Write(3, func() { written = true })
-	e.RunUntil(cfg.CmdLatency + cfg.DRAMPageLatency)
-	if !written {
-		t.Fatal("write not acked")
-	}
-	var readAt sim.Time
-	start := e.Now()
-	d.Read(3, func() { readAt = e.Now() })
+	// Write, then read as soon as the write is acked — before the
+	// background flush finishes.
+	var start, readAt sim.Time
+	d.Write(3, func() {
+		start = e.Now()
+		d.Read(3, func() { readAt = e.Now() })
+	})
 	runDrained(t, e, d)
+	if start != cfg.CmdLatency+cfg.DRAMPageLatency {
+		t.Fatalf("write acked at %v, want %v", start, cfg.CmdLatency+cfg.DRAMPageLatency)
+	}
 	// Served from DRAM: cmd + DRAM latency, far below the NAND path.
 	want := cfg.CmdLatency + cfg.DRAMPageLatency
 	if readAt-start != want {

@@ -329,29 +329,24 @@ func (f *FTL) Invalidate(lpa int64) {
 	}
 }
 
-// BeginProgram records a program issued to ppa whose mapping will commit
-// at completion (EndProgram). The FTL refuses to pick blocks with in-
-// flight programs as GC victims while the count is nonzero.
-func (f *FTL) BeginProgram(ppa PPA) { f.beginProgram(f.geo.PlaneOf(ppa), f.geo.Linear(ppa)) }
-
-// beginProgram is BeginProgram on the linear page lin of plane.
+// beginProgram records a program issued to the linear page lin of plane
+// whose mapping will commit at completion (endProgram). The FTL refuses
+// to pick blocks with in-flight programs as GC victims while the count is
+// nonzero.
 func (f *FTL) beginProgram(plane int, lin int64) {
 	f.inflight[f.dec.block(lin)]++
 	f.inflightPlane[plane]++
 }
 
-// EndProgram retires a BeginProgram record when the program completes (or
-// completes stale, in which case no mapping is committed).
-func (f *FTL) EndProgram(ppa PPA) { f.endProgram(f.geo.PlaneOf(ppa), f.geo.Linear(ppa)) }
-
-// endProgram is EndProgram on the linear page lin of plane.
+// endProgram retires a beginProgram record when the program completes
+// (or completes stale, in which case no mapping is committed).
 func (f *FTL) endProgram(plane int, lin int64) {
 	b := f.dec.block(lin)
 	f.inflight[b]--
 	f.inflightPlane[plane]--
 	if f.inflight[b] < 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("ssd: EndProgram without BeginProgram on %v", f.dec.ppa(lin)))
+		panic(fmt.Sprintf("ssd: endProgram without beginProgram on %v", f.dec.ppa(lin)))
 	}
 }
 
@@ -365,7 +360,7 @@ func (f *FTL) InflightPrograms(planeIdx int) int {
 // pages in the plane (greedy policy). ok is false when no eligible full
 // block exists or the best candidate is entirely valid — erasing an
 // all-valid block reclaims nothing and would make GC churn forever.
-// Blocks with in-flight programs are ineligible (see BeginProgram).
+// Blocks with in-flight programs are ineligible (see beginProgram).
 func (f *FTL) PickVictim(planeIdx int) (block int, ok bool) {
 	pa := &f.planes[planeIdx]
 	base := planeIdx * f.geo.BlocksPerPlane

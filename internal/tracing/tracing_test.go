@@ -14,6 +14,10 @@ import (
 // with, by name.
 var contendedCapacity = map[string]int{"bus": 1, "dies": 4}
 
+// contendedNames names contendedRun's resources in the order it returns
+// them.
+var contendedNames = []string{"bus", "dies"}
+
 // contendedRun drives a small two-resource contention workload and
 // returns the engine, resources, and the recorded trace.
 func contendedRun(t *testing.T) (*sim.Engine, []*sim.Resource, *Trace) {
@@ -55,15 +59,16 @@ func TestTraceRecordsTracksInFirstSeenOrder(t *testing.T) {
 // time x capacity, must match Resource.Utilization within 1e-9.
 func TestHoldSpansReconcileWithUtilization(t *testing.T) {
 	e, resources, tr := contendedRun(t)
-	for _, r := range resources {
-		busy := tr.BusyTime(r.Name(), "hold")
-		got := float64(busy) / (float64(e.Now()) * float64(contendedCapacity[r.Name()]))
+	for i, r := range resources {
+		name := contendedNames[i]
+		busy := tr.BusyTime(name, "hold")
+		got := float64(busy) / (float64(e.Now()) * float64(contendedCapacity[name]))
 		want := r.Utilization()
 		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s: trace-derived utilization %v, resource reports %v", r.Name(), got, want)
+			t.Errorf("%s: trace-derived utilization %v, resource reports %v", name, got, want)
 		}
 		if busy == 0 {
-			t.Errorf("%s: no hold spans recorded", r.Name())
+			t.Errorf("%s: no hold spans recorded", name)
 		}
 	}
 }
@@ -228,15 +233,15 @@ func TestUtilizationTimeline(t *testing.T) {
 			total += p.Y * width
 		}
 		var r *sim.Resource
-		for _, cand := range resources {
-			if cand.Name() == s.Name {
+		for i, cand := range resources {
+			if contendedNames[i] == s.Name {
 				r = cand
 			}
 		}
 		if r == nil {
 			t.Fatalf("series %s has no matching resource", s.Name)
 		}
-		want := r.Utilization() * float64(e.Now()) * float64(contendedCapacity[r.Name()])
+		want := r.Utilization() * float64(e.Now()) * float64(contendedCapacity[s.Name])
 		//simlint:allow unitconv 1e-6 is a relative tolerance, not a unit conversion
 		if math.Abs(total-want) > 1e-6*want {
 			t.Errorf("%s: timeline integrates to %v, busy time is %v", s.Name, total, want)
