@@ -2,9 +2,8 @@
 # go vet and the race detector — required since internal/runner introduced
 # real concurrency (the worker pool that fans simulation points across
 # CPUs); tier 3 runs simlint, the project's own static analyzers: the
-# per-unit determinism and unit-safety rules plus the module-wide
-# flow-aware passes (hotalloc, poolsafe, globalstate — see DESIGN.md
-# §10); tier 4 runs the physical-
+# determinism and unit-safety rules plus the flow-aware kernel-contract
+# checks (hotalloc, poolsafe, globalstate — see DESIGN.md §10); tier 4 runs the physical-
 # invariant sweep (internal/invariant: conservation, roofline sandwich,
 # metamorphic monotonicity over hundreds of configurations) plus a short
 # native-fuzz smoke of every pure-kernel fuzz target; tier 5 is the

@@ -1,17 +1,12 @@
 // Command simlint is the repository's static-analysis multichecker:
-// verify tier 3. It runs two kinds of analyzers over the module.
-//
-// Per-unit analyzers inspect one package at a time:
+// verify tier 3. Each analyzer runs once over the whole load set, and
+// its findings survive only inside the packages where its rule is policy:
 //
 //	nondeterminism  wall-clock reads, global math/rand, map-order iteration
 //	unitconv        raw scale-factor literals outside internal/units
 //	floateq         exact float ==/!= in tests outside approx helpers
 //	simtime         bare sim.Time(x) conversions without a named constructor
 //	tracesink       fmt stream writes that would bypass the trace sink
-//
-// Module analyzers run once over the whole load set, with the
-// cross-package call graph in hand:
-//
 //	hotalloc        allocations reachable from //simlint:hotpath functions
 //	poolsafe        use-after-release of //simlint:pooled handles
 //	globalstate     writes to mutable package-level state
@@ -43,19 +38,11 @@ import (
 	"repro/internal/lint/checks"
 )
 
-// scope limits a per-unit analyzer to the packages where its rule is
-// policy.
+// scope limits an analyzer's *findings* by position: the analyzer always
+// sees the whole load set (hotalloc's call chains may cross any
+// boundary), but only findings anchored inside the scope survive.
 type scope struct {
 	analyzer *lint.Analyzer
-	include  func(rel string) bool
-	describe string
-}
-
-// moduleScope limits a module analyzer's *findings* by position: the
-// analyzer always sees the whole load set (its call chains may cross any
-// boundary), but only reports anchored inside the scope survive.
-type moduleScope struct {
-	analyzer *lint.ModuleAnalyzer
 	include  func(rel string) bool
 	describe string
 }
@@ -73,21 +60,16 @@ type moduleScope struct {
 //   - tracesink governs the packages that record and serialize event
 //     traces; their output must stay byte-stable, so trace bytes go
 //     through internal/tracing's strconv-append sink, never fmt streams.
+//   - hotalloc and poolsafe are driven entirely by annotations
+//     (//simlint:hotpath, //simlint:pooled); they apply module-wide.
+//   - globalstate governs the sim-adjacent packages (internal/ and
+//     cmd/), where shared mutable state couples simulations.
 var scopes = []scope{
 	{checks.Nondeterminism, underAny("internal", "cmd"), "internal/..., cmd/..."},
 	{checks.UnitConv, not(underAny("internal/units")), "all but internal/units"},
 	{checks.FloatEq, all, "all tests"},
 	{checks.SimTime, not(underAny("internal/sim", "internal/units")), "all but internal/sim, internal/units"},
 	{checks.TraceSink, underAny("internal/tracing"), "internal/tracing"},
-}
-
-// moduleScopes is the module-analyzer policy.
-//
-//   - hotalloc and poolsafe are driven entirely by annotations
-//     (//simlint:hotpath, //simlint:pooled); they apply module-wide.
-//   - globalstate governs the sim-adjacent packages (internal/ and
-//     cmd/), where shared mutable state couples simulations.
-var moduleScopes = []moduleScope{
 	{checks.HotAlloc, all, "whole module (annotation-driven)"},
 	{checks.PoolSafe, all, "whole module (annotation-driven)"},
 	{checks.GlobalState, underAny("internal", "cmd"), "internal/..., cmd/..."},
@@ -114,13 +96,8 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as JSON, one object per line")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [-json] [-list] [packages]\n\nPer-unit analyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-json] [-list] [packages]\n\nAnalyzers:\n")
 		for _, s := range scopes {
-			fmt.Fprintf(os.Stderr, "  %-16s %s\n                   scope: %s\n",
-				s.analyzer.Name, s.analyzer.Doc, s.describe)
-		}
-		fmt.Fprintf(os.Stderr, "\nModule analyzers:\n")
-		for _, s := range moduleScopes {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n                   scope: %s\n",
 				s.analyzer.Name, s.analyzer.Doc, s.describe)
 		}
@@ -170,44 +147,14 @@ func run(patterns []string, asJSON bool) int {
 		units = append(units, us...)
 	}
 
-	// Raw diagnostics from both pass kinds, then one global suppression
-	// pass: an allow directive used only by a module analyzer must not be
-	// reported stale by the per-unit runs (and vice versa).
+	// Findings outside an analyzer's scope are dropped before the one
+	// suppression pass, so an allow beside a dropped finding is stale and
+	// an allow that any in-scope finding uses is not.
 	var raw []lint.Diagnostic
-	for _, unit := range units {
-		rel := relPath(root, unit.Dir)
-		var applicable []*lint.Analyzer
-		for _, s := range scopes {
-			if s.include(rel) {
-				applicable = append(applicable, s.analyzer)
-			}
-		}
-		if len(applicable) == 0 {
-			continue
-		}
-		diags, err := lint.RunUnitAnalyzers(unit, applicable...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			failed = true
-			continue
-		}
-		raw = append(raw, diags...)
-	}
-	if len(units) > 0 {
-		var moduleAnalyzers []*lint.ModuleAnalyzer
-		include := map[string]func(string) bool{}
-		for _, s := range moduleScopes {
-			moduleAnalyzers = append(moduleAnalyzers, s.analyzer)
-			include[s.analyzer.Name] = s.include
-		}
-		diags, err := lint.RunModuleAnalyzers(units, moduleAnalyzers...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			failed = true
-		}
-		for _, d := range diags {
+	for _, s := range scopes {
+		for _, d := range lint.Run(units, s.analyzer) {
 			pos := units[0].Fset.Position(d.Pos)
-			if inc := include[d.Analyzer]; inc != nil && inc(relPath(root, filepath.Dir(pos.Filename))) {
+			if s.include(relPath(root, filepath.Dir(pos.Filename))) {
 				raw = append(raw, d)
 			}
 		}

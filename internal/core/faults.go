@@ -10,8 +10,8 @@ import (
 // checkpointTimes returns the analytic cost of moving the full optimizer
 // state once: out over the host link (bounded by the narrower of PCIe and
 // the aggregate channel buses) and die-internally via plane-local
-// copyback. Shared by the standalone Checkpoint report and the fault
-// accounting; bandwidth units are decimal end to end (see Checkpoint).
+// copyback. Both the standalone Checkpoint report and the fault
+// accounting use it; bandwidth units are decimal end to end (see Checkpoint).
 func checkpointTimes(cfg Config) (hostStream, inStorage sim.Time) {
 	state := float64(cfg.StateBytes())
 	extGBps := cfg.Link.EffectiveGBps()

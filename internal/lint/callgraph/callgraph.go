@@ -75,20 +75,6 @@ func (g *Graph) Lookup(fn *types.Func) *Node {
 	return g.Nodes[fn.Origin().FullName()]
 }
 
-// sharedKey memoizes the graph in a ModulePass's Shared cache.
-const sharedKey = "callgraph"
-
-// Of returns the call graph for the pass's units, building it on first
-// use and memoizing it in pass.Shared for the other module analyzers.
-func Of(pass *lint.ModulePass) *Graph {
-	if g, ok := pass.Shared[sharedKey].(*Graph); ok {
-		return g
-	}
-	g := Build(pass.Units)
-	pass.Shared[sharedKey] = g
-	return g
-}
-
 // Build constructs the call graph over the given units.
 func Build(units []*lint.Unit) *Graph {
 	g := &Graph{Nodes: map[string]*Node{}}

@@ -1,21 +1,14 @@
-// Package checks holds the simlint analyzers: the determinism and
-// unit-safety rules the simulator's results depend on. Each analyzer is a
-// lint.Analyzer run by cmd/simlint (verify tier 3); all of them support
-// suppression via `//simlint:allow <name>` on or directly above the
-// flagged line.
+// Package checks holds the simlint analyzers: the determinism,
+// unit-safety and kernel-contract rules the simulator's results depend
+// on. Each analyzer is a lint.Analyzer that cmd/simlint (verify tier 3)
+// runs once over the whole load set; all of them support suppression via
+// `//simlint:allow <name>` on or directly above the flagged line.
 package checks
 
 import (
 	"go/ast"
 	"go/types"
-
-	"repro/internal/lint"
 )
-
-// All returns every per-unit simlint analyzer in stable order.
-func All() []*lint.Analyzer {
-	return []*lint.Analyzer{Nondeterminism, UnitConv, FloatEq, SimTime, TraceSink}
-}
 
 // calleeObj resolves the object a call expression invokes, or nil.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {

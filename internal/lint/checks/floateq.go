@@ -3,6 +3,8 @@ package checks
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"regexp"
 	"strings"
 
 	"repro/internal/lint"
@@ -22,31 +24,29 @@ var FloatEq = &lint.Analyzer{
 	Run: runFloatEq,
 }
 
-// approxHelperPattern matches function names that are allowed to compare
-// floats exactly because they implement the tolerance machinery.
-const approxHelperPattern = `(?i)(approx|almost|close|within|delta|near|tol)`
+// approxHelper matches function names that are allowed to compare floats
+// exactly because they implement the tolerance machinery.
+var approxHelper = regexp.MustCompile(`(?i)(approx|almost|close|within|delta|near|tol)`)
 
-func runFloatEq(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if !strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+func runFloatEq(pass *lint.Pass) {
+	for _, u := range pass.Units {
+		for _, f := range u.Files {
+			name := pass.Fset.Position(f.Pos()).Filename
+			if !strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			if lint.MatchesFuncName(approxHelperPattern, fd.Name.Name) {
-				continue
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || approxHelper.MatchString(fd.Name.Name) {
+					continue
+				}
+				checkFloatComparisons(pass, u.Info, fd.Body)
 			}
-			checkFloatComparisons(pass, fd.Body)
 		}
 	}
-	return nil
 }
 
-func checkFloatComparisons(pass *lint.Pass, body ast.Node) {
+func checkFloatComparisons(pass *lint.Pass, info *types.Info, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		// Nested closures named nowhere can't be approx helpers; inspect
 		// everything below the declaration uniformly.
@@ -54,8 +54,8 @@ func checkFloatComparisons(pass *lint.Pass, body ast.Node) {
 		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 			return true
 		}
-		xt, xok := pass.Info.Types[be.X]
-		yt, yok := pass.Info.Types[be.Y]
+		xt, xok := info.Types[be.X]
+		yt, yok := info.Types[be.Y]
 		if !xok || !yok || (!isFloat(xt.Type) && !isFloat(yt.Type)) {
 			return true
 		}

@@ -12,7 +12,7 @@ import (
 // functions. The sim kernel is deliberately instance-scoped — every
 // Engine, Resource, and Trace owns its state — so a package-level
 // variable written at runtime is either a latent data race under
-// parallel tests (the funcNameRE cache was one) or hidden coupling
+// parallel tests (the linter's own regexp cache was one) or hidden coupling
 // between simulations. Writes from init functions and package-level
 // initializers are configuration, not shared mutable state, and test
 // files are skipped.
@@ -21,14 +21,14 @@ import (
 // explicit `//simlint:allow globalstate <reason>` at the write site.
 //
 // Category: globalstate.
-var GlobalState = &lint.ModuleAnalyzer{
+var GlobalState = &lint.Analyzer{
 	Name: "globalstate",
 	Doc: "flags assignments, index stores, and inc/dec of package-level variables " +
 		"from non-init functions in non-test files",
 	Run: runGlobalState,
 }
 
-func runGlobalState(pass *lint.ModulePass) error {
+func runGlobalState(pass *lint.Pass) {
 	for _, u := range pass.Units {
 		if strings.HasSuffix(u.ImportPath, " [xtest]") {
 			continue
@@ -49,10 +49,9 @@ func runGlobalState(pass *lint.ModulePass) error {
 			}
 		}
 	}
-	return nil
 }
 
-func scanGlobalWrites(pass *lint.ModulePass, u *lint.Unit, fd *ast.FuncDecl) {
+func scanGlobalWrites(pass *lint.Pass, u *lint.Unit, fd *ast.FuncDecl) {
 	info := u.Info
 	flag := func(root *ast.Ident, pos ast.Node, what string) {
 		v, ok := info.Uses[root].(*types.Var)

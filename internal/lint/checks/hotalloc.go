@@ -32,15 +32,15 @@ import (
 // expected ones.
 //
 // Category: hotalloc.
-var HotAlloc = &lint.ModuleAnalyzer{
+var HotAlloc = &lint.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags allocating constructs reachable from //simlint:hotpath functions " +
 		"through the whole-module call graph, printing the offending call chain",
 	Run: runHotAlloc,
 }
 
-func runHotAlloc(pass *lint.ModulePass) error {
-	g := callgraph.Of(pass)
+func runHotAlloc(pass *lint.Pass) {
+	g := callgraph.Build(pass.Units)
 
 	// Multi-source BFS from every annotated root, recording parents so
 	// each diagnostic can print a (shortest) chain from a root.
@@ -73,7 +73,6 @@ func runHotAlloc(pass *lint.ModulePass) error {
 	for _, n := range queue {
 		scanAllocs(pass, n, hotChain(parent, n))
 	}
-	return nil
 }
 
 // hotChain renders the call chain from the nearest annotated root to n.
@@ -111,7 +110,7 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 }
 
 // scanAllocs reports every allocating construct in n's body.
-func scanAllocs(pass *lint.ModulePass, n *callgraph.Node, chain string) {
+func scanAllocs(pass *lint.Pass, n *callgraph.Node, chain string) {
 	info := n.Unit.Info
 	report := func(pos token.Pos, what string) {
 		pass.Reportf(pos, "hotalloc",

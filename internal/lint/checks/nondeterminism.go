@@ -38,38 +38,39 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func runNondeterminism(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				obj := calleeObj(pass.Info, n)
-				switch pkgPathOf(obj) {
-				case "time":
-					if wallclockFuncs[obj.Name()] && !isMethod(obj) {
-						pass.Reportf(n.Pos(), "wallclock",
-							"wall-clock call time.%s in a simulation package; simulated time must come from sim.Engine", obj.Name())
+func runNondeterminism(pass *lint.Pass) {
+	for _, u := range pass.Units {
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					obj := calleeObj(u.Info, n)
+					switch pkgPathOf(obj) {
+					case "time":
+						if wallclockFuncs[obj.Name()] && !isMethod(obj) {
+							pass.Reportf(n.Pos(), "wallclock",
+								"wall-clock call time.%s in a simulation package; simulated time must come from sim.Engine", obj.Name())
+						}
+					case "math/rand", "math/rand/v2":
+						if !isMethod(obj) && !randConstructors[obj.Name()] {
+							pass.Reportf(n.Pos(), "globalrand",
+								"global math/rand call rand.%s; use an explicitly seeded rand.New(rand.NewSource(seed))", obj.Name())
+						}
 					}
-				case "math/rand", "math/rand/v2":
-					if !isMethod(obj) && !randConstructors[obj.Name()] {
-						pass.Reportf(n.Pos(), "globalrand",
-							"global math/rand call rand.%s; use an explicitly seeded rand.New(rand.NewSource(seed))", obj.Name())
+				case *ast.RangeStmt:
+					if n.Key == nil && n.Value == nil {
+						// `for range m` observes only len(m): order-free.
+						return true
+					}
+					if tv, ok := u.Info.Types[n.X]; ok && tv.Type != nil {
+						if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+							pass.Report(n.Pos(), "maporder",
+								"range over map iterates in randomized order; sort the keys first (or //simlint:allow maporder if provably order-free)")
+						}
 					}
 				}
-			case *ast.RangeStmt:
-				if n.Key == nil && n.Value == nil {
-					// `for range m` observes only len(m): order-free.
-					return true
-				}
-				if tv, ok := pass.Info.Types[n.X]; ok && tv.Type != nil {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						pass.Report(n.Pos(), "maporder",
-							"range over map iterates in randomized order; sort the keys first (or //simlint:allow maporder if provably order-free)")
-					}
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 
 	"repro/internal/lint"
@@ -26,7 +27,7 @@ import (
 // goto are skipped rather than analyzed on incomplete paths.
 //
 // Categories: useafterrelease, doublerelease, poolescape.
-var PoolSafe = &lint.ModuleAnalyzer{
+var PoolSafe = &lint.Analyzer{
 	Name: "poolsafe",
 	Doc: "flags use-after-release, double-release, and package-level escapes of " +
 		"pooled (//simlint:pooled) objects along control-flow paths",
@@ -109,22 +110,10 @@ func (m *poolModel) isPooledPtr(t types.Type) bool {
 	return m.pooled[types.TypeString(p.Elem(), nil)]
 }
 
-// sharedPoolKey memoizes the model across module analyzers in one run.
-const sharedPoolKey = "poolmodel"
-
-func poolModelOf(pass *lint.ModulePass) *poolModel {
-	if m, ok := pass.Shared[sharedPoolKey].(*poolModel); ok {
-		return m
-	}
-	m := buildPoolModel(pass.Units)
-	pass.Shared[sharedPoolKey] = m
-	return m
-}
-
-func runPoolSafe(pass *lint.ModulePass) error {
-	model := poolModelOf(pass)
+func runPoolSafe(pass *lint.Pass) {
+	model := buildPoolModel(pass.Units)
 	if len(model.pooled) == 0 {
-		return nil
+		return
 	}
 	for _, u := range pass.Units {
 		for _, f := range u.Files {
@@ -144,7 +133,6 @@ func runPoolSafe(pass *lint.ModulePass) error {
 			}
 		}
 	}
-	return nil
 }
 
 // releasedArg returns the local variable a call releases, or nil.
@@ -180,7 +168,7 @@ func (m *poolModel) releasedArg(info *types.Info, call *ast.CallExpr) (types.Obj
 	return nil, token.NoPos
 }
 
-func analyzeFunc(pass *lint.ModulePass, model *poolModel, u *lint.Unit, fd *ast.FuncDecl) {
+func analyzeFunc(pass *lint.Pass, model *poolModel, u *lint.Unit, fd *ast.FuncDecl) {
 	info := u.Info
 	// Cheap pre-scan: skip functions with no release call and no
 	// package-level store of a pooled pointer.
@@ -261,7 +249,7 @@ func analyzeFunc(pass *lint.ModulePass, model *poolModel, u *lint.Unit, fd *ast.
 // reportUses flags reads of variables whose released fact is live at
 // node n. Plain-identifier assignment targets are kills, not uses; the
 // argument of a release call is flagged as a double release instead.
-func reportUses(pass *lint.ModulePass, model *poolModel, u *lint.Unit, n ast.Node, facts flow.Facts) {
+func reportUses(pass *lint.Pass, model *poolModel, u *lint.Unit, n ast.Node, facts flow.Facts) {
 	if len(facts) == 0 {
 		return
 	}
@@ -349,28 +337,13 @@ func posLabel(p token.Position) string {
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
-	return name + ":" + itoa(p.Line)
-}
-
-// itoa avoids pulling strconv into the hot import set for one call site.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return name + ":" + strconv.Itoa(p.Line)
 }
 
 // reportEscapes flags stores of pooled pointers into package-level
 // variables: the store outlives every handle, so the pool can recycle
 // the struct while the global still points at it.
-func reportEscapes(pass *lint.ModulePass, model *poolModel, u *lint.Unit, fd *ast.FuncDecl) {
+func reportEscapes(pass *lint.Pass, model *poolModel, u *lint.Unit, fd *ast.FuncDecl) {
 	info := u.Info
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)

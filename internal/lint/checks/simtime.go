@@ -23,30 +23,31 @@ var SimTime = &lint.Analyzer{
 	Run: runSimTime,
 }
 
-func runSimTime(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
+func runSimTime(pass *lint.Pass) {
+	for _, u := range pass.Units {
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				funTV, ok := u.Info.Types[call.Fun]
+				if !ok || !funTV.IsType() || !isSimTime(funTV.Type) {
+					return true
+				}
+				argTV, ok := u.Info.Types[call.Args[0]]
+				if !ok || argTV.Value != nil {
+					return true // constant: unit is auditable at the literal
+				}
+				if isSimTime(argTV.Type) {
+					return true // Time → Time: a re-typing, not a unit claim
+				}
+				pass.Report(call.Pos(), "simtime",
+					"raw sim.Time conversion of a non-constant value; name the unit via internal/units (Nanos/Micros/Seconds/CyclesAtMHz or a TransferTime helper)")
 				return true
-			}
-			funTV, ok := pass.Info.Types[call.Fun]
-			if !ok || !funTV.IsType() || !isSimTime(funTV.Type) {
-				return true
-			}
-			argTV, ok := pass.Info.Types[call.Args[0]]
-			if !ok || argTV.Value != nil {
-				return true // constant: unit is auditable at the literal
-			}
-			if isSimTime(argTV.Type) {
-				return true // Time → Time: a re-typing, not a unit claim
-			}
-			pass.Report(call.Pos(), "simtime",
-				"raw sim.Time conversion of a non-constant value; name the unit via internal/units (Nanos/Micros/Seconds/CyclesAtMHz or a TransferTime helper)")
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }
 
 // isSimTime reports whether t is the sim package's Time type.

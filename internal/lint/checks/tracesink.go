@@ -25,24 +25,25 @@ var TraceSink = &lint.Analyzer{
 	Run: runTraceSink,
 }
 
-func runTraceSink(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+func runTraceSink(pass *lint.Pass) {
+	for _, u := range pass.Units {
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				obj := calleeObj(u.Info, call)
+				if pkgPathOf(obj) != "fmt" || isMethod(obj) {
+					return true
+				}
+				name := obj.Name()
+				if strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Print") {
+					pass.Reportf(call.Pos(), "tracesink",
+						"fmt.%s stream write in a trace-producing package; emit trace bytes through internal/tracing's append-based sink (or //simlint:allow tracesink for non-trace output)", name)
+				}
 				return true
-			}
-			obj := calleeObj(pass.Info, call)
-			if pkgPathOf(obj) != "fmt" || isMethod(obj) {
-				return true
-			}
-			name := obj.Name()
-			if strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Print") {
-				pass.Reportf(call.Pos(), "tracesink",
-					"fmt.%s stream write in a trace-producing package; emit trace bytes through internal/tracing's append-based sink (or //simlint:allow tracesink for non-trace output)", name)
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }

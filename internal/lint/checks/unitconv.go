@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 
 	"repro/internal/lint"
 )
@@ -39,40 +40,41 @@ var scaleFactors = map[float64]string{
 	1024 * 1024 * 1024: "1024³",
 }
 
-func runUnitConv(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.MUL && be.Op != token.QUO) {
-				return true
-			}
-			// A fully constant expression is a definition (e.g. a sized
-			// buffer, a named constant being built), not a conversion of
-			// a runtime measurement.
-			if tv, ok := pass.Info.Types[be]; ok && tv.Value != nil {
-				return true
-			}
-			for _, operand := range []ast.Expr{be.X, be.Y} {
-				if name, ok := scaleLiteral(pass, operand); ok {
-					pass.Reportf(operand.Pos(), "unitconv",
-						"raw unit-conversion literal %s in %s expression; use internal/units (typed Bytes/MBps/GBps or a named constant)",
-						name, be.Op)
+func runUnitConv(pass *lint.Pass) {
+	for _, u := range pass.Units {
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || (be.Op != token.MUL && be.Op != token.QUO) {
+					return true
 				}
-			}
-			return true
-		})
+				// A fully constant expression is a definition (e.g. a
+				// sized buffer, a named constant being built), not a
+				// conversion of a runtime measurement.
+				if tv, ok := u.Info.Types[be]; ok && tv.Value != nil {
+					return true
+				}
+				for _, operand := range []ast.Expr{be.X, be.Y} {
+					if name, ok := scaleLiteral(u.Info, operand); ok {
+						pass.Reportf(operand.Pos(), "unitconv",
+							"raw unit-conversion literal %s in %s expression; use internal/units (typed Bytes/MBps/GBps or a named constant)",
+							name, be.Op)
+					}
+				}
+				return true
+			})
+		}
 	}
-	return nil
 }
 
 // scaleLiteral reports whether e is written as a literal (possibly a
 // parenthesised literal or a shift/product of literals, like 1<<20) whose
 // constant value is one of the suspicious scale factors.
-func scaleLiteral(pass *lint.Pass, e ast.Expr) (string, bool) {
+func scaleLiteral(info *types.Info, e ast.Expr) (string, bool) {
 	if !literalSyntax(e) {
 		return "", false
 	}
-	tv, ok := pass.Info.Types[e]
+	tv, ok := info.Types[e]
 	if !ok || tv.Value == nil {
 		return "", false
 	}

@@ -5,10 +5,11 @@
 // packages, per-analyzer diagnostics, `//simlint:allow` suppression, and
 // an analysistest-style harness (see the linttest subpackage).
 //
-// Two pass kinds exist. An Analyzer inspects one compilation unit at a
-// time; a ModuleAnalyzer runs once over every loaded unit, which is what
-// lets the flow-aware checks (hot-path allocation reachability, pooled
-// handle lifetimes) follow calls across package boundaries. The shipped
+// There is one pass kind: an Analyzer runs once over every loaded unit
+// and loops over the units itself. That is what lets the flow-aware
+// checks (hot-path allocation reachability, pooled handle lifetimes)
+// follow calls across package boundaries, and a check of one package at
+// a time is the same loop without the cross-unit state. The shipped
 // analyzers live in internal/lint/checks; the cmd/simlint multichecker
 // wires them over ./... as verify tier 3.
 package lint
@@ -17,95 +18,31 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"regexp"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// An Analyzer describes one static check over a single compilation unit.
+// An Analyzer describes one static check. It runs once over the whole
+// load set and visits the units it needs itself, so a check whose call
+// chains cross package boundaries and a check of one package at a time
+// have the same shape.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and allow directives.
 	Name string
 	// Doc is a one-paragraph description, shown by `simlint -help`.
 	Doc string
-	// Run inspects one typechecked unit and reports findings via
-	// pass.Report / pass.Reportf.
-	Run func(pass *Pass) error
+	// Run inspects pass.Units and reports findings via pass.Report /
+	// pass.Reportf.
+	Run func(pass *Pass)
 }
 
-// A ModuleAnalyzer describes one static check that needs the whole module
-// in scope at once — interprocedural analyses whose call chains cross
-// package boundaries. It runs exactly once per invocation, over every
-// loaded unit.
-type ModuleAnalyzer struct {
-	// Name identifies the analyzer in diagnostics and allow directives.
-	Name string
-	// Doc is a one-paragraph description, shown by `simlint -help`.
-	Doc string
-	// Run inspects all units and reports findings via pass.Report.
-	Run func(pass *ModulePass) error
-}
-
-// A ModulePass carries every loaded unit through one module analyzer.
-type ModulePass struct {
-	Analyzer *ModuleAnalyzer
+// A Pass carries every loaded unit through one analyzer.
+type Pass struct {
+	Analyzer *Analyzer
 	Fset     *token.FileSet
 	// Units is every loaded compilation unit, in load order. All units
 	// share Fset, so positions from any unit compose.
 	Units []*Unit
-	// Shared is a scratch cache that lives for one RunModuleAnalyzers
-	// call and is visible to every module analyzer in it — expensive
-	// derived structures (the whole-module call graph) are built once by
-	// the first analyzer that needs them and reused by the rest.
-	Shared map[string]any
-
-	diags *[]Diagnostic
-}
-
-// Report records a finding under the given category.
-func (p *ModulePass) Report(pos token.Pos, category, message string) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Category: category,
-		Message:  message,
-	})
-}
-
-// Reportf is Report with formatting.
-func (p *ModulePass) Reportf(pos token.Pos, category, format string, args ...any) {
-	p.Report(pos, category, fmt.Sprintf(format, args...))
-}
-
-// A Diagnostic is one finding, anchored to a source position.
-type Diagnostic struct {
-	Pos token.Pos
-	// Analyzer is the reporting analyzer's name.
-	Analyzer string
-	// Category is the sub-check within the analyzer (e.g. the
-	// nondeterminism analyzer reports wallclock, globalrand and maporder
-	// categories). Allow directives match either the category or the
-	// analyzer name.
-	Category string
-	Message  string
-}
-
-// A Pass carries one typechecked compilation unit through one analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files is the unit's syntax. For a package with in-package tests it
-	// includes the _test.go files; external (package foo_test) files form
-	// their own unit.
-	Files []*ast.File
-	// Pkg and Info are the go/types results for Files.
-	Pkg  *types.Package
-	Info *types.Info
-	// ImportPath is the unit's import path ("repro/internal/core",
-	// "repro/internal/core [xtest]" for external test units).
-	ImportPath string
 
 	diags *[]Diagnostic
 }
@@ -123,6 +60,19 @@ func (p *Pass) Report(pos token.Pos, category, message string) {
 // Reportf is Report with formatting.
 func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
 	p.Report(pos, category, fmt.Sprintf(format, args...))
+}
+
+// A Diagnostic is one finding, anchored to a source position.
+type Diagnostic struct {
+	Pos token.Pos
+	// Analyzer is the reporting analyzer's name.
+	Analyzer string
+	// Category is the sub-check within the analyzer (e.g. the
+	// nondeterminism analyzer reports wallclock, globalrand and maporder
+	// categories). Allow directives match either the category or the
+	// analyzer name.
+	Category string
+	Message  string
 }
 
 // AllowDirective is the magic comment that suppresses findings:
@@ -258,60 +208,26 @@ func (a *allowSet) unused() []Diagnostic {
 	return diags
 }
 
-// RunUnitAnalyzers applies each per-unit analyzer to the unit and returns
-// the raw diagnostics, before any //simlint:allow suppression. Drivers
-// that also run module analyzers collect raw diagnostics from every
-// source first and apply Suppress once, so a directive's usage (and
-// staleness) is judged against all findings that could hit its line.
-func RunUnitAnalyzers(unit *Unit, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       unit.Fset,
-			Files:      unit.Files,
-			Pkg:        unit.Pkg,
-			Info:       unit.Info,
-			ImportPath: unit.ImportPath,
-			diags:      &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, unit.ImportPath, err)
-		}
-	}
-	return diags, nil
-}
-
-// RunModuleAnalyzers applies each module analyzer once over all units and
-// returns the raw diagnostics, before suppression. The units must share
-// one FileSet (which the Loader guarantees).
-func RunModuleAnalyzers(units []*Unit, analyzers ...*ModuleAnalyzer) ([]Diagnostic, error) {
+// Run applies each analyzer once over the units and returns the raw
+// diagnostics in analyzer order, before any //simlint:allow suppression.
+// The units must share one FileSet (which the Loader guarantees).
+func Run(units []*Unit, analyzers ...*Analyzer) []Diagnostic {
 	if len(units) == 0 {
-		return nil, nil
+		return nil
 	}
 	var diags []Diagnostic
-	shared := map[string]any{}
 	for _, a := range analyzers {
-		pass := &ModulePass{
-			Analyzer: a,
-			Fset:     units[0].Fset,
-			Units:    units,
-			Shared:   shared,
-			diags:    &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
+		a.Run(&Pass{Analyzer: a, Fset: units[0].Fset, Units: units, diags: &diags})
 	}
-	return diags, nil
+	return diags
 }
 
 // Suppress filters diags through every //simlint:allow directive found in
 // the units' files, appends a stale-directive (unusedallow) diagnostic for
 // each directive that suppressed nothing, and returns the survivors in
 // position order. It must see all diagnostics of a run at once: a
-// directive used only by a module analyzer would otherwise be reported
-// stale by the per-unit pass that cannot see the module finding.
+// directive that one analyzer uses would otherwise be reported stale
+// beside the findings of another.
 func Suppress(units []*Unit, diags []Diagnostic) []Diagnostic {
 	if len(units) == 0 {
 		return diags
@@ -340,36 +256,4 @@ func Suppress(units []*Unit, diags []Diagnostic) []Diagnostic {
 		return pi.Column < pj.Column
 	})
 	return kept
-}
-
-// RunAnalyzers applies each analyzer to the unit and returns the surviving
-// (non-suppressed) diagnostics in position order. It is the single-unit
-// convenience wrapper over RunUnitAnalyzers + Suppress.
-func RunAnalyzers(unit *Unit, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	diags, err := RunUnitAnalyzers(unit, analyzers...)
-	if err != nil {
-		return nil, err
-	}
-	return Suppress([]*Unit{unit}, diags), nil
-}
-
-// funcNameRE caches compiled helper-exemption patterns. The mutex matters:
-// linttest runs analyzers from parallel tests, and an unguarded map write
-// here is exactly the shared-mutable-global hazard the globalstate
-// analyzer exists to flag.
-var funcNameREMu sync.Mutex
-
-var funcNameRE = map[string]*regexp.Regexp{}
-
-// MatchesFuncName reports whether name matches the cached pattern.
-func MatchesFuncName(pattern, name string) bool {
-	funcNameREMu.Lock()
-	re, ok := funcNameRE[pattern]
-	if !ok {
-		re = regexp.MustCompile(pattern)
-		//simlint:allow globalstate idempotent regexp cache, guarded by funcNameREMu
-		funcNameRE[pattern] = re
-	}
-	funcNameREMu.Unlock()
-	return re.MatchString(name)
 }

@@ -1,34 +1,12 @@
 package lint_test
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"sync"
 	"testing"
 
 	"repro/internal/lint"
 )
-
-// TestMatchesFuncNameParallel is the regression test for the unguarded
-// funcNameRE cache map: linttest drives analyzers from parallel tests,
-// and concurrent first-misses on the same pattern map used to be a data
-// race (caught by this test under -race, tier 2). The globalstate
-// analyzer now flags exactly this shape of package-level mutable state.
-func TestMatchesFuncNameParallel(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				pattern := fmt.Sprintf("^helper%d", (g+j)%13)
-				lint.MatchesFuncName(pattern, "helperName")
-			}
-		}(g)
-	}
-	wg.Wait()
-}
 
 func directiveGroup(lines ...string) *ast.CommentGroup {
 	cg := &ast.CommentGroup{}

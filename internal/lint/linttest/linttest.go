@@ -3,10 +3,9 @@
 // the style of golang.org/x/tools' analysistest (re-implemented on the
 // standard library; this module vendors nothing).
 //
-// Run checks one per-unit analyzer against one testdata package. RunTree
-// checks any mix of per-unit and module analyzers against a multi-package
-// testdata tree — every package directory under the tree root is loaded
-// into one shared load set, so module analyzers see cross-package call
+// Run checks analyzers against a testdata tree: every package directory
+// under the tree root (a single package directory is a tree of one) is
+// loaded into one shared load set, so analyzers see cross-package call
 // chains exactly as cmd/simlint would.
 //
 // Each want comment anchors to its own source line and may carry several
@@ -35,39 +34,10 @@ type want struct {
 	used bool
 }
 
-// Run loads dir as a package and checks analyzer a against its want
-// comments.
-func Run(t *testing.T, a *lint.Analyzer, dir string) {
-	t.Helper()
-	root, modPath, err := lint.FindModule(".")
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	loader := lint.NewLoader(root, modPath)
-	units, err := loader.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("linttest: load %s: %v", dir, err)
-	}
-	if len(units) == 0 {
-		t.Fatalf("linttest: no Go files in %s", dir)
-	}
-
-	var diags []lint.Diagnostic
-	for _, unit := range units {
-		ds, err := lint.RunAnalyzers(unit, a)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		diags = append(diags, ds...)
-	}
-	match(t, units, diags)
-}
-
-// RunTree loads every package directory under root into one shared load
-// set, runs the given per-unit and module analyzers, applies global
-// suppression, and checks the combined diagnostics against the tree's
-// want comments.
-func RunTree(t *testing.T, root string, unitAnalyzers []*lint.Analyzer, moduleAnalyzers []*lint.ModuleAnalyzer) {
+// Run loads every package directory under root into one load set, runs
+// the analyzers over it, applies suppression, and checks the diagnostics
+// against the tree's want comments.
+func Run(t *testing.T, root string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	modRoot, modPath, err := lint.FindModule(".")
 	if err != nil {
@@ -89,23 +59,7 @@ func RunTree(t *testing.T, root string, unitAnalyzers []*lint.Analyzer, moduleAn
 	if len(units) == 0 {
 		t.Fatalf("linttest: no Go files under %s", root)
 	}
-
-	var diags []lint.Diagnostic
-	for _, unit := range units {
-		ds, err := lint.RunUnitAnalyzers(unit, unitAnalyzers...)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		diags = append(diags, ds...)
-	}
-	if len(moduleAnalyzers) > 0 {
-		ds, err := lint.RunModuleAnalyzers(units, moduleAnalyzers...)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		diags = append(diags, ds...)
-	}
-	match(t, units, lint.Suppress(units, diags))
+	match(t, units, lint.Suppress(units, lint.Run(units, analyzers...)))
 }
 
 // match checks diagnostics against the units' want comments.

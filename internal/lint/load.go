@@ -43,7 +43,7 @@ type Loader struct {
 
 // The standard library is typechecked once per process, not once per
 // Loader: every driver that builds several loaders (linttest creates one
-// per Run/RunTree call) would otherwise re-typecheck fmt, time, sort and
+// per Run call) would otherwise re-typecheck fmt, time, sort and
 // their transitive deps from source each time, and that work dominated
 // the analyzer test suite's wall time. The shared importer owns its own
 // FileSet; that is safe because diagnostics only ever anchor at module
