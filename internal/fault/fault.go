@@ -24,6 +24,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -129,8 +130,16 @@ func (s Spec) Enabled() bool {
 		s.HorizonMs > s.StartMs
 }
 
-// Validate reports the first structural problem.
+// Validate reports the first structural problem. A NaN or infinite rate
+// or window bound is one: NaN fails every comparison, so Enabled would
+// read false while Plan still schedules events, and an infinite rate
+// fires an event every nanosecond.
 func (s Spec) Validate() error {
+	for _, v := range []float64{s.PowerLossPerSec, s.DieFailPerSec, s.ECCPerSec, s.StartMs, s.HorizonMs} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: non-finite rate or window in %+v", s)
+		}
+	}
 	if s.PowerLossPerSec < 0 || s.DieFailPerSec < 0 || s.ECCPerSec < 0 {
 		return fmt.Errorf("fault: negative rate in %+v", s)
 	}
@@ -175,13 +184,22 @@ func ParseSpec(s string) (Spec, error) {
 		if !ok {
 			return Spec{}, fmt.Errorf("fault: spec field %q is not key=value", kv)
 		}
+		k = strings.ToLower(k)
+		if k == "seed" {
+			// An integer, exactly: a float parse would truncate 1.5 and
+			// round seeds past 2^53.
+			seed, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return Spec{}, fmt.Errorf("fault: spec field %q: %v", kv, err)
+			}
+			spec.Seed = seed
+			continue
+		}
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return Spec{}, fmt.Errorf("fault: spec field %q: %v", kv, err)
 		}
-		switch strings.ToLower(k) {
-		case "seed":
-			spec.Seed = int64(f)
+		switch k {
 		case "pl", "powerloss":
 			spec.PowerLossPerSec = f
 		case "df", "diefail":

@@ -105,7 +105,12 @@ func TestParseSpec(t *testing.T) {
 	if s, err := ParseSpec(""); err != nil || s.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", s, err)
 	}
-	for _, bad := range []string{"pl", "pl=x", "bogus=1", "pl=1,horizon=0,start=5"} {
+	if s, err := ParseSpec("seed=9007199254740993"); err != nil || s.Seed != 9007199254740993 {
+		t.Fatalf("seed past 2^53: %+v, %v", s, err)
+	}
+	for _, bad := range []string{"pl", "pl=x", "bogus=1", "pl=1,horizon=0,start=5",
+		"seed=1.5", "seed=1e3", "pl=NaN,horizon=5", "ecc=Inf,horizon=5", "pl=1,horizon=Inf",
+		"pl=1,start=-Inf,horizon=5", "df=1,start=NaN,horizon=5"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
