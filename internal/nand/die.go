@@ -82,11 +82,10 @@ func NewDie(eng *sim.Engine, name string, p Params) *Die {
 	d.planes = make([]*plane, p.PlanesPerDie)
 	for i := range d.planes {
 		pl := &plane{blocks: make([]blockState, p.BlocksPerPlane)}
-		planeName := fmt.Sprintf("%s/plane%d", name, i)
 		if p.ReadSuspend {
-			pl.pre = sim.NewPreemptible(eng, planeName, p.ResumeOverhead)
+			pl.pre = sim.NewPreemptible(eng, p.ResumeOverhead)
 		} else {
-			pl.fifo = sim.NewResource(eng, planeName, 1)
+			pl.fifo = sim.NewResource(eng, fmt.Sprintf("%s/plane%d", name, i), 1)
 		}
 		d.planes[i] = pl
 	}

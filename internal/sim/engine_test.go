@@ -257,7 +257,7 @@ func TestTimeConversions(t *testing.T) {
 
 func TestPreemptibleBasic(t *testing.T) {
 	e := NewEngine()
-	p := NewPreemptible(e, "plane", 5)
+	p := NewPreemptible(e, 5)
 	var order []string
 	p.Use(300, func() { order = append(order, "prog") })
 	// A priority read arrives mid-program.
@@ -280,7 +280,7 @@ func TestPreemptibleBasic(t *testing.T) {
 
 func TestPreemptibleHighDoesNotPreemptHigh(t *testing.T) {
 	e := NewEngine()
-	p := NewPreemptible(e, "plane", 0)
+	p := NewPreemptible(e, 0)
 	var ends []Time
 	p.UsePriority(100, func() { ends = append(ends, e.Now()) })
 	e.Schedule(10, func() {
@@ -297,7 +297,7 @@ func TestPreemptibleHighDoesNotPreemptHigh(t *testing.T) {
 
 func TestPreemptiblePriorityQueueJumpsLow(t *testing.T) {
 	e := NewEngine()
-	p := NewPreemptible(e, "plane", 0)
+	p := NewPreemptible(e, 0)
 	var order []string
 	p.Use(100, func() { order = append(order, "a") })
 	p.Use(100, func() { order = append(order, "b") })
@@ -316,7 +316,7 @@ func TestPreemptiblePriorityQueueJumpsLow(t *testing.T) {
 
 func TestPreemptibleDoubleSuspend(t *testing.T) {
 	e := NewEngine()
-	p := NewPreemptible(e, "plane", 2)
+	p := NewPreemptible(e, 2)
 	var progEnd Time
 	p.Use(300, func() { progEnd = e.Now() })
 	e.Schedule(50, func() { p.UsePriority(10, nil) })
@@ -340,7 +340,7 @@ func TestPreemptibleDoubleSuspend(t *testing.T) {
 // A never completed.
 func TestPreemptibleCompletionSubmitKeepsSuspendedOp(t *testing.T) {
 	e := NewEngine()
-	p := NewPreemptible(e, "plane", 0)
+	p := NewPreemptible(e, 0)
 	var order []string
 	done := func(name string) func() {
 		return func() { order = append(order, fmt.Sprintf("%s@%d", name, e.Now())) }
@@ -371,7 +371,7 @@ func TestPreemptibleNegativeOverheadPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewPreemptible(NewEngine(), "bad", -1)
+	NewPreemptible(NewEngine(), -1)
 }
 
 // TestTimeScaleRounding documents Scale's rounding contract: half away

@@ -28,7 +28,7 @@ func Example() {
 // preempts a long program, which resumes afterwards.
 func ExamplePreemptible() {
 	eng := sim.NewEngine()
-	plane := sim.NewPreemptible(eng, "plane", 5)
+	plane := sim.NewPreemptible(eng, 5)
 	plane.Use(300, func() { fmt.Println("program done at", eng.Now()) })
 	eng.Schedule(100, func() {
 		plane.UsePriority(65, func() { fmt.Println("read done at", eng.Now()) })

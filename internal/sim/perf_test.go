@@ -47,7 +47,7 @@ func TestEngineCancelAfterFireKeepsFired(t *testing.T) {
 // and ended at 160, compounding one extra overhead per suspend.
 func TestPreemptibleSuspendDuringResumeOverhead(t *testing.T) {
 	e := NewEngine()
-	p := NewPreemptible(e, "plane", 10)
+	p := NewPreemptible(e, 10)
 	var progEnd Time = -1
 	p.Use(100, func() { progEnd = e.Now() })
 	e.Schedule(50, func() { p.UsePriority(20, nil) })

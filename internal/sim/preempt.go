@@ -15,8 +15,7 @@ import "fmt"
 //     no high-priority work is pending;
 //   - high-priority work never preempts high-priority work.
 type Preemptible struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	// ResumeOverhead is added to the remaining time of a suspended
 	// operation each time it resumes.
@@ -65,11 +64,11 @@ type suspendedOp struct {
 }
 
 // NewPreemptible builds the resource.
-func NewPreemptible(eng *Engine, name string, resumeOverhead Time) *Preemptible {
+func NewPreemptible(eng *Engine, resumeOverhead Time) *Preemptible {
 	if resumeOverhead < 0 {
 		panic(fmt.Sprintf("sim: resume overhead %d", resumeOverhead))
 	}
-	return &Preemptible{eng: eng, name: name, ResumeOverhead: resumeOverhead}
+	return &Preemptible{eng: eng, ResumeOverhead: resumeOverhead}
 }
 
 // Preemptions returns how many suspends occurred.
