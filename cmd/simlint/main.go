@@ -128,7 +128,7 @@ func run(patterns []string, asJSON bool) int {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
 	}
-	dirs, err := expand(root, patterns)
+	dirs, err := expand(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
@@ -189,9 +189,10 @@ func run(patterns []string, asJSON bool) int {
 	return 0
 }
 
-// expand resolves package patterns to directories. Supported: "./...",
-// "dir/...", plain directories.
-func expand(root string, patterns []string) ([]string, error) {
+// expand resolves package patterns to directories, each against the
+// working directory, as go vet does. Supported: "./...", "dir/...",
+// plain directories.
+func expand(patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -202,9 +203,9 @@ func expand(root string, patterns []string) ([]string, error) {
 		var err error
 		switch {
 		case p == "./..." || p == "...":
-			batch, err = lint.PackageDirs(root)
+			batch, err = lint.PackageDirs(".")
 		case strings.HasSuffix(p, "/..."):
-			batch, err = lint.PackageDirs(filepath.Join(root, strings.TrimSuffix(p, "/...")))
+			batch, err = lint.PackageDirs(strings.TrimSuffix(p, "/..."))
 		default:
 			batch = []string{p}
 		}

@@ -25,8 +25,14 @@ const asMainEnv = "SIMLINT_TEST_AS_MAIN"
 // stdout and exit status.
 func simlint(t *testing.T, args ...string) (string, int) {
 	t.Helper()
+	return simlintIn(t, "../..", args...)
+}
+
+// simlintIn runs the driver from dir, relative to this package.
+func simlintIn(t *testing.T, dir string, args ...string) (string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Dir = "../.."
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), asMainEnv+"=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -50,16 +56,40 @@ func simlint(t *testing.T, args ...string) (string, int) {
 // in the order file, line, col, analyzer, category, message.
 func TestDriverScopesAndSuppression(t *testing.T) {
 	out, code := simlint(t, "-json", "./cmd/simlint/testdata/driver/...")
-	const file = "cmd/simlint/testdata/driver/findings/findings.go"
-	want := `{"file":"` + file + `","line":16,"col":9,"analyzer":"nondeterminism","category":"wallclock",` +
-		`"message":"wall-clock call time.Now in a simulation package; simulated time must come from sim.Engine"}` + "\n" +
-		`{"file":"` + file + `","line":23,"col":21,"analyzer":"simlint","category":"unusedallow",` +
-		`"message":"//simlint:allow tracesink suppresses nothing here; remove the stale directive"}` + "\n"
-	if out != want {
-		t.Errorf("stdout:\n%s\nwant:\n%s", out, want)
+	if out != driverFindings {
+		t.Errorf("stdout:\n%s\nwant:\n%s", out, driverFindings)
 	}
 	if code != 1 {
 		t.Errorf("exit status %d with findings, want 1", code)
+	}
+}
+
+// driverFindings is simlint -json's output on the driver fixture.
+const driverFindings = `{"file":"cmd/simlint/testdata/driver/findings/findings.go","line":16,"col":9,` +
+	`"analyzer":"nondeterminism","category":"wallclock",` +
+	`"message":"wall-clock call time.Now in a simulation package; simulated time must come from sim.Engine"}` + "\n" +
+	`{"file":"cmd/simlint/testdata/driver/findings/findings.go","line":23,"col":21,` +
+	`"analyzer":"simlint","category":"unusedallow",` +
+	`"message":"//simlint:allow tracesink suppresses nothing here; remove the stale directive"}` + "\n"
+
+// TestDriverPatternsResolveAgainstWorkingDirectory runs simlint from
+// below the module root: "./...", "dir/..." and plain directories all
+// name directories under the working directory, and findings are still
+// reported module-relative.
+func TestDriverPatternsResolveAgainstWorkingDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		dir  string
+		args []string
+	}{
+		{"testdata/driver", []string{"-json", "./..."}},
+		{".", []string{"-json", "testdata/driver/..."}},
+		{"testdata", []string{"-json", "driver/findings"}},
+	} {
+		out, code := simlintIn(t, tc.dir, tc.args...)
+		if out != driverFindings || code != 1 {
+			t.Errorf("simlint %v from %s: exit status %d, stdout:\n%s\nwant 1 and:\n%s",
+				tc.args, tc.dir, code, out, driverFindings)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func DefaultConfig(model dnn.Model) Config {
 }
 
 // Validate reports the first structural problem.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	if err := c.SSD.Validate(); err != nil {
 		return err
 	}
@@ -194,13 +194,13 @@ func (c Config) Validate() error {
 
 // Spec returns the per-parameter byte footprint for the configured
 // optimizer and precision, with gradient-accumulation traffic priced in.
-func (c Config) Spec() optim.StateSpec {
+func (c *Config) Spec() optim.StateSpec {
 	return optim.SpecFor(c.Optimizer, c.Precision).WithAccum(c.Accum())
 }
 
 // Accum returns the effective gradient-accumulation factor (GradAccum
 // with the zero value meaning 1).
-func (c Config) Accum() int {
+func (c *Config) Accum() int {
 	if c.GradAccum < 1 {
 		return 1
 	}
@@ -209,7 +209,7 @@ func (c Config) Accum() int {
 
 // Depth returns the effective interleave subgroup count (InterleaveDepth
 // with the zero value meaning 4, the Deep Optimizer States default).
-func (c Config) Depth() int {
+func (c *Config) Depth() int {
 	if c.InterleaveDepth < 1 {
 		return 4
 	}
@@ -218,14 +218,14 @@ func (c Config) Depth() int {
 
 // ElemsPerPage is the parameters per update unit: one page of FP32 master
 // weights.
-func (c Config) ElemsPerPage() int { return c.SSD.Nand.PageSize / 4 }
+func (c *Config) ElemsPerPage() int { return c.SSD.Nand.PageSize / 4 }
 
 // Comps is the resident pages per update unit: the master-weight page
 // plus however many pages the optimizer state occupies at the configured
 // precision (two FP32 moments fill two pages; 8-bit quantized moments for
 // the same unit — including their fractional block-scale overhead — pack
 // into one).
-func (c Config) Comps() int {
+func (c *Config) Comps() int {
 	spec := c.Spec()
 	stateBytes := (float64(spec.StateBytes) + spec.ScaleBytesPerParam) * float64(c.ElemsPerPage())
 	pageSize := float64(c.SSD.Nand.PageSize)
@@ -237,7 +237,7 @@ func (c Config) Comps() int {
 }
 
 // TotalUnits is the number of update units covering the model's state.
-func (c Config) TotalUnits() int64 {
+func (c *Config) TotalUnits() int64 {
 	e := int64(c.ElemsPerPage())
 	return (c.Model.Params + e - 1) / e
 }
@@ -245,7 +245,7 @@ func (c Config) TotalUnits() int64 {
 // TouchedUnits is the number of units one training step actually updates:
 // all of them for dense models, a sparse subset for embedding-table models
 // (the per-step traffic and time scale with this, not with TotalUnits).
-func (c Config) TouchedUnits() int64 {
+func (c *Config) TouchedUnits() int64 {
 	t := int64(float64(c.TotalUnits())*c.Model.UpdateFraction() + 0.5)
 	if t < 1 {
 		t = 1
@@ -254,7 +254,7 @@ func (c Config) TouchedUnits() int64 {
 }
 
 // SimUnits is the number of units actually simulated (the sample window).
-func (c Config) SimUnits() int64 {
+func (c *Config) SimUnits() int64 {
 	if t := c.TouchedUnits(); t < c.MaxSimUnits {
 		return t
 	}
@@ -262,25 +262,25 @@ func (c Config) SimUnits() int64 {
 }
 
 // ScaleFactor extrapolates window results to one full step's touched units.
-func (c Config) ScaleFactor() float64 {
+func (c *Config) ScaleFactor() float64 {
 	return float64(c.TouchedUnits()) / float64(c.SimUnits())
 }
 
 // GradBytesPerUnit is the gradient traffic per unit arriving from the host.
-func (c Config) GradBytesPerUnit() int64 {
+func (c *Config) GradBytesPerUnit() int64 {
 	return int64(c.ElemsPerPage()) * int64(c.Spec().GradBytes)
 }
 
 // WeightOutBytesPerUnit is the working-precision weight traffic per unit
 // returned to the host.
-func (c Config) WeightOutBytesPerUnit() int64 {
+func (c *Config) WeightOutBytesPerUnit() int64 {
 	return int64(c.ElemsPerPage()) * int64(c.Spec().WeightOutBytes)
 }
 
 // StateBytes is the byte-exact analytic footprint of the resident
 // optimizer state, Model.Params × Spec().ResidentBytes(): what a
 // checkpoint moves and what every optimizer step programs (times WAF).
-func (c Config) StateBytes() int64 {
+func (c *Config) StateBytes() int64 {
 	return int64(float64(c.Model.Params) * c.Spec().ResidentBytes())
 }
 
@@ -291,6 +291,6 @@ func (c Config) StateBytes() int64 {
 // capacity and real traffic. The invariant registry
 // pins the direction of the gap (analytic ≤ page-rounded) so the two
 // accountings can never silently invert.
-func (c Config) ResidentBytesPerUnit() int64 {
+func (c *Config) ResidentBytesPerUnit() int64 {
 	return int64(c.Comps()) * int64(c.SSD.Nand.PageSize)
 }

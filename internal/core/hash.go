@@ -11,10 +11,10 @@ import (
 // in declaration order, each value prefixed with its reflect.Kind so that
 // adjacent fields can never alias (e.g. int 1 followed by int 2 hashes
 // differently from int 12 followed by nothing). Two configs with equal
-// hashable state hash equal, so the autotuner (internal/search) can key
-// its memo table on the digest; hash_test.go proves by field perturbation
-// that every exported field changes the digest, so memoization can never
-// alias distinct design points.
+// hashable state hash equal, and hash_test.go proves by field
+// perturbation that every exported field changes the digest, so it
+// names a design point: the autotuner (internal/search) records it for
+// each point it simulates, and its frontier CSV prints it.
 //
 // Func- and Interface-typed fields (the ComputeHook instrumentation hook
 // and the Trace sink) are skipped: they carry no simulation semantics and

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/approx"
@@ -301,6 +302,41 @@ func TestWearModelEndOfLife(t *testing.T) {
 		// cell type never exceeds ECC capability and hit the 4× safety cap.
 		if uc < 4*m.PECycles && m.Correctable(uc+1) {
 			t.Errorf("%v: correctable beyond usable cycles", c)
+		}
+	}
+}
+
+// usableCyclesBisect is the bisection UsableCycles once ran: the largest
+// correctable n in [1, 4·PECycles], or 0. It is the oracle the closed form
+// is checked against.
+func usableCyclesBisect(m WearModel) int {
+	lo, hi := 0, 4*m.PECycles
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if m.Correctable(mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// TestUsableCyclesMatchesBisection checks the closed-form inversion of the
+// RBER curve against the bisection over every cell, ECC strengths from
+// 1e-12 (below every fresh block's RBER) to 1 (past the 4× cap), and
+// several curve exponents.
+func TestUsableCyclesMatchesBisection(t *testing.T) {
+	for _, c := range []CellType{SLC, MLC, TLC, QLC} {
+		for _, k := range []float64{1, 2, 3, 4.5} {
+			for e := -12.0; e <= 0; e += 0.5 {
+				m := DefaultWearModel(c)
+				m.Exponent = k
+				m.ECCCorrectableRBER = math.Pow(10, e)
+				if got, want := m.UsableCycles(), usableCyclesBisect(m); got != want {
+					t.Errorf("%v exponent %g ECC %g: UsableCycles %d, bisection %d", c, k, m.ECCCorrectableRBER, got, want)
+				}
+			}
 		}
 	}
 }

@@ -55,17 +55,27 @@ func (m WearModel) Correctable(n int) bool {
 // ECC capability. This can exceed the rated PECycles when the ECC is
 // strong, but is capped at 4× rated to stay honest about retention and
 // disturb effects the RBER curve does not capture.
+//
+// It inverts the RBER curve in closed form, PECycles·((ECC−Base)/(EOL−
+// Base))^(1/Exponent), then steps by whole cycles until n is the largest
+// correctable count in [0, 4·PECycles] (0 when none is), so rounding in
+// the inversion never moves the answer.
 func (m WearModel) UsableCycles() int {
-	lo, hi := 0, 4*m.PECycles
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if m.Correctable(mid) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	limit := 4 * m.PECycles
+	x := float64(m.PECycles) * math.Pow((m.ECCCorrectableRBER-m.BaseRBER)/(m.EOLRBER-m.BaseRBER), 1/m.Exponent)
+	n := 0
+	if x >= float64(limit) {
+		n = limit
+	} else if x > 0 {
+		n = int(x)
 	}
-	return lo
+	for n < limit && m.Correctable(n+1) {
+		n++
+	}
+	for n > 0 && !m.Correctable(n) {
+		n--
+	}
+	return n
 }
 
 // LifetimeSteps converts a per-step erase demand into a device lifetime.

@@ -13,16 +13,26 @@
 // pruned candidate's actual results could only have been worse than the
 // dominating point's actuals, so pruning never discards a frontier point.
 //
-// Results are memoized by the canonical config hash (no design point is
-// ever simulated twice) and the whole run is deterministic: candidates
-// are admitted in a fixed priority order, simulated in fixed-size waves
-// whose composition does not depend on the worker-pool width, and the
-// frontier is sorted with total tie-breaking — output is byte-identical
-// at any -parallel setting.
+// Every grid point is the base configuration with the eight axis fields
+// replaced, so a candidate is held as its tuple of axis values, not as a
+// Config: enumeration prices each point in one scratch Config and keeps
+// the tuple, its bounds and its lifetime. Results are memoized by the
+// tuple, which is exact, since two points are equal exactly when their
+// tuples are: no design point is simulated in two waves. A Point, with
+// its full Config and Config.CanonicalHash, is built only for a point
+// admitted to simulation.
+//
+// The whole run is deterministic: candidates are admitted in a fixed
+// priority order, simulated in fixed-size waves whose composition does
+// not depend on the worker-pool width, and the frontier is sorted with
+// total tie-breaking — output is byte-identical at any -parallel setting.
 package search
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -107,8 +117,10 @@ func (o Options) budget() int {
 	return o.Budget
 }
 
-// Point is one design point: its configuration, analytic bounds, and —
-// once simulated — its measured objectives.
+// Point is one simulated design point: its configuration, analytic
+// bounds and measured objectives. A Point exists only for a point the
+// search admits to simulation; the rest of the grid is priced as
+// candidates and never gets a Config of its own.
 type Point struct {
 	// Index is the point's row-major position in the grid; -1 for the
 	// seeded base configuration when it is not itself a grid point.
@@ -218,35 +230,38 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	// longest lifetime, then grid index — a total, deterministic order
 	// that simulates the most promising configurations first, which is
 	// what makes early evaluations prune the tail.
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		if a.Bound.StepFloor != b.Bound.StepFloor {
-			return a.Bound.StepFloor < b.Bound.StepFloor
+	slices.SortFunc(candidates, func(a, b candidate) int {
+		if c := cmp.Compare(a.bound.StepFloor, b.bound.StepFloor); c != 0 {
+			return c
 		}
-		if a.Bound.EnergyFloor != b.Bound.EnergyFloor {
-			return a.Bound.EnergyFloor < b.Bound.EnergyFloor
+		if c := cmp.Compare(a.bound.EnergyFloor, b.bound.EnergyFloor); c != 0 {
+			return c
 		}
-		if a.Lifetime != b.Lifetime {
-			return a.Lifetime > b.Lifetime
+		if c := cmp.Compare(b.lifetime, a.lifetime); c != 0 {
+			return c
 		}
-		return a.Index < b.Index
+		return cmp.Compare(a.index, b.index)
 	})
 
-	memo := make(map[uint64]*Point)
-	prunedBy := func(c *Point) bool {
+	simulated := make(map[axes]bool)
+	prunedBy := func(c candidate) bool {
 		for _, p := range res.Evaluated {
-			if p.dominatesBound(c.Bound.StepFloor, c.Bound.EnergyFloor, c.Lifetime) {
+			if p.dominatesBound(c.bound.StepFloor, c.bound.EnergyFloor, c.lifetime) {
 				return true
 			}
 		}
 		return false
 	}
-	evaluate := func(wave []*Point) error {
+	evaluate := func(wave []candidate) error {
+		points := make([]*Point, len(wave))
 		jobs := make([]runner.Job[*core.Report], len(wave))
 		for i, c := range wave {
-			cfg := c.Cfg
+			cfg := base
+			c.axes.apply(&cfg)
+			p := &Point{Index: c.index, Cfg: cfg, Hash: cfg.CanonicalHash(), Bound: c.bound, Lifetime: c.lifetime}
+			points[i] = p
 			jobs[i] = func() (*core.Report, error) {
-				sys, err := core.NewSystem(system, cfg)
+				sys, err := core.NewSystem(system, p.Cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -258,47 +273,47 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 			return err
 		}
 		for i, r := range results {
-			c := wave[i]
-			c.OptStep = r.Value.OptStepTime
-			c.Energy = r.Value.Energy.Total()
-			c.Feasible = r.Value.Feasible
-			if !c.Feasible {
+			p := points[i]
+			p.OptStep = r.Value.OptStepTime
+			p.Energy = r.Value.Energy.Total()
+			p.Feasible = r.Value.Feasible
+			if !p.Feasible {
 				res.Stats.Infeasible++
 			}
-			memo[c.Hash] = c
-			res.Evaluated = append(res.Evaluated, c)
+			simulated[wave[i].axes] = true
+			res.Evaluated = append(res.Evaluated, p)
 		}
 		return nil
 	}
 
 	// Seed: the base configuration is simulated first, unconditionally.
 	// It may lie outside the grid, so it is priced from its own config.
-	seed := &Point{Index: -1, Cfg: base, Hash: base.CanonicalHash()}
+	seed := candidate{index: -1, axes: axesOf(&base)}
 	if b, ok := core.BoundFor(system, base); ok {
-		seed.Bound = b
+		seed.bound = b
 	}
-	if seed.Lifetime, err = lifetime(base); err != nil {
+	if seed.lifetime, err = lifetime(&base); err != nil {
 		return nil, fmt.Errorf("search: base configuration: %w", err)
 	}
 	for _, c := range candidates {
-		if c.Hash == seed.Hash {
-			seed.Index = c.Index // the base is itself a grid point
+		if c.axes == seed.axes {
+			seed.index = c.index // the base is itself a grid point
 			break
 		}
 	}
 	res.Stats.Evaluated++
-	if err := evaluate([]*Point{seed}); err != nil {
+	if err := evaluate([]candidate{seed}); err != nil {
 		return nil, err
 	}
 
 	budget := opts.budget()
 	i := 0
 	for i < len(candidates) {
-		var wave []*Point
+		var wave []candidate
 		for i < len(candidates) && len(wave) < waveSize {
 			c := candidates[i]
 			i++
-			if _, hit := memo[c.Hash]; hit {
+			if simulated[c.axes] {
 				res.Stats.MemoHits++
 				continue
 			}
@@ -329,23 +344,71 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 // when the state does not fit. The update WAF is decided from the full
 // drive's own geometry (core.SweepWAF); a drive whose WAF that rule
 // cannot decide is an error, never a guess.
-func lifetime(cfg core.Config) (float64, error) {
+func lifetime(cfg *core.Config) (float64, error) {
 	cell := cfg.SSD.Nand.Cell
-	waf, err := core.SweepWAF(cfg, cell)
+	waf, err := core.SweepWAF(*cfg, cell)
 	if err != nil {
 		return 0, err
 	}
-	life, fits := core.AnalyticLifetime(cfg, cell, waf)
+	life, fits := core.AnalyticLifetime(*cfg, cell, waf)
 	if !fits {
 		return 0, nil
 	}
 	return life, nil
 }
 
+// axes is one grid point's value on each of the eight grid axes. Every
+// configuration the search prices is the base with these fields replaced,
+// so two of them are equal exactly when their axes are: the tuple is the
+// memo key. Over-provisioning is held as its float64 bits, the encoding
+// Config.CanonicalHash gives it.
+type axes struct {
+	channels, dies, planes, busMBps int
+	overProvision                   uint64
+	layout                          layout.Strategy
+	optimizer                       optim.Kind
+	retire                          ecc.RetirePolicy
+}
+
+func axesOf(cfg *core.Config) axes {
+	return axes{
+		channels:      cfg.SSD.Channels,
+		dies:          cfg.SSD.DiesPerChannel,
+		planes:        cfg.SSD.Nand.PlanesPerDie,
+		busMBps:       cfg.SSD.Nand.BusMBps,
+		overProvision: math.Float64bits(cfg.SSD.OverProvision),
+		layout:        cfg.Layout,
+		optimizer:     cfg.Optimizer,
+		retire:        cfg.SSD.Retire,
+	}
+}
+
+// apply writes the axis values into cfg.
+func (a axes) apply(cfg *core.Config) {
+	cfg.SSD.Channels = a.channels
+	cfg.SSD.DiesPerChannel = a.dies
+	cfg.SSD.Nand.PlanesPerDie = a.planes
+	cfg.SSD.Nand.BusMBps = a.busMBps
+	cfg.SSD.OverProvision = math.Float64frombits(a.overProvision)
+	cfg.Layout = a.layout
+	cfg.Optimizer = a.optimizer
+	cfg.SSD.Retire = a.retire
+}
+
+// A candidate is one valid grid point, priced: its row-major grid index,
+// its axis values, its analytic bound and its lifetime.
+type candidate struct {
+	index    int
+	axes     axes
+	bound    core.Bound
+	lifetime float64
+}
+
 // enumerate expands the grid row-major over the base configuration,
-// pricing every valid point with its analytic bound and lifetime. A point
-// whose lifetime cannot be priced fails the whole enumeration.
-func enumerate(base core.Config, space Space, system string, stats *Stats) ([]*Point, error) {
+// pricing every valid point with its analytic bound and lifetime in one
+// scratch Config. A point whose lifetime cannot be priced fails the whole
+// enumeration.
+func enumerate(base core.Config, space Space, system string, stats *Stats) ([]candidate, error) {
 	channels := intAxis(space.Channels, base.SSD.Channels)
 	dies := intAxis(space.DiesPerChannel, base.SSD.DiesPerChannel)
 	planes := intAxis(space.PlanesPerDie, base.SSD.Nand.PlanesPerDie)
@@ -367,7 +430,8 @@ func enumerate(base core.Config, space Space, system string, stats *Stats) ([]*P
 		retires = []ecc.RetirePolicy{base.SSD.Retire}
 	}
 
-	var out []*Point
+	out := make([]candidate, 0, space.Size())
+	cfg := base
 	index := 0
 	for _, ch := range channels {
 		for _, d := range dies {
@@ -377,15 +441,8 @@ func enumerate(base core.Config, space Space, system string, stats *Stats) ([]*P
 						for _, lay := range layouts {
 							for _, k := range optimizers {
 								for _, ret := range retires {
-									cfg := base
-									cfg.SSD.Channels = ch
-									cfg.SSD.DiesPerChannel = d
-									cfg.SSD.Nand.PlanesPerDie = pl
-									cfg.SSD.Nand.BusMBps = b
-									cfg.SSD.OverProvision = op
-									cfg.SSD.Retire = ret
-									cfg.Layout = lay
-									cfg.Optimizer = k
+									a := axes{ch, d, pl, b, math.Float64bits(op), lay, k, ret}
+									a.apply(&cfg)
 									idx := index
 									index++
 									if err := cfg.Validate(); err != nil {
@@ -397,18 +454,12 @@ func enumerate(base core.Config, space Space, system string, stats *Stats) ([]*P
 										stats.Invalid++
 										continue
 									}
-									life, err := lifetime(cfg)
+									life, err := lifetime(&cfg)
 									if err != nil {
 										return nil, fmt.Errorf("search: grid point %d: %w", idx, err)
 									}
 									stats.Candidates++
-									out = append(out, &Point{
-										Index:    idx,
-										Cfg:      cfg,
-										Hash:     cfg.CanonicalHash(),
-										Bound:    bound,
-										Lifetime: life,
-									})
+									out = append(out, candidate{index: idx, axes: a, bound: bound, lifetime: life})
 								}
 							}
 						}

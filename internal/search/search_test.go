@@ -229,18 +229,36 @@ func TestSearchPricesSeedOutsideGrid(t *testing.T) {
 // default space runs on a full drive whose spare blocks clear the GC
 // watermark, so its lifetime is priced at WAF exactly 1.
 func TestSearchDefaultSpaceSweepWAFIsOne(t *testing.T) {
-	points, err := enumerate(quickBase(), DefaultSpace(), "optimstore", &Stats{})
+	base := quickBase()
+	candidates, err := enumerate(base, DefaultSpace(), "optimstore", &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != DefaultSpace().Size() {
-		t.Fatalf("%d of %d default-space points are candidates", len(points), DefaultSpace().Size())
+	if len(candidates) != DefaultSpace().Size() {
+		t.Fatalf("%d of %d default-space points are candidates", len(candidates), DefaultSpace().Size())
 	}
-	for _, p := range points {
-		waf, err := core.SweepWAF(p.Cfg, p.Cfg.SSD.Nand.Cell)
+	for _, c := range candidates {
+		cfg := base
+		c.axes.apply(&cfg)
+		waf, err := core.SweepWAF(cfg, cfg.SSD.Nand.Cell)
 		if err != nil || math.Float64bits(waf) != math.Float64bits(1) {
-			t.Fatalf("point %d (OP %v): WAF %v, %v; want 1", p.Index, p.Cfg.SSD.OverProvision, waf, err)
+			t.Fatalf("point %d (OP %v): WAF %v, %v; want 1", c.index, cfg.SSD.OverProvision, waf, err)
 		}
+	}
+}
+
+// TestEnumerateAllocatesOnlyCandidates keeps grid enumeration to one
+// allocation, the candidate slice: each point is priced in one scratch
+// Config and held as a value, never as its own Config or Point.
+func TestEnumerateAllocatesOnlyCandidates(t *testing.T) {
+	base, space, stats := quickBase(), DefaultSpace(), &Stats{}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := enumerate(base, space, "optimstore", stats); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("one enumeration of the default space made %v allocations, want at most 1", allocs)
 	}
 }
 
@@ -267,19 +285,19 @@ func BenchmarkSearch(b *testing.B) {
 
 // BenchmarkSearchEnumerate times grid enumeration alone: expanding the
 // default space over the base configuration, validating each point and
-// pricing it with its analytic bound, canonical hash and lifetime. It is
-// the part of a search that does not simulate, and it reports ns/point.
+// pricing it with its analytic bound and lifetime. It is the part of a
+// search that does not simulate, and it reports ns/point.
 func BenchmarkSearchEnumerate(b *testing.B) {
 	base := quickBase()
 	space := DefaultSpace()
-	var points []*Point
+	var candidates []candidate
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := enumerate(base, space, "optimstore", &Stats{})
+		c, err := enumerate(base, space, "optimstore", &Stats{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		points = p
+		candidates = c
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(points))), "ns/point")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(candidates))), "ns/point")
 }
