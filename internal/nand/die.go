@@ -35,10 +35,43 @@ type blockState struct {
 // FIFO resource, or a preemptible one when read-suspend is enabled: then
 // reads and Occupy take priority, and programs and erases can be
 // suspended.
+//
+// blocks holds the state of blocks 0..len-1 and grows on the first
+// Program, Erase, MarkProgrammed or RestoreBlock of a block past its end;
+// every block beyond it is erased-fresh (write pointer and P/E count 0).
+// A window opens a few blocks of each plane, so a device's block state
+// scales with the blocks it touches, not with its geometry.
 type plane struct {
 	fifo   *sim.Resource
 	pre    *sim.Preemptible // non-nil when read-suspend is enabled
 	blocks []blockState
+}
+
+// firstBlocks is the capacity of a plane's block array at its first
+// growth: room for the few blocks a window opens before it regrows.
+const firstBlocks = 8
+
+// block returns the state of block b, growing the plane's block array to
+// hold it. b must be inside the geometry.
+func (pl *plane) block(b int) *blockState {
+	if b >= len(pl.blocks) {
+		if pl.blocks == nil {
+			//simlint:allow hotalloc once per plane, at its first touched block
+			pl.blocks = make([]blockState, 0, firstBlocks)
+		}
+		//simlint:allow hotalloc amortized growth, once per block a run first touches
+		pl.blocks = append(pl.blocks, make([]blockState, b+1-len(pl.blocks))...)
+	}
+	return &pl.blocks[b]
+}
+
+// state returns a copy of block b's state; blocks never touched read as
+// erased-fresh.
+func (pl *plane) state(b int) blockState {
+	if b < len(pl.blocks) {
+		return pl.blocks[b]
+	}
+	return blockState{}
 }
 
 // use occupies the plane for d, then calls done; priority work suspends a
@@ -73,7 +106,9 @@ type Die struct {
 }
 
 // NewDie builds a die with the given parameters. It panics on invalid
-// parameters; construction happens once at configuration time.
+// parameters; construction happens once at configuration time. A FIFO
+// plane's resource is named "<die>/plane<i>" when the engine traces, the
+// only reader of the name; untraced it stays unnamed.
 func NewDie(eng *sim.Engine, name string, p Params) *Die {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -81,11 +116,14 @@ func NewDie(eng *sim.Engine, name string, p Params) *Die {
 	d := &Die{eng: eng, name: name, params: p}
 	d.planes = make([]*plane, p.PlanesPerDie)
 	for i := range d.planes {
-		pl := &plane{blocks: make([]blockState, p.BlocksPerPlane)}
-		if p.ReadSuspend {
+		pl := &plane{}
+		switch {
+		case p.ReadSuspend:
 			pl.pre = sim.NewPreemptible(eng, p.ResumeOverhead)
-		} else {
+		case eng.Tracer() != nil:
 			pl.fifo = sim.NewResource(eng, fmt.Sprintf("%s/plane%d", name, i), 1)
+		default:
+			pl.fifo = sim.NewResource(eng, "", 1)
 		}
 		d.planes[i] = pl
 	}
@@ -133,7 +171,7 @@ func (d *Die) RestoreBlock(planeIdx, block, writePtr, eraseCount int) {
 		panic(fmt.Sprintf("nand: %s: restore block %d/%d writePtr=%d erases=%d",
 			d.name, planeIdx, block, writePtr, eraseCount))
 	}
-	blk := &d.planes[planeIdx].blocks[block]
+	blk := d.planes[planeIdx].block(block)
 	blk.writePtr = writePtr
 	blk.eraseCount = eraseCount
 }
@@ -151,7 +189,7 @@ func (d *Die) Read(a Addr, done func()) {
 // tPROG. It enforces sequential programming and erase-before-rewrite.
 func (d *Die) Program(a Addr, done func()) {
 	pl := d.checkAddr(a)
-	blk := &pl.blocks[a.Block]
+	blk := pl.block(a.Block)
 	if a.Page != blk.writePtr {
 		panic(fmt.Sprintf("nand: %s: program %v but write pointer at page %d", //simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 			d.name, a, blk.writePtr))
@@ -179,7 +217,7 @@ func (d *Die) Occupy(a Addr, dur sim.Time, done func()) {
 // programming invariant as Program.
 func (d *Die) MarkProgrammed(a Addr) {
 	pl := d.checkAddr(a)
-	blk := &pl.blocks[a.Block]
+	blk := pl.block(a.Block)
 	if a.Page != blk.writePtr || blk.writePtr >= d.params.PagesPerBlock {
 		panic(fmt.Sprintf("nand: %s: mark-programmed %v but write pointer at page %d",
 			d.name, a, blk.writePtr))
@@ -191,7 +229,7 @@ func (d *Die) MarkProgrammed(a Addr) {
 // incrementing the block's program/erase cycle count.
 func (d *Die) Erase(a Addr, done func()) {
 	pl := d.checkAddr(Addr{Plane: a.Plane, Block: a.Block})
-	blk := &pl.blocks[a.Block]
+	blk := pl.block(a.Block)
 	blk.writePtr = 0
 	blk.eraseCount++
 	d.counts.Erases++
@@ -200,15 +238,16 @@ func (d *Die) Erase(a Addr, done func()) {
 
 // WritePtr returns the next programmable page index of a block.
 func (d *Die) WritePtr(planeIdx, block int) int {
-	return d.planes[planeIdx].blocks[block].writePtr
+	return d.planes[planeIdx].state(block).writePtr
 }
 
 // EraseCount returns the accumulated P/E cycles of a block.
 func (d *Die) EraseCount(planeIdx, block int) int {
-	return d.planes[planeIdx].blocks[block].eraseCount
+	return d.planes[planeIdx].state(block).eraseCount
 }
 
-// MaxEraseCount returns the largest P/E count across all blocks.
+// MaxEraseCount returns the largest P/E count across all blocks; blocks
+// never touched have none.
 func (d *Die) MaxEraseCount() int {
 	max := 0
 	for _, pl := range d.planes {
@@ -219,17 +258,6 @@ func (d *Die) MaxEraseCount() int {
 		}
 	}
 	return max
-}
-
-// TotalEraseCount sums P/E cycles across all blocks.
-func (d *Die) TotalEraseCount() int64 {
-	var total int64
-	for _, pl := range d.planes {
-		for i := range pl.blocks {
-			total += int64(pl.blocks[i].eraseCount)
-		}
-	}
-	return total
 }
 
 // Preemptions returns the total program/erase suspends across all planes

@@ -206,8 +206,76 @@ func TestDieWearAggregates(t *testing.T) {
 	if d.MaxEraseCount() != 2 {
 		t.Fatalf("max erase = %d", d.MaxEraseCount())
 	}
-	if d.TotalEraseCount() != 3 {
-		t.Fatalf("total erase = %d", d.TotalEraseCount())
+	if n := totalEraseCount(d); n != 3 {
+		t.Fatalf("total erase = %d", n)
+	}
+}
+
+// totalEraseCount sums P/E cycles across every block of the die's
+// geometry, touched or not.
+func totalEraseCount(d *Die) int64 {
+	var total int64
+	p := d.Params()
+	for pl := 0; pl < p.PlanesPerDie; pl++ {
+		for b := 0; b < p.BlocksPerPlane; b++ {
+			total += int64(d.EraseCount(pl, b))
+		}
+	}
+	return total
+}
+
+// TestDieBlockStateGrowsWithUse pins the lazy block array: a fresh die
+// holds no block state, an untouched block reads as erased-fresh, and
+// each plane's array grows only to the highest block its programs,
+// erases, marks and restores reach.
+func TestDieBlockStateGrowsWithUse(t *testing.T) {
+	e := sim.NewEngine()
+	p := tinyParams()
+	d := NewDie(e, "d", p)
+	for i, pl := range d.planes {
+		if pl.blocks != nil {
+			t.Fatalf("fresh plane %d holds %d block states", i, len(pl.blocks))
+		}
+	}
+	d.Program(Addr{Plane: 0, Block: 2, Page: 0}, nil)
+	d.MarkProgrammed(Addr{Plane: 0, Block: 2, Page: 1})
+	d.Erase(Addr{Plane: 1, Block: 0}, nil)
+	d.RestoreBlock(1, 5, 3, 7)
+	e.Run()
+	if n0, n1 := len(d.planes[0].blocks), len(d.planes[1].blocks); n0 != 3 || n1 != 6 {
+		t.Fatalf("planes hold %d and %d block states, want 3 and 6", n0, n1)
+	}
+	for _, c := range []struct{ plane, block, wp, erases int }{
+		{0, 2, 2, 0}, {0, 1, 0, 0}, {0, 7, 0, 0}, {1, 0, 0, 1}, {1, 5, 3, 7}, {1, 7, 0, 0},
+	} {
+		if wp, er := d.WritePtr(c.plane, c.block), d.EraseCount(c.plane, c.block); wp != c.wp || er != c.erases {
+			t.Errorf("block %d/%d: write pointer %d, %d erases; want %d, %d", c.plane, c.block, wp, er, c.wp, c.erases)
+		}
+	}
+	if got := d.MaxEraseCount(); got != 7 {
+		t.Fatalf("max erase = %d, want 7", got)
+	}
+}
+
+// planeTracks records the tracks a traced die's planes write to.
+type planeTracks map[string]bool
+
+func (p planeTracks) Span(track, _ string, _, _ sim.Time)            { p[track] = true }
+func (p planeTracks) Instant(string, string, sim.Time)               {}
+func (p planeTracks) Counter(track, _ string, _ sim.Time, _ float64) { p[track] = true }
+
+// TestTracedDiePlanesAreNamed checks that a traced die's FIFO planes trace
+// on "<die>/plane<i>" tracks: the name is formatted only when the engine
+// traces.
+func TestTracedDiePlanesAreNamed(t *testing.T) {
+	e := sim.NewEngine()
+	tracks := planeTracks{}
+	e.SetTracer(tracks)
+	d := NewDie(e, "ch0/die1", tinyParams())
+	d.Program(Addr{Plane: 1, Block: 0, Page: 0}, nil)
+	e.Run()
+	if !tracks["ch0/die1/plane1"] {
+		t.Fatalf("traced program wrote tracks %v, want ch0/die1/plane1", tracks)
 	}
 }
 

@@ -18,7 +18,8 @@
 // Config: enumeration prices each point in one scratch Config and keeps
 // the tuple, its bounds and its lifetime. Results are memoized by the
 // tuple, which is exact, since two points are equal exactly when their
-// tuples are: no design point is simulated in two waves. A Point, with
+// tuples are. A tuple is marked when its point is admitted to a wave, so
+// no design point is simulated twice, in two waves or in one. A Point, with
 // its full Config and Config.CanonicalHash, is built only for a point
 // admitted to simulation.
 //
@@ -280,7 +281,6 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 			if !p.Feasible {
 				res.Stats.Infeasible++
 			}
-			simulated[wave[i].axes] = true
 			res.Evaluated = append(res.Evaluated, p)
 		}
 		return nil
@@ -302,6 +302,7 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 		}
 	}
 	res.Stats.Evaluated++
+	simulated[seed.axes] = true
 	if err := evaluate([]candidate{seed}); err != nil {
 		return nil, err
 	}
@@ -326,6 +327,7 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 				continue
 			}
 			res.Stats.Evaluated++
+			simulated[c.axes] = true // a duplicate later in this wave is a memo hit
 			wave = append(wave, c)
 		}
 		if len(wave) == 0 {

@@ -225,6 +225,36 @@ func TestSearchPricesSeedOutsideGrid(t *testing.T) {
 	}
 }
 
+// TestSearchSimulatesEachDesignPointOnce runs a space whose duplicated
+// axis values make several grid points one design point, with a budget
+// that admits a full wave of them: a duplicate is a memo hit even inside
+// the wave that simulates its design point, so no configuration is
+// simulated twice and the frontier lists each once.
+func TestSearchSimulatesEachDesignPointOnce(t *testing.T) {
+	space := Space{
+		Channels:       []int{8, 8, 16},
+		DiesPerChannel: []int{4, 2},
+		BusMBps:        []int{1200, 800, 1200},
+		OverProvision:  []float64{0.125, 0.125},
+	}
+	res, err := Run(quickBase(), space, Options{Budget: 16, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, points := range [][]*Point{res.Evaluated, res.Frontier} {
+		seen := map[uint64]int{}
+		for _, p := range points {
+			if i, ok := seen[p.Hash]; ok {
+				t.Fatalf("grid points %d and %d are one design point (hash %x), listed twice", i, p.Index, p.Hash)
+			}
+			seen[p.Hash] = p.Index
+		}
+	}
+	if res.Stats.MemoHits == 0 {
+		t.Fatal("no memo hits over duplicated axis values")
+	}
+}
+
 // TestSearchDefaultSpaceSweepWAFIsOne checks that every point of the
 // default space runs on a full drive whose spare blocks clear the GC
 // watermark, so its lifetime is priced at WAF exactly 1.

@@ -89,16 +89,21 @@ func (c *decoder) plane(lin int64) int {
 	return int(c.perPlane.div(c.perBlock.div(lin)))
 }
 
+// split decodes a linear page into its device-global plane, its block
+// within the plane and its page within the block.
+//
+//simlint:hotpath
+func (c *decoder) split(lin int64) (plane, block, page int) {
+	bg := c.perBlock.div(lin)
+	p := c.perPlane.div(bg)
+	return int(p), int(bg - p*c.blocksPerPlane), int(lin - bg*c.pagesPerBlock)
+}
+
 // ppa decodes a linear page index.
 //
 //simlint:hotpath
 func (c *decoder) ppa(lin int64) PPA {
-	bg := c.perBlock.div(lin)
-	p := c.perPlane.div(bg)
+	p, block, page := c.split(lin)
 	l := c.planes[p]
-	return PPA{Channel: l.ch, Die: l.die, Addr: nand.Addr{
-		Plane: l.plane,
-		Block: int(bg - p*c.blocksPerPlane),
-		Page:  int(lin - bg*c.pagesPerBlock),
-	}}
+	return PPA{Channel: l.ch, Die: l.die, Addr: nand.Addr{Plane: l.plane, Block: block, Page: page}}
 }

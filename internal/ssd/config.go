@@ -51,11 +51,14 @@ type Config struct {
 // DefaultConfig returns the baseline SSD of the reproduction: 8 channels ×
 // 4 TLC dies (× 4 planes) — 128-plane internal parallelism.
 //
-// BlocksPerPlane is reduced from the physical 1024 to 64 so FTL map arrays
-// stay small: the simulated device is a 32 GiB *window* of the real 512 GiB
-// drive. Steady-state throughput depends on planes and timing, not block
-// count; capacity- and lifetime-dependent metrics are computed analytically
-// with the full geometry (see nand.WearModel.LifetimeSteps).
+// BlocksPerPlane is reduced from the physical 1024 to 64: the simulated
+// device is a 32 GiB *window* of the real 512 GiB drive. Device state grows
+// with the blocks a run touches, so the window saves no memory; it stays
+// because GC watermarks and over-provisioning act on a plane's free-block
+// count, and every simulated result is calibrated on this window.
+// Steady-state throughput depends on planes and timing, not block count;
+// capacity- and lifetime-dependent metrics are computed analytically with
+// the full geometry (see nand.WearModel.LifetimeSteps).
 func DefaultConfig() Config {
 	n := nand.ParamsFor(nand.TLC)
 	n.BlocksPerPlane = 64

@@ -264,7 +264,7 @@ func TestWearLevellingBoundsSpread(t *testing.T) {
 		runDrained(t, e, d)
 	}
 	for plane := 0; plane < d.Geometry().Planes(); plane++ {
-		min, max := d.FTL().WearSpread(plane)
+		min, max := wearSpread(d.FTL(), plane)
 		if max == 0 {
 			t.Fatalf("plane %d never erased", plane)
 		}
@@ -287,10 +287,10 @@ func TestFTLWearAccessors(t *testing.T) {
 		f.CommitWrite(lpa, f.AllocPage(0), true)
 	}
 	f.OnErased(0, victim)
-	if f.BlockErases(0, victim) != 1 {
-		t.Fatalf("erase tally = %d", f.BlockErases(0, victim))
+	if blockErases(f, 0, victim) != 1 {
+		t.Fatalf("erase tally = %d", blockErases(f, 0, victim))
 	}
-	min, max := f.WearSpread(0)
+	min, max := wearSpread(f, 0)
 	if min != 0 || max != 1 {
 		t.Fatalf("spread = %d..%d", min, max)
 	}

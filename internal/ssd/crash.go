@@ -175,87 +175,109 @@ func recoverInto(eng *sim.Engine, crashed *Device, failCh, failDie int) (*Device
 		LostDirty: len(crashed.dirty),
 		Blocks:    geo.BlocksTotal(),
 	}
-	dieFailed := func(ch, die int) bool { return ch == failCh && die == failDie }
 
 	// 1. Restore the durable media state: per-block write pointers and P/E
-	// counts survive power loss; controller RAM does not.
-	for ch := 0; ch < geo.Channels; ch++ {
-		for die := 0; die < geo.DiesPerChannel; die++ {
-			src, dst := crashed.Die(ch, die), d.Die(ch, die)
-			for pl := 0; pl < geo.PlanesPerDie; pl++ {
-				for b := 0; b < geo.BlocksPerPlane; b++ {
-					dst.RestoreBlock(pl, b, src.WritePtr(pl, b), src.EraseCount(pl, b))
-				}
-			}
+	// counts survive power loss; controller RAM does not. Only the blocks
+	// below a plane's mark were ever opened; every other block is
+	// erased-fresh on both devices.
+	for p := 0; p < geo.Planes(); p++ {
+		ch, die, pl := d.PlaneLoc(p)
+		src, dst := crashed.Die(ch, die), d.Die(ch, die)
+		for b := range crashed.ftl.planes[p].blocks {
+			dst.RestoreBlock(pl, b, src.WritePtr(pl, b), src.EraseCount(pl, b))
 		}
 	}
 
-	// 2. Replay the logical map that had committed by the crash, checking
-	// mapped ⊆ programmed. In-flight (torn) programs are visible as the
-	// crashed FTL's nonzero in-flight counters: physically programmed,
-	// never mapped, reclaimed as garbage by future GC.
+	// 2. Rebuild the FTL from the map that had committed by the crash and
+	// the restored media.
+	media := func(p, b int) (writePtr, erases int) {
+		ch, die, pl := d.PlaneLoc(p)
+		return d.Die(ch, die).WritePtr(pl, b), d.Die(ch, die).EraseCount(pl, b)
+	}
+	lost := func(p int) bool {
+		ch, die, _ := d.PlaneLoc(p)
+		return ch == failCh && die == failDie
+	}
 	var err error
-	crashed.ftl.l2p.forEach(func(lpa, lin int64) {
-		if err != nil {
-			return
-		}
-		ppa := geo.FromLinear(lin)
-		if dieFailed(ppa.Channel, ppa.Die) {
-			info.LostPages++
-			return
-		}
-		if wp := d.Die(ppa.Channel, ppa.Die).WritePtr(ppa.Plane, ppa.Block); ppa.Page >= wp {
-			err = fmt.Errorf("ssd: recover: lpa %d maps to %v beyond write pointer %d (mapped page never programmed)",
-				lpa, ppa, wp)
-			return
-		}
-		d.ftl.restoreMapping(lpa, ppa)
-		info.MappedPages++
-	})
+	info.MappedPages, info.LostPages, err = d.ftl.recoverFrom(crashed.ftl, media, lost)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, n := range crashed.ftl.inflight {
-		info.TornPages += int64(n)
+	for p := range crashed.ftl.planes {
+		info.TornPages += int64(crashed.ftl.planes[p].inflight)
+	}
+	if failCh >= 0 {
+		d.Die(failCh, failDie).Fail()
 	}
 
-	// 3. Rebuild the allocation lists from the physical write pointers:
-	// untouched blocks are free, anything written is sealed full. Retired
-	// blocks stay retired; a failed die's blocks are all retired.
-	for p := 0; p < geo.Planes(); p++ {
-		ch, die, pl := geo.PlaneLoc(p)
-		srcDie := crashed.Die(ch, die)
-		pa := &d.ftl.planes[p]
-		pa.free = pa.free[:0]
-		pa.full = pa.full[:0]
-		pa.open[HotStream], pa.open[ColdStream] = -1, -1
-		base := p * geo.BlocksPerPlane
-		for b := 0; b < geo.BlocksPerPlane; b++ {
-			g := base + b
-			d.ftl.erases[g] = int32(srcDie.EraseCount(pl, b))
-			if crashed.ftl.retired[g] || dieFailed(ch, die) {
-				d.ftl.retired[g] = true
-				d.ftl.retiredCount++
+	if cErr := d.ftl.CheckConsistent(); cErr != nil {
+		return nil, nil, fmt.Errorf("ssd: recover: rebuilt FTL inconsistent: %w", cErr)
+	}
+	return d, info, nil
+}
+
+// recoverFrom rebuilds f, freshly built over the crashed FTL's geometry,
+// from what survives a power loss: the logical map committed by the
+// crash, and each block's write pointer and P/E count (media). It returns
+// the pages it mapped and the pages it dropped because their plane is
+// lost (a failed die's); every block of a lost plane is retired.
+//
+// The map replays in lpa order, checking mapped ⊆ programmed. In-flight
+// (torn) programs are physically programmed but never mapped: garbage for
+// future GC. The allocation lists follow the write pointers: an unwritten
+// block is free, anything written is sealed full (replay never continues
+// a write frontier mid-block), and retired blocks stay retired. Blocks at
+// or above a plane's crashed mark were never opened, so they stay above
+// the rebuilt mark, erased-fresh. The lifetime WAF tallies carry across
+// the crash so endurance accounting spans recoveries.
+func (f *FTL) recoverFrom(crashed *FTL, media func(plane, block int) (writePtr, erases int),
+	lost func(plane int) bool) (mapped, lostPages int64, err error) {
+	for p := range f.planes {
+		mark := len(crashed.planes[p].blocks)
+		if lost(p) {
+			mark = f.geo.BlocksPerPlane
+		}
+		f.planes[p].blocks = make([]blockRec, mark)
+	}
+	crashed.l2p.forEach(func(lpa, lin int64) {
+		if err != nil {
+			return
+		}
+		p, b, pg := f.dec.split(lin)
+		if lost(p) {
+			lostPages++
+			return
+		}
+		if wp, _ := media(p, b); pg >= wp {
+			err = fmt.Errorf("ssd: recover: lpa %d maps to %v beyond write pointer %d (mapped page never programmed)",
+				lpa, f.dec.ppa(lin), wp)
+			return
+		}
+		f.restoreMapping(lpa, lin)
+		mapped++
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for p := range f.planes {
+		pa := &f.planes[p]
+		for b := range pa.blocks {
+			r := &pa.blocks[b]
+			wp, erases := media(p, b)
+			r.erases = int32(erases)
+			if crashed.Retired(p, b) || lost(p) {
+				r.retired = true
+				f.retiredCount++
 				continue
 			}
-			if srcDie.WritePtr(pl, b) == 0 {
+			if wp == 0 {
 				pa.free = append(pa.free, int32(b))
 			} else {
 				pa.full = append(pa.full, int32(b))
 			}
 		}
 	}
-	if failCh >= 0 {
-		d.Die(failCh, failDie).Fail()
-	}
-
-	// 4. Carry the lifetime WAF tallies across the crash so endurance
-	// accounting spans recoveries.
-	d.ftl.hostProgrammed = crashed.ftl.hostProgrammed
-	d.ftl.gcProgrammed = crashed.ftl.gcProgrammed
-
-	if cErr := d.ftl.CheckConsistent(); cErr != nil {
-		return nil, nil, fmt.Errorf("ssd: recover: rebuilt FTL inconsistent: %w", cErr)
-	}
-	return d, info, nil
+	f.hostProgrammed = crashed.hostProgrammed
+	f.gcProgrammed = crashed.gcProgrammed
+	return mapped, lostPages, nil
 }

@@ -1,9 +1,6 @@
 package ssd
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 const unmapped = int64(-1)
 
@@ -12,31 +9,21 @@ const unmapped = int64(-1)
 // little zeroing past its end.
 const l2pChunkBits = 10
 
-// p2lChunkBits sizes the chunks of the reverse map to at most one block
-// and at most 2^8 entries. A plane fills one block at a time, so a
-// preload materialises about one chunk per block it opens instead of a
-// chunk spanning several planes.
-func p2lChunkBits(pagesPerBlock int) uint {
-	return uint(min(bits.Len(uint(pagesPerBlock))-1, 8))
-}
-
 // pageMap is a sparse array of page numbers defaulting to unmapped, whose
-// cost scales with the blocks a run touches rather than with the device.
+// cost scales with the pages a run writes rather than with the device.
 // A freshly built device maps nothing and a design point touches only its
 // window, so chunks materialise on first write.
 //
-// The map holds no pointers: dir has one uint32 per chunk, holding the
-// chunk's index in slab plus one (0 means absent, every entry unmapped),
-// and slab holds the materialised chunks back to back, growing by one
-// chunk on first write. Entries are uint32 biased by +1, so the zero
-// value of a fresh chunk already means unmapped; the bias caps a device
-// (or its logical space) at 2^32-2 pages, checked at build.
+// The map holds no pointers: dir has one uint32 per chunk up to the last
+// chunk written, holding the chunk's index in slab plus one (0 means
+// absent, every entry unmapped), and slab holds the materialised chunks
+// back to back, growing by one chunk on first write. Entries are uint32
+// biased by +1, so the zero value of a fresh chunk already means
+// unmapped; the bias caps a device (or its logical space) at 2^32-2
+// pages, checked at build.
 //
-// NewFTL reserves slab room for the first chunk each plane opens, so a
-// preload never regrows it. NewDevice plus the preload of a GPT-13B
-// 128-unit colocated window allocates 0.06 / 0.48 / 0.95 MiB at 1 / 8 / 16
-// channels; the former 2^15-entry chunks, one per pair of planes touched,
-// made that 1.17 / 8.44 / 16.75 MiB.
+// The FTL's logical map is a pageMap; the reverse map lives in the block
+// records (blockRec), which grow with the pages a plane programs.
 type pageMap struct {
 	bits uint     // log2 of the entries per chunk
 	dir  []uint32 // slab chunk index + 1 per chunk; 0 = absent
@@ -51,13 +38,16 @@ func newPageMap(n int64, chunkBits uint, reserve int) pageMap {
 	}
 	return pageMap{
 		bits: chunkBits,
-		dir:  make([]uint32, (n+1<<chunkBits-1)>>chunkBits),
 		slab: make([]uint32, 0, reserve<<chunkBits),
 	}
 }
 
 func (m *pageMap) get(i int64) int64 {
-	c := m.dir[i>>m.bits]
+	ci := i >> m.bits
+	if ci >= int64(len(m.dir)) {
+		return unmapped
+	}
+	c := m.dir[ci]
 	if c == 0 {
 		return unmapped
 	}
@@ -66,6 +56,13 @@ func (m *pageMap) get(i int64) int64 {
 
 func (m *pageMap) set(i, v int64) {
 	ci := i >> m.bits
+	if ci >= int64(len(m.dir)) {
+		if v == unmapped {
+			return
+		}
+		//simlint:allow hotalloc amortized growth of the directory to the last chunk written
+		m.dir = append(m.dir, make([]uint32, ci+1-int64(len(m.dir)))...)
+	}
 	c := m.dir[ci]
 	if c == 0 {
 		if v == unmapped {
@@ -101,28 +98,22 @@ func (m *pageMap) forEach(fn func(i, v int64)) {
 // and the bookkeeping half of garbage collection. It performs no simulated
 // I/O itself — the Device drives NAND timing and calls in here for
 // allocation and mapping decisions, so the FTL is directly unit-testable.
+//
+// Per-block state grows with use. Each plane opens never-used blocks in
+// id order, so the blocks it has opened are exactly those below its
+// high-water mark, len(planeAlloc.blocks); a block at or above the mark
+// is erased-fresh, with no pages, erases or mappings, and needs no record.
+// A window opens a few blocks of each plane, so the FTL's size scales with
+// the blocks it touches, not with the geometry.
 type FTL struct {
 	geo          Geometry
 	dec          decoder
 	logicalPages int64
 
-	l2p        pageMap // logical page -> linear PPA, or unmapped
-	p2l        pageMap // linear PPA -> logical page, or unmapped (free/stale)
-	validCount []int32 // valid pages per global block
-	erases     []int32 // P/E cycles per global block (FTL's own tally)
-
-	// In-flight (issued, not yet committed) programs per global block, with
-	// per-plane totals. A block with in-flight programs must not be erased:
-	// the mapping commits at program completion, and erasing out from under
-	// it would either destroy the data racing toward the block or let the
-	// commit land in an erased block.
-	inflight      []int32
-	inflightPlane []int32
-
-	retired      []bool // blocks permanently out of circulation
-	retiredCount int
-
+	l2p    pageMap // logical page -> linear PPA, or unmapped
 	planes []planeAlloc
+
+	retiredCount int
 
 	// Write-amplification accounting.
 	hostProgrammed uint64
@@ -142,14 +133,51 @@ const (
 	ColdStream Stream = 1 // GC relocations
 )
 
-// planeAlloc is the allocation state of one plane: a FIFO of erased blocks,
-// per-stream open blocks being filled, and full blocks awaiting GC.
+// planeAlloc is the allocation state of one plane: the records of the
+// blocks it has opened, a FIFO of erased blocks, per-stream open blocks
+// being filled, and full blocks awaiting GC. The free blocks are the
+// erased ones plus every block at or above the mark.
 type planeAlloc struct {
-	free []int32  // erased, ready to open
-	open [2]int32 // filling, per stream; -1 when none
-	next [2]int   // next page within open, per stream
-	full []int32  // completely written blocks
+	blocks []blockRec // blocks below the mark, by id
+	free   []int32    // erased blocks below the mark, ready to open
+	open   [2]int32   // filling, per stream; -1 when none
+	next   [2]int     // next page within open, per stream
+	full   []int32    // completely written blocks
+
+	// In-flight (issued, not yet committed) programs across the plane;
+	// blockRec.inflight holds them per block.
+	inflight int32
 }
+
+// blockRec is the FTL's record of one opened block.
+type blockRec struct {
+	valid  int32 // valid pages
+	erases int32 // P/E cycles (the FTL's own tally)
+
+	// In-flight (issued, not yet committed) programs. A block with
+	// in-flight programs must not be erased: the mapping commits at
+	// program completion, and erasing out from under it would either
+	// destroy the data racing toward the block or let the commit land in
+	// an erased block.
+	inflight int32
+
+	retired bool // permanently out of circulation
+
+	// p2l is the reverse map of the block: logical page + 1 per page, 0
+	// when the page is free or stale. It holds the pages written so far
+	// (see record). Erasing a block zeroes it in place for the next fill.
+	p2l []uint32
+}
+
+// firstBlockRecs is the capacity of a plane's block records at its first
+// opened block: room for the few blocks a window opens before it regrows.
+const firstBlockRecs = 4
+
+// p2lFirstPages is the reverse-map length of a plane's first block until
+// it holds more pages. A preload programs a few pages per plane, so most
+// planes a window touches never need more; a plane that opens a second
+// block writes whole blocks, so its blocks hold whole-block maps.
+const p2lFirstPages = 16
 
 // NewFTL builds an FTL over the geometry exposing logicalPages of capacity.
 func NewFTL(geo Geometry, logicalPages int64) *FTL {
@@ -158,26 +186,16 @@ func NewFTL(geo Geometry, logicalPages int64) *FTL {
 		panic(fmt.Sprintf("ssd: logical pages %d vs physical %d", logicalPages, total))
 	}
 	f := &FTL{
-		geo:           geo,
-		logicalPages:  logicalPages,
-		l2p:           newPageMap(logicalPages, l2pChunkBits, 1),
-		p2l:           newPageMap(total, p2lChunkBits(geo.PagesPerBlock), geo.Planes()),
-		validCount:    make([]int32, geo.BlocksTotal()),
-		erases:        make([]int32, geo.BlocksTotal()),
-		inflight:      make([]int32, geo.BlocksTotal()),
-		inflightPlane: make([]int32, geo.Planes()),
-		retired:       make([]bool, geo.BlocksTotal()),
-		planes:        make([]planeAlloc, geo.Planes()),
+		geo:          geo,
+		logicalPages: logicalPages,
+		l2p:          newPageMap(logicalPages, l2pChunkBits, 1),
+		planes:       make([]planeAlloc, geo.Planes()),
 	}
 	f.dec = newDecoder(geo)
 	for p := range f.planes {
 		pa := &f.planes[p]
 		pa.open[HotStream] = -1
 		pa.open[ColdStream] = -1
-		pa.free = make([]int32, geo.BlocksPerPlane)
-		for b := range pa.free {
-			pa.free[b] = int32(b)
-		}
 	}
 	return f
 }
@@ -212,15 +230,38 @@ func (f *FTL) checkLPA(lpa int64) {
 	}
 }
 
+// rec returns the record of the opened block holding the linear page lin,
+// and the page's index within the block.
+//
+//simlint:hotpath
+func (f *FTL) rec(lin int64) (*blockRec, int) {
+	plane, block, page := f.dec.split(lin)
+	return &f.planes[plane].blocks[block], page
+}
+
+// reverse returns the logical page stored at the linear page lin, or
+// unmapped when the page is free or stale.
+func (f *FTL) reverse(lin int64) int64 {
+	plane, block, page := f.dec.split(lin)
+	blocks := f.planes[plane].blocks
+	if block >= len(blocks) || page >= len(blocks[block].p2l) {
+		return unmapped
+	}
+	return int64(blocks[block].p2l[page]) - 1
+}
+
 // FreeBlocks returns the number of erased blocks available in a plane.
-func (f *FTL) FreeBlocks(planeIdx int) int { return len(f.planes[planeIdx].free) }
+func (f *FTL) FreeBlocks(planeIdx int) int {
+	pa := &f.planes[planeIdx]
+	return len(pa.free) + f.geo.BlocksPerPlane - len(pa.blocks)
+}
 
 // AvailablePages returns the number of pages that can still be allocated
 // in the plane without reclaiming space: the remainders of the open blocks
 // plus all free blocks.
 func (f *FTL) AvailablePages(planeIdx int) int {
 	pa := &f.planes[planeIdx]
-	n := len(pa.free) * f.geo.PagesPerBlock
+	n := f.FreeBlocks(planeIdx) * f.geo.PagesPerBlock
 	for s := range pa.open {
 		if pa.open[s] >= 0 {
 			n += f.geo.PagesPerBlock - pa.next[s]
@@ -232,8 +273,7 @@ func (f *FTL) AvailablePages(planeIdx int) int {
 // CanAlloc reports whether AllocPage on the plane would succeed for the
 // hot stream.
 func (f *FTL) CanAlloc(planeIdx int) bool {
-	pa := &f.planes[planeIdx]
-	return pa.open[HotStream] >= 0 || len(pa.free) > 0
+	return f.planes[planeIdx].open[HotStream] >= 0 || f.FreeBlocks(planeIdx) > 0
 }
 
 // AllocPage claims the next hot-stream page of the plane's write frontier.
@@ -258,7 +298,7 @@ func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 	pa := &f.planes[planeIdx]
 	s := int(stream)
 	if pa.open[s] < 0 {
-		if len(pa.free) == 0 {
+		if f.FreeBlocks(planeIdx) == 0 {
 			// Cold stream may borrow the hot open block rather than wedge.
 			if stream == ColdStream && pa.open[HotStream] >= 0 {
 				s = int(HotStream)
@@ -267,19 +307,7 @@ func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 				panic(fmt.Sprintf("ssd: plane %d out of blocks", planeIdx))
 			}
 		} else {
-			// Wear-aware selection: open the least-erased free block (ties
-			// to the lowest block id, keeping runs deterministic). This is
-			// the dynamic half of wear levelling.
-			base := planeIdx * f.geo.BlocksPerPlane
-			best := 0
-			for i := 1; i < len(pa.free); i++ {
-				if f.erases[base+int(pa.free[i])] < f.erases[base+int(pa.free[best])] {
-					best = i
-				}
-			}
-			pa.open[s] = pa.free[best]
-			//simlint:allow hotalloc in-place removal; never grows
-			pa.free = append(pa.free[:best], pa.free[best+1:]...)
+			pa.open[s] = f.openBlock(pa)
 			pa.next[s] = 0
 		}
 	}
@@ -293,6 +321,34 @@ func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 	return lin
 }
 
+// openBlock takes the plane's least-erased free block, ties to the first
+// erased, and returns its id. This is the dynamic half of wear levelling.
+// A block at the mark has no erases and sorts after the erased blocks
+// with none, which only a recovered plane holds, and before every other:
+// the choice a FIFO of every free block in id order, erased blocks
+// appended as they return, would make.
+func (f *FTL) openBlock(pa *planeAlloc) int32 {
+	best := -1
+	for i := range pa.free {
+		if best < 0 || pa.blocks[pa.free[i]].erases < pa.blocks[pa.free[best]].erases {
+			best = i
+		}
+	}
+	if mark := len(pa.blocks); mark < f.geo.BlocksPerPlane && (best < 0 || pa.blocks[pa.free[best]].erases > 0) {
+		if pa.blocks == nil {
+			//simlint:allow hotalloc once per plane, at its first opened block
+			pa.blocks = make([]blockRec, 0, firstBlockRecs)
+		}
+		//simlint:allow hotalloc amortized growth, bounded by the plane's block count
+		pa.blocks = append(pa.blocks, blockRec{})
+		return int32(mark)
+	}
+	b := pa.free[best]
+	//simlint:allow hotalloc in-place removal; never grows
+	pa.free = append(pa.free[:best], pa.free[best+1:]...)
+	return b
+}
+
 // CommitWrite binds lpa to a freshly allocated ppa, invalidating any prior
 // mapping. Host writes and GC relocations are tallied separately for
 // write-amplification reporting.
@@ -301,17 +357,15 @@ func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) { f.commit(lpa, f.geo.Lin
 // commit is CommitWrite to the linear page lin.
 func (f *FTL) commit(lpa, lin int64, gc bool) {
 	f.checkLPA(lpa)
-	if f.p2l.get(lin) != unmapped {
+	if f.reverse(lin) != unmapped {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: commit to already-valid page %v", f.dec.ppa(lin)))
 	}
 	if old := f.l2p.get(lpa); old != unmapped {
-		f.p2l.set(old, unmapped)
-		f.validCount[f.dec.block(old)]--
+		f.drop(old)
 	}
 	f.l2p.set(lpa, lin)
-	f.p2l.set(lin, lpa)
-	f.validCount[f.dec.block(lin)]++
+	f.record(lin, lpa)
 	if gc {
 		f.gcProgrammed++
 	} else {
@@ -319,12 +373,40 @@ func (f *FTL) commit(lpa, lin int64, gc bool) {
 	}
 }
 
+// record maps the linear page lin to lpa in its block's reverse map and
+// counts the page valid. The map grows to the page: to p2lFirstPages
+// entries while the block is the only one its plane has opened, else to
+// the whole block.
+func (f *FTL) record(lin, lpa int64) {
+	plane, block, pg := f.dec.split(lin)
+	pa := &f.planes[plane]
+	r := &pa.blocks[block]
+	if pg >= len(r.p2l) {
+		n := f.geo.PagesPerBlock
+		if len(pa.blocks) == 1 && pg < p2lFirstPages {
+			n = min(n, p2lFirstPages)
+		}
+		//simlint:allow hotalloc a block's reverse map grows at most twice per block a run opens
+		grown := make([]uint32, n)
+		copy(grown, r.p2l)
+		r.p2l = grown
+	}
+	r.p2l[pg] = uint32(lpa + 1)
+	r.valid++
+}
+
+// drop unmaps the linear page lin in the reverse map, leaving it stale.
+func (f *FTL) drop(lin int64) {
+	r, pg := f.rec(lin)
+	r.p2l[pg] = 0
+	r.valid--
+}
+
 // Invalidate trims a logical page, dropping its mapping if present.
 func (f *FTL) Invalidate(lpa int64) {
 	f.checkLPA(lpa)
 	if old := f.l2p.get(lpa); old != unmapped {
-		f.p2l.set(old, unmapped)
-		f.validCount[f.dec.block(old)]--
+		f.drop(old)
 		f.l2p.set(lpa, unmapped)
 	}
 }
@@ -334,17 +416,18 @@ func (f *FTL) Invalidate(lpa int64) {
 // to pick blocks with in-flight programs as GC victims while the count is
 // nonzero.
 func (f *FTL) beginProgram(plane int, lin int64) {
-	f.inflight[f.dec.block(lin)]++
-	f.inflightPlane[plane]++
+	r, _ := f.rec(lin)
+	r.inflight++
+	f.planes[plane].inflight++
 }
 
 // endProgram retires a beginProgram record when the program completes
 // (or completes stale, in which case no mapping is committed).
 func (f *FTL) endProgram(plane int, lin int64) {
-	b := f.dec.block(lin)
-	f.inflight[b]--
-	f.inflightPlane[plane]--
-	if f.inflight[b] < 0 {
+	r, _ := f.rec(lin)
+	r.inflight--
+	f.planes[plane].inflight--
+	if r.inflight < 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: endProgram without beginProgram on %v", f.dec.ppa(lin)))
 	}
@@ -353,7 +436,7 @@ func (f *FTL) endProgram(plane int, lin int64) {
 // InflightPrograms returns the number of issued-but-uncommitted programs
 // targeting the plane.
 func (f *FTL) InflightPrograms(planeIdx int) int {
-	return int(f.inflightPlane[planeIdx])
+	return int(f.planes[planeIdx].inflight)
 }
 
 // PickVictim removes and returns the full block with the fewest valid
@@ -363,17 +446,17 @@ func (f *FTL) InflightPrograms(planeIdx int) int {
 // Blocks with in-flight programs are ineligible (see beginProgram).
 func (f *FTL) PickVictim(planeIdx int) (block int, ok bool) {
 	pa := &f.planes[planeIdx]
-	base := planeIdx * f.geo.BlocksPerPlane
 	best := -1
 	for i := 0; i < len(pa.full); i++ {
-		if f.inflight[base+int(pa.full[i])] > 0 {
+		r := &pa.blocks[pa.full[i]]
+		if r.inflight > 0 {
 			continue
 		}
-		if best < 0 || f.validCount[base+int(pa.full[i])] < f.validCount[base+int(pa.full[best])] {
+		if best < 0 || r.valid < pa.blocks[pa.full[best]].valid {
 			best = i
 		}
 	}
-	if best < 0 || int(f.validCount[base+int(pa.full[best])]) == f.geo.PagesPerBlock {
+	if best < 0 || int(pa.blocks[pa.full[best]].valid) == f.geo.PagesPerBlock {
 		return 0, false
 	}
 	b := pa.full[best]
@@ -402,31 +485,29 @@ func (f *FTL) TakeBlock(planeIdx, block int) bool {
 // must have removed it from the allocation lists (TakeBlock) and relocated
 // its valid pages first.
 func (f *FTL) RetireBlock(planeIdx, block int) {
-	g := planeIdx*f.geo.BlocksPerPlane + block
-	if f.retired[g] {
+	r := &f.planes[planeIdx].blocks[block]
+	if r.retired {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: block %d/%d retired twice", planeIdx, block))
 	}
-	if n := f.validCount[g]; n != 0 {
+	if r.valid != 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("ssd: retiring block %d/%d with %d valid pages", planeIdx, block, n))
+		panic(fmt.Sprintf("ssd: retiring block %d/%d with %d valid pages", planeIdx, block, r.valid))
 	}
-	if f.inflight[g] != 0 {
+	if r.inflight != 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: retiring block %d/%d with in-flight programs", planeIdx, block))
 	}
-	// Drop stale reverse mappings so the retired block holds nothing.
-	start := f.blockStart(planeIdx, block)
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		f.p2l.set(start+int64(p), unmapped)
-	}
-	f.retired[g] = true
+	// The retired block holds nothing, and never will again.
+	r.p2l = nil
+	r.retired = true
 	f.retiredCount++
 }
 
 // Retired reports whether a plane's block has been retired.
 func (f *FTL) Retired(planeIdx, block int) bool {
-	return f.retired[planeIdx*f.geo.BlocksPerPlane+block]
+	blocks := f.planes[planeIdx].blocks
+	return block < len(blocks) && blocks[block].retired
 }
 
 // RetiredBlocks returns the total number of retired blocks.
@@ -435,8 +516,17 @@ func (f *FTL) RetiredBlocks() int { return f.retiredCount }
 // MappedPages returns the number of logical pages currently mapped.
 func (f *FTL) MappedPages() int64 {
 	var n int64
-	for _, c := range f.validCount {
-		n += int64(c)
+	for p := range f.planes {
+		n += f.validOnPlane(p)
+	}
+	return n
+}
+
+// validOnPlane sums the valid pages of a plane's blocks.
+func (f *FTL) validOnPlane(planeIdx int) int64 {
+	var n int64
+	for i := range f.planes[planeIdx].blocks {
+		n += int64(f.planes[planeIdx].blocks[i].valid)
 	}
 	return n
 }
@@ -472,29 +562,24 @@ func (f *FTL) NthMappedLPA(k int64) (lpa int64, ok bool) {
 func (f *FTL) ValidPagesOnDie(ch, die int) int64 {
 	var n int64
 	for p := 0; p < f.geo.PlanesPerDie; p++ {
-		base := f.geo.PlaneIndex(ch, die, p) * f.geo.BlocksPerPlane
-		for b := 0; b < f.geo.BlocksPerPlane; b++ {
-			n += int64(f.validCount[base+b])
-		}
+		n += f.validOnPlane(f.geo.PlaneIndex(ch, die, p))
 	}
 	return n
 }
 
-// restoreMapping installs lpa→ppa during crash-recovery replay: same map
+// restoreMapping installs lpa→lin during crash-recovery replay: same map
 // updates as CommitWrite but with no displacement (the rebuilt maps start
 // empty) and no program tallies (the programs happened before the crash).
-func (f *FTL) restoreMapping(lpa int64, ppa PPA) {
+func (f *FTL) restoreMapping(lpa, lin int64) {
 	f.checkLPA(lpa)
-	lin := f.geo.Linear(ppa)
-	if f.p2l.get(lin) != unmapped {
-		panic(fmt.Sprintf("ssd: recovery maps two lpas to %v", ppa))
+	if f.reverse(lin) != unmapped {
+		panic(fmt.Sprintf("ssd: recovery maps two lpas to %v", f.dec.ppa(lin)))
 	}
 	if f.l2p.get(lpa) != unmapped {
 		panic(fmt.Sprintf("ssd: recovery maps lpa %d twice", lpa))
 	}
 	f.l2p.set(lpa, lin)
-	f.p2l.set(lin, lpa)
-	f.validCount[f.geo.BlockIndex(ppa)]++
+	f.record(lin, lpa)
 }
 
 // ValidLPAs returns the logical pages still valid in a plane's block, in
@@ -511,11 +596,14 @@ func (f *FTL) blockStart(planeIdx, block int) int64 {
 
 // appendValidLPAs appends ValidLPAs(planeIdx, block) to dst.
 func (f *FTL) appendValidLPAs(dst []int64, planeIdx, block int) []int64 {
-	start := f.blockStart(planeIdx, block)
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		if lpa := f.p2l.get(start + int64(p)); lpa != unmapped {
+	blocks := f.planes[planeIdx].blocks
+	if block >= len(blocks) {
+		return dst
+	}
+	for _, v := range blocks[block].p2l {
+		if v != 0 {
 			//simlint:allow hotalloc amortized growth of a relocation record's resident list; reused across victims
-			dst = append(dst, lpa)
+			dst = append(dst, int64(v)-1)
 		}
 	}
 	return dst
@@ -523,7 +611,11 @@ func (f *FTL) appendValidLPAs(dst []int64, planeIdx, block int) []int64 {
 
 // ValidCount returns the number of valid pages in a plane's block.
 func (f *FTL) ValidCount(planeIdx, block int) int {
-	return int(f.validCount[planeIdx*f.geo.BlocksPerPlane+block])
+	blocks := f.planes[planeIdx].blocks
+	if block >= len(blocks) {
+		return 0
+	}
+	return int(blocks[block].valid)
 }
 
 // OnErased returns a block to the plane's free pool after the Device has
@@ -537,37 +629,13 @@ func (f *FTL) OnErased(planeIdx, block int) {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("ssd: erasing retired block %d/%d", planeIdx, block))
 	}
+	pa := &f.planes[planeIdx]
+	r := &pa.blocks[block]
 	// Drop stale reverse mappings for the erased block.
-	start := f.blockStart(planeIdx, block)
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		f.p2l.set(start+int64(p), unmapped)
-	}
-	f.erases[planeIdx*f.geo.BlocksPerPlane+block]++
+	clear(r.p2l)
+	r.erases++
 	//simlint:allow hotalloc amortized growth, bounded by the plane's block count
-	f.planes[planeIdx].free = append(f.planes[planeIdx].free, int32(block))
-}
-
-// BlockErases returns the FTL's P/E tally for a plane's block.
-func (f *FTL) BlockErases(planeIdx, block int) int {
-	return int(f.erases[planeIdx*f.geo.BlocksPerPlane+block])
-}
-
-// WearSpread returns the min and max P/E count across a plane's blocks —
-// the quantity wear levelling exists to bound.
-func (f *FTL) WearSpread(planeIdx int) (min, max int) {
-	base := planeIdx * f.geo.BlocksPerPlane
-	min = int(f.erases[base])
-	max = min
-	for b := 1; b < f.geo.BlocksPerPlane; b++ {
-		e := int(f.erases[base+b])
-		if e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	return min, max
+	pa.free = append(pa.free, int32(block))
 }
 
 // HostProgrammed and GCProgrammed return the page-program tallies; their
@@ -587,66 +655,54 @@ func (f *FTL) WAF() float64 {
 }
 
 // CheckConsistent verifies the FTL invariants: l2p/p2l are inverse
-// bijections on mapped pages and validCount matches the reverse map. Used
-// by property tests; O(total pages).
+// bijections on mapped pages, each block's valid count matches its
+// reverse map, and in-flight tallies add up. Used by property tests;
+// O(pages of the opened blocks + logical pages).
 func (f *FTL) CheckConsistent() error {
-	counts := make([]int32, len(f.validCount))
-	var err error
-	f.p2l.forEach(func(lin, lpa int64) {
-		if err != nil {
-			return
+	for p := range f.planes {
+		pa := &f.planes[p]
+		var inflight int32
+		for b := range pa.blocks {
+			r := &pa.blocks[b]
+			start := f.blockStart(p, b)
+			var valid int32
+			for pg, v := range r.p2l {
+				if v == 0 {
+					continue
+				}
+				lin, lpa := start+int64(pg), int64(v)-1
+				if lpa >= f.logicalPages {
+					return fmt.Errorf("p2l[%d] = %d out of range", lin, lpa)
+				}
+				if got := f.l2p.get(lpa); got != lin {
+					return fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", lin, lpa, lpa, got)
+				}
+				valid++
+			}
+			g := p*f.geo.BlocksPerPlane + b
+			if valid != r.valid {
+				return fmt.Errorf("block %d validCount %d, recount %d", g, r.valid, valid)
+			}
+			if r.retired && (r.valid != 0 || r.inflight != 0) {
+				return fmt.Errorf("retired block %d has valid=%d inflight=%d", g, r.valid, r.inflight)
+			}
+			if r.inflight < 0 {
+				return fmt.Errorf("block %d inflight %d negative", g, r.inflight)
+			}
+			inflight += r.inflight
 		}
-		if lpa < 0 || lpa >= f.logicalPages {
-			err = fmt.Errorf("p2l[%d] = %d out of range", lin, lpa)
-			return
+		if inflight != pa.inflight {
+			return fmt.Errorf("plane %d inflight total %d, recount %d", p, pa.inflight, inflight)
 		}
-		if got := f.l2p.get(lpa); got != lin {
-			err = fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", lin, lpa, lpa, got)
-			return
-		}
-		counts[f.dec.block(lin)]++
-	})
-	if err != nil {
-		return err
 	}
+	var err error
 	f.l2p.forEach(func(lpa, lin int64) {
 		if err != nil {
 			return
 		}
-		if got := f.p2l.get(lin); got != lpa {
+		if got := f.reverse(lin); got != lpa {
 			err = fmt.Errorf("l2p[%d]=%d but p2l[%d]=%d", lpa, lin, lin, got)
 		}
 	})
-	if err != nil {
-		return err
-	}
-	for b := range counts {
-		if counts[b] != f.validCount[b] {
-			return fmt.Errorf("block %d validCount %d, recount %d", b, f.validCount[b], counts[b])
-		}
-		if f.retired[b] && (f.validCount[b] != 0 || f.inflight[b] != 0) {
-			return fmt.Errorf("retired block %d has valid=%d inflight=%d",
-				b, f.validCount[b], f.inflight[b])
-		}
-	}
-	for p := range f.planes {
-		var sum int32
-		base := p * f.geo.BlocksPerPlane
-		for b := 0; b < f.geo.BlocksPerPlane; b++ {
-			if f.inflight[base+b] < 0 {
-				return fmt.Errorf("block %d inflight %d negative", base+b, f.inflight[base+b])
-			}
-			sum += f.inflight[base+b]
-		}
-		if sum != f.inflightPlane[p] {
-			return fmt.Errorf("plane %d inflight total %d, recount %d", p, f.inflightPlane[p], sum)
-		}
-	}
-	return nil
-}
-
-// HasFullBlock reports whether the plane has at least one completely
-// written block (a GC candidate).
-func (f *FTL) HasFullBlock(planeIdx int) bool {
-	return len(f.planes[planeIdx].full) > 0
+	return err
 }

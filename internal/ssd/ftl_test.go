@@ -6,6 +6,39 @@ import (
 	"testing/quick"
 )
 
+// blockErases returns the FTL's P/E tally for a plane's block; a block
+// above the plane's mark has none.
+func blockErases(f *FTL, planeIdx, block int) int {
+	blocks := f.planes[planeIdx].blocks
+	if block >= len(blocks) {
+		return 0
+	}
+	return int(blocks[block].erases)
+}
+
+// wearSpread returns the min and max P/E count across every block of a
+// plane — the quantity wear levelling exists to bound.
+func wearSpread(f *FTL, planeIdx int) (min, max int) {
+	min = blockErases(f, planeIdx, 0)
+	max = min
+	for b := 1; b < f.Geometry().BlocksPerPlane; b++ {
+		e := blockErases(f, planeIdx, b)
+		if e < min {
+			min = e
+		}
+		if e > max {
+			max = e
+		}
+	}
+	return min, max
+}
+
+// hasFullBlock reports whether the plane has at least one completely
+// written block (a GC candidate).
+func hasFullBlock(f *FTL, planeIdx int) bool {
+	return len(f.planes[planeIdx].full) > 0
+}
+
 func newTestFTL() *FTL {
 	g := testGeo()
 	return NewFTL(g, g.TotalPages()*3/4)
@@ -28,7 +61,7 @@ func TestFTLAllocSequential(t *testing.T) {
 	if f.FreeBlocks(0) != g.BlocksPerPlane-2 {
 		t.Fatalf("free = %d", f.FreeBlocks(0))
 	}
-	if !f.HasFullBlock(0) {
+	if !hasFullBlock(f, 0) {
 		t.Fatal("full blocks not tracked")
 	}
 }

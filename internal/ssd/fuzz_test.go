@@ -35,7 +35,7 @@ func FuzzFTLOps(f *testing.F) {
 			if !ok {
 				return
 			}
-			erasesBefore := ftl.BlockErases(plane, victim)
+			erasesBefore := blockErases(ftl, plane, victim)
 			for _, lpa := range ftl.ValidLPAs(plane, victim) {
 				ppa := ftl.AllocPageStream(plane, ColdStream)
 				ftl.CommitWrite(lpa, ppa, true)
@@ -44,7 +44,7 @@ func FuzzFTLOps(f *testing.F) {
 				t.Fatalf("victim %d/%d still has %d valid pages after relocation", plane, victim, n)
 			}
 			ftl.OnErased(plane, victim)
-			if after := ftl.BlockErases(plane, victim); after != erasesBefore+1 {
+			if after := blockErases(ftl, plane, victim); after != erasesBefore+1 {
 				t.Fatalf("erase count of %d/%d went %d -> %d", plane, victim, erasesBefore, after)
 			}
 		}

@@ -12,7 +12,7 @@ func eraseSnapshot(f *FTL) []int {
 	counts := make([]int, 0, g.BlocksTotal())
 	for p := 0; p < g.Planes(); p++ {
 		for b := 0; b < g.BlocksPerPlane; b++ {
-			counts = append(counts, f.BlockErases(p, b))
+			counts = append(counts, blockErases(f, p, b))
 		}
 	}
 	return counts
@@ -104,7 +104,7 @@ func TestGCEraseCountsMonotone(t *testing.T) {
 	}
 	g := d.Geometry()
 	for p := 0; p < g.Planes(); p++ {
-		if min, max := d.FTL().WearSpread(p); max-min > 3 {
+		if min, max := wearSpread(d.FTL(), p); max-min > 3 {
 			t.Errorf("plane %d wear spread [%d, %d]: least-erased-first selection not levelling", p, min, max)
 		}
 	}

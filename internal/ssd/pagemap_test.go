@@ -3,24 +3,16 @@ package ssd
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/nand"
 )
 
 // pageMapChunkCases lists every chunk size the FTL builds: the logical
-// map's, and the reverse map's for each block size the repository
-// simulates.
+// map's.
 var pageMapChunkCases = []struct {
 	name string
 	bits uint
 	want uint // log2 of the entries per chunk
 }{
 	{"l2p", l2pChunkBits, 10},
-	{"p2l/4-page test blocks", p2lChunkBits(smallConfig().Nand.PagesPerBlock), 2},
-	{"p2l/32-page update-WAF blocks", p2lChunkBits(32), 5},
-	{"p2l/128-page SLC blocks", p2lChunkBits(nand.ParamsFor(nand.SLC).PagesPerBlock), 7},
-	{"p2l/256-page TLC blocks", p2lChunkBits(nand.ParamsFor(nand.TLC).PagesPerBlock), 8},
-	{"p2l/1024-page blocks", p2lChunkBits(1024), 8},
 }
 
 // checkAgainst compares every entry of m with the dense reference and
@@ -141,20 +133,28 @@ func TestPageMapCap(t *testing.T) {
 	}
 }
 
-// TestFTLFirstBlockPerPlaneFitsReserve pins the slab pre-sizing: opening
-// the first block of every plane, as a preload does, never grows a slab.
+// TestFTLFirstBlockPerPlaneFitsReserve pins the pre-sizing of a preload:
+// opening the first block of every plane never grows the logical map's
+// slab, and gives each plane one block record whose reverse map holds
+// p2lFirstPages entries, not a whole block.
 func TestFTLFirstBlockPerPlaneFitsReserve(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Channels = 16
 	geo := cfg.Geometry()
 	f := NewFTL(geo, cfg.LogicalPages())
-	l2pCap, p2lCap := cap(f.l2p.slab), cap(f.p2l.slab)
+	l2pCap := cap(f.l2p.slab)
 	for p := 0; p < geo.Planes(); p++ {
 		f.CommitWrite(int64(p), f.AllocPage(p), false)
 	}
-	if cap(f.l2p.slab) != l2pCap || cap(f.p2l.slab) != p2lCap {
-		t.Fatalf("slab capacity grew: l2p %d→%d, p2l %d→%d",
-			l2pCap, cap(f.l2p.slab), p2lCap, cap(f.p2l.slab))
+	if cap(f.l2p.slab) != l2pCap {
+		t.Fatalf("l2p slab capacity grew: %d→%d", l2pCap, cap(f.l2p.slab))
+	}
+	for p := range f.planes {
+		blocks := f.planes[p].blocks
+		if len(blocks) != 1 || len(blocks[0].p2l) != p2lFirstPages {
+			t.Fatalf("plane %d: %d block records, first reverse map %d entries; want 1 and %d",
+				p, len(blocks), len(blocks[0].p2l), p2lFirstPages)
+		}
 	}
 	if err := f.CheckConsistent(); err != nil {
 		t.Fatal(err)
