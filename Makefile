@@ -2,8 +2,9 @@
 # go vet and the race detector — required since internal/runner introduced
 # real concurrency (the worker pool that fans simulation points across
 # CPUs); tier 3 runs simlint, the project's own static analyzers: the
-# determinism and unit-safety rules plus the flow-aware kernel-contract
-# checks (hotalloc, poolsafe, globalstate — see DESIGN.md §10); tier 4 runs the physical-
+# determinism and unit-safety rules, the flow-aware kernel-contract
+# checks (hotalloc, poolsafe, globalstate) and the dead-code check
+# (unused: production code no main reaches — see DESIGN.md §10); tier 4 runs the physical-
 # invariant sweep (internal/invariant: conservation, roofline sandwich,
 # metamorphic monotonicity over hundreds of configurations) plus a short
 # native-fuzz smoke of every pure-kernel fuzz target; tier 5 is the

@@ -10,6 +10,7 @@
 //	hotalloc        allocations reachable from //simlint:hotpath functions
 //	poolsafe        use-after-release of //simlint:pooled handles
 //	globalstate     writes to mutable package-level state
+//	unused          functions no main, init or package initializer reaches
 //
 // Findings are suppressed line-by-line with `//simlint:allow <check>
 // [reason]` placed on, or directly above, the offending line; a directive
@@ -64,6 +65,9 @@ type scope struct {
 //     (//simlint:hotpath, //simlint:pooled); they apply module-wide.
 //   - globalstate governs the sim-adjacent packages (internal/ and
 //     cmd/), where shared mutable state couples simulations.
+//   - unused governs everything but wallbench/, a module of its own whose
+//     code changes only with the benchmark; its main still counts as a
+//     root, so what the benchmark calls stays live.
 var scopes = []scope{
 	{checks.Nondeterminism, underAny("internal", "cmd"), "internal/..., cmd/..."},
 	{checks.UnitConv, not(underAny("internal/units")), "all but internal/units"},
@@ -73,6 +77,7 @@ var scopes = []scope{
 	{checks.HotAlloc, all, "whole module (annotation-driven)"},
 	{checks.PoolSafe, all, "whole module (annotation-driven)"},
 	{checks.GlobalState, underAny("internal", "cmd"), "internal/..., cmd/..."},
+	{checks.Unused, underAny("internal", "cmd", "examples"), "internal/..., cmd/..., examples/..."},
 }
 
 func all(string) bool { return true }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -99,5 +100,15 @@ func TestDriverCleanExitsZero(t *testing.T) {
 	out, code := simlint(t, "-json", "./cmd/simlint/testdata/driver/clean/...")
 	if out != "" || code != 0 {
 		t.Errorf("clean package: stdout %q, exit status %d; want no output, 0", out, code)
+	}
+}
+
+// TestDriverUnusedNeedsAMain runs simlint over library packages alone.
+// With no main in the load set, reachability has no roots, and unused
+// must stay silent rather than flag every function.
+func TestDriverUnusedNeedsAMain(t *testing.T) {
+	out, _ := simlint(t, "-json", "./internal/core/...")
+	if strings.Contains(out, `"analyzer":"unused"`) {
+		t.Errorf("unused reported findings with no main loaded:\n%s", out)
 	}
 }

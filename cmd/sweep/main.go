@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -67,7 +66,7 @@ func main() {
 		fail(err)
 	}
 	spec := sweepSpec{
-		Dim:        canonicalDim(*dim, os.Stderr),
+		Dim:        *dim,
 		Values:     vals,
 		Model:      m,
 		Systems:    splitList(*systems),
@@ -79,6 +78,9 @@ func main() {
 		Checkpoint: ckpt,
 	}
 
+	if err := spec.validate(); err != nil {
+		fail(err)
+	}
 	fmt.Print(sweepHeader())
 	var traces []*tracing.Trace
 	summary, err := spec.stream(func(row sweepRow) {
@@ -245,38 +247,39 @@ func (s sweepSpec) infeasibleRow(value int, system string) string {
 	return fmt.Sprintf("%s,%d,%s,false,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN\n", s.Dim, value, system)
 }
 
-// canonicalDim resolves deprecated dimension spellings. The NAND channel
-// bus is configured in MB/s (ssd.Config.Nand.BusMBps); the old "buskbps"
-// name wrote MB/s values under a kb/s label, silently mislabelling sweep
-// CSVs by 1000×.
-func canonicalDim(dim string, warn io.Writer) string {
-	if dim == "buskbps" {
-		fmt.Fprintln(warn, "sweep: -dim buskbps is deprecated (the value is MB/s, not kb/s); use -dim busmbps")
-		return "busmbps"
+// validate rejects an unknown dimension or system before the CSV header
+// is written, so a bad flag leaves no header-only file that looks like a
+// finished sweep.
+func (s sweepSpec) validate() error {
+	if _, ok := dims[s.Dim]; !ok {
+		return fmt.Errorf("unknown sweep dimension %q", s.Dim)
 	}
-	return dim
+	for _, name := range s.Systems {
+		if _, ok := core.LookupSystem(name); !ok {
+			return fmt.Errorf("unknown system %q (want one of %s)", name, strings.Join(core.SystemNames(), ", "))
+		}
+	}
+	return nil
+}
+
+// dims maps each sweep dimension to the configuration field it sets.
+var dims = map[string]func(cfg *core.Config, v int){
+	"channels": func(cfg *core.Config, v int) { cfg.SSD.Channels = v },
+	"dies":     func(cfg *core.Config, v int) { cfg.SSD.DiesPerChannel = v },
+	"lanes":    func(cfg *core.Config, v int) { cfg.ODP.Lanes = v },
+	"clock":    func(cfg *core.Config, v int) { cfg.ODP.ClockMHz = v },
+	"pciegen":  func(cfg *core.Config, v int) { cfg.Link = host.PCIe(v, 4) },
+	"batch":    func(cfg *core.Config, v int) { cfg.Batch = v },
+	"busmbps":  func(cfg *core.Config, v int) { cfg.SSD.Nand.BusMBps = v },
 }
 
 // apply sets one sweep dimension on the configuration.
 func apply(cfg *core.Config, dim string, v int) error {
-	switch dim {
-	case "channels":
-		cfg.SSD.Channels = v
-	case "dies":
-		cfg.SSD.DiesPerChannel = v
-	case "lanes":
-		cfg.ODP.Lanes = v
-	case "clock":
-		cfg.ODP.ClockMHz = v
-	case "pciegen":
-		cfg.Link = host.PCIe(v, 4)
-	case "batch":
-		cfg.Batch = v
-	case "busmbps":
-		cfg.SSD.Nand.BusMBps = v
-	default:
+	set, ok := dims[dim]
+	if !ok {
 		return fmt.Errorf("unknown sweep dimension %q", dim)
 	}
+	set(cfg, v)
 	return nil
 }
 

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -9,6 +13,44 @@ import (
 	"repro/internal/fault"
 	"repro/internal/tracing"
 )
+
+// TestMain lets the test binary stand in for sweep: with asMainEnv set,
+// it runs main on its own arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv(asMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const asMainEnv = "SWEEP_TEST_AS_MAIN"
+
+// TestBadNamesFailBeforeHeader runs sweep with an unknown dimension and
+// an unknown system: each must exit non-zero with nothing on stdout, so
+// `sweep ... > out.csv` never leaves a header-only file behind.
+func TestBadNamesFailBeforeHeader(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dim", "nope", "-values", "2", "-units", "8"},
+		{"-systems", "nope", "-values", "2", "-units", "8"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), asMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("sweep %v: %v, want a non-zero exit", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("sweep %v wrote %q to stdout, want nothing", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "nope") {
+			t.Errorf("sweep %v: stderr %q does not name the bad value", args, stderr.String())
+		}
+	}
+}
 
 func testSpec(t *testing.T, parallel int) sweepSpec {
 	t.Helper()
@@ -120,21 +162,10 @@ func TestInvalidValuesEmitInfeasibleRows(t *testing.T) {
 	}
 }
 
-// TestBuskbpsAlias checks the deprecated dimension name still works, maps
-// to the MB/s field, and warns on the provided writer.
+// TestBuskbpsAlias checks busmbps sets the MB/s field and the retired
+// buskbps spelling, which labelled MB/s values as kb/s, is an unknown
+// dimension.
 func TestBuskbpsAlias(t *testing.T) {
-	var warn strings.Builder
-	if got := canonicalDim("buskbps", &warn); got != "busmbps" {
-		t.Fatalf("canonicalDim(buskbps) = %q, want busmbps", got)
-	}
-	if !strings.Contains(warn.String(), "deprecated") {
-		t.Fatalf("no deprecation warning emitted: %q", warn.String())
-	}
-	warn.Reset()
-	if got := canonicalDim("busmbps", &warn); got != "busmbps" || warn.Len() != 0 {
-		t.Fatalf("canonicalDim(busmbps) = %q (warn %q)", got, warn.String())
-	}
-
 	m, _ := dnn.ByName("GPT-13B")
 	cfg := core.DefaultConfig(m)
 	if err := apply(&cfg, "busmbps", 800); err != nil {
@@ -144,7 +175,7 @@ func TestBuskbpsAlias(t *testing.T) {
 		t.Fatalf("BusMBps = %d, want 800", cfg.SSD.Nand.BusMBps)
 	}
 	if err := apply(&cfg, "buskbps", 800); err == nil {
-		t.Fatal("raw buskbps should no longer be a valid dimension after canonicalisation")
+		t.Fatal("buskbps should be an unknown dimension")
 	}
 }
 

@@ -16,6 +16,8 @@ const DefaultTol = 1e-9
 // Close reports whether a and b agree to within tol, relative to the
 // larger magnitude (absolute for values below 1). NaN is close to
 // nothing, including itself.
+//
+//simlint:allow unused a test helper: the tests of other packages call it
 func Close(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false
@@ -39,7 +41,11 @@ func Close(a, b, tol float64) bool {
 }
 
 // Equal is Close at DefaultTol.
+//
+//simlint:allow unused a test helper: the tests of other packages call it
 func Equal(a, b float64) bool { return Close(a, b, DefaultTol) }
 
 // Zero reports whether v is within tol of zero.
+//
+//simlint:allow unused a test helper: the tests of other packages call it
 func Zero(v, tol float64) bool { return math.Abs(v) <= tol }

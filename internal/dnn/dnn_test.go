@@ -95,22 +95,6 @@ func TestDLRMSparse(t *testing.T) {
 	}
 }
 
-func TestLayerBounds(t *testing.T) {
-	m := BERTLarge()
-	b := m.LayerBounds()
-	if len(b) != m.Layers+1 {
-		t.Fatalf("bounds len = %d", len(b))
-	}
-	if b[0] != 0 || b[len(b)-1] != m.Params {
-		t.Fatal("bounds must cover [0, params]")
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] < b[i-1] {
-			t.Fatal("bounds not monotone")
-		}
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	bad := []Model{
 		{},

@@ -106,17 +106,6 @@ func (m Model) BatchTokens(batch int) int64 {
 	return int64(batch)
 }
 
-// LayerBounds splits the parameter range into per-layer slices for
-// layer-wise optimizers (LAMB). The split is approximate — equal-size
-// chunks — which preserves the count and scale of trust-ratio reductions.
-func (m Model) LayerBounds() []int64 {
-	bounds := make([]int64, m.Layers+1)
-	for i := 0; i <= m.Layers; i++ {
-		bounds[i] = m.Params * int64(i) / int64(m.Layers)
-	}
-	return bounds
-}
-
 // String renders the model name and size.
 func (m Model) String() string {
 	return fmt.Sprintf("%s (%s params)", m.Name, FormatCount(m.Params))

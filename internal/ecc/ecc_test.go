@@ -124,15 +124,6 @@ func TestStrongerECCMoreLife(t *testing.T) {
 	}
 }
 
-func TestDecodeLatencyRegimes(t *testing.T) {
-	s := Default()
-	fast := s.DecodeLatencyNs(10)
-	slow := s.DecodeLatencyNs(70)
-	if fast >= slow {
-		t.Fatalf("near-capability decode should be slower: %v vs %v", fast, slow)
-	}
-}
-
 func TestPageFailBadArgsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

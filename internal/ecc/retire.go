@@ -86,9 +86,6 @@ func NewRetireTracker(p RetirePolicy) *RetireTracker {
 	return &RetireTracker{policy: p, blocks: map[int]*blockTrack{}}
 }
 
-// Policy returns the configured policy.
-func (t *RetireTracker) Policy() RetirePolicy { return t.policy }
-
 // OnRead records that a read of the given block converged after `retries`
 // read-retry passes (0 = clean first read) and returns the block's health
 // after the update.
@@ -129,33 +126,4 @@ func (t *RetireTracker) OnRead(block, retries int) BlockHealth {
 		}
 	}
 	return b.health
-}
-
-// Health returns the current verdict for a block without recording a read.
-func (t *RetireTracker) Health(block int) BlockHealth {
-	if b := t.blocks[block]; b != nil {
-		return b.health
-	}
-	return BlockHealthy
-}
-
-// Retries returns the cumulative retry tally counted against a block's
-// budget.
-func (t *RetireTracker) Retries(block int) int {
-	if b := t.blocks[block]; b != nil {
-		return b.retries
-	}
-	return 0
-}
-
-// RetiredCount returns how many blocks the tracker has retired.
-func (t *RetireTracker) RetiredCount() int {
-	n := 0
-	//simlint:allow maporder pure count — order cannot affect the result
-	for _, b := range t.blocks {
-		if b.health == BlockRetired {
-			n++
-		}
-	}
-	return n
 }

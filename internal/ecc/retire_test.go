@@ -215,3 +215,32 @@ func FuzzRetireTracker(f *testing.F) {
 		}
 	})
 }
+
+// Health returns the current verdict for a block without recording a read.
+func (t *RetireTracker) Health(block int) BlockHealth {
+	if b := t.blocks[block]; b != nil {
+		return b.health
+	}
+	return BlockHealthy
+}
+
+// Retries returns the cumulative retry tally counted against a block's
+// budget.
+func (t *RetireTracker) Retries(block int) int {
+	if b := t.blocks[block]; b != nil {
+		return b.retries
+	}
+	return 0
+}
+
+// RetiredCount returns how many blocks the tracker has retired.
+func (t *RetireTracker) RetiredCount() int {
+	n := 0
+	//simlint:allow maporder pure count — order cannot affect the result
+	for _, b := range t.blocks {
+		if b.health == BlockRetired {
+			n++
+		}
+	}
+	return n
+}

@@ -5,8 +5,6 @@
 package energy
 
 import (
-	"fmt"
-
 	"repro/internal/odp"
 	"repro/internal/units"
 )
@@ -45,21 +43,6 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Validate reports the first non-positive constant.
-func (c Costs) Validate() error {
-	vals := []float64{
-		c.NANDReadPJPerByte, c.NANDProgramPJPerByte, c.NANDErasePJPerByte,
-		c.BusPJPerByte, c.PCIePJPerByte, c.DRAMPJPerByte, c.HBMPJPerByte,
-		c.ODPOpPJ, c.GPUOpPJ, c.CPUOpPJ,
-	}
-	for i, v := range vals {
-		if v <= 0 {
-			return fmt.Errorf("energy: constant %d non-positive", i)
-		}
-	}
-	return nil
-}
-
 // Breakdown is the energy of one experiment, in joules, split by component.
 type Breakdown struct {
 	NANDRead    float64
@@ -76,35 +59,6 @@ type Breakdown struct {
 func (b Breakdown) Total() float64 {
 	return b.NANDRead + b.NANDProgram + b.NANDErase + b.Bus + b.PCIe +
 		b.DRAM + b.HBM + b.Compute
-}
-
-// Add returns the component-wise sum of two breakdowns.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		NANDRead:    b.NANDRead + o.NANDRead,
-		NANDProgram: b.NANDProgram + o.NANDProgram,
-		NANDErase:   b.NANDErase + o.NANDErase,
-		Bus:         b.Bus + o.Bus,
-		PCIe:        b.PCIe + o.PCIe,
-		DRAM:        b.DRAM + o.DRAM,
-		HBM:         b.HBM + o.HBM,
-		Compute:     b.Compute + o.Compute,
-	}
-}
-
-// Scale returns the breakdown multiplied by k — used to extrapolate a
-// simulated sample window to the full parameter count.
-func (b Breakdown) Scale(k float64) Breakdown {
-	return Breakdown{
-		NANDRead:    b.NANDRead * k,
-		NANDProgram: b.NANDProgram * k,
-		NANDErase:   b.NANDErase * k,
-		Bus:         b.Bus * k,
-		PCIe:        b.PCIe * k,
-		DRAM:        b.DRAM * k,
-		HBM:         b.HBM * k,
-		Compute:     b.Compute * k,
-	}
 }
 
 // pj converts picojoules to joules. Constant arithmetic is exact, so this

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // reconstructed evaluation (see DESIGN.md §3). Each experiment is a
 // declarative Spec (specs.go) that one executor (spec.go) turns into
-// tables and figures, shared by the cmd/optimstore CLI and the root
-// benchmark harness so both always report the same numbers.
+// tables and figures, shared by the cmd/optimstore CLI and the HTML
+// report (internal/report) so both always report the same numbers.
 package experiments
 
 import (

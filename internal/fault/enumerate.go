@@ -24,6 +24,8 @@ type CrashCheck func(k int, b ssd.Boundary, crashed, recovered *ssd.Device, info
 // issues the workload (it must not Run the engine). Both must be
 // deterministic — the enumeration relies on run k reproducing the
 // reference run's first k boundaries.
+//
+//simlint:allow unused the tier-5 crash harness; tests in invariant and fault drive it
 func EnumerateCrashPoints(
 	build func(eng *sim.Engine) *ssd.Device,
 	drive func(dev *ssd.Device),

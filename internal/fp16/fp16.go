@@ -116,30 +116,3 @@ func RoundSlice(dst, src []float32) {
 		dst[i] = Round(v)
 	}
 }
-
-// IsNaN reports whether the half-precision value is a NaN.
-func (h Bits) IsNaN() bool {
-	return h&0x7C00 == 0x7C00 && h&0x3FF != 0
-}
-
-// IsInf reports whether the half-precision value is ±Inf.
-func (h Bits) IsInf() bool {
-	return h&0x7FFF == 0x7C00
-}
-
-// MaxRelError returns the worst-case relative quantisation error over a
-// slice (0 for exactly representable inputs; NaN/Inf and zeros skipped).
-func MaxRelError(xs []float32) float64 {
-	var worst float64
-	for _, x := range xs {
-		fx := float64(x)
-		if fx == 0 || math.IsNaN(fx) || math.IsInf(fx, 0) {
-			continue
-		}
-		q := float64(Round(x))
-		if rel := math.Abs(q-fx) / math.Abs(fx); rel > worst {
-			worst = rel
-		}
-	}
-	return worst
-}

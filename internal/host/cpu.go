@@ -63,13 +63,7 @@ func NewCPU(eng *sim.Engine, p CPUParams) *CPU {
 	return &CPU{params: p, busy: sim.NewResource(eng, p.Name, 1)}
 }
 
-// Params returns the CPU description.
-func (c *CPU) Params() CPUParams { return c.params }
-
 // Run executes a kernel with the given footprint, then calls done.
 func (c *CPU) Run(flops, bytes float64, done func()) {
 	c.busy.Use(c.params.KernelTime(flops, bytes), done)
 }
-
-// Utilization returns the busy fraction since simulation start.
-func (c *CPU) Utilization() float64 { return c.busy.Utilization() }

@@ -27,16 +27,6 @@ func A100_40() GPUParams {
 	return GPUParams{Name: "A100-40GB", PeakTFLOPS: 312, MFU: 0.4, HBMGBps: 1555, MemoryGB: 40}
 }
 
-// A100_80 returns NVIDIA A100-80GB ballpark parameters.
-func A100_80() GPUParams {
-	return GPUParams{Name: "A100-80GB", PeakTFLOPS: 312, MFU: 0.4, HBMGBps: 2039, MemoryGB: 80}
-}
-
-// V100 returns NVIDIA V100-32GB ballpark parameters.
-func V100() GPUParams {
-	return GPUParams{Name: "V100-32GB", PeakTFLOPS: 125, MFU: 0.35, HBMGBps: 900, MemoryGB: 32}
-}
-
 // Validate reports the first structural problem.
 func (p GPUParams) Validate() error {
 	if p.PeakTFLOPS <= 0 || p.MFU <= 0 || p.MFU > 1 || p.HBMGBps <= 0 || p.MemoryGB <= 0 {
@@ -86,9 +76,6 @@ func NewGPU(eng *sim.Engine, p GPUParams) *GPU {
 	}
 	return &GPU{params: p, busy: sim.NewResource(eng, p.Name, 1)}
 }
-
-// Params returns the GPU description.
-func (g *GPU) Params() GPUParams { return g.params }
 
 // Run executes a kernel with the given roofline footprint, then calls done.
 func (g *GPU) Run(flops, bytes float64, done func()) {

@@ -94,13 +94,8 @@ func TestLinkLatencyApplied(t *testing.T) {
 }
 
 func TestGPUPresetsValid(t *testing.T) {
-	for _, p := range []GPUParams{A100_40(), A100_80(), V100()} {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
-		}
-	}
-	if A100_80().HBMGBps <= A100_40().HBMGBps {
-		t.Fatal("A100-80 should have more bandwidth")
+	if err := A100_40().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -133,9 +128,6 @@ func TestGPURunSerializes(t *testing.T) {
 	e.Run()
 	if ends[0] != sim.Millisecond || ends[1] != 2*sim.Millisecond {
 		t.Fatalf("ends = %v", ends)
-	}
-	if g.Params().Name != "g" {
-		t.Fatal("params accessor")
 	}
 	_ = g.Utilization()
 }
@@ -176,10 +168,6 @@ func TestCPURun(t *testing.T) {
 	if at != 1000 {
 		t.Fatalf("ran at %v", at)
 	}
-	if c.Params().Name != "c" {
-		t.Fatal("params")
-	}
-	_ = c.Utilization()
 }
 
 func TestInvalidParamsPanic(t *testing.T) {

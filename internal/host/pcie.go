@@ -90,9 +90,6 @@ func NewLink(eng *sim.Engine, p LinkParams) *Link {
 	}
 }
 
-// Params returns the link parameters.
-func (l *Link) Params() LinkParams { return l.params }
-
 // ToDevice transfers n bytes host→device, then calls done.
 func (l *Link) ToDevice(n int64, done func()) {
 	l.bytesTo += uint64(n)

@@ -7,7 +7,7 @@
 //     floor ≤ simulated ≤ k·floor, and structural report sanity. These run
 //     on a single (config, report) pair and are cheap enough to enable on
 //     every experiment run (see experiments.Options.CheckInvariants).
-//   - metamorphic properties (metamorphic.go): relations between *runs* —
+//   - metamorphic properties (metamorphic_test.go): relations between *runs* —
 //     determinism under re-execution, monotonicity under added hardware
 //     resources or grown models. These need extra simulations and run from
 //     the test suite.

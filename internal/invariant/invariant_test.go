@@ -276,7 +276,7 @@ func TestSerializationCaught(t *testing.T) {
 }
 
 // TestAuditRecordsOnReport verifies Audit writes violations onto the
-// report, where invariant.Run hands them to the sweep.
+// report.
 func TestAuditRecordsOnReport(t *testing.T) {
 	cfg := busBoundConfig()
 	r, err := Run(core.SystemOptimStore, cfg)

@@ -79,15 +79,6 @@ func New(geo ssd.Geometry, comps int, units int64, s Strategy) (*Layout, error) 
 	return &Layout{geo: geo, comps: comps, units: units, strategy: s}, nil
 }
 
-// Strategy returns the placement policy.
-func (l *Layout) Strategy() Strategy { return l.strategy }
-
-// Comps returns the resident pages per unit.
-func (l *Layout) Comps() int { return l.comps }
-
-// Units returns the number of update units.
-func (l *Layout) Units() int64 { return l.units }
-
 // LogicalPages returns the total logical pages the layout occupies.
 func (l *Layout) LogicalPages() int64 { return l.units * int64(l.comps) }
 

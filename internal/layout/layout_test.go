@@ -93,10 +93,11 @@ func TestColocatedProperties(t *testing.T) {
 func TestColocatedBalancesDies(t *testing.T) {
 	g := testGeo()
 	dies := g.Dies()
-	l := mustNew(t, 3, int64(dies*10), Colocated)
+	units := int64(dies * 10)
+	l := mustNew(t, 3, units, Colocated)
 	count := make([]int, dies)
 	var p Placement
-	for u := int64(0); u < l.Units(); u++ {
+	for u := int64(0); u < units; u++ {
 		l.Placement(u, &p)
 		count[p.HomeChannel*g.DiesPerChannel+p.HomeDie]++
 	}
@@ -118,7 +119,7 @@ func TestPlacementAllocatesNothing(t *testing.T) {
 		l.Placement(0, &p)
 		u := int64(0)
 		per := testing.AllocsPerRun(100, func() {
-			u = (u + 7) % l.Units()
+			u = (u + 7) % 1000
 			l.Placement(u, &p)
 		})
 		//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
@@ -190,11 +191,12 @@ func TestPlacementInGeometryProperty(t *testing.T) {
 	g := testGeo()
 	f := func(unitRaw uint16, compRaw, stratRaw uint8) bool {
 		comps := int(compRaw%4) + 1
-		l, err := New(g, comps, 4096, Strategies()[int(stratRaw)%3])
+		const units = 4096
+		l, err := New(g, comps, units, Strategies()[int(stratRaw)%3])
 		if err != nil {
 			return false
 		}
-		unit := int64(unitRaw) % l.Units()
+		unit := int64(unitRaw) % units
 		for c := 0; c < comps; c++ {
 			idx := l.PlaneIdx(unit, c)
 			if idx < 0 || idx >= g.Planes() {

@@ -67,14 +67,6 @@ type Graph struct {
 // All returns every node in deterministic (load, then source) order.
 func (g *Graph) All() []*Node { return g.order }
 
-// Lookup returns the node for a types.Func from any universe, or nil.
-func (g *Graph) Lookup(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.Nodes[fn.Origin().FullName()]
-}
-
 // Build constructs the call graph over the given units.
 func Build(units []*lint.Unit) *Graph {
 	g := &Graph{Nodes: map[string]*Node{}}

@@ -57,3 +57,14 @@ func TestPoolSafe(t *testing.T) {
 func TestGlobalState(t *testing.T) {
 	linttest.Run(t, "testdata/globalstate", checks.GlobalState)
 }
+
+// TestUnused pins each reachability rule on a fixture with one main:
+// a method value in a package-level table, interface dispatch by
+// name+arity, a type handed to the standard library, generic code
+// reached through instantiations, init functions and package-level
+// initializers are live; a type only tests construct, methods included,
+// and a function only tests call are flagged; an allowed root keeps its
+// callees live, and an allow on a function a real root reaches is stale.
+func TestUnused(t *testing.T) {
+	linttest.Run(t, "testdata/unused", checks.Unused)
+}

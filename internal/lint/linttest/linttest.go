@@ -37,6 +37,8 @@ type want struct {
 // Run loads every package directory under root into one load set, runs
 // the analyzers over it, applies suppression, and checks the diagnostics
 // against the tree's want comments.
+//
+//simlint:allow unused the analyzer test harness: the checks tests call it
 func Run(t *testing.T, root string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	modRoot, modPath, err := lint.FindModule(".")

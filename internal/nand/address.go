@@ -15,9 +15,6 @@ func (a Addr) String() string {
 	return fmt.Sprintf("pl%d/blk%d/pg%d", a.Plane, a.Block, a.Page)
 }
 
-// BlockAddr returns the address of the containing block (page 0).
-func (a Addr) BlockAddr() Addr { return Addr{Plane: a.Plane, Block: a.Block} }
-
 // valid reports whether the address is inside the geometry of p.
 func (a Addr) valid(p Params) bool {
 	return a.Plane >= 0 && a.Plane < p.PlanesPerDie &&

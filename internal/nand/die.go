@@ -133,9 +133,6 @@ func NewDie(eng *sim.Engine, name string, p Params) *Die {
 // Name returns the diagnostic name.
 func (d *Die) Name() string { return d.name }
 
-// Params returns the die parameters.
-func (d *Die) Params() Params { return d.params }
-
 // Counts returns the accumulated operation tally.
 func (d *Die) Counts() OpCounts { return d.counts }
 
@@ -155,9 +152,6 @@ func (d *Die) checkAddr(a Addr) *plane {
 // state for post-mortem inspection, but any further array operation panics
 // — the controller must never issue work to a die it knows is dead.
 func (d *Die) Fail() { d.failed = true }
-
-// Failed reports whether the die has been marked failed.
-func (d *Die) Failed() bool { return d.failed }
 
 // RestoreBlock installs a block's physical condition — write pointer and
 // accumulated P/E cycles — directly, without simulating operations or
@@ -244,20 +238,6 @@ func (d *Die) WritePtr(planeIdx, block int) int {
 // EraseCount returns the accumulated P/E cycles of a block.
 func (d *Die) EraseCount(planeIdx, block int) int {
 	return d.planes[planeIdx].state(block).eraseCount
-}
-
-// MaxEraseCount returns the largest P/E count across all blocks; blocks
-// never touched have none.
-func (d *Die) MaxEraseCount() int {
-	max := 0
-	for _, pl := range d.planes {
-		for i := range pl.blocks {
-			if pl.blocks[i].eraseCount > max {
-				max = pl.blocks[i].eraseCount
-			}
-		}
-	}
-	return max
 }
 
 // Preemptions returns the total program/erase suspends across all planes

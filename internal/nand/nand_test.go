@@ -61,7 +61,7 @@ func TestParamsValidate(t *testing.T) {
 func TestTransferTime(t *testing.T) {
 	p := ParamsFor(TLC) // 1200 MB/s
 	// 16KiB at 1200 MB/s = 16384*1000/1200 ns ≈ 13653 ns.
-	got := p.PageTransferTime()
+	got := p.TransferTime(p.PageSize)
 	if got < 13_000 || got > 14_000 {
 		t.Fatalf("page transfer = %v", got)
 	}
@@ -77,15 +77,6 @@ func TestGeometryHelpers(t *testing.T) {
 	p := tinyParams()
 	if p.BlockBytes() != int64(p.PageSize*4) {
 		t.Fatal("BlockBytes")
-	}
-	if p.PlaneBytes() != p.BlockBytes()*8 {
-		t.Fatal("PlaneBytes")
-	}
-	if p.DieBytes() != p.PlaneBytes()*2 {
-		t.Fatal("DieBytes")
-	}
-	if p.PagesPerDie() != 4*8*2 {
-		t.Fatal("PagesPerDie")
 	}
 }
 
@@ -203,9 +194,6 @@ func TestDieWearAggregates(t *testing.T) {
 	d.Erase(Addr{Plane: 0, Block: 0}, nil)
 	d.Erase(Addr{Plane: 1, Block: 3}, nil)
 	e.Run()
-	if d.MaxEraseCount() != 2 {
-		t.Fatalf("max erase = %d", d.MaxEraseCount())
-	}
 	if n := totalEraseCount(d); n != 3 {
 		t.Fatalf("total erase = %d", n)
 	}
@@ -215,7 +203,7 @@ func TestDieWearAggregates(t *testing.T) {
 // geometry, touched or not.
 func totalEraseCount(d *Die) int64 {
 	var total int64
-	p := d.Params()
+	p := d.params
 	for pl := 0; pl < p.PlanesPerDie; pl++ {
 		for b := 0; b < p.BlocksPerPlane; b++ {
 			total += int64(d.EraseCount(pl, b))
@@ -251,9 +239,6 @@ func TestDieBlockStateGrowsWithUse(t *testing.T) {
 		if wp, er := d.WritePtr(c.plane, c.block), d.EraseCount(c.plane, c.block); wp != c.wp || er != c.erases {
 			t.Errorf("block %d/%d: write pointer %d, %d erases; want %d, %d", c.plane, c.block, wp, er, c.wp, c.erases)
 		}
-	}
-	if got := d.MaxEraseCount(); got != 7 {
-		t.Fatalf("max erase = %d, want 7", got)
 	}
 }
 
@@ -292,7 +277,7 @@ func TestChannelBusSerializes(t *testing.T) {
 		})
 	}
 	e.Run()
-	tR, tx := p.ReadLatency, p.PageTransferTime()
+	tR, tx := p.ReadLatency, p.TransferTime(p.PageSize)
 	if ends[0] != tR+tx {
 		t.Fatalf("first read at %v, want %v", ends[0], tR+tx)
 	}
@@ -310,7 +295,7 @@ func TestChannelWritePage(t *testing.T) {
 		c.Die(0).Program(Addr{0, 0, 0}, func() { doneAt = e.Now() })
 	})
 	e.Run()
-	want := p.PageTransferTime() + p.ProgramLatency
+	want := p.TransferTime(p.PageSize) + p.ProgramLatency
 	if doneAt != want {
 		t.Fatalf("write done at %v, want %v", doneAt, want)
 	}
@@ -451,9 +436,6 @@ func TestAddrString(t *testing.T) {
 	a := Addr{Plane: 1, Block: 2, Page: 3}
 	if a.String() != "pl1/blk2/pg3" {
 		t.Fatalf("String = %q", a.String())
-	}
-	if a.BlockAddr().Page != 0 {
-		t.Fatal("BlockAddr should zero the page")
 	}
 }
 

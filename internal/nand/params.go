@@ -147,19 +147,5 @@ func (p Params) TransferTime(n int) sim.Time {
 	return t
 }
 
-// PageTransferTime returns the bus occupancy for one full page.
-func (p Params) PageTransferTime() sim.Time { return p.TransferTime(p.PageSize) }
-
 // BlockBytes returns the user bytes in one block.
 func (p Params) BlockBytes() int64 { return int64(p.PageSize) * int64(p.PagesPerBlock) }
-
-// PlaneBytes returns the user bytes in one plane.
-func (p Params) PlaneBytes() int64 { return p.BlockBytes() * int64(p.BlocksPerPlane) }
-
-// DieBytes returns the user bytes in one die.
-func (p Params) DieBytes() int64 { return p.PlaneBytes() * int64(p.PlanesPerDie) }
-
-// PagesPerDie returns the number of pages in one die.
-func (p Params) PagesPerDie() int64 {
-	return int64(p.PagesPerBlock) * int64(p.BlocksPerPlane) * int64(p.PlanesPerDie)
-}

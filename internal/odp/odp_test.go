@@ -109,9 +109,6 @@ func TestUnitUtilization(t *testing.T) {
 	if util := u.Utilization(); util < 0.49 || util > 0.51 {
 		t.Fatalf("utilization = %v, want ~0.5", util)
 	}
-	if u.Params().Lanes != 1 {
-		t.Fatal("Params accessor")
-	}
 }
 
 // Property: compute time scales (weakly) monotonically with work.

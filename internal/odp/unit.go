@@ -95,9 +95,6 @@ func NewUnit(eng *sim.Engine, name string, p Params) *Unit {
 	}
 }
 
-// Params returns the unit's design parameters.
-func (u *Unit) Params() Params { return u.params }
-
 // Exec runs one element-wise kernel invocation over elems elements and
 // calls done when the unit finishes. Invocations on the same unit
 // serialize FIFO.

@@ -51,13 +51,6 @@ func (a *Adafactor) Name() string { return "Adafactor" }
 // Steps returns how many updates have been applied.
 func (a *Adafactor) Steps() int { return a.steps }
 
-// Reset discards optimizer state.
-func (a *Adafactor) Reset() {
-	a.r = make([]float64, a.rows)
-	a.c = make([]float64, a.cols)
-	a.steps = 0
-}
-
 // StateWordsPerParam returns the fractional resident state per parameter:
 // (rows+cols)/(rows·cols) — the sub-linear memory claim.
 func (a *Adafactor) StateWordsPerParam() float64 {

@@ -78,16 +78,6 @@ func TestAdafactorZeroGradientNoChange(t *testing.T) {
 	}
 }
 
-func TestAdafactorReset(t *testing.T) {
-	a := NewAdafactor(2, 2, Hyper{})
-	w := make([]float32, 4)
-	a.Step(w, []float32{1, 1, 1, 1})
-	a.Reset()
-	if a.Steps() != 0 {
-		t.Fatal("steps after reset")
-	}
-}
-
 func TestAdafactorDimensionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -32,9 +32,7 @@ func (a *adam) Kind() Kind {
 	return Adam
 }
 
-func (a *adam) StateWords() int { return 2 }
-func (a *adam) Steps() int      { return a.steps }
-func (a *adam) Reset()          { a.m, a.v = nil, nil; a.steps = 0 }
+func (a *adam) Steps() int { return a.steps }
 
 func (a *adam) Step(w, g []float32) {
 	checkLens(w, g)
@@ -85,11 +83,9 @@ type amsgrad struct {
 	steps      int
 }
 
-func (a *amsgrad) Name() string    { return "AMSGrad" }
-func (a *amsgrad) Kind() Kind      { return AMSGrad }
-func (a *amsgrad) StateWords() int { return 3 }
-func (a *amsgrad) Steps() int      { return a.steps }
-func (a *amsgrad) Reset()          { a.m, a.v, a.vmax = nil, nil, nil; a.steps = 0 }
+func (a *amsgrad) Name() string { return "AMSGrad" }
+func (a *amsgrad) Kind() Kind   { return AMSGrad }
+func (a *amsgrad) Steps() int   { return a.steps }
 
 func (a *amsgrad) Step(w, g []float32) {
 	checkLens(w, g)

@@ -14,7 +14,9 @@ import (
 //
 // This is the "future work" lever for in-storage training: the resident
 // footprint (and hence NAND program traffic and wear) of the Adam moments
-// drops 4×. The timing model picks it up via the Q8State precision.
+// drops 4×. The timing model picks it up via the Q8State precision; no
+// simulation runs this optimizer, so it lives with the tests as the
+// reference the Q8State accounting is checked against.
 type Adam8bit struct {
 	hp        Hyper
 	blockSize int

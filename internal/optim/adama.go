@@ -24,11 +24,9 @@ type adamA struct {
 	steps int
 }
 
-func (a *adamA) Name() string    { return "AdamA" }
-func (a *adamA) Kind() Kind      { return AdamA }
-func (a *adamA) StateWords() int { return 2 }
-func (a *adamA) Steps() int      { return a.steps }
-func (a *adamA) Reset()          { a.m, a.v = nil, nil; a.steps = 0 }
+func (a *adamA) Name() string { return "AdamA" }
+func (a *adamA) Kind() Kind   { return AdamA }
+func (a *adamA) Steps() int   { return a.steps }
 
 func (a *adamA) Step(w, g []float32) {
 	checkLens(w, g)

@@ -13,11 +13,9 @@ type adagrad struct {
 	steps int
 }
 
-func (a *adagrad) Name() string    { return "Adagrad" }
-func (a *adagrad) Kind() Kind      { return Adagrad }
-func (a *adagrad) StateWords() int { return 1 }
-func (a *adagrad) Steps() int      { return a.steps }
-func (a *adagrad) Reset()          { a.h = nil; a.steps = 0 }
+func (a *adagrad) Name() string { return "Adagrad" }
+func (a *adagrad) Kind() Kind   { return Adagrad }
+func (a *adagrad) Steps() int   { return a.steps }
 
 func (a *adagrad) Step(w, g []float32) {
 	checkLens(w, g)
@@ -45,11 +43,9 @@ type rmsprop struct {
 	steps int
 }
 
-func (r *rmsprop) Name() string    { return "RMSProp" }
-func (r *rmsprop) Kind() Kind      { return RMSProp }
-func (r *rmsprop) StateWords() int { return 1 }
-func (r *rmsprop) Steps() int      { return r.steps }
-func (r *rmsprop) Reset()          { r.h = nil; r.steps = 0 }
+func (r *rmsprop) Name() string { return "RMSProp" }
+func (r *rmsprop) Kind() Kind   { return RMSProp }
+func (r *rmsprop) Steps() int   { return r.steps }
 
 func (r *rmsprop) Step(w, g []float32) {
 	checkLens(w, g)

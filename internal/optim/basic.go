@@ -7,11 +7,9 @@ type sgd struct {
 	steps int
 }
 
-func (s *sgd) Name() string    { return "SGD" }
-func (s *sgd) Kind() Kind      { return SGD }
-func (s *sgd) StateWords() int { return 0 }
-func (s *sgd) Steps() int      { return s.steps }
-func (s *sgd) Reset()          { s.steps = 0 }
+func (s *sgd) Name() string { return "SGD" }
+func (s *sgd) Kind() Kind   { return SGD }
+func (s *sgd) Steps() int   { return s.steps }
 
 func (s *sgd) Step(w, g []float32) {
 	checkLens(w, g)
@@ -51,9 +49,7 @@ func (m *momentum) Kind() Kind {
 	return Momentum
 }
 
-func (m *momentum) StateWords() int { return 1 }
-func (m *momentum) Steps() int      { return m.steps }
-func (m *momentum) Reset()          { m.v = nil; m.steps = 0 }
+func (m *momentum) Steps() int { return m.steps }
 
 func (m *momentum) Step(w, g []float32) {
 	checkLens(w, g)

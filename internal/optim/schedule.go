@@ -14,12 +14,6 @@ type Schedule interface {
 	LRAt(step int) float64
 }
 
-// ConstantSchedule keeps the multiplier at 1.
-type ConstantSchedule struct{}
-
-// LRAt implements Schedule.
-func (ConstantSchedule) LRAt(int) float64 { return 1 }
-
 // WarmupCosine is the GPT-style recipe: linear warmup from 0 over
 // WarmupSteps, then cosine decay to MinFactor at TotalSteps, holding
 // MinFactor afterwards.
@@ -49,25 +43,6 @@ func (s *WarmupCosine) LRAt(step int) float64 {
 		cos := 0.5 * (1 + math.Cos(math.Pi*progress))
 		return s.MinFactor + (1-s.MinFactor)*cos
 	}
-}
-
-// InverseSqrt is the original Transformer recipe: linear warmup, then
-// decay proportional to 1/√step.
-type InverseSqrt struct {
-	WarmupSteps int
-}
-
-// LRAt implements Schedule.
-func (s InverseSqrt) LRAt(step int) float64 {
-	w := s.WarmupSteps
-	if w < 1 {
-		w = 1
-	}
-	t := step + 1
-	if t <= w {
-		return float64(t) / float64(w)
-	}
-	return math.Sqrt(float64(w)) / math.Sqrt(float64(t))
 }
 
 // Scheduled wraps an Optimizer so Step applies the schedule's multiplier

@@ -80,27 +80,6 @@ func TestWarmupCosineRejects(t *testing.T) {
 	}
 }
 
-func TestInverseSqrt(t *testing.T) {
-	s := InverseSqrt{WarmupSteps: 16}
-	if got := s.LRAt(15); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("peak = %v", got)
-	}
-	// 4× the steps → half the rate.
-	if r := s.LRAt(63) / s.LRAt(15); math.Abs(r-0.5) > 1e-9 {
-		t.Fatalf("inverse-sqrt ratio = %v", r)
-	}
-	// Degenerate warmup handled.
-	if (InverseSqrt{}).LRAt(0) <= 0 {
-		t.Fatal("zero warmup broke")
-	}
-}
-
-func TestConstantSchedule(t *testing.T) {
-	if !approx.Equal((ConstantSchedule{}).LRAt(12345), 1) {
-		t.Fatal("constant")
-	}
-}
-
 func TestScheduledMatchesManualScaling(t *testing.T) {
 	// For SGD, scheduled step with factor f must equal lr·f·g exactly.
 	sched, _ := NewWarmupCosine(10, 100, 0)
@@ -114,7 +93,8 @@ func TestScheduledMatchesManualScaling(t *testing.T) {
 }
 
 func TestScheduledFullFactorPassThrough(t *testing.T) {
-	s := NewScheduled(New(Adam, Hyper{LR: 0.01}), ConstantSchedule{})
+	full, _ := NewWarmupCosine(0, 10, 1) // a factor of exactly 1 at every step
+	s := NewScheduled(New(Adam, Hyper{LR: 0.01}), full)
 	w := []float32{1, 2}
 	ref := []float32{1, 2}
 	refOpt := New(Adam, Hyper{LR: 0.01})
@@ -126,7 +106,7 @@ func TestScheduledFullFactorPassThrough(t *testing.T) {
 	for i := range w {
 		//simlint:allow floateq both paths must produce bit-identical weights
 		if w[i] != ref[i] {
-			t.Fatal("constant schedule should be a pass-through")
+			t.Fatal("a full-factor schedule should be a pass-through")
 		}
 	}
 }

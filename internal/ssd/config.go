@@ -117,11 +117,6 @@ func (c Config) LogicalPages() int64 {
 	return int64(float64(c.Geometry().TotalPages()) * (1 - c.OverProvision))
 }
 
-// LogicalBytes is the exposed logical capacity in bytes.
-func (c Config) LogicalBytes() int64 {
-	return c.LogicalPages() * int64(c.Nand.PageSize)
-}
-
 // InternalReadMBps is the aggregate plane-level sense bandwidth — the
 // ceiling for in-storage read traffic. (bytes/µs ≡ MB/s.)
 func (c Config) InternalReadMBps() units.MBps {

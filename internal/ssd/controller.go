@@ -140,6 +140,8 @@ func (d *Device) Die(ch, die int) *nand.Die { return d.channels[ch].Die(die) }
 // SetCommitHook installs an observer invoked synchronously at every
 // mapping commit (host write, in-storage update, GC relocation, preload).
 // Tests use it to mirror page contents across physical moves.
+//
+//simlint:allow unused a test hook: the tier-5 crash test in invariant mirrors commits with it
 func (d *Device) SetCommitHook(fn func(lpa, oldLin, newLin int64, gc bool)) {
 	d.commitHook = fn
 }
@@ -160,14 +162,6 @@ func (d *Device) commit(lpa, lin int64, gc bool) {
 // for first writes (the layout engine provides these). Existing mappings
 // are unaffected; pages stay in their plane across updates.
 func (d *Device) SetPlaneMapper(fn func(lpa int64) int) { d.planeFor = fn }
-
-// PlaneOf returns the plane a logical page is (or would be) placed on.
-func (d *Device) PlaneOf(lpa int64) int {
-	if lin := d.ftl.lookupLinear(lpa); lin != unmapped {
-		return d.ftl.dec.plane(lin)
-	}
-	return d.planeFor(lpa)
-}
 
 // PlaneLoc returns the (channel, die, plane-in-die) of a device-global
 // plane, as Geometry.PlaneLoc does, from a table built with the device.
@@ -194,19 +188,6 @@ func (d *Device) Stats() Stats {
 		RetiredBlocks:   d.ftl.RetiredBlocks(),
 		WAF:             d.ftl.WAF(),
 	}
-}
-
-// MaxEraseCount returns the highest per-block P/E count on the device.
-func (d *Device) MaxEraseCount() int {
-	max := 0
-	for _, ch := range d.channels {
-		for _, die := range ch.Dies() {
-			if n := die.MaxEraseCount(); n > max {
-				max = n
-			}
-		}
-	}
-	return max
 }
 
 // Counts aggregates NAND operation tallies across all dies.
@@ -398,15 +379,6 @@ func (d *Device) Write(lpa int64, done func()) {
 	o.lpa, o.done = lpa, done
 	o.stage = stageWriteCmd
 	d.eng.Schedule(d.cfg.CmdLatency, o.step)
-}
-
-// Trim invalidates a logical page.
-func (d *Device) Trim(lpa int64) {
-	mapped := d.ftl.lookupLinear(lpa) != unmapped
-	d.ftl.Invalidate(lpa)
-	if mapped {
-		d.boundary(BoundaryTrim, lpa)
-	}
 }
 
 // ReadMapped performs an internal array read (no bus transfer) of the page

@@ -82,9 +82,6 @@ func (d *Device) boundary(kind BoundaryKind, lpa int64) {
 // destroys with DRAM.
 func (d *Device) DirtyPages() int { return len(d.dirty) }
 
-// MappedPages returns the number of logical pages currently mapped.
-func (d *Device) MappedPages() int64 { return d.ftl.MappedPages() }
-
 // NthMappedLPA returns the k-th (mod count) mapped logical page; ok is
 // false when nothing is mapped.
 func (d *Device) NthMappedLPA(k int64) (int64, bool) { return d.ftl.NthMappedLPA(k) }
@@ -159,6 +156,8 @@ func Recover(eng *sim.Engine, crashed *Device) (*Device, *RecoveryInfo, error) {
 // failDie) gone: its mappings are dropped (RecoveryInfo.LostPages — they
 // must be restored from a checkpoint), its blocks are retired, and the
 // fresh die is marked failed so any stray operation panics.
+//
+//simlint:allow unused the tier-5 die-failure harness; tests in invariant and ssd drive it
 func RecoverAfterDieFailure(eng *sim.Engine, crashed *Device, failCh, failDie int) (*Device, *RecoveryInfo, error) {
 	geo := crashed.geo
 	if failCh < 0 || failCh >= geo.Channels || failDie < 0 || failDie >= geo.DiesPerChannel {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ecc"
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -125,8 +126,8 @@ func checkRecovered(t *testing.T, crashed, rec *Device, shadow *dataPlane) {
 			t.Fatalf("lpa %d: recovered mapping %v has no committed content", lpa, after)
 		}
 	}
-	if mapped != rec.MappedPages() {
-		t.Fatalf("recovered MappedPages %d, recount %d", rec.MappedPages(), mapped)
+	if mapped != rec.FTL().MappedPages() {
+		t.Fatalf("recovered MappedPages %d, recount %d", rec.FTL().MappedPages(), mapped)
 	}
 }
 
@@ -145,8 +146,8 @@ func TestRecoverFromCleanState(t *testing.T) {
 	if info.TornPages != 0 || info.LostDirty != 0 {
 		t.Fatalf("clean crash reported torn=%d dirty=%d", info.TornPages, info.LostDirty)
 	}
-	if info.MappedPages != d.MappedPages() {
-		t.Fatalf("recovered %d pages, crashed had %d", info.MappedPages, d.MappedPages())
+	if info.MappedPages != d.FTL().MappedPages() {
+		t.Fatalf("recovered %d pages, crashed had %d", info.MappedPages, d.FTL().MappedPages())
 	}
 	checkRecovered(t, d, rec, shadow)
 	//simlint:allow floateq recovery must carry the WAF tallies bit-exactly
@@ -240,12 +241,17 @@ func TestRecoverAfterDieFailure(t *testing.T) {
 	if info.LostPages != lostWant {
 		t.Fatalf("lost %d pages, want %d", info.LostPages, lostWant)
 	}
-	if got := rec.MappedPages(); got != d.MappedPages()-lostWant {
-		t.Fatalf("recovered %d mapped pages, want %d", got, d.MappedPages()-lostWant)
+	if got := rec.FTL().MappedPages(); got != d.FTL().MappedPages()-lostWant {
+		t.Fatalf("recovered %d mapped pages, want %d", got, d.FTL().MappedPages()-lostWant)
 	}
-	if !rec.Die(0, 0).Failed() {
-		t.Fatal("failed die not marked")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("failed die not marked: a read of it did not panic")
+			}
+		}()
+		rec.Die(0, 0).Read(nand.Addr{}, nil)
+	}()
 	geo := rec.Geometry()
 	for p := 0; p < geo.PlanesPerDie; p++ {
 		planeIdx := geo.PlaneIndex(0, 0, p)

@@ -200,9 +200,6 @@ func NewFTL(geo Geometry, logicalPages int64) *FTL {
 	return f
 }
 
-// Geometry returns the device geometry.
-func (f *FTL) Geometry() Geometry { return f.geo }
-
 // LogicalPages returns the exposed capacity in pages.
 func (f *FTL) LogicalPages() int64 { return f.logicalPages }
 
@@ -276,23 +273,6 @@ func (f *FTL) CanAlloc(planeIdx int) bool {
 	return f.planes[planeIdx].open[HotStream] >= 0 || f.FreeBlocks(planeIdx) > 0
 }
 
-// AllocPage claims the next hot-stream page of the plane's write frontier.
-// It panics when the plane has no open or free block — the Device must
-// garbage collect (or backpressure) before exhaustion, checked via
-// CanAlloc.
-func (f *FTL) AllocPage(planeIdx int) PPA {
-	return f.AllocPageStream(planeIdx, HotStream)
-}
-
-// AllocPageStream claims the next page of the given stream's write
-// frontier. Keeping GC relocations (cold) out of the host/update (hot)
-// blocks is the hot/cold separation that stops victim blocks from mixing
-// long-lived and short-lived pages. A cold-stream allocation falls back to
-// the hot open block when no free block exists to open.
-func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
-	return f.dec.ppa(f.allocPage(planeIdx, stream))
-}
-
 // allocPage is AllocPageStream returning the page's linear index.
 func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 	pa := &f.planes[planeIdx]
@@ -349,11 +329,6 @@ func (f *FTL) openBlock(pa *planeAlloc) int32 {
 	return b
 }
 
-// CommitWrite binds lpa to a freshly allocated ppa, invalidating any prior
-// mapping. Host writes and GC relocations are tallied separately for
-// write-amplification reporting.
-func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) { f.commit(lpa, f.geo.Linear(ppa), gc) }
-
 // commit is CommitWrite to the linear page lin.
 func (f *FTL) commit(lpa, lin int64, gc bool) {
 	f.checkLPA(lpa)
@@ -400,15 +375,6 @@ func (f *FTL) drop(lin int64) {
 	r, pg := f.rec(lin)
 	r.p2l[pg] = 0
 	r.valid--
-}
-
-// Invalidate trims a logical page, dropping its mapping if present.
-func (f *FTL) Invalidate(lpa int64) {
-	f.checkLPA(lpa)
-	if old := f.l2p.get(lpa); old != unmapped {
-		f.drop(old)
-		f.l2p.set(lpa, unmapped)
-	}
 }
 
 // beginProgram records a program issued to the linear page lin of plane
@@ -580,12 +546,6 @@ func (f *FTL) restoreMapping(lpa, lin int64) {
 	}
 	f.l2p.set(lpa, lin)
 	f.record(lin, lpa)
-}
-
-// ValidLPAs returns the logical pages still valid in a plane's block, in
-// physical page order — the relocation work list for GC.
-func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
-	return f.appendValidLPAs(nil, planeIdx, block)
 }
 
 // blockStart returns the linear index of the first page of a plane's

@@ -21,7 +21,7 @@ func blockErases(f *FTL, planeIdx, block int) int {
 func wearSpread(f *FTL, planeIdx int) (min, max int) {
 	min = blockErases(f, planeIdx, 0)
 	max = min
-	for b := 1; b < f.Geometry().BlocksPerPlane; b++ {
+	for b := 1; b < f.geo.BlocksPerPlane; b++ {
 		e := blockErases(f, planeIdx, b)
 		if e < min {
 			min = e
@@ -46,7 +46,7 @@ func newTestFTL() *FTL {
 
 func TestFTLAllocSequential(t *testing.T) {
 	f := newTestFTL()
-	g := f.Geometry()
+	g := f.geo
 	var prev PPA
 	for i := 0; i < g.PagesPerBlock*2; i++ {
 		ppa := f.AllocPage(0)
@@ -129,7 +129,7 @@ func TestFTLDoubleCommitPanics(t *testing.T) {
 
 func TestFTLPickVictimGreedy(t *testing.T) {
 	f := newTestFTL()
-	g := f.Geometry()
+	g := f.geo
 	// Fill two blocks in plane 0: block A gets 4 live pages, block B gets
 	// 4 pages of which 3 are then overwritten into block C.
 	for lpa := int64(0); lpa < int64(g.PagesPerBlock); lpa++ {
@@ -153,7 +153,7 @@ func TestFTLPickVictimGreedy(t *testing.T) {
 
 func TestFTLOnErased(t *testing.T) {
 	f := newTestFTL()
-	g := f.Geometry()
+	g := f.geo
 	for lpa := int64(0); lpa < int64(g.PagesPerBlock); lpa++ {
 		f.CommitWrite(lpa, f.AllocPage(0), false)
 	}
@@ -191,7 +191,7 @@ func TestFTLEraseValidPanics(t *testing.T) {
 
 func TestFTLAvailablePages(t *testing.T) {
 	f := newTestFTL()
-	g := f.Geometry()
+	g := f.geo
 	total := g.BlocksPerPlane * g.PagesPerBlock
 	if f.AvailablePages(0) != total {
 		t.Fatalf("fresh available = %d", f.AvailablePages(0))
@@ -214,7 +214,7 @@ func TestFTLLPABoundsPanics(t *testing.T) {
 
 func TestFTLExhaustionPanics(t *testing.T) {
 	f := newTestFTL()
-	g := f.Geometry()
+	g := f.geo
 	for i := 0; i < g.BlocksPerPlane*g.PagesPerBlock; i++ {
 		f.AllocPage(0)
 	}
@@ -235,7 +235,7 @@ func TestFTLConsistencyProperty(t *testing.T) {
 	f := func(seed int64, opsRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ftl := newTestFTL()
-		g := ftl.Geometry()
+		g := ftl.geo
 		ops := int(opsRaw%300) + 50
 		for i := 0; i < ops; i++ {
 			plane := rng.Intn(g.Planes())
@@ -267,4 +267,41 @@ func TestFTLConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// AllocPage claims the next hot-stream page of the plane's write frontier.
+// It panics when the plane has no open or free block — the Device must
+// garbage collect (or backpressure) before exhaustion, checked via
+// CanAlloc.
+func (f *FTL) AllocPage(planeIdx int) PPA {
+	return f.AllocPageStream(planeIdx, HotStream)
+}
+
+// AllocPageStream claims the next page of the given stream's write
+// frontier. Keeping GC relocations (cold) out of the host/update (hot)
+// blocks is the hot/cold separation that stops victim blocks from mixing
+// long-lived and short-lived pages. A cold-stream allocation falls back to
+// the hot open block when no free block exists to open.
+func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
+	return f.dec.ppa(f.allocPage(planeIdx, stream))
+}
+
+// CommitWrite binds lpa to a freshly allocated ppa, invalidating any prior
+// mapping. Host writes and GC relocations are tallied separately for
+// write-amplification reporting.
+func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) { f.commit(lpa, f.geo.Linear(ppa), gc) }
+
+// Invalidate trims a logical page, dropping its mapping if present.
+func (f *FTL) Invalidate(lpa int64) {
+	f.checkLPA(lpa)
+	if old := f.l2p.get(lpa); old != unmapped {
+		f.drop(old)
+		f.l2p.set(lpa, unmapped)
+	}
+}
+
+// ValidLPAs returns the logical pages still valid in a plane's block, in
+// physical page order — the relocation work list for GC.
+func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
+	return f.appendValidLPAs(nil, planeIdx, block)
 }

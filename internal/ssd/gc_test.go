@@ -8,7 +8,7 @@ import (
 
 // eraseSnapshot captures every block's P/E count.
 func eraseSnapshot(f *FTL) []int {
-	g := f.Geometry()
+	g := f.geo
 	counts := make([]int, 0, g.BlocksTotal())
 	for p := 0; p < g.Planes(); p++ {
 		for b := 0; b < g.BlocksPerPlane; b++ {

@@ -110,9 +110,6 @@ func TestConfigDefaultsValid(t *testing.T) {
 	if lp := cfg.LogicalPages(); lp <= 0 || lp >= cfg.Geometry().TotalPages() {
 		t.Fatalf("logical pages = %d", lp)
 	}
-	if cfg.LogicalBytes() != cfg.LogicalPages()*int64(cfg.Nand.PageSize) {
-		t.Fatal("LogicalBytes inconsistent")
-	}
 }
 
 func TestConfigBandwidthCeilings(t *testing.T) {
@@ -157,4 +154,23 @@ func TestConfigValidateRejects(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+}
+
+// FromLinear inverts Linear.
+func (g Geometry) FromLinear(idx int64) PPA {
+	page := int(idx % int64(g.PagesPerBlock))
+	blockGlobal := int(idx / int64(g.PagesPerBlock))
+	block := blockGlobal % g.BlocksPerPlane
+	planeIdx := blockGlobal / g.BlocksPerPlane
+	ch, die, plane := g.PlaneLoc(planeIdx)
+	return PPA{Channel: ch, Die: die, Addr: nand.Addr{Plane: plane, Block: block, Page: page}}
+}
+
+// Contains reports whether the PPA is inside the geometry.
+func (g Geometry) Contains(p PPA) bool {
+	return p.Channel >= 0 && p.Channel < g.Channels &&
+		p.Die >= 0 && p.Die < g.DiesPerChannel &&
+		p.Plane >= 0 && p.Plane < g.PlanesPerDie &&
+		p.Block >= 0 && p.Block < g.BlocksPerPlane &&
+		p.Page >= 0 && p.Page < g.PagesPerBlock
 }

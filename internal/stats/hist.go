@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -14,7 +13,6 @@ import (
 type Hist struct {
 	name    string
 	samples []float64
-	sum     float64
 	sorted  bool
 }
 
@@ -24,31 +22,15 @@ func NewHist(name string) *Hist { return &Hist{name: name} }
 // Name returns the histogram's name.
 func (h *Hist) Name() string { return h.name }
 
-// Add records one sample. NaN samples are dropped: a NaN would poison
-// Sum/Mean and leave Min/Max/Percentile at the mercy of where the sort
-// happens to park an unordered value, so one bad measurement must not
-// corrupt every summary of the histogram.
+// Add records one sample. NaN samples are dropped: a NaN would leave
+// Percentile at the mercy of where the sort happens to park an unordered
+// value, so one bad measurement must not corrupt the histogram.
 func (h *Hist) Add(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
 	h.samples = append(h.samples, v)
-	h.sum += v
 	h.sorted = false
-}
-
-// Count returns the number of recorded samples.
-func (h *Hist) Count() int { return len(h.samples) }
-
-// Sum returns the sum of all samples.
-func (h *Hist) Sum() float64 { return h.sum }
-
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Hist) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / float64(len(h.samples))
 }
 
 func (h *Hist) ensureSorted() {
@@ -56,24 +38,6 @@ func (h *Hist) ensureSorted() {
 		sort.Float64s(h.samples)
 		h.sorted = true
 	}
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Hist) Min() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	return h.samples[0]
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Hist) Max() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	return h.samples[len(h.samples)-1]
 }
 
 // Percentile returns the p-th percentile, or 0 with no samples. It
@@ -108,26 +72,4 @@ func (h *Hist) Percentile(p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
-}
-
-// StdDev returns the population standard deviation, or 0 with fewer than
-// two samples.
-func (h *Hist) StdDev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Summary renders a one-line digest suitable for logs.
-func (h *Hist) Summary() string {
-	return fmt.Sprintf("%s: n=%d mean=%.3g p50=%.3g p99=%.3g max=%.3g",
-		h.name, h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Max())
 }

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 )
 
 // Point is one (x, y) sample of a figure series.
@@ -94,66 +92,6 @@ func (f *Figure) Table() *Table {
 
 // String renders the figure's data table.
 func (f *Figure) String() string { return f.Table().String() }
-
-// ASCIIPlot renders a crude monospace plot (log-x aware), useful for eyeball
-// checks of figure shape in terminal output. Width/height are in chars.
-func (f *Figure) ASCIIPlot(width, height int) string {
-	if width < 16 {
-		width = 16
-	}
-	if height < 4 {
-		height = 4
-	}
-	var minX, maxX, minY, maxY float64
-	first := true
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if first {
-				minX, maxX, minY, maxY = p.X, p.X, p.Y, p.Y
-				first = false
-				continue
-			}
-			minX = math.Min(minX, p.X)
-			maxX = math.Max(maxX, p.X)
-			minY = math.Min(minY, p.Y)
-			maxY = math.Max(maxY, p.Y)
-		}
-	}
-	if first {
-		return "(empty figure)\n"
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	marks := []byte("*+ox#@%&")
-	for si, s := range f.Series {
-		m := marks[si%len(marks)]
-		for _, p := range s.Points {
-			cx := int((p.X - minX) / (maxX - minX) * float64(width-1))
-			cy := int((p.Y - minY) / (maxY - minY) * float64(height-1))
-			grid[height-1-cy][cx] = m
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", f.Title)
-	for _, row := range grid {
-		b.WriteString("|" + string(row) + "\n")
-	}
-	b.WriteString("+" + strings.Repeat("-", width) + "\n")
-	fmt.Fprintf(&b, " x: %s [%.3g..%.3g]  y: %s [%.3g..%.3g]\n",
-		f.XLabel, minX, maxX, f.YLabel, minY, maxY)
-	for si, s := range f.Series {
-		fmt.Fprintf(&b, " %c %s\n", marks[si%len(marks)], s.Name)
-	}
-	return b.String()
-}
 
 // XRange returns the minimum and maximum x across all series, and whether
 // any point exists.

@@ -16,7 +16,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -34,25 +33,6 @@ func Gradients(seed int64, n int) []float32 {
 		g[i] = float32(rng.NormFloat64())
 	}
 	return g
-}
-
-// GradientStream produces an endless deterministic gradient sequence in
-// page-sized chunks, modelling the backward pass output of successive
-// training steps.
-type GradientStream struct {
-	rng *rand.Rand
-}
-
-// NewGradientStream returns a stream seeded deterministically.
-func NewGradientStream(seed int64) *GradientStream {
-	return &GradientStream{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Fill overwrites buf with the next gradients.
-func (s *GradientStream) Fill(buf []float32) {
-	for i := range buf {
-		buf[i] = float32(s.rng.NormFloat64())
-	}
 }
 
 // Quadratic is a strongly convex synthetic objective
@@ -91,11 +71,6 @@ func (q *Quadratic) Loss(w []float32) float64 {
 // Dim returns the problem dimensionality.
 func (q *Quadratic) Dim() int { return len(q.Target) }
 
-// Distance returns ‖w − target‖₂.
-func (q *Quadratic) Distance(w []float32) float64 {
-	return math.Sqrt(2 * q.Loss(w))
-}
-
 // Pattern selects a block-level access pattern for the SSD trace generator.
 type Pattern int
 
@@ -107,11 +82,6 @@ const (
 	RandRead
 	Mixed7030 // 70% random reads, 30% random writes
 )
-
-// Patterns lists the supported access patterns.
-func Patterns() []Pattern {
-	return []Pattern{SeqWrite, RandWrite, SeqRead, RandRead, Mixed7030}
-}
 
 // String names the pattern.
 func (p Pattern) String() string {

@@ -39,9 +39,6 @@ type Event struct {
 	Value float64
 }
 
-// Duration returns End - Start (zero for instants and counters).
-func (e Event) Duration() sim.Time { return e.End - e.Start }
-
 // Trace is an in-memory event recorder implementing sim.Tracer. Install
 // it with Engine.SetTracer before scheduling work. The zero value is not
 // usable; construct with New.
@@ -62,19 +59,20 @@ func New(label string) *Trace {
 	return &Trace{label: label, trackIdx: map[string]int{}}
 }
 
-// Label returns the label given at construction.
-func (t *Trace) Label() string { return t.label }
-
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return len(t.events) }
 
 // Events returns the recorded events in emission order. The slice is the
 // recorder's backing store; callers must not mutate it.
+//
+//simlint:allow unused the readout the core trace tests inspect
 func (t *Trace) Events() []Event { return t.events }
 
 // Tracks returns the track names in first-seen order. This ordering is a
 // deterministic function of the simulation, which is what lets the Chrome
 // sink assign stable thread ids without sorting.
+//
+//simlint:allow unused the readout the core and tracing trace tests inspect
 func (t *Trace) Tracks() []string { return t.tracks }
 
 func (t *Trace) track(name string) {
@@ -112,6 +110,8 @@ func (t *Trace) Counter(track, name string, at sim.Time, value float64) {
 // the busy-time integral that Resource.Utilization divides by elapsed
 // time×capacity, which is what lets tests reconcile trace output against
 // the resource's own accounting.
+//
+//simlint:allow unused the oracle the trace-reconciliation tests in core and tracing compare against
 func (t *Trace) BusyTime(track, name string) sim.Time {
 	var sum sim.Time
 	for _, e := range t.events {

@@ -73,19 +73,15 @@ const (
 	NsPerByteAtMBps = 1e3
 )
 
-// Int64 returns the raw count for interfacing with untyped APIs.
-func (b Bytes) Int64() int64 { return int64(b) }
-
 // KiBf, MiBf and GiBf return the size in binary units as floats, for
 // human-facing report columns.
 func (b Bytes) KiBf() float64 { return float64(b) / float64(KiB) }
 func (b Bytes) MiBf() float64 { return float64(b) / float64(MiB) }
 func (b Bytes) GiBf() float64 { return float64(b) / float64(GiB) }
 
-// KBf, MBf and GBf return the size in decimal units as floats — the
+// MBf, GBf and TBf return the size in decimal units as floats — the
 // convention for traffic volumes (they divide evenly against MB/s and
 // GB/s bandwidth figures).
-func (b Bytes) KBf() float64 { return float64(b) / float64(KB) }
 func (b Bytes) MBf() float64 { return float64(b) / float64(MB) }
 func (b Bytes) GBf() float64 { return float64(b) / float64(GB) }
 func (b Bytes) TBf() float64 { return float64(b) / float64(TB) }
@@ -122,9 +118,6 @@ type GBps float64
 // GBps converts channel-bus MB/s to GB/s: a division by 1000.
 func (m MBps) GBps() GBps { return GBps(m / MBPerGB) }
 
-// MBps converts GB/s to MB/s.
-func (g GBps) MBps() MBps { return MBps(g * MBPerGB) }
-
 // Bps converts to raw bytes per second.
 func (m MBps) Bps() Bps { return Bps(m * BytesPerMB) }
 func (g GBps) Bps() Bps { return Bps(g * BytesPerGB) }
@@ -133,7 +126,6 @@ func (g GBps) Bps() Bps { return Bps(g * BytesPerGB) }
 // counts, worker counts).
 func (r Bps) Scale(k float64) Bps   { return Bps(float64(r) * k) }
 func (m MBps) Scale(k float64) MBps { return MBps(float64(m) * k) }
-func (g GBps) Scale(k float64) GBps { return GBps(float64(g) * k) }
 
 // RateBps derives a bandwidth from an amount moved in a duration.
 func RateBps(b Bytes, t sim.Time) Bps {
@@ -147,19 +139,13 @@ func RateMBps(b Bytes, t sim.Time) MBps {
 }
 
 // TransferTime is the wire/media occupancy to move b bytes at the rate.
-// GB/s ≡ bytes/ns, so the GBps form is a single division.
+// GB/s ≡ bytes/ns, so it is a single division.
 func (g GBps) TransferTime(b Bytes) sim.Time { return g.TransferTimeF(float64(b)) }
-func (m MBps) TransferTime(b Bytes) sim.Time { return m.TransferTimeF(float64(b)) }
-func (r Bps) TransferTime(b Bytes) sim.Time  { return r.TransferTimeF(float64(b)) }
 
 // TransferTimeF is TransferTime for fractional byte counts — extrapolated
 // window totals and per-plane shares are naturally non-integral.
 func (g GBps) TransferTimeF(bytes float64) sim.Time {
 	return sim.Time(bytes / float64(g))
-}
-
-func (m MBps) TransferTimeF(bytes float64) sim.Time {
-	return sim.Time(bytes / (float64(m) * BytesPerMB) * NsPerSec)
 }
 
 func (r Bps) TransferTimeF(bytes float64) sim.Time {
@@ -181,6 +167,8 @@ func (m MBps) TransferTimeInt(n int64) sim.Time {
 func Nanos(ns float64) sim.Time { return sim.Time(ns) }
 
 // Micros builds a sim.Time from microseconds.
+//
+//simlint:allow unused a sanctioned constructor the simtime analyzer names; tests build times with it
 func Micros(us float64) sim.Time { return sim.Time(us * NsPerUs) }
 
 // Millis builds a sim.Time from milliseconds.
@@ -191,9 +179,6 @@ func Seconds(s float64) sim.Time { return sim.Time(s * NsPerSec) }
 
 // Picojoules is an energy in pJ, the unit the per-op cost tables use.
 type Picojoules float64
-
-// Joules converts to SI joules.
-func (p Picojoules) Joules() float64 { return float64(p) / PJPerJ }
 
 // CyclesAtMHz is the integer-exact duration of n cycles at a clock rate:
 // ns = cycles × 1000 / MHz. It preserves the truncating integer division
