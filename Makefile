@@ -21,7 +21,9 @@
 # deterministic autotune whose frontier lands in out/frontier.csv
 # (uploaded as a CI artifact), and the five-system comparison table
 # (experiment F1 at quick scale) rendered to out/comparison_table.csv
-# (also uploaded as a CI artifact); trace-verify
+# (also uploaded as a CI artifact). The three out/ tables are committed,
+# and tier 5 and tier 6 fail when they regenerate differently (git diff
+# --exit-code); a deliberate change commits the new tables. trace-verify
 # re-runs the tracing layer's contract tests by name (byte-identical
 # Chrome files across pool widths, zero disabled-tracer allocations,
 # trace/utilization reconciliation — DESIGN.md §8) so a verify log shows
@@ -64,6 +66,7 @@ tier5:
 	$(GO) test -run 'TestBoundaryHookContract|TestRecover|TestBlockRetirement' -v ./internal/ssd/
 	mkdir -p out
 	$(GO) run ./cmd/optimstore -exp F20 -quick -format csv > out/recovery_table.csv
+	git diff --exit-code -- out/recovery_table.csv
 
 tier6:
 	$(GO) test -run 'TestSpecGoldenEquivalence' -v ./internal/experiments/
@@ -71,6 +74,7 @@ tier6:
 	mkdir -p out
 	$(GO) run ./cmd/tune -units 256 -budget 32 -csv out/frontier.csv
 	$(GO) run ./cmd/optimstore -exp F1 -quick -format csv > out/comparison_table.csv
+	git diff --exit-code -- out/frontier.csv out/comparison_table.csv
 
 trace-verify:
 	$(GO) test -run 'TestGoldenTraceDeterminism' -v ./internal/experiments/

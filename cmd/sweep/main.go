@@ -247,12 +247,16 @@ func (s sweepSpec) infeasibleRow(value int, system string) string {
 	return fmt.Sprintf("%s,%d,%s,false,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN,NaN\n", s.Dim, value, system)
 }
 
-// validate rejects an unknown dimension or system before the CSV header
-// is written, so a bad flag leaves no header-only file that looks like a
-// finished sweep.
+// validate rejects an unknown dimension, a value the dimension cannot
+// take (an unsupported PCIe generation) or an unknown system before the
+// CSV header is written, so a bad flag leaves no header-only file that
+// looks like a finished sweep.
 func (s sweepSpec) validate() error {
-	if _, ok := dims[s.Dim]; !ok {
-		return fmt.Errorf("unknown sweep dimension %q", s.Dim)
+	scratch := core.DefaultConfig(s.Model)
+	for _, v := range s.Values {
+		if err := apply(&scratch, s.Dim, v); err != nil {
+			return err
+		}
 	}
 	for _, name := range s.Systems {
 		if _, ok := core.LookupSystem(name); !ok {
@@ -262,15 +266,20 @@ func (s sweepSpec) validate() error {
 	return nil
 }
 
-// dims maps each sweep dimension to the configuration field it sets.
-var dims = map[string]func(cfg *core.Config, v int){
-	"channels": func(cfg *core.Config, v int) { cfg.SSD.Channels = v },
-	"dies":     func(cfg *core.Config, v int) { cfg.SSD.DiesPerChannel = v },
-	"lanes":    func(cfg *core.Config, v int) { cfg.ODP.Lanes = v },
-	"clock":    func(cfg *core.Config, v int) { cfg.ODP.ClockMHz = v },
-	"pciegen":  func(cfg *core.Config, v int) { cfg.Link = host.PCIe(v, 4) },
-	"batch":    func(cfg *core.Config, v int) { cfg.Batch = v },
-	"busmbps":  func(cfg *core.Config, v int) { cfg.SSD.Nand.BusMBps = v },
+// dims maps each sweep dimension to the configuration field it sets. A
+// setter fails only for a value no configuration can hold; a value the
+// configuration rejects (batch 0) is an infeasible point, not an error.
+var dims = map[string]func(cfg *core.Config, v int) error{
+	"channels": func(cfg *core.Config, v int) error { cfg.SSD.Channels = v; return nil },
+	"dies":     func(cfg *core.Config, v int) error { cfg.SSD.DiesPerChannel = v; return nil },
+	"lanes":    func(cfg *core.Config, v int) error { cfg.ODP.Lanes = v; return nil },
+	"clock":    func(cfg *core.Config, v int) error { cfg.ODP.ClockMHz = v; return nil },
+	"pciegen": func(cfg *core.Config, v int) (err error) {
+		cfg.Link, err = host.PCIe(v, 4)
+		return err
+	},
+	"batch":   func(cfg *core.Config, v int) error { cfg.Batch = v; return nil },
+	"busmbps": func(cfg *core.Config, v int) error { cfg.SSD.Nand.BusMBps = v; return nil },
 }
 
 // apply sets one sweep dimension on the configuration.
@@ -279,8 +288,7 @@ func apply(cfg *core.Config, dim string, v int) error {
 	if !ok {
 		return fmt.Errorf("unknown sweep dimension %q", dim)
 	}
-	set(cfg, v)
-	return nil
+	return set(cfg, v)
 }
 
 // parseValues splits the -values flag into integers.

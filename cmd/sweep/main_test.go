@@ -26,14 +26,20 @@ func TestMain(m *testing.M) {
 
 const asMainEnv = "SWEEP_TEST_AS_MAIN"
 
-// TestBadNamesFailBeforeHeader runs sweep with an unknown dimension and
-// an unknown system: each must exit non-zero with nothing on stdout, so
-// `sweep ... > out.csv` never leaves a header-only file behind.
+// TestBadNamesFailBeforeHeader runs sweep with an unknown dimension, an
+// unknown system and an unsupported PCIe generation: each must exit
+// non-zero with nothing on stdout, so `sweep ... > out.csv` never leaves a
+// header-only file behind.
 func TestBadNamesFailBeforeHeader(t *testing.T) {
-	for _, args := range [][]string{
-		{"-dim", "nope", "-values", "2", "-units", "8"},
-		{"-systems", "nope", "-values", "2", "-units", "8"},
+	for _, tc := range []struct {
+		args []string
+		want []string // what stderr must name
+	}{
+		{[]string{"-dim", "nope", "-values", "2", "-units", "8"}, []string{"nope"}},
+		{[]string{"-systems", "nope", "-values", "2", "-units", "8"}, []string{"nope"}},
+		{[]string{"-dim", "pciegen", "-values", "3,2", "-units", "8"}, []string{"gen 2", "3, 4, 5"}},
 	} {
+		args := tc.args
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), asMainEnv+"=1")
 		var stdout, stderr bytes.Buffer
@@ -46,8 +52,10 @@ func TestBadNamesFailBeforeHeader(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("sweep %v wrote %q to stdout, want nothing", args, stdout.String())
 		}
-		if !strings.Contains(stderr.String(), "nope") {
-			t.Errorf("sweep %v: stderr %q does not name the bad value", args, stderr.String())
+		for _, want := range tc.want {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("sweep %v: stderr %q does not name %q", args, stderr.String(), want)
+			}
 		}
 	}
 }

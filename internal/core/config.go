@@ -116,10 +116,14 @@ type Config struct {
 
 // DefaultConfig returns the baseline experiment configuration for a model.
 func DefaultConfig(model dnn.Model) Config {
+	link, err := host.PCIe(3, 4)
+	if err != nil {
+		panic(err) // gen 3 is a supported generation
+	}
 	return Config{
 		SSD:                ssd.DefaultConfig(),
 		ODP:                odp.DefaultParams(),
-		Link:               host.PCIe(3, 4),
+		Link:               link,
 		GPU:                host.A100_40(),
 		HostCPU:            host.XeonHost(),
 		CtrlCPU:            host.SSDController(),

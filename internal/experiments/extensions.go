@@ -101,7 +101,7 @@ func measureReadQoS(suspend bool, rounds int) (readQoS, error) {
 	load := &updateLoad{dev: dev, total: pages * int64(rounds),
 		next: func(i int64) int64 { return i % pages }}
 
-	lat := stats.NewHist("lat")
+	lat := stats.NewHist()
 	var reader func(i int64)
 	reader = func(i int64) {
 		if load.done >= load.total {

@@ -1,21 +1,33 @@
 package host
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
+// pcie builds a supported link, failing the test on an error.
+func pcie(t *testing.T, gen, lanes int) LinkParams {
+	t.Helper()
+	p, err := PCIe(gen, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestPCIePresets(t *testing.T) {
-	g3 := PCIe(3, 4)
+	g3 := pcie(t, 3, 4)
 	if g3.GBps < 3.9 || g3.GBps > 4.0 {
 		t.Fatalf("gen3 x4 = %v GB/s", g3.GBps)
 	}
-	g4 := PCIe(4, 4)
+	g4 := pcie(t, 4, 4)
 	if g4.GBps/g3.GBps < 1.9 || g4.GBps/g3.GBps > 2.1 {
 		t.Fatal("gen4 should double gen3")
 	}
-	g5 := PCIe(5, 8)
+	g5 := pcie(t, 5, 8)
 	if g5.GBps < 31 || g5.GBps > 32 {
 		t.Fatalf("gen5 x8 = %v GB/s", g5.GBps)
 	}
@@ -26,17 +38,20 @@ func TestPCIePresets(t *testing.T) {
 	}
 }
 
-func TestPCIeUnknownGenPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unknown gen")
+func TestPCIeUnknownGenIsAnError(t *testing.T) {
+	for _, gen := range []int{2, 9} {
+		p, err := PCIe(gen, 4)
+		if err == nil {
+			t.Fatalf("gen %d priced as %+v", gen, p)
 		}
-	}()
-	PCIe(9, 4)
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(gen)) || !strings.Contains(msg, "3, 4, 5") {
+			t.Errorf("gen %d: error %q does not name it and the supported generations", gen, msg)
+		}
+	}
 }
 
 func TestLinkTransferTime(t *testing.T) {
-	p := PCIe(3, 4) // 3.94 GB/s × 0.85 ≈ 3.35 GB/s
+	p := pcie(t, 3, 4) // 3.94 GB/s × 0.85 ≈ 3.35 GB/s
 	// 1 GB should take ~0.299 s.
 	got := p.TransferTime(1e9)
 	if got < 290*sim.Millisecond || got > 310*sim.Millisecond {

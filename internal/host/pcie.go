@@ -24,7 +24,8 @@ type LinkParams struct {
 
 // PCIe returns link parameters for a PCIe generation and lane count.
 // Raw per-lane rates: gen3 0.985 GB/s, gen4 1.969 GB/s, gen5 3.938 GB/s.
-func PCIe(gen, lanes int) LinkParams {
+// Any other generation is an error naming these three.
+func PCIe(gen, lanes int) (LinkParams, error) {
 	var perLane float64
 	switch gen {
 	case 3:
@@ -34,14 +35,14 @@ func PCIe(gen, lanes int) LinkParams {
 	case 5:
 		perLane = 3.938
 	default:
-		panic(fmt.Sprintf("host: unsupported PCIe gen %d", gen))
+		return LinkParams{}, fmt.Errorf("host: unsupported PCIe gen %d (supported: 3, 4, 5)", gen)
 	}
 	return LinkParams{
 		Name:       fmt.Sprintf("PCIe%d x%d", gen, lanes),
 		GBps:       perLane * float64(lanes),
 		Efficiency: 0.85,
 		Latency:    10 * sim.Microsecond,
-	}
+	}, nil
 }
 
 // Validate reports the first structural problem.

@@ -68,7 +68,11 @@ func sample(rng *rand.Rand) core.Config {
 
 	cfg := core.DefaultConfig(model)
 	cfg.SSD = sc
-	cfg.Link = host.PCIe([]int{3, 4, 5}[rng.Intn(3)], []int{4, 8, 16}[rng.Intn(3)])
+	link, err := host.PCIe([]int{3, 4, 5}[rng.Intn(3)], []int{4, 8, 16}[rng.Intn(3)])
+	if err != nil {
+		panic(err) // every sampled generation is supported
+	}
+	cfg.Link = link
 	cfg.Optimizer = opt
 	cfg.Precision = []optim.Precision{optim.FP32, optim.Mixed16, optim.Q8State}[rng.Intn(3)]
 	cfg.Layout = layout.Colocated

@@ -193,7 +193,11 @@ func busBoundConfig() core.Config {
 	n.BlocksPerPlane = 64
 	n.BusMBps = 50
 	cfg.SSD.Nand = n
-	cfg.Link = host.PCIe(5, 16)
+	link, err := host.PCIe(5, 16)
+	if err != nil {
+		panic(err)
+	}
+	cfg.Link = link
 	cfg.Optimizer = optim.Adam
 	cfg.Precision = optim.Mixed16
 	cfg.Layout = layout.Colocated

@@ -14,14 +14,18 @@
 // dominating point's actuals, so pruning never discards a frontier point.
 //
 // Every grid point is the base configuration with the eight axis fields
-// replaced, so a candidate is held as its tuple of axis values, not as a
-// Config: enumeration prices each point in one scratch Config and keeps
-// the tuple, its bounds and its lifetime. Results are memoized by the
-// tuple, which is exact, since two points are equal exactly when their
-// tuples are. A tuple is marked when its point is admitted to a wave, so
-// no design point is simulated twice, in two waves or in one. A Point, with
-// its full Config and Config.CanonicalHash, is built only for a point
-// admitted to simulation.
+// replaced, and each analytic price reads only a few of them: the bound
+// reads channels, dies, planes, bus speed and optimizer, the lifetime
+// channels, dies, over-provisioning and optimizer. Enumeration therefore
+// prices each axis subset once, in tables keyed by axis position and
+// filled the first time a valid point needs an entry, and validates every
+// point on its own. A candidate is held as its row-major grid index, its
+// two floors and its lifetime; its axis values decode from the index.
+// Results are memoized by the tuple of axis values, which is exact, since
+// two points are equal exactly when their tuples are. A tuple is marked
+// when its point is admitted to a wave, so no design point is simulated
+// twice, in two waves or in one. A Point, with its full Config, bound and
+// Config.CanonicalHash, is built only for a point admitted to simulation.
 //
 // The whole run is deterministic: candidates are admitted in a fixed
 // priority order, simulated in fixed-size waves whose composition does
@@ -232,10 +236,10 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	// that simulates the most promising configurations first, which is
 	// what makes early evaluations prune the tail.
 	slices.SortFunc(candidates, func(a, b candidate) int {
-		if c := cmp.Compare(a.bound.StepFloor, b.bound.StepFloor); c != 0 {
+		if c := cmp.Compare(a.stepFloor, b.stepFloor); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.bound.EnergyFloor, b.bound.EnergyFloor); c != 0 {
+		if c := cmp.Compare(a.energyFloor, b.energyFloor); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(b.lifetime, a.lifetime); c != 0 {
@@ -244,23 +248,25 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 		return cmp.Compare(a.index, b.index)
 	})
 
+	g := newGrid(base, space)
 	simulated := make(map[axes]bool)
 	prunedBy := func(c candidate) bool {
 		for _, p := range res.Evaluated {
-			if p.dominatesBound(c.bound.StepFloor, c.bound.EnergyFloor, c.lifetime) {
+			if p.dominatesBound(c.stepFloor, c.energyFloor, c.lifetime) {
 				return true
 			}
 		}
 		return false
 	}
-	evaluate := func(wave []candidate) error {
-		points := make([]*Point, len(wave))
-		jobs := make([]runner.Job[*core.Report], len(wave))
-		for i, c := range wave {
-			cfg := base
-			c.axes.apply(&cfg)
-			p := &Point{Index: c.index, Cfg: cfg, Hash: cfg.CanonicalHash(), Bound: c.bound, Lifetime: c.lifetime}
-			points[i] = p
+	// point builds an admitted configuration's Point. Its bound is priced
+	// again, whole: the candidate kept only the two floors.
+	point := func(index int, cfg core.Config, life float64) *Point {
+		b, _ := core.BoundFor(system, cfg) // the system was looked up above
+		return &Point{Index: index, Cfg: cfg, Hash: cfg.CanonicalHash(), Bound: b, Lifetime: life}
+	}
+	evaluate := func(points []*Point) error {
+		jobs := make([]runner.Job[*core.Report], len(points))
+		for i, p := range points {
 			jobs[i] = func() (*core.Report, error) {
 				sys, err := core.NewSystem(system, p.Cfg)
 				if err != nil {
@@ -288,33 +294,33 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 
 	// Seed: the base configuration is simulated first, unconditionally.
 	// It may lie outside the grid, so it is priced from its own config.
-	seed := candidate{index: -1, axes: axesOf(&base)}
-	if b, ok := core.BoundFor(system, base); ok {
-		seed.bound = b
-	}
-	if seed.lifetime, err = lifetime(&base); err != nil {
+	seedLife, err := lifetime(&base)
+	if err != nil {
 		return nil, fmt.Errorf("search: base configuration: %w", err)
 	}
+	seed := point(-1, base, seedLife)
+	seedAxes := axesOf(&base)
 	for _, c := range candidates {
-		if c.axes == seed.axes {
-			seed.index = c.index // the base is itself a grid point
+		if g.axes(c.index) == seedAxes {
+			seed.Index = c.index // the base is itself a grid point
 			break
 		}
 	}
 	res.Stats.Evaluated++
-	simulated[seed.axes] = true
-	if err := evaluate([]candidate{seed}); err != nil {
+	simulated[seedAxes] = true
+	if err := evaluate([]*Point{seed}); err != nil {
 		return nil, err
 	}
 
 	budget := opts.budget()
 	i := 0
 	for i < len(candidates) {
-		var wave []candidate
+		var wave []*Point
 		for i < len(candidates) && len(wave) < waveSize {
 			c := candidates[i]
 			i++
-			if simulated[c.axes] {
+			a := g.axes(c.index)
+			if simulated[a] {
 				res.Stats.MemoHits++
 				continue
 			}
@@ -327,8 +333,10 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 				continue
 			}
 			res.Stats.Evaluated++
-			simulated[c.axes] = true // a duplicate later in this wave is a memo hit
-			wave = append(wave, c)
+			simulated[a] = true // a duplicate later in this wave is a memo hit
+			cfg := base
+			a.apply(&cfg)
+			wave = append(wave, point(c.index, cfg, c.lifetime))
 		}
 		if len(wave) == 0 {
 			continue
@@ -398,70 +406,156 @@ func (a axes) apply(cfg *core.Config) {
 }
 
 // A candidate is one valid grid point, priced: its row-major grid index,
-// its axis values, its analytic bound and its lifetime.
+// which decodes to its axis values (grid.axes), its two analytic floors
+// and its lifetime.
 type candidate struct {
-	index    int
-	axes     axes
-	bound    core.Bound
-	lifetime float64
+	index       int
+	stepFloor   sim.Time
+	energyFloor float64
+	lifetime    float64
 }
 
-// enumerate expands the grid row-major over the base configuration,
-// pricing every valid point with its analytic bound and lifetime in one
-// scratch Config. A point whose lifetime cannot be priced fails the whole
-// enumeration.
+// grid is a Space resolved over its base configuration: every axis lists
+// at least one value, the base's own setting where the space lists none.
+// Grid indices are row-major over the axes in field order, channels
+// outermost and retirement innermost.
+type grid struct {
+	channels, dies, planes, bus []int
+	overProv                    []float64
+	layouts                     []layout.Strategy
+	optimizers                  []optim.Kind
+	retires                     []ecc.RetirePolicy
+}
+
+// newGrid resolves space over base.
+func newGrid(base core.Config, space Space) grid {
+	return grid{
+		channels:   orBase(space.Channels, base.SSD.Channels),
+		dies:       orBase(space.DiesPerChannel, base.SSD.DiesPerChannel),
+		planes:     orBase(space.PlanesPerDie, base.SSD.Nand.PlanesPerDie),
+		bus:        orBase(space.BusMBps, base.SSD.Nand.BusMBps),
+		overProv:   orBase(space.OverProvision, base.SSD.OverProvision),
+		layouts:    orBase(space.Layouts, base.Layout),
+		optimizers: orBase(space.Optimizers, base.Optimizer),
+		retires:    orBase(space.Retire, base.SSD.Retire),
+	}
+}
+
+func orBase[T any](vals []T, base T) []T {
+	if len(vals) == 0 {
+		return []T{base}
+	}
+	return vals
+}
+
+// axes decodes grid index i into its axis values.
+func (g *grid) axes(i int) axes {
+	next := func(n int) int {
+		pos := i % n
+		i /= n
+		return pos
+	}
+	var a axes
+	a.retire = g.retires[next(len(g.retires))]
+	a.optimizer = g.optimizers[next(len(g.optimizers))]
+	a.layout = g.layouts[next(len(g.layouts))]
+	a.overProvision = math.Float64bits(g.overProv[next(len(g.overProv))])
+	a.busMBps = g.bus[next(len(g.bus))]
+	a.planes = g.planes[next(len(g.planes))]
+	a.dies = g.dies[next(len(g.dies))]
+	a.channels = g.channels[i]
+	return a
+}
+
+// Pricing tables of up to tableStack entries live on enumerate's stack,
+// and a larger one takes one allocation; the default space needs 288
+// bound and 144 lifetime entries.
+const tableStack = 512
+
+// A boundEntry holds the floors of one (channels, dies, planes, bus,
+// optimizer) subset, and a lifeEntry the lifetime of one (channels, dies,
+// over-provisioning, optimizer) subset: the axes core.BoundFor and
+// lifetime read. TestFactoredPricingMatchesPerPoint fails if either reads
+// another. priced is false until the first valid point of the subset
+// fills the entry.
+type boundEntry struct {
+	step       sim.Time
+	energy     float64
+	ok, priced bool
+}
+
+type lifeEntry struct {
+	steps  float64
+	priced bool
+}
+
+// table returns n zeroed entries, in buf when they fit.
+func table[E any](buf []E, n int) []E {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]E, n)
+}
+
+// enumerate expands the grid row-major over the base configuration. It
+// validates every point in one scratch Config, and prices each valid
+// point's bound and lifetime from the tables, filling an entry from the
+// first valid point that needs it. A point whose lifetime cannot be priced
+// fails the whole enumeration; since entries fill in row-major order, the
+// error names the same point a per-point pricing would.
 func enumerate(base core.Config, space Space, system string, stats *Stats) ([]candidate, error) {
-	channels := intAxis(space.Channels, base.SSD.Channels)
-	dies := intAxis(space.DiesPerChannel, base.SSD.DiesPerChannel)
-	planes := intAxis(space.PlanesPerDie, base.SSD.Nand.PlanesPerDie)
-	bus := intAxis(space.BusMBps, base.SSD.Nand.BusMBps)
-	overProv := space.OverProvision
-	if len(overProv) == 0 {
-		overProv = []float64{base.SSD.OverProvision}
-	}
-	layouts := space.Layouts
-	if len(layouts) == 0 {
-		layouts = []layout.Strategy{base.Layout}
-	}
-	optimizers := space.Optimizers
-	if len(optimizers) == 0 {
-		optimizers = []optim.Kind{base.Optimizer}
-	}
-	retires := space.Retire
-	if len(retires) == 0 {
-		retires = []ecc.RetirePolicy{base.SSD.Retire}
-	}
+	g := newGrid(base, space)
+	nd, npl, nb := len(g.dies), len(g.planes), len(g.bus)
+	nop, nk := len(g.overProv), len(g.optimizers)
+	var boundBuf [tableStack]boundEntry
+	var lifeBuf [tableStack]lifeEntry
+	bounds := table(boundBuf[:], len(g.channels)*nd*npl*nb*nk)
+	lives := table(lifeBuf[:], len(g.channels)*nd*nop*nk)
 
 	out := make([]candidate, 0, space.Size())
 	cfg := base
 	index := 0
-	for _, ch := range channels {
-		for _, d := range dies {
-			for _, pl := range planes {
-				for _, b := range bus {
-					for _, op := range overProv {
-						for _, lay := range layouts {
-							for _, k := range optimizers {
-								for _, ret := range retires {
-									a := axes{ch, d, pl, b, math.Float64bits(op), lay, k, ret}
-									a.apply(&cfg)
+	for ci, ch := range g.channels {
+		cfg.SSD.Channels = ch
+		for di, d := range g.dies {
+			cfg.SSD.DiesPerChannel = d
+			for pi, pl := range g.planes {
+				cfg.SSD.Nand.PlanesPerDie = pl
+				for bi, b := range g.bus {
+					cfg.SSD.Nand.BusMBps = b
+					for oi, op := range g.overProv {
+						cfg.SSD.OverProvision = op
+						for _, lay := range g.layouts {
+							cfg.Layout = lay
+							for ki, k := range g.optimizers {
+								cfg.Optimizer = k
+								bound := &bounds[(((ci*nd+di)*npl+pi)*nb+bi)*nk+ki]
+								life := &lives[((ci*nd+di)*nop+oi)*nk+ki]
+								for _, ret := range g.retires {
+									cfg.SSD.Retire = ret
 									idx := index
 									index++
 									if err := cfg.Validate(); err != nil {
 										stats.Invalid++
 										continue
 									}
-									bound, ok := core.BoundFor(system, cfg)
-									if !ok {
+									if !bound.priced {
+										b, ok := core.BoundFor(system, cfg)
+										*bound = boundEntry{step: b.StepFloor, energy: b.EnergyFloor, ok: ok, priced: true}
+									}
+									if !bound.ok {
 										stats.Invalid++
 										continue
 									}
-									life, err := lifetime(&cfg)
-									if err != nil {
-										return nil, fmt.Errorf("search: grid point %d: %w", idx, err)
+									if !life.priced {
+										steps, err := lifetime(&cfg)
+										if err != nil {
+											return nil, fmt.Errorf("search: grid point %d: %w", idx, err)
+										}
+										*life = lifeEntry{steps: steps, priced: true}
 									}
 									stats.Candidates++
-									out = append(out, candidate{index: idx, axes: a, bound: bound, lifetime: life})
+									out = append(out, candidate{index: idx, stepFloor: bound.step, energyFloor: bound.energy, lifetime: life.steps})
 								}
 							}
 						}
@@ -471,13 +565,6 @@ func enumerate(base core.Config, space Space, system string, stats *Stats) ([]ca
 		}
 	}
 	return out, nil
-}
-
-func intAxis(vals []int, def int) []int {
-	if len(vals) == 0 {
-		return []int{def}
-	}
-	return vals
 }
 
 // frontier filters the evaluated points to the feasible non-dominated set

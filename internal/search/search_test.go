@@ -267,9 +267,10 @@ func TestSearchDefaultSpaceSweepWAFIsOne(t *testing.T) {
 	if len(candidates) != DefaultSpace().Size() {
 		t.Fatalf("%d of %d default-space points are candidates", len(candidates), DefaultSpace().Size())
 	}
+	g := newGrid(base, DefaultSpace())
 	for _, c := range candidates {
 		cfg := base
-		c.axes.apply(&cfg)
+		g.axes(c.index).apply(&cfg)
 		waf, err := core.SweepWAF(cfg, cfg.SSD.Nand.Cell)
 		if err != nil || math.Float64bits(waf) != math.Float64bits(1) {
 			t.Fatalf("point %d (OP %v): WAF %v, %v; want 1", c.index, cfg.SSD.OverProvision, waf, err)
@@ -278,8 +279,9 @@ func TestSearchDefaultSpaceSweepWAFIsOne(t *testing.T) {
 }
 
 // TestEnumerateAllocatesOnlyCandidates keeps grid enumeration to one
-// allocation, the candidate slice: each point is priced in one scratch
-// Config and held as a value, never as its own Config or Point.
+// allocation, the candidate slice: the pricing tables of the default space
+// live on the stack, each point is validated in one scratch Config, and a
+// candidate is held as a compact value, never as its own Config or Point.
 func TestEnumerateAllocatesOnlyCandidates(t *testing.T) {
 	base, space, stats := quickBase(), DefaultSpace(), &Stats{}
 	allocs := testing.AllocsPerRun(3, func() {
@@ -315,8 +317,9 @@ func BenchmarkSearch(b *testing.B) {
 
 // BenchmarkSearchEnumerate times grid enumeration alone: expanding the
 // default space over the base configuration, validating each point and
-// pricing it with its analytic bound and lifetime. It is the part of a
-// search that does not simulate, and it reports ns/point.
+// pricing it from the per-axis-subset tables of bounds (288 entries) and
+// lifetimes (144). It is the part of a search that does not simulate, and
+// it reports ns/point.
 func BenchmarkSearchEnumerate(b *testing.B) {
 	base := quickBase()
 	space := DefaultSpace()

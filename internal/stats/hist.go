@@ -11,16 +11,12 @@ import (
 // Hist collects float64 samples and answers summary queries exactly
 // (it keeps all samples; simulation sample counts are modest).
 type Hist struct {
-	name    string
 	samples []float64
 	sorted  bool
 }
 
-// NewHist returns an empty histogram with a diagnostic name.
-func NewHist(name string) *Hist { return &Hist{name: name} }
-
-// Name returns the histogram's name.
-func (h *Hist) Name() string { return h.name }
+// NewHist returns an empty histogram.
+func NewHist() *Hist { return &Hist{} }
 
 // Add records one sample. NaN samples are dropped: a NaN would leave
 // Percentile at the mercy of where the sort happens to park an unordered

@@ -11,27 +11,24 @@ import (
 )
 
 func TestHistBasics(t *testing.T) {
-	h := NewHist("lat")
+	h := NewHist()
 	for _, v := range []float64{3, 1, 2} {
 		h.Add(v)
 	}
 	if !approx.Equal(h.Percentile(0), 1) || !approx.Equal(h.Percentile(50), 2) || !approx.Equal(h.Percentile(100), 3) {
 		t.Fatalf("p0=%v p50=%v p100=%v", h.Percentile(0), h.Percentile(50), h.Percentile(100))
 	}
-	if h.Name() != "lat" {
-		t.Fatal("name")
-	}
 }
 
 func TestHistEmpty(t *testing.T) {
-	h := NewHist("e")
+	h := NewHist()
 	if !approx.Equal(h.Percentile(0), 0) || !approx.Equal(h.Percentile(50), 0) || !approx.Equal(h.Percentile(100), 0) {
 		t.Fatal("empty hist should return zeros")
 	}
 }
 
 func TestHistPercentile(t *testing.T) {
-	h := NewHist("p")
+	h := NewHist()
 	for i := 1; i <= 100; i++ {
 		h.Add(float64(i))
 	}
@@ -52,7 +49,7 @@ func TestHistPercentile(t *testing.T) {
 // every sub-case here that lands between samples.
 func TestHistPercentileLinearInterpolation(t *testing.T) {
 	// Known sample set, added out of order to exercise the lazy sort.
-	h := NewHist("li")
+	h := NewHist()
 	for _, v := range []float64{40, 10, 50, 20, 30} {
 		h.Add(v)
 	}
@@ -73,7 +70,7 @@ func TestHistPercentileLinearInterpolation(t *testing.T) {
 
 	// Two samples: p50 must be their midpoint (nearest-rank would return
 	// one of the samples).
-	h2 := NewHist("li2")
+	h2 := NewHist()
 	h2.Add(1)
 	h2.Add(2)
 	if got := h2.Percentile(50); math.Abs(got-1.5) > 1e-9 {
@@ -87,7 +84,7 @@ func TestHistPercentileMonotoneProperty(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		h := NewHist("q")
+		h := NewHist()
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -224,7 +221,7 @@ func TestFigureXRange(t *testing.T) {
 // no interpolation, a NaN p propagates as NaN, and NaN samples are
 // dropped at Add so Percentile stays finite.
 func TestHistPercentileBoundariesAndNaN(t *testing.T) {
-	h := NewHist("edge")
+	h := NewHist()
 	for _, v := range []float64{10, 20, 30, 40} {
 		h.Add(v)
 	}
@@ -259,7 +256,7 @@ func TestHistPercentileBoundariesAndNaN(t *testing.T) {
 	// NaN p on an empty histogram still returns the documented 0 — the
 	// no-samples case wins before p is even inspected.
 	//simlint:allow floateq the empty case returns the literal constant 0, bit-exact
-	if got := NewHist("empty").Percentile(math.NaN()); got != 0 {
+	if got := NewHist().Percentile(math.NaN()); got != 0 {
 		t.Errorf("empty Percentile(NaN) = %v, want 0", got)
 	}
 }
@@ -267,13 +264,13 @@ func TestHistPercentileBoundariesAndNaN(t *testing.T) {
 // TestHistNaNSamplesDropped checks a NaN sample never reaches the
 // percentiles: they are identical to a histogram that never saw it.
 func TestHistNaNSamplesDropped(t *testing.T) {
-	h := NewHist("nan")
+	h := NewHist()
 	h.Add(5)
 	h.Add(math.NaN())
 	h.Add(1)
 	h.Add(math.NaN())
 	h.Add(3)
-	clean := NewHist("clean")
+	clean := NewHist()
 	for _, v := range []float64{5, 1, 3} {
 		clean.Add(v)
 	}
@@ -283,7 +280,7 @@ func TestHistNaNSamplesDropped(t *testing.T) {
 		}
 	}
 	// All-NaN input behaves exactly like an empty histogram.
-	all := NewHist("allnan")
+	all := NewHist()
 	all.Add(math.NaN())
 	//simlint:allow floateq empty-histogram summaries return the literal constant 0, bit-exact
 	if all.Percentile(0) != 0 || all.Percentile(50) != 0 || all.Percentile(100) != 0 {
