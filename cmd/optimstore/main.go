@@ -160,7 +160,7 @@ func runSystem(name string, quick bool) {
 		fmt.Fprintln(os.Stderr, "optimstore:", err)
 		os.Exit(1)
 	}
-	violations := invariant.Audit(name, cfg, r)
+	violations := invariant.Check(name, cfg, r)
 	fmt.Print(core.ReportTable("system: "+r.System, []*core.Report{r}))
 	if len(violations) > 0 {
 		for _, v := range violations {

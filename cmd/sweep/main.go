@@ -39,7 +39,7 @@ func main() {
 		dim      = flag.String("dim", "channels", "sweep dimension: channels, dies, lanes, clock, pciegen, batch, busmbps")
 		values   = flag.String("values", "2,4,8,16", "comma-separated values")
 		model    = flag.String("model", "GPT-13B", "model name from the zoo")
-		systems  = flag.String("systems", "hostoffload,interleaved,ctrlisp,optimstore", "systems to run")
+		systems  = flag.String("systems", strings.Join(core.SimulatedSystems(), ","), "systems to run")
 		units    = flag.Int64("units", 512, "simulation window in update units")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines (1 = sequential)")
 		check    = flag.Bool("check", false, "audit every point against the physical-invariant registry (internal/invariant); violations fail the sweep")
@@ -221,7 +221,7 @@ func (s sweepSpec) runPoint(p point) (sweepRow, error) {
 		return sweepRow{}, err
 	}
 	if s.Check {
-		if v := invariant.Audit(p.system, cfg, r); len(v) > 0 {
+		if v := invariant.Check(p.system, cfg, r); len(v) > 0 {
 			return sweepRow{}, fmt.Errorf("%s %s=%d violates invariants: %s",
 				p.system, s.Dim, p.value, strings.Join(v, "; "))
 		}

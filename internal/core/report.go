@@ -90,11 +90,6 @@ type Report struct {
 	// rolling resident state back to the last durable checkpoint.
 	RecoveryTime         sim.Time
 	RecoveryProgramBytes int64
-
-	// Violations holds human-readable invariant-violation descriptions
-	// recorded by invariant.Audit. Empty on a clean run or when the report
-	// was not audited.
-	Violations []string
 }
 
 // identity starts a report with the header every system fills alike.

@@ -192,6 +192,18 @@ func SystemNames() []string {
 	return names
 }
 
+// SimulatedSystems lists the keys of the rows that run the discrete-event
+// pipeline, in presentation order.
+func SimulatedSystems() []string {
+	var names []string
+	for i := range systems {
+		if systems[i].Simulated() {
+			names = append(names, systems[i].key)
+		}
+	}
+	return names
+}
+
 // Simulated reports whether the row runs the discrete-event pipeline; the
 // analytic row has no device, no window counters and may be infeasible.
 func (d *Design) Simulated() bool { return d.pipe != pipeAnalytic }

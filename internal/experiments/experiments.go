@@ -7,8 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -69,83 +68,28 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// registry indexes the declarative specs (specs.go) by ID. Built at init
-// so a duplicate or blank ID is a programming error caught on first use.
-var registry = buildRegistry()
-
-func buildRegistry() map[string]*Spec {
-	m := make(map[string]*Spec, len(specs))
-	for i := range specs {
-		s := &specs[i]
-		if s.ID == "" {
-			panic("experiments: spec with empty ID")
-		}
-		if _, dup := m[s.ID]; dup {
-			panic("experiments: duplicate spec ID " + s.ID)
-		}
-		m[s.ID] = s
+// lookup returns the spec with the given ID.
+func lookup(id string) (*Spec, bool) {
+	i := slices.IndexFunc(specs, func(s Spec) bool { return s.ID == id })
+	if i < 0 {
+		return nil, false
 	}
-	return m
+	return &specs[i], true
 }
 
-// IDs lists experiment identifiers in presentation order: tables before
-// figures, numerically within each class.
+// IDs lists experiment identifiers in presentation order, which is the
+// order of specs: tables before figures, numerically within each class.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	//simlint:allow maporder keys are fully sorted below before use
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(specs))
+	for i := range specs {
+		ids[i] = specs[i].ID
 	}
-	sortIDs(ids)
 	return ids
-}
-
-// idKey decomposes an experiment ID for ordering: a class rank (T-tables
-// first, then F-figures, then anything else) and the numeric suffix.
-// ok reports whether the suffix parsed as a non-negative integer.
-func idKey(id string) (class, num int, ok bool) {
-	if id == "" {
-		return 3, 0, false
-	}
-	switch id[0] {
-	case 'T':
-		class = 0
-	case 'F':
-		class = 1
-	default:
-		class = 2
-	}
-	n, err := strconv.Atoi(id[1:])
-	if err != nil || n < 0 {
-		return class, 0, false
-	}
-	return class, n, true
-}
-
-// sortIDs orders experiment IDs for presentation: by class (T, F, other),
-// well-formed numeric suffixes ascending, and malformed IDs after the
-// well-formed ones within their class, lexicographically. Ties fall back
-// to the full string so the order is total and deterministic.
-func sortIDs(ids []string) {
-	sort.Slice(ids, func(i, j int) bool {
-		ac, an, aok := idKey(ids[i])
-		bc, bn, bok := idKey(ids[j])
-		if ac != bc {
-			return ac < bc
-		}
-		if aok != bok {
-			return aok // well-formed before malformed
-		}
-		if aok && an != bn {
-			return an < bn
-		}
-		return ids[i] < ids[j]
-	})
 }
 
 // Title returns an experiment's title and whether the ID is registered.
 func Title(id string) (string, bool) {
-	s, ok := registry[id]
+	s, ok := lookup(id)
 	if !ok {
 		return "", false
 	}
@@ -154,7 +98,7 @@ func Title(id string) (string, bool) {
 
 // Run executes one experiment by ID.
 func Run(id string, opts Options) (*Result, error) {
-	s, ok := registry[id]
+	s, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
@@ -172,7 +116,7 @@ func Run(id string, opts Options) (*Result, error) {
 // Unknown IDs fail before any simulation starts.
 func RunMany(ids []string, opts Options) ([]*Result, runner.Summary, error) {
 	for _, id := range ids {
-		if _, ok := registry[id]; !ok {
+		if _, ok := lookup(id); !ok {
 			return nil, runner.Summary{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,13 +26,17 @@ func runExp(t *testing.T, id string) *Result {
 	return res
 }
 
+// TestIDsOrdered pins the spec table's order, which is the presentation
+// order: T1, T2, then F1 through F21. Matching that list also keeps every
+// ID unique, which lookup relies on.
 func TestIDsOrdered(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 23 {
-		t.Fatalf("have %d experiments, want 23", len(ids))
+	want := []string{"T1", "T2"}
+	for i := 1; i <= 21; i++ {
+		want = append(want, "F"+strconv.Itoa(i))
 	}
-	if ids[0] != "T1" || ids[1] != "T2" || ids[2] != "F1" || ids[22] != "F21" {
-		t.Fatalf("ordering: %v", ids)
+	ids := IDs()
+	if !slices.Equal(ids, want) {
+		t.Fatalf("IDs() = %v, want %v", ids, want)
 	}
 	for _, id := range ids {
 		title, ok := Title(id)

@@ -311,7 +311,7 @@ func runSystem(opts Options, name string, cfg core.Config) (*core.Report, error)
 		return nil, err
 	}
 	if opts.CheckInvariants {
-		if v := invariant.Audit(name, cfg, r); len(v) > 0 {
+		if v := invariant.Check(name, cfg, r); len(v) > 0 {
 			return r, fmt.Errorf("system %s violates invariants: %s", name, strings.Join(v, "; "))
 		}
 	}

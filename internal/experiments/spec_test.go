@@ -101,53 +101,6 @@ func TestTitleUnknownID(t *testing.T) {
 	}
 }
 
-// TestSortIDs pins the strconv-based presentation order, including the
-// defined placement of malformed IDs: tables before figures, numeric
-// ascending, malformed after well-formed within their class, themselves
-// ordered lexicographically.
-func TestSortIDs(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []string
-		want []string
-	}{
-		{
-			name: "tables before figures",
-			in:   []string{"F2", "T1", "F1", "T2"},
-			want: []string{"T1", "T2", "F1", "F2"},
-		},
-		{
-			name: "numeric not lexicographic",
-			in:   []string{"F10", "F2", "F1", "F20"},
-			want: []string{"F1", "F2", "F10", "F20"},
-		},
-		{
-			name: "malformed after well-formed in class",
-			in:   []string{"Fx", "F2", "F", "F1", "F-3"},
-			want: []string{"F1", "F2", "F", "F-3", "Fx"},
-		},
-		{
-			name: "unknown class last",
-			in:   []string{"X1", "F1", "T1", ""},
-			want: []string{"T1", "F1", "X1", ""},
-		},
-		{
-			name: "duplicate stable total order",
-			in:   []string{"F1", "T10", "F1", "T9"},
-			want: []string{"T9", "T10", "F1", "F1"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := append([]string(nil), tc.in...)
-			sortIDs(got)
-			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-				t.Fatalf("sortIDs(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestQuickSuiteAudited runs every experiment of the quick suite with
 // invariant auditing on: each simulated report passes through runSystem's
 // audit, the run path every spec shares.

@@ -8,15 +8,11 @@ import (
 )
 
 // Crash-consistency invariants. The per-report "fault-accounting" property
-// registered here audits the checkpoint/restore bookkeeping on every run;
+// defined here audits the checkpoint/restore bookkeeping on every run;
 // the run-level crash invariants (no live-page loss across power loss,
 // mapped ⊆ programmed after replay, recovered content identical to the
 // last durable version) need whole crashed/recovered device pairs and run
 // from the test suite via fault.EnumerateCrashPoints (see crash_test.go).
-
-func init() {
-	Register(Property{Name: "fault-accounting", Check: checkFaultAccounting})
-}
 
 // checkFaultAccounting enforces the structural facts of the fault and
 // checkpoint fields on every report, faulted or not:

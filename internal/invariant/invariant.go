@@ -58,22 +58,18 @@ func (p Property) appliesTo(system string) bool {
 	return false
 }
 
-// registry holds the built-in properties, populated by properties.go.
-// Order is deterministic: violations always report in registration order.
-var registry []Property
-
-// Register adds a property to the registry. Built-in properties register
-// at init; tests may add scoped properties of their own.
-func Register(p Property) {
-	if p.Name == "" || p.Check == nil {
-		panic("invariant: property needs a name and a check")
-	}
-	//simlint:allow globalstate registration-time registry append; properties.go registers at init, tests before running
-	registry = append(registry, p)
+// registry is the property table. Violations always report in its order.
+var registry = []Property{
+	{Name: "fault-accounting", Check: checkFaultAccounting},
+	{Name: "report-sane", Check: checkReportSane},
+	{Name: "pcie-conservation", Check: checkPCIeConservation},
+	{Name: "bus-conservation", Systems: simulated, Check: checkBusConservation},
+	{Name: "nand-accounting", Systems: simulated, Check: checkNANDAccounting},
+	{Name: "roofline-sandwich", Check: checkRooflineSandwich},
+	{Name: "footprint-rounding", Check: checkFootprintRounding},
 }
 
-// Properties returns the registered properties that apply to system, in
-// registration order.
+// Properties returns the properties that apply to system, in table order.
 func Properties(system string) []Property {
 	var out []Property
 	for _, p := range registry {
@@ -98,13 +94,4 @@ func Check(system string, cfg core.Config, r *core.Report) []string {
 		}
 	}
 	return violations
-}
-
-// Audit runs Check and records the violations on the report itself
-// (Report.Violations), where Run's callers read them. It returns the
-// violations for convenience.
-func Audit(system string, cfg core.Config, r *core.Report) []string {
-	v := Check(system, cfg, r)
-	r.Violations = append(r.Violations, v...)
-	return v
 }

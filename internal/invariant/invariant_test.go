@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dnn"
+	"repro/internal/ecc"
 	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/nand"
@@ -73,7 +74,7 @@ func TestSweepAllSystems(t *testing.T) {
 				return nil, fmt.Errorf("%s: %w", sys, err)
 			}
 			v.events += int64(r.SimEvents)
-			for _, viol := range r.Violations {
+			for _, viol := range Check(sys, cfg, r) {
 				v.violations = append(v.violations, fmt.Sprintf("%s: %s", sys, viol))
 			}
 		}
@@ -92,6 +93,48 @@ func TestSweepAllSystems(t *testing.T) {
 		}
 		if bad > 25 {
 			t.Fatalf("too many violations; stopping early")
+		}
+	}
+}
+
+// TestRetirementInvisibleWithoutFaults states why the design-space search
+// has no block-retirement axis: a retirement policy acts only on read
+// retries, and only an injected ECC fault causes one, so with faults off
+// every system's report is the same under any policy.
+func TestRetirementInvisibleWithoutFaults(t *testing.T) {
+	cfgs := Configs(sweepSeed, 40)
+	type pair struct {
+		sys string
+		cfg core.Config
+	}
+	var jobs []pair
+	for _, cfg := range cfgs {
+		if cfg.Fault.Enabled() {
+			t.Fatalf("generated config arms faults: %s", describe(cfg))
+		}
+		for _, sys := range core.SystemNames() {
+			jobs = append(jobs, pair{sys, cfg})
+		}
+	}
+	results := runner.Map(0, jobs, func(p pair) (struct{}, error) {
+		off, err := Run(p.sys, p.cfg)
+		if err != nil {
+			return struct{}{}, err
+		}
+		retiring := p.cfg
+		retiring.SSD.Retire = ecc.RetirePolicy{RetryBudget: 8, ProbationReads: 4}
+		on, err := Run(p.sys, retiring)
+		if err != nil {
+			return struct{}{}, err
+		}
+		if !reflect.DeepEqual(off, on) {
+			return struct{}{}, fmt.Errorf("retirement moved the report:\n  off: %+v\n  on:  %+v", *off, *on)
+		}
+		return struct{}{}, nil
+	})
+	for i, res := range results {
+		if res.Err != nil {
+			t.Errorf("%s: %v\n  cfg: %s", jobs[i].sys, res.Err, describe(jobs[i].cfg))
 		}
 	}
 }
@@ -221,8 +264,8 @@ func TestBrokenModelCaught(t *testing.T) {
 	if err != nil {
 		t.Fatalf("honest run: %v", err)
 	}
-	if len(honest.Violations) > 0 {
-		t.Fatalf("honest run not clean: %v", honest.Violations)
+	if v := Check(core.SystemOptimStore, trueCfg, honest); len(v) > 0 {
+		t.Fatalf("honest run not clean: %v", v)
 	}
 	rf, _ := core.RooflineFor(core.SystemOptimStore, trueCfg)
 	if rf.Binding() != "bus" {
@@ -263,8 +306,8 @@ func TestSerializationCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Violations) > 0 {
-		t.Fatalf("clean run expected, got %v", r.Violations)
+	if v := Check(core.SystemOptimStore, cfg, r); len(v) > 0 {
+		t.Fatalf("clean run expected, got %v", v)
 	}
 	r.OptStepTime *= 100
 	violations := Check(core.SystemOptimStore, cfg, r)
@@ -279,18 +322,17 @@ func TestSerializationCaught(t *testing.T) {
 	}
 }
 
-// TestAuditRecordsOnReport verifies Audit writes violations onto the
-// report.
+// TestAuditRecordsOnReport verifies that an audit of a structurally
+// broken report returns its report-sane violation.
 func TestAuditRecordsOnReport(t *testing.T) {
 	cfg := busBoundConfig()
 	r, err := Run(core.SystemOptimStore, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Violations = nil
 	r.OptStepTime = 0 // structural breakage: report-sane must fire
-	got := Audit(core.SystemOptimStore, cfg, r)
-	if len(got) == 0 || len(r.Violations) == 0 {
-		t.Fatalf("Audit did not record violations: ret=%v field=%v", got, r.Violations)
+	got := Check(core.SystemOptimStore, cfg, r)
+	if len(got) == 0 || !strings.HasPrefix(got[0], "report-sane:") {
+		t.Fatalf("audit of a zero step time returned %v", got)
 	}
 }

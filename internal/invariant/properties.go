@@ -11,17 +11,7 @@ import (
 
 // simulated lists the systems that run the discrete-event pipeline (and
 // therefore carry window-level counters).
-var simulated = simulatedSystems()
-
-func simulatedSystems() []string {
-	var out []string
-	for _, name := range core.SystemNames() {
-		if deviceBacked(name) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
+var simulated = core.SimulatedSystems()
 
 // deviceBacked reports whether a system keeps its state on the simulated
 // device; the analytic reference does not.
@@ -35,15 +25,6 @@ func deviceBacked(system string) bool {
 // bit-identical rather than tolerance-based.
 func scaled(window int64, scale float64) int64 {
 	return int64(float64(window) * scale)
-}
-
-func init() {
-	Register(Property{Name: "report-sane", Check: checkReportSane})
-	Register(Property{Name: "pcie-conservation", Check: checkPCIeConservation})
-	Register(Property{Name: "bus-conservation", Systems: simulated, Check: checkBusConservation})
-	Register(Property{Name: "nand-accounting", Systems: simulated, Check: checkNANDAccounting})
-	Register(Property{Name: "roofline-sandwich", Check: checkRooflineSandwich})
-	Register(Property{Name: "footprint-rounding", Check: checkFootprintRounding})
 }
 
 // checkReportSane enforces the structural facts every report must satisfy

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ecc"
 )
 
 // perPointEnumerate is the unfactored enumeration the pricing tables
@@ -93,7 +92,6 @@ func TestFactoredPricingFailsAtTheSamePoint(t *testing.T) {
 		Channels:      []int{0, 4, 8},
 		PlanesPerDie:  []int{2, 4},
 		OverProvision: []float64{0.25, 0.002},
-		Retire:        []ecc.RetirePolicy{{}, {RetryBudget: 8, ProbationReads: 4}},
 	}
 	_, err := enumerate(quickBase(), space, core.SystemOptimStore, &Stats{})
 	_, want := perPointEnumerate(quickBase(), space, core.SystemOptimStore, &Stats{})

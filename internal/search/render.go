@@ -11,12 +11,12 @@ import (
 func (r *Result) Table() *stats.Table {
 	t := stats.NewTable(fmt.Sprintf("Pareto frontier (%s)", r.System),
 		"rank", "channels", "dies", "planes", "bus-MBps", "over-prov",
-		"layout", "optimizer", "ecc", "opt-step-s", "energy-J", "lifetime-steps", "binding")
+		"layout", "optimizer", "opt-step-s", "energy-J", "lifetime-steps", "binding")
 	for i, p := range r.Frontier {
 		t.AddRow(i+1, p.Cfg.SSD.Channels, p.Cfg.SSD.DiesPerChannel,
 			p.Cfg.SSD.Nand.PlanesPerDie, p.Cfg.SSD.Nand.BusMBps,
 			p.Cfg.SSD.OverProvision, p.Cfg.Layout.String(), p.Cfg.Optimizer.String(),
-			eccLabel(p), p.OptStep.Seconds(), p.Energy, p.Lifetime, p.Bound.Binding)
+			p.OptStep.Seconds(), p.Energy, p.Lifetime, p.Bound.Binding)
 	}
 	return t
 }
@@ -41,23 +41,15 @@ func (r *Result) Summary() *stats.Table {
 // the byte: fixed header, %g float formatting, hex config hash.
 func (r *Result) CSV() string {
 	var b strings.Builder
-	b.WriteString("rank,channels,dies,planes,bus_mbps,over_provision,layout,optimizer,ecc," +
+	b.WriteString("rank,channels,dies,planes,bus_mbps,over_provision,layout,optimizer," +
 		"opt_step_s,energy_j,lifetime_steps,binding,hash\n")
 	for i, p := range r.Frontier {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%g,%s,%s,%s,%g,%g,%g,%s,%016x\n",
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%g,%s,%s,%g,%g,%g,%s,%016x\n",
 			i+1, p.Cfg.SSD.Channels, p.Cfg.SSD.DiesPerChannel,
 			p.Cfg.SSD.Nand.PlanesPerDie, p.Cfg.SSD.Nand.BusMBps,
 			p.Cfg.SSD.OverProvision, p.Cfg.Layout, p.Cfg.Optimizer,
-			eccLabel(p), p.OptStep.Seconds(), p.Energy, p.Lifetime,
+			p.OptStep.Seconds(), p.Energy, p.Lifetime,
 			p.Bound.Binding, p.Hash)
 	}
 	return b.String()
-}
-
-func eccLabel(p *Point) string {
-	ret := p.Cfg.SSD.Retire
-	if !ret.Enabled() {
-		return "off"
-	}
-	return fmt.Sprintf("retry%d", ret.RetryBudget)
 }

@@ -1,7 +1,7 @@
 // Package search is the design-space autotuner (DESIGN.md §12): given a
 // model and a simulation budget, it explores the SSD/ODP design space —
-// channels × dies × planes × bus speed × ECC × over-provisioning × layout
-// × optimizer — for Pareto-optimal (step time, energy, lifetime) points.
+// channels × dies × planes × bus speed × over-provisioning × layout ×
+// optimizer — for Pareto-optimal (step time, energy, lifetime) points.
 //
 // Exhaustive sweeping is quadratically wasteful: most of the grid is
 // dominated before it is ever simulated. The tuner therefore prices every
@@ -13,7 +13,7 @@
 // pruned candidate's actual results could only have been worse than the
 // dominating point's actuals, so pruning never discards a frontier point.
 //
-// Every grid point is the base configuration with the eight axis fields
+// Every grid point is the base configuration with the seven axis fields
 // replaced, and each analytic price reads only a few of them: the bound
 // reads channels, dies, planes, bus speed and optimizer, the lifetime
 // channels, dies, over-provisioning and optimizer. Enumeration therefore
@@ -41,7 +41,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/ecc"
 	"repro/internal/layout"
 	"repro/internal/optim"
 	"repro/internal/runner"
@@ -59,12 +58,11 @@ type Space struct {
 	OverProvision  []float64
 	Layouts        []layout.Strategy
 	Optimizers     []optim.Kind
-	Retire         []ecc.RetirePolicy
 }
 
 // DefaultSpace is the paper-scale exploration grid. It includes the
 // paper's default configuration (8×4×4, 1200 MB/s, 12.5% OP, colocated,
-// Adam, no retirement) as one of its points.
+// Adam) as one of its points.
 func DefaultSpace() Space {
 	return Space{
 		Channels:       []int{2, 4, 8, 16},
@@ -74,10 +72,6 @@ func DefaultSpace() Space {
 		OverProvision:  []float64{0.07, 0.125, 0.25},
 		Layouts:        layout.Strategies(),
 		Optimizers:     []optim.Kind{optim.SGD, optim.Adam, optim.LAMB, optim.AdamA},
-		Retire: []ecc.RetirePolicy{
-			{},
-			{RetryBudget: 8, ProbationReads: 4},
-		},
 	}
 }
 
@@ -86,7 +80,7 @@ func (s Space) Size() int {
 	n := 1
 	for _, l := range []int{
 		len(s.Channels), len(s.DiesPerChannel), len(s.PlanesPerDie), len(s.BusMBps),
-		len(s.OverProvision), len(s.Layouts), len(s.Optimizers), len(s.Retire),
+		len(s.OverProvision), len(s.Layouts), len(s.Optimizers),
 	} {
 		if l > 0 {
 			n *= l
@@ -367,7 +361,7 @@ func lifetime(cfg *core.Config) (float64, error) {
 	return life, nil
 }
 
-// axes is one grid point's value on each of the eight grid axes. Every
+// axes is one grid point's value on each of the seven grid axes. Every
 // configuration the search prices is the base with these fields replaced,
 // so two of them are equal exactly when their axes are: the tuple is the
 // memo key. Over-provisioning is held as its float64 bits, the encoding
@@ -377,7 +371,6 @@ type axes struct {
 	overProvision                   uint64
 	layout                          layout.Strategy
 	optimizer                       optim.Kind
-	retire                          ecc.RetirePolicy
 }
 
 func axesOf(cfg *core.Config) axes {
@@ -389,7 +382,6 @@ func axesOf(cfg *core.Config) axes {
 		overProvision: math.Float64bits(cfg.SSD.OverProvision),
 		layout:        cfg.Layout,
 		optimizer:     cfg.Optimizer,
-		retire:        cfg.SSD.Retire,
 	}
 }
 
@@ -402,7 +394,6 @@ func (a axes) apply(cfg *core.Config) {
 	cfg.SSD.OverProvision = math.Float64frombits(a.overProvision)
 	cfg.Layout = a.layout
 	cfg.Optimizer = a.optimizer
-	cfg.SSD.Retire = a.retire
 }
 
 // A candidate is one valid grid point, priced: its row-major grid index,
@@ -418,13 +409,12 @@ type candidate struct {
 // grid is a Space resolved over its base configuration: every axis lists
 // at least one value, the base's own setting where the space lists none.
 // Grid indices are row-major over the axes in field order, channels
-// outermost and retirement innermost.
+// outermost and optimizer innermost.
 type grid struct {
 	channels, dies, planes, bus []int
 	overProv                    []float64
 	layouts                     []layout.Strategy
 	optimizers                  []optim.Kind
-	retires                     []ecc.RetirePolicy
 }
 
 // newGrid resolves space over base.
@@ -437,7 +427,6 @@ func newGrid(base core.Config, space Space) grid {
 		overProv:   orBase(space.OverProvision, base.SSD.OverProvision),
 		layouts:    orBase(space.Layouts, base.Layout),
 		optimizers: orBase(space.Optimizers, base.Optimizer),
-		retires:    orBase(space.Retire, base.SSD.Retire),
 	}
 }
 
@@ -456,7 +445,6 @@ func (g *grid) axes(i int) axes {
 		return pos
 	}
 	var a axes
-	a.retire = g.retires[next(len(g.retires))]
 	a.optimizer = g.optimizers[next(len(g.optimizers))]
 	a.layout = g.layouts[next(len(g.layouts))]
 	a.overProvision = math.Float64bits(g.overProv[next(len(g.overProv))])
@@ -531,32 +519,29 @@ func enumerate(base core.Config, space Space, system string, stats *Stats) ([]ca
 								cfg.Optimizer = k
 								bound := &bounds[(((ci*nd+di)*npl+pi)*nb+bi)*nk+ki]
 								life := &lives[((ci*nd+di)*nop+oi)*nk+ki]
-								for _, ret := range g.retires {
-									cfg.SSD.Retire = ret
-									idx := index
-									index++
-									if err := cfg.Validate(); err != nil {
-										stats.Invalid++
-										continue
-									}
-									if !bound.priced {
-										b, ok := core.BoundFor(system, cfg)
-										*bound = boundEntry{step: b.StepFloor, energy: b.EnergyFloor, ok: ok, priced: true}
-									}
-									if !bound.ok {
-										stats.Invalid++
-										continue
-									}
-									if !life.priced {
-										steps, err := lifetime(&cfg)
-										if err != nil {
-											return nil, fmt.Errorf("search: grid point %d: %w", idx, err)
-										}
-										*life = lifeEntry{steps: steps, priced: true}
-									}
-									stats.Candidates++
-									out = append(out, candidate{index: idx, stepFloor: bound.step, energyFloor: bound.energy, lifetime: life.steps})
+								idx := index
+								index++
+								if err := cfg.Validate(); err != nil {
+									stats.Invalid++
+									continue
 								}
+								if !bound.priced {
+									b, ok := core.BoundFor(system, cfg)
+									*bound = boundEntry{step: b.StepFloor, energy: b.EnergyFloor, ok: ok, priced: true}
+								}
+								if !bound.ok {
+									stats.Invalid++
+									continue
+								}
+								if !life.priced {
+									steps, err := lifetime(&cfg)
+									if err != nil {
+										return nil, fmt.Errorf("search: grid point %d: %w", idx, err)
+									}
+									*life = lifeEntry{steps: steps, priced: true}
+								}
+								stats.Candidates++
+								out = append(out, candidate{index: idx, stepFloor: bound.step, energyFloor: bound.energy, lifetime: life.steps})
 							}
 						}
 					}
