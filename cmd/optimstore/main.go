@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment ID (T1, T2, F1..F15) or 'all'")
+		exp      = flag.String("exp", "all", "comma-separated experiment IDs ("+strings.Join(experiments.IDs(), ", ")+") or 'all'")
 		quick    = flag.Bool("quick", false, "small simulation windows (seconds instead of minutes)")
 		format   = flag.String("format", "text", "output format: text, markdown or csv")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
@@ -43,7 +43,7 @@ func main() {
 		traceTo  = flag.String("trace", "", "run the five systems plus the checkpoint comparison with event tracing and write a Chrome trace_event JSON file here (open in chrome://tracing or ui.perfetto.dev); prints the trace-derived metrics instead of the experiment suite")
 		faultArg = flag.String("fault", "", "arm a fault storm on every simulated point: seed=N,pl=R,df=R,ecc=R,start=MS,horizon=MS (rates per second of sim time; empty = disabled)")
 		ckptArg  = flag.String("checkpoint", "none", "checkpoint policy priced into every report: none, inplace (ODP copyback) or hostpull")
-		system   = flag.String("system", "", "run a single system (gpuresident, hostoffload, interleaved, ctrlisp, optimstore) on the GPT-13B default configuration, audit it against the invariant registry and print its report; exits 1 on any violation")
+		system   = flag.String("system", "", "run a single system ("+strings.Join(core.SystemNames(), ", ")+") on the GPT-13B default configuration, audit it against the invariant registry and print its report; exits 1 on any violation")
 	)
 	flag.Parse()
 

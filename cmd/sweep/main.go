@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -36,7 +37,7 @@ import (
 
 func main() {
 	var (
-		dim      = flag.String("dim", "channels", "sweep dimension: channels, dies, lanes, clock, pciegen, batch, busmbps")
+		dim      = flag.String("dim", "channels", "sweep dimension: "+strings.Join(dimNames(), ", "))
 		values   = flag.String("values", "2,4,8,16", "comma-separated values")
 		model    = flag.String("model", "GPT-13B", "model name from the zoo")
 		systems  = flag.String("systems", strings.Join(core.SimulatedSystems(), ","), "systems to run")
@@ -282,11 +283,22 @@ var dims = map[string]func(cfg *core.Config, v int) error{
 	"busmbps": func(cfg *core.Config, v int) error { cfg.SSD.Nand.BusMBps = v; return nil },
 }
 
+// dimNames lists the sweep dimensions in sorted order.
+func dimNames() []string {
+	names := make([]string, 0, len(dims))
+	//simlint:allow maporder the names are sorted below
+	for name := range dims {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // apply sets one sweep dimension on the configuration.
 func apply(cfg *core.Config, dim string, v int) error {
 	set, ok := dims[dim]
 	if !ok {
-		return fmt.Errorf("unknown sweep dimension %q", dim)
+		return fmt.Errorf("unknown sweep dimension %q (want one of %s)", dim, strings.Join(dimNames(), ", "))
 	}
 	return set(cfg, v)
 }

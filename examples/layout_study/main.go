@@ -55,24 +55,27 @@ func main() {
              gathers pages across dies over the channel buses.`)
 
 	// --- Endurance ----------------------------------------------------------
-	// Lifetime is priced, not simulated: one OptimStore run sets the
-	// training cadence that converts steps to days for every cell mode.
+	// Lifetime is priced, not simulated, but each cell mode programs at its
+	// own speed: one OptimStore run per mode sets the training cadence that
+	// converts its steps to days.
 	fmt.Println("\nHow the cell mode decides lifetime (GPT-13B, Adam):")
-	opt, err := run(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	et := stats.NewTable("", "cell", "capacity-TB", "fits", "WAF", "lifetime-steps", "lifetime-days")
+	et := stats.NewTable("", "cell", "opt-step-s", "capacity-TB", "fits", "WAF", "lifetime-steps", "lifetime-days")
 	for _, cell := range []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC} {
-		rep, err := core.RunEndurance(cfg, cell, opt.StepTime)
+		c := cfg
+		c.SSD.Nand = c.SSD.Nand.InCell(cell)
+		opt, err := run(c)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := core.RunEndurance(c, opt.StepTime)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !rep.Fits {
-			et.AddRow(cell.String(), units.Bytes(rep.DeviceBytes).TBf(), false, "-", "-", "-")
+			et.AddRow(cell.String(), opt.OptStepTime.Seconds(), units.Bytes(rep.DeviceBytes).TBf(), false, "-", "-", "-")
 			continue
 		}
-		et.AddRow(cell.String(), units.Bytes(rep.DeviceBytes).TBf(), true,
+		et.AddRow(cell.String(), opt.OptStepTime.Seconds(), units.Bytes(rep.DeviceBytes).TBf(), true,
 			rep.SweepWAF, rep.LifetimeSteps, rep.LifetimeDays)
 	}
 	fmt.Print(et)

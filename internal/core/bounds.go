@@ -106,21 +106,19 @@ func MeasureUpdateWAF(cell nand.CellType, overProvision float64, steps int) (flo
 	return waf, err
 }
 
-// SweepWAF decides the steady-state update WAF of cfg's full drive with
-// the state region in the given cell mode (ssd.Config.SweepWAF): exactly
-// 1, or an error naming the shortfall when greedy GC could relocate valid
-// pages.
-func SweepWAF(cfg Config, cell nand.CellType) (float64, error) {
-	return fullDrive(cfg, cell).SweepWAF()
+// SweepWAF decides the steady-state update WAF of cfg's full drive
+// (ssd.Config.SweepWAF): exactly 1, or an error naming the shortfall when
+// greedy GC could relocate valid pages.
+func SweepWAF(cfg Config) (float64, error) {
+	return fullDrive(cfg).SweepWAF()
 }
 
-// fullDrive is the drive a configuration describes, with its state region
-// in the given cell mode: cfg's channels, dies, over-provisioning and GC
-// policy over the full datasheet die of that cell (1024 blocks per
-// plane), not the reduced simulation window.
-func fullDrive(cfg Config, cell nand.CellType) ssd.Config {
+// fullDrive is the drive a configuration describes: cfg's channels, dies,
+// over-provisioning and GC policy over the full datasheet die of its cell
+// (1024 blocks per plane), not the reduced simulation window.
+func fullDrive(cfg Config) ssd.Config {
 	d := cfg.SSD
-	d.Nand = nand.ParamsFor(cell)
+	d.Nand = nand.ParamsFor(cfg.SSD.Nand.Cell)
 	return d
 }
 
@@ -130,15 +128,15 @@ func fullDrive(cfg Config, cell nand.CellType) ssd.Config {
 // full drive's blocks with ideal wear levelling. fits is false (and steps
 // zero) when the state does not fit the usable capacity. RunEndurance is
 // built on it, so this is the one capacity test lifetime answers apply.
-func AnalyticLifetime(cfg Config, cell nand.CellType, waf float64) (steps float64, fits bool) {
+func AnalyticLifetime(cfg Config, waf float64) (steps float64, fits bool) {
 	stateBytes := cfg.StateBytes()
-	drive := fullDrive(cfg, cell)
+	drive := fullDrive(cfg)
 	geo := drive.Geometry()
 	usable := float64(geo.TotalBytes()) * (1 - cfg.SSD.OverProvision)
 	if float64(stateBytes) > usable {
 		return 0, false
 	}
-	wear := nand.DefaultWearModel(cell)
+	wear := nand.DefaultWearModel(drive.Nand.Cell)
 	erasesPerStep := float64(stateBytes) * waf / float64(drive.Nand.BlockBytes())
 	return wear.LifetimeSteps(geo.BlocksTotal(), erasesPerStep), true
 }

@@ -36,30 +36,31 @@ type EnduranceReport struct {
 	LifetimeDays float64
 }
 
-// RunEndurance prices flash lifetime for a configuration with the state
-// region in the given cell mode; it simulates nothing. The WAF comes from
-// SweepWAF on the full drive (a drive whose WAF that rule cannot decide
-// is an error) and the lifetime from AnalyticLifetime, the pipeline the
-// design-space search prices every point with. step is the end-to-end
+// RunEndurance prices flash lifetime for a configuration, with the state
+// region in the configuration's own cell mode; it simulates nothing. The
+// WAF comes from SweepWAF on the full drive (a drive whose WAF that rule
+// cannot decide is an error) and the lifetime from AnalyticLifetime, the
+// pipeline the design-space search prices every point with. step is the end-to-end
 // step time of the OptimStore system on cfg, taken from the report the
 // caller already holds; it converts steps to days.
-func RunEndurance(cfg Config, cell nand.CellType, step sim.Time) (*EnduranceReport, error) {
+func RunEndurance(cfg Config, step sim.Time) (*EnduranceReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	waf, err := SweepWAF(cfg, cell)
+	waf, err := SweepWAF(cfg)
 	if err != nil {
 		return nil, err
 	}
-	steps, fits := AnalyticLifetime(cfg, cell, waf)
+	steps, fits := AnalyticLifetime(cfg, waf)
 	rep := &EnduranceReport{
 		Model:      cfg.Model.Name,
 		Optimizer:  cfg.Optimizer.String(),
-		Cell:       cell,
+		Cell:       cfg.SSD.Nand.Cell,
 		StateBytes: cfg.StateBytes(),
-		// Full-geometry capacity in the chosen cell mode (not the reduced
-		// simulation window): a real 8×4-die drive with 1024 blocks/plane.
-		DeviceBytes: fullDrive(cfg, cell).Geometry().TotalBytes(),
+		// Full-geometry capacity in the configuration's cell mode (not the
+		// reduced simulation window): a real 8×4-die drive with 1024
+		// blocks/plane.
+		DeviceBytes: fullDrive(cfg).Geometry().TotalBytes(),
 		Fits:        fits,
 	}
 	if !fits {

@@ -12,11 +12,13 @@ import (
 	"repro/internal/sim"
 )
 
-// endurance prices cfg's lifetime in the given cell mode at the step time
-// of an OptimStore run on cfg, as the experiments do.
+// endurance prices cfg's lifetime with its state region in the given cell
+// mode, at the step time of an OptimStore run in that mode, as the
+// experiments do.
 func endurance(t *testing.T, cfg Config, cell nand.CellType) *EnduranceReport {
 	t.Helper()
-	rep, err := RunEndurance(cfg, cell, mustRun(t, SystemOptimStore, cfg).StepTime)
+	cfg.SSD.Nand = cfg.SSD.Nand.InCell(cell)
+	rep, err := RunEndurance(cfg, mustRun(t, SystemOptimStore, cfg).StepTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestEnduranceDoesNotFit(t *testing.T) {
 func TestEnduranceRejectsUndecidedWAF(t *testing.T) {
 	cfg := testConfig(dnn.GPT2XL())
 	cfg.SSD.OverProvision = 0.002
-	rep, err := RunEndurance(cfg, nand.TLC, sim.Second) // the step time plays no part
+	rep, err := RunEndurance(cfg, sim.Second) // the step time plays no part
 	if err == nil {
 		t.Fatalf("OP 0.002 priced with WAF %v", rep.SweepWAF)
 	}

@@ -21,15 +21,6 @@ func quickConfig(model dnn.Model) core.Config {
 	return cfg
 }
 
-// withCell is F18's cell-mode axis: the state region's NAND in the given
-// cell mode, keeping the configuration's simulation window.
-func withCell(cfg core.Config, cell nand.CellType) core.Config {
-	n := nand.ParamsFor(cell)
-	n.BlocksPerPlane = cfg.SSD.Nand.BlocksPerPlane
-	cfg.SSD.Nand = n
-	return cfg
-}
-
 // pinWriter prints one line per report field: floats as their exact
 // float64 bits, everything else as its value.
 type pinWriter struct{ b strings.Builder }
@@ -70,7 +61,7 @@ func (w *pinWriter) cluster(label string, rep *core.ClusterReport) {
 }
 
 // TestEnduranceClusterPins pins every field of the endurance and cluster
-// reports the F9, F9b, F16 and F18 experiments print, at quick windows
+// reports the F9, F9b and F16 experiments print, at quick windows
 // and priced from OptimStore runs as the experiments price them: the
 // exact float64 bits of every float and the value of every other field,
 // with the step time lifetime days are priced at. The rendered experiment tables round to three significant
@@ -79,7 +70,6 @@ func (w *pinWriter) cluster(label string, rep *core.ClusterReport) {
 // UPDATE_GOLDEN=1 go test -run TestEnduranceClusterPins ./internal/core/.
 func TestEnduranceClusterPins(t *testing.T) {
 	var w pinWriter
-	cells := []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC}
 	run := func(label string, cfg core.Config) *core.Report {
 		sys, err := core.NewSystem(core.SystemOptimStore, cfg)
 		if err != nil {
@@ -91,19 +81,21 @@ func TestEnduranceClusterPins(t *testing.T) {
 		}
 		return r
 	}
-	endurance := func(label string, cfg core.Config, cell nand.CellType) {
+	endurance := func(label string, cfg core.Config) {
 		step := run(label, cfg).StepTime
-		rep, err := core.RunEndurance(cfg, cell, step)
+		rep, err := core.RunEndurance(cfg, step)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		w.endurance(label, rep, step)
 	}
-	for _, cell := range cells {
-		endurance("F9/"+cell.String(), quickConfig(dnn.GPT13B()), cell)
+	for _, cell := range []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC} {
+		cfg := quickConfig(dnn.GPT13B())
+		cfg.SSD.Nand = cfg.SSD.Nand.InCell(cell)
+		endurance("F9/"+cell.String(), cfg)
 	}
 	for _, m := range []dnn.Model{dnn.GPT2XL(), dnn.GPT13B()} {
-		endurance("F9b/"+m.Name, quickConfig(m), nand.TLC)
+		endurance("F9b/"+m.Name, quickConfig(m))
 	}
 	single := run("F16/1", quickConfig(dnn.GPT13B()))
 	for _, n := range []int{1, 4, 16} {
@@ -116,9 +108,6 @@ func TestEnduranceClusterPins(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		w.cluster(label, rep)
-	}
-	for _, cell := range cells {
-		endurance("F18/"+cell.String(), withCell(quickConfig(dnn.GPT13B()), cell), cell)
 	}
 	got := w.b.String()
 

@@ -27,12 +27,14 @@ func runExp(t *testing.T, id string) *Result {
 }
 
 // TestIDsOrdered pins the spec table's order, which is the presentation
-// order: T1, T2, then F1 through F21. Matching that list also keeps every
-// ID unique, which lookup relies on.
+// order: T1, T2, then F1 through F21, where F18 was merged into F9.
+// Matching that list also keeps every ID unique, which lookup relies on.
 func TestIDsOrdered(t *testing.T) {
 	want := []string{"T1", "T2"}
 	for i := 1; i <= 21; i++ {
-		want = append(want, "F"+strconv.Itoa(i))
+		if i != 18 {
+			want = append(want, "F"+strconv.Itoa(i))
+		}
 	}
 	ids := IDs()
 	if !slices.Equal(ids, want) {
@@ -252,10 +254,12 @@ func TestF8PrecisionRows(t *testing.T) {
 	}
 }
 
+// TestF9LifetimeOrdering checks the cell-mode trade F9 shows: lifetime
+// falls with bits per cell, while faster-programming cells give faster
+// steps (SLC < TLC < QLC).
 func TestF9LifetimeOrdering(t *testing.T) {
 	res := runExp(t, "F9")
-	fig := res.Figures[0]
-	pts := fig.Series[0].Points // SLC, MLC, TLC, QLC
+	pts := res.Figures[0].Series[0].Points // SLC, MLC, TLC, QLC
 	if len(pts) != 4 {
 		t.Fatalf("expected 4 cell modes, got %d", len(pts))
 	}
@@ -263,6 +267,13 @@ func TestF9LifetimeOrdering(t *testing.T) {
 		if pts[i].Y >= pts[i-1].Y {
 			t.Fatalf("lifetime not decreasing with bits/cell: %v", pts)
 		}
+	}
+	steps := res.Figures[1].Series[0].Points // SLC..QLC step times
+	if len(steps) != 4 {
+		t.Fatalf("step points = %d", len(steps))
+	}
+	if !(steps[0].Y < steps[2].Y && steps[2].Y < steps[3].Y) {
+		t.Fatalf("step times not ordered by program latency: %v", steps)
 	}
 }
 
@@ -375,18 +386,6 @@ func TestF17SuspendImprovesTail(t *testing.T) {
 	}
 	if preempts := cell(t, tab.Row(0), 4); !approx.Equal(preempts, 0) {
 		t.Fatal("preemptions without suspend")
-	}
-}
-
-func TestF18CellModeTradeoff(t *testing.T) {
-	res := runExp(t, "F18")
-	pts := res.Figures[0].Series[0].Points // SLC..QLC step times
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Faster programming cells give faster steps: SLC < TLC < QLC.
-	if !(pts[0].Y < pts[2].Y && pts[2].Y < pts[3].Y) {
-		t.Fatalf("step times not ordered by program latency: %v", pts)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/layout"
-	"repro/internal/nand"
 	"repro/internal/odp"
 	"repro/internal/optim"
 	"repro/internal/stats"
@@ -36,7 +35,6 @@ var specs = []Spec{
 	specF15(),
 	specF16(),
 	specF17(),
-	specF18(),
 	specF19(),
 	specF20(),
 	specF21(),
@@ -386,7 +384,7 @@ func specF8() Spec {
 			Header: []string{"precision", "system", "opt-step-s", "pcie-GB", "nand-prog-GB",
 				"energy-J", "tlc-lifetime-steps"},
 			Rows: func(o Options, g *Grid, c *Cell) [][]any {
-				end := lifetime(g, c, nand.TLC)
+				end := lifetime(g, c)
 				var rows [][]any
 				for _, r := range c.Reports {
 					life := "-"
@@ -610,55 +608,6 @@ func specF16() Spec {
 			Series: []SeriesSpec{{Name: "optimstore cluster",
 				Point: func(o Options, g *Grid, c *Cell) (float64, float64, bool) {
 					return c.Values[0].X, clusterAt(g, c).TokensPerSec, true
-				}}},
-		}},
-	}
-}
-
-// specF18 is the cell-mode trade study: SLC/MLC/TLC/QLC state regions
-// trading program latency, endurance and capacity.
-func specF18() Spec {
-	return Spec{
-		ID: "F18", Title: "State-region cell-mode trade-off (extension)",
-		Axes: func(opts Options) []Axis {
-			cells := []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC}
-			vals := make([]AxisValue, len(cells))
-			for i, cell := range cells {
-				cell := cell
-				vals[i] = AxisValue{
-					Label: cell.String(),
-					X:     float64(i + 1),
-					Meta:  cell,
-					Apply: func(c *core.Config) {
-						n := nand.ParamsFor(cell)
-						n.BlocksPerPlane = c.SSD.Nand.BlocksPerPlane // keep the sim window small
-						c.SSD.Nand = n
-					},
-				}
-			}
-			return []Axis{{Name: "cell", Values: vals}}
-		},
-		Systems: []string{"optimstore"},
-		Tables: []TableSpec{{
-			Title: "F18: state-region cell mode (GPT-13B, Adam, OptimStore)",
-			Header: []string{"cell", "tPROG/page", "opt-step-s", "capacity-TB",
-				"lifetime-steps", "lifetime-days"},
-			Rows: func(o Options, g *Grid, c *Cell) [][]any {
-				end := lifetime(g, c, c.Values[0].Meta.(nand.CellType))
-				tprog := c.Cfg.SSD.Nand.ProgramLatency.String()
-				if !end.Fits {
-					return [][]any{{c.Values[0].Label, tprog, c.Reports[0].OptStepTime.Seconds(),
-						units.Bytes(end.DeviceBytes).TBf(), "-", "-"}}
-				}
-				return [][]any{{c.Values[0].Label, tprog, c.Reports[0].OptStepTime.Seconds(),
-					units.Bytes(end.DeviceBytes).TBf(), end.LifetimeSteps, end.LifetimeDays}}
-			},
-		}},
-		Figures: []FigureSpec{{
-			Title: "F18: step time vs cell mode", XLabel: "bits per cell", YLabel: "opt-step seconds",
-			Series: []SeriesSpec{{Name: "optimstore",
-				Point: func(o Options, g *Grid, c *Cell) (float64, float64, bool) {
-					return float64(c.Index + 1), c.Reports[0].OptStepTime.Seconds(), true
 				}}},
 		}},
 	}

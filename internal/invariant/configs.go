@@ -47,14 +47,10 @@ var elementWise = []optim.Kind{
 
 func sample(rng *rand.Rand) core.Config {
 	cell := []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC}[rng.Intn(4)]
-	n := nand.ParamsFor(cell)
-	// Same window trick as ssd.DefaultConfig: a small-capacity slice of
-	// the drive keeps FTL maps (and preload time) proportionate to the
-	// few hundred units actually simulated.
-	n.BlocksPerPlane = 64
-
+	// ssd.DefaultConfig's 64-block window keeps FTL maps (and preload
+	// time) proportionate to the few hundred units actually simulated.
 	sc := ssd.DefaultConfig()
-	sc.Nand = n
+	sc.Nand = sc.Nand.InCell(cell)
 	sc.Channels = []int{2, 4, 8}[rng.Intn(3)]
 	sc.DiesPerChannel = []int{1, 2, 4}[rng.Intn(3)]
 	sc.HotColdSeparation = rng.Intn(2) == 0

@@ -322,6 +322,27 @@ func TestSerializationCaught(t *testing.T) {
 	}
 }
 
+// TestSandwichUpperSideFaultFreeOnly checks that a faulted report may run
+// above K·floor, since its step carries retry and recovery work the floor
+// does not price, but may still not run below the floor.
+func TestSandwichUpperSideFaultFreeOnly(t *testing.T) {
+	cfg := busBoundConfig()
+	r, err := Run(core.SystemOptimStore, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ECCFaults = 1
+	clean := r.OptStepTime
+	r.OptStepTime = clean * 100
+	if err := checkRooflineSandwich(core.SystemOptimStore, cfg, r); err != nil {
+		t.Fatalf("faulted report above K·floor failed the sandwich: %v", err)
+	}
+	r.OptStepTime = clean / 100
+	if err := checkRooflineSandwich(core.SystemOptimStore, cfg, r); err == nil {
+		t.Fatal("faulted report below the floor passed the sandwich")
+	}
+}
+
 // TestAuditRecordsOnReport verifies that an audit of a structurally
 // broken report returns its report-sane violation.
 func TestAuditRecordsOnReport(t *testing.T) {

@@ -172,7 +172,9 @@ func rampSlack(cfg core.Config) sim.Time {
 // simulated step below the analytic floor means the simulator dropped
 // work; one far above it means an accidental serialization. Skipped under
 // LayerwiseOverlap, where OptStepTime is redefined as the exposed (not
-// total) optimizer cost.
+// total) optimizer cost. The upper side holds only on a fault-free
+// report: a fired fault adds retry and recovery work the floor does not
+// price, so a faulted step may run any length above it.
 func checkRooflineSandwich(system string, cfg core.Config, r *core.Report) error {
 	if !r.Feasible || cfg.LayerwiseOverlap {
 		return nil
@@ -196,6 +198,9 @@ func checkRooflineSandwich(system string, cfg core.Config, r *core.Report) error
 	if float64(simT) < float64(floor)*0.999-1000 {
 		return fmt.Errorf("simulated %v below analytic floor %v (binding: %s)",
 			simT, floor, rf.Binding())
+	}
+	if r.PowerLossFaults+r.DieFailFaults+r.ECCFaults > 0 {
+		return nil
 	}
 	k := d.SandwichK()
 	upper := floor.Scale(k) + rampSlack(cfg)

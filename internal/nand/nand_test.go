@@ -39,6 +39,29 @@ func TestParamsPresets(t *testing.T) {
 	}
 }
 
+// TestInCell checks the cell-mode rule: the cell's timing, endurance and
+// pages per block come from its preset, the die's page size, planes,
+// blocks, bus and suspend setting stay, and on the preset geometry the
+// result is the preset itself.
+func TestInCell(t *testing.T) {
+	for _, c := range []CellType{SLC, MLC, TLC, QLC} {
+		for _, from := range []CellType{SLC, TLC, QLC} {
+			if got := ParamsFor(from).InCell(c); got != ParamsFor(c) {
+				t.Errorf("ParamsFor(%v).InCell(%v) = %+v, want ParamsFor(%v)", from, c, got, c)
+			}
+		}
+		die := ParamsFor(TLC)
+		die.PageSize, die.BlocksPerPlane, die.PlanesPerDie, die.BusMBps = 8192, 64, 2, 800
+		die.ReadSuspend, die.ResumeOverhead = true, 7*sim.Microsecond
+		want := ParamsFor(c)
+		want.PageSize, want.BlocksPerPlane, want.PlanesPerDie, want.BusMBps = 8192, 64, 2, 800
+		want.ReadSuspend, want.ResumeOverhead = true, 7*sim.Microsecond
+		if got := die.InCell(c); got != want {
+			t.Errorf("InCell(%v) on a configured die = %+v, want %+v", c, got, want)
+		}
+	}
+}
+
 func TestParamsValidate(t *testing.T) {
 	bad := []func(*Params){
 		func(p *Params) { p.PageSize = 0 },

@@ -111,6 +111,19 @@ func ParamsFor(c CellType) Params {
 	return p
 }
 
+// InCell returns p with the die run in cell mode c: the cell type, array
+// timing, rated P/E cycles and pages per block of ParamsFor(c); the rest
+// of p (page size, planes, blocks per plane, bus, suspend) stays. It is
+// the one rule for changing the cell mode of a configured die.
+func (p Params) InCell(c CellType) Params {
+	d := ParamsFor(c)
+	p.Cell = c
+	p.ReadLatency, p.ProgramLatency, p.EraseLatency = d.ReadLatency, d.ProgramLatency, d.EraseLatency
+	p.PECycles = d.PECycles
+	p.PagesPerBlock = d.PagesPerBlock
+	return p
+}
+
 // Validate reports the first structural problem with the parameters.
 func (p Params) Validate() error {
 	switch {

@@ -13,7 +13,7 @@ type WearModel struct {
 	EOLRBER float64
 	// Exponent controls how sharply errors rise near end of life.
 	Exponent float64
-	// PECycles is the rated cycle limit (from Params).
+	// PECycles is the rated cycle limit (ParamsFor's PECycles).
 	PECycles int
 	// ECCCorrectableRBER is the highest RBER the controller's ECC can
 	// correct; beyond this, reads become uncorrectable.
@@ -22,16 +22,16 @@ type WearModel struct {
 
 // DefaultWearModel returns literature-ballpark constants for the cell type.
 func DefaultWearModel(c CellType) WearModel {
-	m := WearModel{Exponent: 3, ECCCorrectableRBER: 5e-3}
+	m := WearModel{Exponent: 3, ECCCorrectableRBER: 5e-3, PECycles: ParamsFor(c).PECycles}
 	switch c {
 	case SLC:
-		m.BaseRBER, m.EOLRBER, m.PECycles = 1e-9, 1e-5, 100_000
+		m.BaseRBER, m.EOLRBER = 1e-9, 1e-5
 	case MLC:
-		m.BaseRBER, m.EOLRBER, m.PECycles = 1e-7, 1e-3, 10_000
+		m.BaseRBER, m.EOLRBER = 1e-7, 1e-3
 	case TLC:
-		m.BaseRBER, m.EOLRBER, m.PECycles = 1e-6, 3e-3, 3_000
+		m.BaseRBER, m.EOLRBER = 1e-6, 3e-3
 	case QLC:
-		m.BaseRBER, m.EOLRBER, m.PECycles = 1e-5, 8e-3, 1_000
+		m.BaseRBER, m.EOLRBER = 1e-5, 8e-3
 	}
 	return m
 }

@@ -11,10 +11,7 @@ import (
 )
 
 // goldenRuns are the searches TestSearchResultGolden pins: the tune
-// workload's four bases over the default space, and a small space whose
-// duplicated axis values make several grid points one design point, so
-// memo hits and the seed's grid index are exercised past the single hit
-// of the default space.
+// workload's four bases over the default space.
 func goldenRuns() []struct {
 	name  string
 	base  core.Config
@@ -31,12 +28,6 @@ func goldenRuns() []struct {
 		cfg.MaxSimUnits = 256
 		runs = append(runs, run{"default/" + m.Name, cfg, DefaultSpace()})
 	}
-	runs = append(runs, run{"duplicates/" + dnn.GPT13B().Name, quickBase(), Space{
-		Channels:       []int{8, 8, 16},
-		DiesPerChannel: []int{4, 2},
-		BusMBps:        []int{1200, 800, 1200},
-		OverProvision:  []float64{0.125, 0.125},
-	}})
 	return runs
 }
 

@@ -17,7 +17,7 @@ func perPointEnumerate(base core.Config, space Space, system string, stats *Stat
 	var out []candidate
 	for i := 0; i < space.Size(); i++ {
 		cfg := base
-		g.axes(i).apply(&cfg)
+		g.apply(i, &cfg)
 		if cfg.Validate() != nil {
 			stats.Invalid++
 			continue
@@ -40,20 +40,16 @@ func perPointEnumerate(base core.Config, space Space, system string, stats *Stat
 // TestFactoredPricingMatchesPerPoint checks that pricing each axis subset
 // once gives every candidate the bits per-point pricing gives it: the
 // step floor, the energy floor and the lifetime, for every system, on the
-// golden searches' bases over the default space and on the space with
-// duplicated axis values.
+// golden searches' bases over the default space and on a smaller space.
 func TestFactoredPricingMatchesPerPoint(t *testing.T) {
 	type pricingCase struct {
 		name  string
 		base  core.Config
 		space Space
 	}
-	var cases []pricingCase
+	cases := []pricingCase{{"small", quickBase(), smallSpace()}}
 	for _, r := range goldenRuns() {
-		cases = append(cases, pricingCase{r.name + "/DefaultSpace", r.base, DefaultSpace()})
-		if !strings.HasPrefix(r.name, "default/") {
-			cases = append(cases, pricingCase{r.name, r.base, r.space})
-		}
+		cases = append(cases, pricingCase{r.name, r.base, r.space})
 	}
 	for _, system := range core.SystemNames() {
 		for _, tc := range cases {

@@ -21,11 +21,11 @@
 // filled the first time a valid point needs an entry, and validates every
 // point on its own. A candidate is held as its row-major grid index, its
 // two floors and its lifetime; its axis values decode from the index.
-// Results are memoized by the tuple of axis values, which is exact, since
-// two points are equal exactly when their tuples are. A tuple is marked
-// when its point is admitted to a wave, so no design point is simulated
-// twice, in two waves or in one. A Point, with its full Config, bound and
-// Config.CanonicalHash, is built only for a point admitted to simulation.
+// A space may list each axis value once, so a grid index is one design
+// point, and the only point that can be simulated twice is the seed,
+// whose grid index is looked up from its axis values. A Point, with its
+// full Config, bound and Config.CanonicalHash, is built only for a point
+// admitted to simulation.
 //
 // The whole run is deterministic: candidates are admitted in a fixed
 // priority order, simulated in fixed-size waves whose composition does
@@ -36,7 +36,6 @@ package search
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -87,6 +86,35 @@ func (s Space) Size() int {
 		}
 	}
 	return n
+}
+
+// distinct reports the first axis that lists a value twice. Each grid
+// index is then one design point.
+func (s Space) distinct() error {
+	for _, err := range []error{
+		repeated("Channels", s.Channels),
+		repeated("DiesPerChannel", s.DiesPerChannel),
+		repeated("PlanesPerDie", s.PlanesPerDie),
+		repeated("BusMBps", s.BusMBps),
+		repeated("OverProvision", s.OverProvision),
+		repeated("Layouts", s.Layouts),
+		repeated("Optimizers", s.Optimizers),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// repeated reports a value that vals lists twice.
+func repeated[T comparable](axis string, vals []T) error {
+	for i, v := range vals {
+		if slices.Index(vals[:i], v) >= 0 {
+			return fmt.Errorf("search: axis %s lists %v twice", axis, v)
+		}
+	}
+	return nil
 }
 
 // Options tunes a search run.
@@ -174,7 +202,8 @@ type Stats struct {
 	Pruned int
 	// Evaluated counts simulations actually run (including the seed).
 	Evaluated int
-	// MemoHits counts candidates resolved from the memo table.
+	// MemoHits counts candidates already simulated: the seed, when the
+	// base configuration is itself a grid point.
 	MemoHits int
 	// Skipped counts unpruned candidates left unsimulated when the budget
 	// ran out.
@@ -211,11 +240,15 @@ const waveSize = 8
 // Run explores the space over the base configuration. The base point
 // itself is always simulated first (budget permitting it is the seed the
 // first pruning decisions compare against), so the returned frontier
-// always contains the base configuration or points that dominate it.
+// always contains the base configuration or points that dominate it. A
+// space that lists an axis value twice is an error.
 func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	system := opts.system()
 	if _, ok := core.LookupSystem(system); !ok {
 		return nil, fmt.Errorf("search: unknown system %q", system)
+	}
+	if err := space.distinct(); err != nil {
+		return nil, err
 	}
 	res := &Result{System: system}
 
@@ -243,7 +276,6 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	})
 
 	g := newGrid(base, space)
-	simulated := make(map[axes]bool)
 	prunedBy := func(c candidate) bool {
 		for _, p := range res.Evaluated {
 			if p.dominatesBound(c.stepFloor, c.energyFloor, c.lifetime) {
@@ -292,16 +324,8 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("search: base configuration: %w", err)
 	}
-	seed := point(-1, base, seedLife)
-	seedAxes := axesOf(&base)
-	for _, c := range candidates {
-		if g.axes(c.index) == seedAxes {
-			seed.Index = c.index // the base is itself a grid point
-			break
-		}
-	}
+	seed := point(g.index(&base), base, seedLife)
 	res.Stats.Evaluated++
-	simulated[seedAxes] = true
 	if err := evaluate([]*Point{seed}); err != nil {
 		return nil, err
 	}
@@ -313,8 +337,7 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 		for i < len(candidates) && len(wave) < waveSize {
 			c := candidates[i]
 			i++
-			a := g.axes(c.index)
-			if simulated[a] {
+			if c.index == seed.Index {
 				res.Stats.MemoHits++
 				continue
 			}
@@ -327,9 +350,8 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 				continue
 			}
 			res.Stats.Evaluated++
-			simulated[a] = true // a duplicate later in this wave is a memo hit
 			cfg := base
-			a.apply(&cfg)
+			g.apply(c.index, &cfg)
 			wave = append(wave, point(c.index, cfg, c.lifetime))
 		}
 		if len(wave) == 0 {
@@ -349,55 +371,19 @@ func Run(base core.Config, space Space, opts Options) (*Result, error) {
 // drive's own geometry (core.SweepWAF); a drive whose WAF that rule
 // cannot decide is an error, never a guess.
 func lifetime(cfg *core.Config) (float64, error) {
-	cell := cfg.SSD.Nand.Cell
-	waf, err := core.SweepWAF(*cfg, cell)
+	waf, err := core.SweepWAF(*cfg)
 	if err != nil {
 		return 0, err
 	}
-	life, fits := core.AnalyticLifetime(*cfg, cell, waf)
+	life, fits := core.AnalyticLifetime(*cfg, waf)
 	if !fits {
 		return 0, nil
 	}
 	return life, nil
 }
 
-// axes is one grid point's value on each of the seven grid axes. Every
-// configuration the search prices is the base with these fields replaced,
-// so two of them are equal exactly when their axes are: the tuple is the
-// memo key. Over-provisioning is held as its float64 bits, the encoding
-// Config.CanonicalHash gives it.
-type axes struct {
-	channels, dies, planes, busMBps int
-	overProvision                   uint64
-	layout                          layout.Strategy
-	optimizer                       optim.Kind
-}
-
-func axesOf(cfg *core.Config) axes {
-	return axes{
-		channels:      cfg.SSD.Channels,
-		dies:          cfg.SSD.DiesPerChannel,
-		planes:        cfg.SSD.Nand.PlanesPerDie,
-		busMBps:       cfg.SSD.Nand.BusMBps,
-		overProvision: math.Float64bits(cfg.SSD.OverProvision),
-		layout:        cfg.Layout,
-		optimizer:     cfg.Optimizer,
-	}
-}
-
-// apply writes the axis values into cfg.
-func (a axes) apply(cfg *core.Config) {
-	cfg.SSD.Channels = a.channels
-	cfg.SSD.DiesPerChannel = a.dies
-	cfg.SSD.Nand.PlanesPerDie = a.planes
-	cfg.SSD.Nand.BusMBps = a.busMBps
-	cfg.SSD.OverProvision = math.Float64frombits(a.overProvision)
-	cfg.Layout = a.layout
-	cfg.Optimizer = a.optimizer
-}
-
 // A candidate is one valid grid point, priced: its row-major grid index,
-// which decodes to its axis values (grid.axes), its two analytic floors
+// which decodes to its axis values (grid.apply), its two analytic floors
 // and its lifetime.
 type candidate struct {
 	index       int
@@ -437,22 +423,41 @@ func orBase[T any](vals []T, base T) []T {
 	return vals
 }
 
-// axes decodes grid index i into its axis values.
-func (g *grid) axes(i int) axes {
+// apply writes grid point i's axis values into cfg.
+func (g *grid) apply(i int, cfg *core.Config) {
 	next := func(n int) int {
 		pos := i % n
 		i /= n
 		return pos
 	}
-	var a axes
-	a.optimizer = g.optimizers[next(len(g.optimizers))]
-	a.layout = g.layouts[next(len(g.layouts))]
-	a.overProvision = math.Float64bits(g.overProv[next(len(g.overProv))])
-	a.busMBps = g.bus[next(len(g.bus))]
-	a.planes = g.planes[next(len(g.planes))]
-	a.dies = g.dies[next(len(g.dies))]
-	a.channels = g.channels[i]
-	return a
+	cfg.Optimizer = g.optimizers[next(len(g.optimizers))]
+	cfg.Layout = g.layouts[next(len(g.layouts))]
+	cfg.SSD.OverProvision = g.overProv[next(len(g.overProv))]
+	cfg.SSD.Nand.BusMBps = g.bus[next(len(g.bus))]
+	cfg.SSD.Nand.PlanesPerDie = g.planes[next(len(g.planes))]
+	cfg.SSD.DiesPerChannel = g.dies[next(len(g.dies))]
+	cfg.SSD.Channels = g.channels[i]
+}
+
+// index returns the grid index of the point whose axis values are cfg's,
+// or -1 when some value is not on its axis.
+func (g *grid) index(cfg *core.Config) int {
+	i := 0
+	for _, pos := range [...]struct{ at, n int }{
+		{slices.Index(g.channels, cfg.SSD.Channels), len(g.channels)},
+		{slices.Index(g.dies, cfg.SSD.DiesPerChannel), len(g.dies)},
+		{slices.Index(g.planes, cfg.SSD.Nand.PlanesPerDie), len(g.planes)},
+		{slices.Index(g.bus, cfg.SSD.Nand.BusMBps), len(g.bus)},
+		{slices.Index(g.overProv, cfg.SSD.OverProvision), len(g.overProv)},
+		{slices.Index(g.layouts, cfg.Layout), len(g.layouts)},
+		{slices.Index(g.optimizers, cfg.Optimizer), len(g.optimizers)},
+	} {
+		if pos.at < 0 {
+			return -1
+		}
+		i = i*pos.n + pos.at
+	}
+	return i
 }
 
 // Pricing tables of up to tableStack entries live on enumerate's stack,

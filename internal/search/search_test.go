@@ -139,8 +139,8 @@ func TestSearchBoundSound(t *testing.T) {
 
 // TestSearchPruningEffective pins the acceptance criterion on the full
 // default grid: at least half the candidates are rejected analytically
-// before simulation, the budget is respected, and the memo table dedupes
-// the seeded default.
+// before simulation, the budget is respected, and the seeded default's
+// grid point is the memo hit.
 func TestSearchPruningEffective(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid search in -short mode")
@@ -213,45 +213,49 @@ func TestSearchPricesSeedOutsideGrid(t *testing.T) {
 	if seed.Index != -1 {
 		t.Fatalf("first evaluated point is grid index %d, want the out-of-grid seed", seed.Index)
 	}
-	cell := base.SSD.Nand.Cell
-	waf, err := core.SweepWAF(base, cell)
+	waf, err := core.SweepWAF(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := core.AnalyticLifetime(base, cell, waf)
+	want, _ := core.AnalyticLifetime(base, waf)
 	//simlint:allow floateq the seed must be priced by this exact computation
 	if seed.Lifetime != want {
 		t.Fatalf("seed lifetime %g, want %g (WAF %g on its own drive at OP 0.07)", seed.Lifetime, want, waf)
 	}
 }
 
-// TestSearchSimulatesEachDesignPointOnce runs a space whose duplicated
-// axis values make several grid points one design point, with a budget
-// that admits a full wave of them: a duplicate is a memo hit even inside
-// the wave that simulates its design point, so no configuration is
-// simulated twice and the frontier lists each once.
-func TestSearchSimulatesEachDesignPointOnce(t *testing.T) {
-	space := Space{
-		Channels:       []int{8, 8, 16},
-		DiesPerChannel: []int{4, 2},
-		BusMBps:        []int{1200, 800, 1200},
-		OverProvision:  []float64{0.125, 0.125},
-	}
+// TestSearchRejectsRepeatedAxisValue checks that a space listing an axis
+// value twice, which would make two grid indices one design point, fails
+// before anything is simulated, naming the axis and the value.
+func TestSearchRejectsRepeatedAxisValue(t *testing.T) {
+	space := smallSpace()
+	space.OverProvision = []float64{0.125, 0.25, 0.125}
 	res, err := Run(quickBase(), space, Options{Budget: 16, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatalf("space with a repeated value searched: %+v", res.Stats)
 	}
-	for _, points := range [][]*Point{res.Evaluated, res.Frontier} {
-		seen := map[uint64]int{}
-		for _, p := range points {
-			if i, ok := seen[p.Hash]; ok {
-				t.Fatalf("grid points %d and %d are one design point (hash %x), listed twice", i, p.Index, p.Hash)
-			}
-			seen[p.Hash] = p.Index
+	for _, want := range []string{"OverProvision", "0.125"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	if res.Stats.MemoHits == 0 {
-		t.Fatal("no memo hits over duplicated axis values")
+}
+
+// TestGridIndexInvertsApply checks that looking a grid point's axis values
+// up gives back its index, and that a value off its axis gives -1.
+func TestGridIndexInvertsApply(t *testing.T) {
+	base := quickBase()
+	g := newGrid(base, smallSpace())
+	for i := 0; i < smallSpace().Size(); i++ {
+		cfg := base
+		g.apply(i, &cfg)
+		if got := g.index(&cfg); got != i {
+			t.Fatalf("grid point %d looks up as %d", i, got)
+		}
+	}
+	base.SSD.Channels = 4
+	if got := g.index(&base); got != -1 {
+		t.Fatalf("off-grid channel count looks up as grid point %d", got)
 	}
 }
 
@@ -270,8 +274,8 @@ func TestSearchDefaultSpaceSweepWAFIsOne(t *testing.T) {
 	g := newGrid(base, DefaultSpace())
 	for _, c := range candidates {
 		cfg := base
-		g.axes(c.index).apply(&cfg)
-		waf, err := core.SweepWAF(cfg, cfg.SSD.Nand.Cell)
+		g.apply(c.index, &cfg)
+		waf, err := core.SweepWAF(cfg)
 		if err != nil || math.Float64bits(waf) != math.Float64bits(1) {
 			t.Fatalf("point %d (OP %v): WAF %v, %v; want 1", c.index, cfg.SSD.OverProvision, waf, err)
 		}
