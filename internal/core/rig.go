@@ -66,9 +66,9 @@ type rig struct {
 	// chunks on the link) and the executors.
 	outPending  int64
 	outInFlight int
-	odp         [][]*odp.Unit // OnDie: one ODP unit per die
-	ctrl        *host.CPU     // Ctrl: the controller's cores
-	gpu         *host.GPU     // Offload on the GPU, for its utilization
+	odp         []odp.Unit // OnDie: one ODP unit per die, ch·dies+die
+	ctrl        *host.CPU  // Ctrl: the controller's cores
+	gpu         *host.GPU  // Offload on the GPU, for its utilization
 
 	// Offload: the executor and link verbs, the phase names and the
 	// batch being filled.
@@ -86,9 +86,10 @@ type rig struct {
 	onDrained func() // r.drained, bound once
 
 	spareWaiters [][]func() // resolved futures' waiter lists, for reuse
-	freeUnits    []*unit
-	freeComps    []*compOp
-	freeBatches  []*batch
+	planeSlots   []int      // unused plane storage for unit placements (place)
+	units        sim.Freelist[unit]
+	compOps      sim.Freelist[compOp]
+	batches      sim.Freelist[batch]
 }
 
 // newRig validates cfg and builds the run every simulated system shares:
@@ -148,13 +149,7 @@ func (r *rig) setup(d *Design) {
 	switch d.exec {
 	case execODP:
 		// One compute unit per die.
-		r.odp = make([][]*odp.Unit, cfg.SSD.Channels)
-		for ch := range r.odp {
-			r.odp[ch] = make([]*odp.Unit, cfg.SSD.DiesPerChannel)
-			for die := range r.odp[ch] {
-				r.odp[ch][die] = odp.NewUnit(r.eng, fmt.Sprintf("ch%d/die%d", ch, die), cfg.ODP)
-			}
-		}
+		r.odp = odp.NewUnits(r.eng, cfg.ODP, cfg.SSD.Channels, cfg.SSD.DiesPerChannel)
 	case execCtrl:
 		r.ctrl = host.NewCPU(r.eng, cfg.CtrlCPU)
 	case execGPU:

@@ -67,13 +67,11 @@ func (d *Design) simulate(cfg Config) (*Report, error) {
 	switch d.exec {
 	case execODP:
 		var odpFlops, odpUtil float64
-		for _, row := range run.odp {
-			for _, u := range row {
-				odpFlops += float64(u.Flops())
-				odpUtil += u.Utilization()
-			}
+		for i := range run.odp {
+			odpFlops += float64(run.odp[i].Flops())
+			odpUtil += run.odp[i].Utilization()
 		}
-		r.ODPUtil = odpUtil / float64(len(run.odp)*len(run.odp[0]))
+		r.ODPUtil = odpUtil / float64(len(run.odp))
 		ops = odpFlops * cfg.ScaleFactor()
 	case execGPU:
 		r.GPUUtil = run.gpu.Utilization()

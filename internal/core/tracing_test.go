@@ -143,3 +143,28 @@ func TestTraceReconcilesWithReportedLinkUtil(t *testing.T) {
 		t.Errorf("trace-derived link util %v, report says %v", best, r.LinkUtil)
 	}
 }
+
+// TestTracedODPUnitNames pins the tracks of a traced OptimStore run's
+// on-die processing units: one per die, "ch<c>/die<d>/odp", the names
+// they have always traced under. The rig builds the units in one slice
+// and formats their names only when the engine traces.
+func TestTracedODPUnitNames(t *testing.T) {
+	cfg := testConfig(dnn.BERTLarge())
+	cfg.SSD.Channels, cfg.SSD.DiesPerChannel = 2, 2
+	_, tr := tracedRun(t, "optimstore", cfg)
+	got := map[string]bool{}
+	for _, e := range tr.Events() {
+		if strings.HasSuffix(e.Track, "/odp") {
+			got[e.Track] = true
+		}
+	}
+	want := []string{"ch0/die0/odp", "ch0/die1/odp", "ch1/die0/odp", "ch1/die1/odp"}
+	for _, track := range want {
+		if !got[track] {
+			t.Errorf("no activity on %s", track)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("ODP tracks %v, want exactly %v", got, want)
+	}
+}

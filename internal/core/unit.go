@@ -103,20 +103,18 @@ type batch struct {
 	start sim.Time
 }
 
-// getUnit takes a unit record off the rig's freelist, or makes one.
+// getUnit takes a unit record off the rig's freelist, which grows by
+// slabs.
 //
 //simlint:hotpath
 func (r *rig) getUnit() *unit {
-	if n := len(r.freeUnits); n > 0 {
-		u := r.freeUnits[n-1]
-		r.freeUnits[n-1] = nil
-		r.freeUnits = r.freeUnits[:n-1]
-		return u
+	u := r.units.Get()
+	if u.step == nil {
+		// A fresh record: binding the method value allocates, once per
+		// record.
+		u.r = r
+		u.step = u.advance
 	}
-	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-	u := &unit{r: r}
-	// Binding the method value allocates, once per record.
-	u.step = u.advance
 	return u
 }
 
@@ -126,8 +124,7 @@ func (r *rig) getUnit() *unit {
 //simlint:hotpath
 //simlint:release
 func (r *rig) putUnit(u *unit) {
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	r.freeUnits = append(r.freeUnits, u)
+	r.units.Put(u)
 }
 
 // startComp sends one component of u down its own route, starting with
@@ -135,14 +132,9 @@ func (r *rig) putUnit(u *unit) {
 //
 //simlint:hotpath
 func (r *rig) startComp(u *unit, first compStage, lpa int64, ch, die int) *compOp {
-	var c *compOp
-	if n := len(r.freeComps); n > 0 {
-		c = r.freeComps[n-1]
-		r.freeComps[n-1] = nil
-		r.freeComps = r.freeComps[:n-1]
-	} else {
-		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-		c = &compOp{r: r}
+	c := r.compOps.Get()
+	if c.step == nil {
+		c.r = r
 		c.step = c.advance
 	}
 	c.parent, c.stage, c.lpa, c.ch, c.die = u, first, lpa, ch, die
@@ -155,23 +147,18 @@ func (r *rig) startComp(u *unit, first compStage, lpa int64, ch, die int) *compO
 //simlint:release
 func (r *rig) putComp(c *compOp) {
 	c.parent = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	r.freeComps = append(r.freeComps, c)
+	r.compOps.Put(c)
 }
 
-// getBatch takes a batch record off the freelist, or makes one.
+// getBatch takes a batch record off the freelist.
 //
 //simlint:hotpath
 func (r *rig) getBatch() *batch {
-	if n := len(r.freeBatches); n > 0 {
-		b := r.freeBatches[n-1]
-		r.freeBatches[n-1] = nil
-		r.freeBatches = r.freeBatches[:n-1]
-		return b
+	b := r.batches.Get()
+	if b.step == nil {
+		b.r = r
+		b.step = b.advance
 	}
-	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-	b := &batch{r: r}
-	b.step = b.advance
 	return b
 }
 
@@ -182,8 +169,28 @@ func (r *rig) getBatch() *batch {
 func (r *rig) putBatch(b *batch) {
 	clear(b.units)
 	b.units, b.grads = b.units[:0], nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	r.freeBatches = append(r.freeBatches, b)
+	r.batches.Put(b)
+}
+
+// placeSlab is how many records' plane storage the rig carves from one
+// allocation, as sim.Freelist carves records.
+const placeSlab = 16
+
+// place fills u's placement. A record's first placement takes storage
+// for its components' planes from the rig's slab, which it keeps across
+// reuse.
+//
+//simlint:hotpath
+func (r *rig) place(u *unit) {
+	if u.place.Planes == nil {
+		if len(r.planeSlots) == 0 {
+			//simlint:allow hotalloc pool growth: one slab per placeSlab records while the pool warms up
+			r.planeSlots = make([]int, placeSlab*r.comps)
+		}
+		u.place.Planes = r.planeSlots[:0:r.comps]
+		r.planeSlots = r.planeSlots[r.comps:]
+	}
+	r.lay.Placement(u.idx, &u.place)
 }
 
 // fanOut opens a stage that waits for n completions.
@@ -210,8 +217,8 @@ func (u *unit) begin() {
 	switch r.kind {
 	case pipeOnDie:
 		// Phase 1: gradient at the die, resident pages in page registers.
-		r.lay.Placement(u.idx, &u.place)
-		u.odp = r.odp[u.place.HomeChannel][u.place.HomeDie]
+		r.place(u)
+		u.odp = &r.odp[u.place.HomeChannel*r.geo.DiesPerChannel+u.place.HomeDie]
 		if u.grad == nil {
 			// Binding the method values allocates, once per record.
 			u.grad, u.gradIn = u.gradReady, u.joined
@@ -222,7 +229,7 @@ func (u *unit) begin() {
 	case pipeCtrl:
 		// Phase 1: gradient available and every page pulled to the
 		// controller (array read, then bus transfer off its die).
-		r.lay.Placement(u.idx, &u.place)
+		r.place(u)
 		u.fanOut(uPull, 1+r.comps)
 		r.grads[u.idx/r.gradUnits].then(u.step)
 		for comp := 0; comp < r.comps; comp++ {

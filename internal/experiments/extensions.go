@@ -119,8 +119,9 @@ func measureReadQoS(suspend bool, rounds int) (readQoS, error) {
 	}
 	var preempts uint64
 	for ch := 0; ch < cfg.Channels; ch++ {
-		for _, die := range dev.Channel(ch).Dies() {
-			preempts += die.Preemptions()
+		dies := dev.Channel(ch).Dies()
+		for i := range dies {
+			preempts += dies[i].Preemptions()
 		}
 	}
 	return readQoS{lat.Percentile(50), lat.Percentile(99), dev.Stats().UpdateWrites, preempts}, nil

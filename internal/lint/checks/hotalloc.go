@@ -95,14 +95,20 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 	}
 	var b strings.Builder
 	b.WriteByte('(')
-	switch t := fd.Recv.List[0].Type.(type) {
-	case *ast.StarExpr:
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
 		b.WriteByte('*')
-		if id, ok := t.X.(*ast.Ident); ok {
-			b.WriteString(id.Name)
-		}
-	case *ast.Ident:
-		b.WriteString(t.Name)
+		t = star.X
+	}
+	// A generic receiver, T[P] or T[P, Q], shows its type name.
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		b.WriteString(id.Name)
 	}
 	b.WriteString(").")
 	b.WriteString(fd.Name.Name)

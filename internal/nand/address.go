@@ -16,7 +16,7 @@ func (a Addr) String() string {
 }
 
 // valid reports whether the address is inside the geometry of p.
-func (a Addr) valid(p Params) bool {
+func (a Addr) valid(p *Params) bool {
 	return a.Plane >= 0 && a.Plane < p.PlanesPerDie &&
 		a.Block >= 0 && a.Block < p.BlocksPerPlane &&
 		a.Page >= 0 && a.Page < p.PagesPerBlock

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -32,9 +33,9 @@ type blockState struct {
 }
 
 // plane is one independently operating plane of a die. Its server is a
-// FIFO resource, or a preemptible one when read-suspend is enabled: then
-// reads and Occupy take priority, and programs and erases can be
-// suspended.
+// FIFO resource, held by value, or a preemptible one when read-suspend is
+// enabled: then reads and Occupy take priority, and programs and erases
+// can be suspended.
 //
 // blocks holds the state of blocks 0..len-1 and grows on the first
 // Program, Erase, MarkProgrammed or RestoreBlock of a block past its end;
@@ -42,7 +43,7 @@ type blockState struct {
 // A window opens a few blocks of each plane, so a device's block state
 // scales with the blocks it touches, not with its geometry.
 type plane struct {
-	fifo   *sim.Resource
+	fifo   sim.Resource
 	pre    *sim.Preemptible // non-nil when read-suspend is enabled
 	blocks []blockState
 }
@@ -51,16 +52,38 @@ type plane struct {
 // growth: room for the few blocks a window opens before it regrows.
 const firstBlocks = 8
 
-// block returns the state of block b, growing the plane's block array to
-// hold it. b must be inside the geometry.
-func (pl *plane) block(b int) *blockState {
+// blockChunk holds the first block arrays of a device's planes,
+// firstBlocks states per plane at the plane's device-linear index. The
+// chunk is allocated at the first block any plane touches, and a plane
+// takes its slot at its own first touch, so a fresh plane holds no block
+// state and a device's planes share one allocation.
+type blockChunk struct {
+	planes int
+	states []blockState
+}
+
+// carve returns plane i's first block array: empty, with room for
+// firstBlocks states.
+func (c *blockChunk) carve(i int) []blockState {
+	if c.states == nil {
+		//simlint:allow hotalloc once per device, at the first block any plane touches
+		c.states = make([]blockState, c.planes*firstBlocks)
+	}
+	at := i * firstBlocks
+	return c.states[at : at : at+firstBlocks]
+}
+
+// block returns the state of block b of plane i, growing the plane's
+// block array to hold it. b must be inside the geometry.
+func (d *Die) block(i, b int) *blockState {
+	pl := &d.planes[i]
 	if b >= len(pl.blocks) {
 		if pl.blocks == nil {
-			//simlint:allow hotalloc once per plane, at its first touched block
-			pl.blocks = make([]blockState, 0, firstBlocks)
+			pl.blocks = d.first.carve(d.base + i)
 		}
+		// Past len the array is erased-fresh: nothing writes beyond it.
 		//simlint:allow hotalloc amortized growth, once per block a run first touches
-		pl.blocks = append(pl.blocks, make([]blockState, b+1-len(pl.blocks))...)
+		pl.blocks = slices.Grow(pl.blocks, b+1-len(pl.blocks))[:b+1]
 	}
 	return &pl.blocks[b]
 }
@@ -96,42 +119,45 @@ func (pl *plane) use(d sim.Time, priority bool, done func()) {
 //   - pages within a block are programmed strictly in order,
 //   - a full block must be erased before reprogramming,
 //   - addresses must be inside the die geometry.
+//
+// A device's dies live in one slice and their planes in another (see
+// NewChannels); a die's name is formatted from its indices when a trace
+// or a panic needs it.
 type Die struct {
-	eng    *sim.Engine
-	name   string
-	params Params
-	planes []*plane
-	counts OpCounts
-	failed bool
+	ch, idx int // channel and die-in-channel
+	params  *Params
+	planes  []plane
+	first   *blockChunk // first block arrays, shared by the device's dies
+	base    int         // device-linear index of plane 0, its slot in first
+	counts  OpCounts
+	failed  bool
 }
 
-// NewDie builds a die with the given parameters. It panics on invalid
-// parameters; construction happens once at configuration time. A FIFO
-// plane's resource is named "<die>/plane<i>" when the engine traces, the
-// only reader of the name; untraced it stays unnamed.
-func NewDie(eng *sim.Engine, name string, p Params) *Die {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	d := &Die{eng: eng, name: name, params: p}
-	d.planes = make([]*plane, p.PlanesPerDie)
+// initPlanes builds the die's planes in place: FIFO resources, or under
+// read-suspend the device's preemptible servers pres holds, plane i's at
+// base+i. A FIFO plane's resource is named "<name>/plane<i>" when the
+// engine traces, the only reader of the name; untraced it stays unnamed.
+func (d *Die) initPlanes(eng *sim.Engine, name string, pres []sim.Preemptible) {
+	traced := eng.Tracer() != nil
 	for i := range d.planes {
-		pl := &plane{}
+		pl := &d.planes[i]
 		switch {
-		case p.ReadSuspend:
-			pl.pre = sim.NewPreemptible(eng, p.ResumeOverhead)
-		case eng.Tracer() != nil:
-			pl.fifo = sim.NewResource(eng, fmt.Sprintf("%s/plane%d", name, i), 1)
+		case d.params.ReadSuspend:
+			pl.pre = &pres[d.base+i]
+			pl.pre.Init(eng, d.params.ResumeOverhead)
+		case traced:
+			pl.fifo.Init(eng, fmt.Sprintf("%s/plane%d", name, i), 1)
 		default:
-			pl.fifo = sim.NewResource(eng, "", 1)
+			pl.fifo.Init(eng, "", 1)
 		}
-		d.planes[i] = pl
 	}
-	return d
 }
 
-// Name returns the diagnostic name.
-func (d *Die) Name() string { return d.name }
+// Name returns the diagnostic name, "ch<c>/die<d>".
+func (d *Die) Name() string {
+	//simlint:allow hotalloc cold: hot paths read the name only to format a panic
+	return fmt.Sprintf("ch%d/die%d", d.ch, d.idx)
+}
 
 // Counts returns the accumulated operation tally.
 func (d *Die) Counts() OpCounts { return d.counts }
@@ -139,13 +165,13 @@ func (d *Die) Counts() OpCounts { return d.counts }
 func (d *Die) checkAddr(a Addr) *plane {
 	if d.failed {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("nand: %s: operation on failed die", d.name))
+		panic(fmt.Sprintf("nand: %s: operation on failed die", d.Name()))
 	}
 	if !a.valid(d.params) {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("nand: %s: address %v outside geometry", d.name, a))
+		panic(fmt.Sprintf("nand: %s: address %v outside geometry", d.Name(), a))
 	}
-	return d.planes[a.Plane]
+	return &d.planes[a.Plane]
 }
 
 // Fail marks the die as failed (chip-level defect). A failed die keeps its
@@ -159,13 +185,13 @@ func (d *Die) Fail() { d.failed = true }
 // copy the durable media state of a crashed device into a fresh one.
 func (d *Die) RestoreBlock(planeIdx, block, writePtr, eraseCount int) {
 	if planeIdx < 0 || planeIdx >= len(d.planes) || block < 0 || block >= d.params.BlocksPerPlane {
-		panic(fmt.Sprintf("nand: %s: restore of block %d/%d outside geometry", d.name, planeIdx, block))
+		panic(fmt.Sprintf("nand: %s: restore of block %d/%d outside geometry", d.Name(), planeIdx, block))
 	}
 	if writePtr < 0 || writePtr > d.params.PagesPerBlock || eraseCount < 0 {
 		panic(fmt.Sprintf("nand: %s: restore block %d/%d writePtr=%d erases=%d",
-			d.name, planeIdx, block, writePtr, eraseCount))
+			d.Name(), planeIdx, block, writePtr, eraseCount))
 	}
-	blk := d.planes[planeIdx].block(block)
+	blk := d.block(planeIdx, block)
 	blk.writePtr = writePtr
 	blk.eraseCount = eraseCount
 }
@@ -183,14 +209,14 @@ func (d *Die) Read(a Addr, done func()) {
 // tPROG. It enforces sequential programming and erase-before-rewrite.
 func (d *Die) Program(a Addr, done func()) {
 	pl := d.checkAddr(a)
-	blk := pl.block(a.Block)
+	blk := d.block(a.Plane, a.Block)
 	if a.Page != blk.writePtr {
 		panic(fmt.Sprintf("nand: %s: program %v but write pointer at page %d", //simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-			d.name, a, blk.writePtr))
+			d.Name(), a, blk.writePtr))
 	}
 	if blk.writePtr >= d.params.PagesPerBlock {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("nand: %s: program into full block %v", d.name, a))
+		panic(fmt.Sprintf("nand: %s: program into full block %v", d.Name(), a))
 	}
 	blk.writePtr++
 	d.counts.Programs++
@@ -210,11 +236,11 @@ func (d *Die) Occupy(a Addr, dur sim.Time, done func()) {
 // pre-conditioned content at time zero and enforces the same sequential-
 // programming invariant as Program.
 func (d *Die) MarkProgrammed(a Addr) {
-	pl := d.checkAddr(a)
-	blk := pl.block(a.Block)
+	d.checkAddr(a)
+	blk := d.block(a.Plane, a.Block)
 	if a.Page != blk.writePtr || blk.writePtr >= d.params.PagesPerBlock {
 		panic(fmt.Sprintf("nand: %s: mark-programmed %v but write pointer at page %d",
-			d.name, a, blk.writePtr))
+			d.Name(), a, blk.writePtr))
 	}
 	blk.writePtr++
 }
@@ -223,7 +249,7 @@ func (d *Die) MarkProgrammed(a Addr) {
 // incrementing the block's program/erase cycle count.
 func (d *Die) Erase(a Addr, done func()) {
 	pl := d.checkAddr(Addr{Plane: a.Plane, Block: a.Block})
-	blk := pl.block(a.Block)
+	blk := d.block(a.Plane, a.Block)
 	blk.writePtr = 0
 	blk.eraseCount++
 	d.counts.Erases++
@@ -244,9 +270,9 @@ func (d *Die) EraseCount(planeIdx, block int) int {
 // (zero when read-suspend is disabled).
 func (d *Die) Preemptions() uint64 {
 	var total uint64
-	for _, pl := range d.planes {
-		if pl.pre != nil {
-			total += pl.pre.Preemptions()
+	for i := range d.planes {
+		if pre := d.planes[i].pre; pre != nil {
+			total += pre.Preemptions()
 		}
 	}
 	return total

@@ -125,7 +125,7 @@ func (p Params) InCell(c CellType) Params {
 }
 
 // Validate reports the first structural problem with the parameters.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.PageSize <= 0:
 		return fmt.Errorf("nand: PageSize %d", p.PageSize)

@@ -80,19 +80,29 @@ func (p Params) ThroughputElemsPerSec(flopsPerElem int) float64 {
 // around it.
 type Unit struct {
 	params Params
-	busy   *sim.Resource
+	busy   sim.Resource
 	flops  uint64
 }
 
-// NewUnit builds a unit; invalid parameters panic at configuration time.
-func NewUnit(eng *sim.Engine, name string, p Params) *Unit {
+// NewUnits builds one unit per die of a channels × dies device in one
+// slice: unit ch·dies+die computes on die (ch, die). Invalid parameters
+// panic at configuration time. A unit's resource traces on
+// "ch<c>/die<d>/odp"; the name is formatted only when the engine traces.
+func NewUnits(eng *sim.Engine, p Params, channels, dies int) []Unit {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Unit{
-		params: p,
-		busy:   sim.NewResource(eng, name+"/odp", 1),
+	traced := eng.Tracer() != nil
+	us := make([]Unit, channels*dies)
+	for i := range us {
+		name := ""
+		if traced {
+			name = fmt.Sprintf("ch%d/die%d/odp", i/dies, i%dies)
+		}
+		us[i].params = p
+		us[i].busy.Init(eng, name, 1)
 	}
+	return us
 }
 
 // Exec runs one element-wise kernel invocation over elems elements and

@@ -149,12 +149,18 @@ type Engine struct {
 	seq     uint64
 	queue   []*Event
 	lanes   [maxLanes]lane
-	nlanes  int      // lanes assigned a delay so far; lanes[nlanes:] are unused
-	busy    uint16   // bit i set while lanes[i] holds events, tombstones included
-	free    []*Event // recycled Event structs (see Event doc)
+	nlanes  int    // lanes assigned a delay so far; lanes[nlanes:] are unused
+	busy    uint16 // bit i set while lanes[i] holds events, tombstones included
 	fired   uint64
 	stopped bool
 	trace   Tracer
+
+	// The engine's record pools: events (see Event), and the requests of
+	// every Resource and Preemptible on the engine, so a resource's first
+	// use takes a request warmed by any other.
+	events Freelist[Event]
+	reqs   Freelist[useReq]
+	ops    Freelist[pendingOp]
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -179,28 +185,14 @@ func (e *Engine) Now() Time { return e.now }
 // detecting runaway simulations in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// eventSlab is how many Events the freelist gains each time it runs dry:
-// a burst of events posted at once (the gradient arrivals of a run) then
-// costs one allocation per slab rather than one per event.
-const eventSlab = 64
-
-// alloc takes an Event from the freelist, refilling a dry freelist with a
-// slab, and initializes it as pending at time t.
+// alloc takes an Event from the freelist, which a dry list refills with a
+// slab of events (a burst posted at once, such as the gradient arrivals
+// of a run, then costs one allocation per slab), and initializes it as
+// pending at time t.
 //
 //simlint:hotpath
 func (e *Engine) alloc(t Time) *Event {
-	if len(e.free) == 0 {
-		//simlint:allow hotalloc pool growth: one slab per dry freelist while the pool warms up
-		slab := make([]Event, eventSlab)
-		for i := range slab {
-			//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-			e.free = append(e.free, &slab[i])
-		}
-	}
-	n := len(e.free)
-	ev := e.free[n-1]
-	e.free[n-1] = nil
-	e.free = e.free[:n-1]
+	ev := e.events.Get()
 	*ev = Event{at: t, seq: e.seq}
 	e.seq++
 	return ev
@@ -217,8 +209,7 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	e.free = append(e.free, ev)
+	e.events.Put(ev)
 }
 
 // siftUp moves ev toward the root from slot i until the heap order holds.

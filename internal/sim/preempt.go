@@ -40,15 +40,15 @@ type Preemptible struct {
 	hasSuspended bool
 	hiQueue      FIFO[*pendingOp]
 	loQueue      FIFO[*pendingOp]
-	freeOps      []*pendingOp
 
 	preemptions uint64
 	curStart    Time
 }
 
 // pendingOp is one queued or in-service operation. Ops are recycled
-// through the freeOps freelist and double as the completion-event
-// argument, so a steady-state Use cycle allocates nothing.
+// through the engine's freelist, shared by every Preemptible on the
+// engine, and double as the completion-event argument, so a steady-state
+// Use cycle allocates nothing. p is set when an op is taken.
 //
 //simlint:pooled
 type pendingOp struct {
@@ -63,35 +63,44 @@ type suspendedOp struct {
 	done      func()
 }
 
-// NewPreemptible builds the resource.
+// NewPreemptible builds the resource on its own.
+//
+//simlint:allow unused the package's runnable example builds one; a device's planes use Init
 func NewPreemptible(eng *Engine, resumeOverhead Time) *Preemptible {
+	p := &Preemptible{}
+	p.Init(eng, resumeOverhead)
+	return p
+}
+
+// Init builds the resource in place: an owner holds preemptible servers
+// by value (a table of NAND planes) and builds them without an allocation
+// each. A negative resume overhead panics.
+func (p *Preemptible) Init(eng *Engine, resumeOverhead Time) {
 	if resumeOverhead < 0 {
 		panic(fmt.Sprintf("sim: resume overhead %d", resumeOverhead))
 	}
-	return &Preemptible{eng: eng, ResumeOverhead: resumeOverhead}
+	*p = Preemptible{eng: eng, ResumeOverhead: resumeOverhead}
 }
 
 // Preemptions returns how many suspends occurred.
 func (p *Preemptible) Preemptions() uint64 { return p.preemptions }
 
+// getOp takes an op for p off the engine's freelist.
+//
 //simlint:hotpath
 func (p *Preemptible) getOp() *pendingOp {
-	if n := len(p.freeOps); n > 0 {
-		op := p.freeOps[n-1]
-		p.freeOps[n-1] = nil
-		p.freeOps = p.freeOps[:n-1]
-		return op
-	}
-	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-	return &pendingOp{p: p}
+	op := p.eng.ops.Get()
+	op.p = p
+	return op
 }
 
+// putOp returns an op to the engine's freelist.
+//
 //simlint:hotpath
 //simlint:release
 func (p *Preemptible) putOp(op *pendingOp) {
 	op.done = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	p.freeOps = append(p.freeOps, op)
+	p.eng.ops.Put(op)
 }
 
 // Use runs a preemptible (low-priority) operation of duration d, then done.

@@ -3,10 +3,12 @@ package sim
 import "fmt"
 
 // useReq is one pooled request: the duration to hold a unit and
-// the completion callback. Requests live on the resource's freelist
-// between uses, so a steady-state Use cycle allocates nothing — the
-// request struct doubles as the argument of the completion event
-// (scheduleArg), replacing the three closures the old path allocated.
+// the completion callback. Requests live on the engine's freelist
+// between uses, shared by every resource on the engine, so a
+// steady-state Use cycle allocates nothing — the request struct doubles
+// as the argument of the completion event (scheduleArg), replacing the
+// three closures the old path allocated. r is set when a request is
+// taken.
 //
 //simlint:pooled
 type useReq struct {
@@ -29,16 +31,17 @@ type useReq struct {
 // computed from), one "wait" span per queued request, and "in_use"/
 // "queue" counter samples at every transition. With no tracer every hook
 // is a single nil-check branch.
+//
+// An owner may hold a Resource by value and build it in place with Init;
+// NewResource allocates one.
 type Resource struct {
 	eng      *Engine
 	name     string
 	capacity int
 	inUse    int
 
-	// Waiting requests in arrival order; freeReqs recycles request
-	// structs.
-	q        FIFO[*useReq]
-	freeReqs []*useReq
+	// Waiting requests in arrival order.
+	q FIFO[*useReq]
 
 	// Utilisation accounting.
 	busyTime   Time // integral of inUse over time, in unit-nanoseconds
@@ -48,10 +51,20 @@ type Resource struct {
 // NewResource creates a resource with the given capacity (number of
 // identical servers). Capacity must be positive.
 func NewResource(eng *Engine, name string, capacity int) *Resource {
+	r := &Resource{}
+	r.Init(eng, name, capacity)
+	return r
+}
+
+// Init builds the resource in place, as NewResource does: an owner that
+// holds resources by value (a table of NAND planes) builds them without
+// an allocation each. The name is the resource's trace track; an
+// untraced engine never reads it.
+func (r *Resource) Init(eng *Engine, name string, capacity int) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d", name, capacity))
 	}
-	return &Resource{eng: eng, name: name, capacity: capacity}
+	*r = Resource{eng: eng, name: name, capacity: capacity}
 }
 
 func (r *Resource) account() {
@@ -71,24 +84,22 @@ func (r *Resource) Utilization() float64 {
 	return float64(total) / (float64(now) * float64(r.capacity))
 }
 
+// getReq takes a request for r off the engine's freelist.
+//
 //simlint:hotpath
 func (r *Resource) getReq() *useReq {
-	if n := len(r.freeReqs); n > 0 {
-		w := r.freeReqs[n-1]
-		r.freeReqs[n-1] = nil
-		r.freeReqs = r.freeReqs[:n-1]
-		return w
-	}
-	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-	return &useReq{r: r}
+	w := r.eng.reqs.Get()
+	w.r = r
+	return w
 }
 
+// putReq returns a request to the engine's freelist.
+//
 //simlint:hotpath
 //simlint:release
 func (r *Resource) putReq(w *useReq) {
 	w.done = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	r.freeReqs = append(r.freeReqs, w)
+	r.eng.reqs.Put(w)
 }
 
 // grantUse starts service for a request: one unit is taken and

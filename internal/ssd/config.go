@@ -77,7 +77,7 @@ func DefaultConfig() Config {
 }
 
 // Validate reports the first structural problem.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	if c.Channels <= 0 || c.DiesPerChannel <= 0 {
 		return fmt.Errorf("ssd: topology %dx%d", c.Channels, c.DiesPerChannel)
 	}

@@ -38,7 +38,7 @@ type Device struct {
 	eng      *sim.Engine
 	cfg      Config
 	geo      Geometry
-	channels []*nand.Channel
+	channels []nand.Channel
 	ftl      *FTL
 
 	// The DRAM write cache's slots: a write holds one from its command
@@ -53,7 +53,7 @@ type Device struct {
 
 	// Op-record freelists (see op.go): I/O records, and the GC and
 	// retirement records that keep their resident-list storage.
-	freeOps, freeRelocs []*op
+	ops, relocs sim.Freelist[op]
 
 	// dirty counts cache-resident (not yet flushed) copies per logical
 	// page: reads of these are served from DRAM.
@@ -112,10 +112,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	if cfg.Retire.Enabled() {
 		d.retire = ecc.NewRetireTracker(cfg.Retire)
 	}
-	for ch := 0; ch < cfg.Channels; ch++ {
-		d.channels = append(d.channels,
-			nand.NewChannel(eng, fmt.Sprintf("ch%d", ch), cfg.Nand, cfg.DiesPerChannel))
-	}
+	d.channels = nand.NewChannels(eng, &d.cfg.Nand, cfg.Channels, cfg.DiesPerChannel)
 	return d
 }
 
@@ -132,7 +129,7 @@ func (d *Device) Geometry() Geometry { return d.geo }
 func (d *Device) FTL() *FTL { return d.ftl }
 
 // Channel returns channel ch.
-func (d *Device) Channel(ch int) *nand.Channel { return d.channels[ch] }
+func (d *Device) Channel(ch int) *nand.Channel { return &d.channels[ch] }
 
 // Die returns the die at (ch, die).
 func (d *Device) Die(ch, die int) *nand.Die { return d.channels[ch].Die(die) }
@@ -193,8 +190,8 @@ func (d *Device) Stats() Stats {
 // Counts aggregates NAND operation tallies across all dies.
 func (d *Device) Counts() nand.OpCounts {
 	var total nand.OpCounts
-	for _, ch := range d.channels {
-		total.Add(ch.Counts())
+	for i := range d.channels {
+		total.Add(d.channels[i].Counts())
 	}
 	return total
 }

@@ -236,7 +236,11 @@ func (f *FTL) recoverFrom(crashed *FTL, media func(plane, block int) (writePtr, 
 		if lost(p) {
 			mark = f.geo.BlocksPerPlane
 		}
-		f.planes[p].blocks = make([]blockRec, mark)
+		if mark <= firstBlockRecs {
+			f.planes[p].blocks = f.carveRecs(p)[:mark]
+		} else {
+			f.planes[p].blocks = make([]blockRec, mark)
+		}
 	}
 	crashed.l2p.forEach(func(lpa, lin int64) {
 		if err != nil {

@@ -113,6 +113,14 @@ type FTL struct {
 	l2p    pageMap // logical page -> linear PPA, or unmapped
 	planes []planeAlloc
 
+	// First-touch storage, one slot per plane at its index: a plane's
+	// first block records and its first block's first reverse-map pages.
+	// A chunk is allocated when the first plane needs its slot, and a
+	// plane takes its slot at its own first touch (carveRecs, record), so
+	// the planes of a device share one allocation of each.
+	firstRecs []blockRec
+	firstP2L  []uint32
+
 	retiredCount int
 
 	// Write-amplification accounting.
@@ -172,6 +180,17 @@ type blockRec struct {
 // firstBlockRecs is the capacity of a plane's block records at its first
 // opened block: room for the few blocks a window opens before it regrows.
 const firstBlockRecs = 4
+
+// carveRecs returns plane p's slot of first block records: empty, with
+// room for firstBlockRecs.
+func (f *FTL) carveRecs(p int) []blockRec {
+	if f.firstRecs == nil {
+		//simlint:allow hotalloc once per device, at the first block any plane opens
+		f.firstRecs = make([]blockRec, len(f.planes)*firstBlockRecs)
+	}
+	at := p * firstBlockRecs
+	return f.firstRecs[at : at : at+firstBlockRecs]
+}
 
 // p2lFirstPages is the reverse-map length of a plane's first block until
 // it holds more pages. A preload programs a few pages per plane, so most
@@ -287,7 +306,7 @@ func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 				panic(fmt.Sprintf("ssd: plane %d out of blocks", planeIdx))
 			}
 		} else {
-			pa.open[s] = f.openBlock(pa)
+			pa.open[s] = f.openBlock(planeIdx)
 			pa.next[s] = 0
 		}
 	}
@@ -307,7 +326,8 @@ func (f *FTL) allocPage(planeIdx int, stream Stream) int64 {
 // with none, which only a recovered plane holds, and before every other:
 // the choice a FIFO of every free block in id order, erased blocks
 // appended as they return, would make.
-func (f *FTL) openBlock(pa *planeAlloc) int32 {
+func (f *FTL) openBlock(planeIdx int) int32 {
+	pa := &f.planes[planeIdx]
 	best := -1
 	for i := range pa.free {
 		if best < 0 || pa.blocks[pa.free[i]].erases < pa.blocks[pa.free[best]].erases {
@@ -316,8 +336,7 @@ func (f *FTL) openBlock(pa *planeAlloc) int32 {
 	}
 	if mark := len(pa.blocks); mark < f.geo.BlocksPerPlane && (best < 0 || pa.blocks[pa.free[best]].erases > 0) {
 		if pa.blocks == nil {
-			//simlint:allow hotalloc once per plane, at its first opened block
-			pa.blocks = make([]blockRec, 0, firstBlockRecs)
+			pa.blocks = f.carveRecs(planeIdx)
 		}
 		//simlint:allow hotalloc amortized growth, bounded by the plane's block count
 		pa.blocks = append(pa.blocks, blockRec{})
@@ -350,24 +369,37 @@ func (f *FTL) commit(lpa, lin int64, gc bool) {
 
 // record maps the linear page lin to lpa in its block's reverse map and
 // counts the page valid. The map grows to the page: to p2lFirstPages
-// entries while the block is the only one its plane has opened, else to
-// the whole block.
+// entries, the plane's slot of the FTL's first-page chunk, while the
+// block is the only one its plane has opened, else to the whole block.
 func (f *FTL) record(lin, lpa int64) {
 	plane, block, pg := f.dec.split(lin)
 	pa := &f.planes[plane]
 	r := &pa.blocks[block]
 	if pg >= len(r.p2l) {
-		n := f.geo.PagesPerBlock
 		if len(pa.blocks) == 1 && pg < p2lFirstPages {
-			n = min(n, p2lFirstPages)
+			// The plane's only block, so its map is still nil: a block's
+			// map grows to the whole block once it holds p2lFirstPages.
+			r.p2l = f.carveP2L(plane)
+		} else {
+			//simlint:allow hotalloc a block's reverse map grows to the whole block at most once per block a run opens
+			grown := make([]uint32, f.geo.PagesPerBlock)
+			copy(grown, r.p2l)
+			r.p2l = grown
 		}
-		//simlint:allow hotalloc a block's reverse map grows at most twice per block a run opens
-		grown := make([]uint32, n)
-		copy(grown, r.p2l)
-		r.p2l = grown
 	}
 	r.p2l[pg] = uint32(lpa + 1)
 	r.valid++
+}
+
+// carveP2L returns plane p's slot of first reverse-map pages:
+// min(p2lFirstPages, PagesPerBlock) entries, all free.
+func (f *FTL) carveP2L(p int) []uint32 {
+	n := min(p2lFirstPages, f.geo.PagesPerBlock)
+	if f.firstP2L == nil {
+		//simlint:allow hotalloc once per device, at the first page any plane records
+		f.firstP2L = make([]uint32, len(f.planes)*n)
+	}
+	return f.firstP2L[p*n : (p+1)*n : (p+1)*n]
 }
 
 // drop unmaps the linear page lin in the reverse map, leaving it stale.

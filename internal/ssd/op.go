@@ -82,27 +82,22 @@ type op struct {
 func (k opKind) relocates() bool { return k == kindGC || k == kindRetire }
 
 // freelist returns the freelist records of the kind recycle through.
-func (d *Device) freelist(kind opKind) *[]*op {
+func (d *Device) freelist(kind opKind) *sim.Freelist[op] {
 	if kind.relocates() {
-		return &d.freeRelocs
+		return &d.relocs
 	}
-	return &d.freeOps
+	return &d.ops
 }
 
-// getOp takes a record off the device's freelist, or makes one.
+// getOp takes a record off the device's freelist, which grows by slabs.
 //
 //simlint:hotpath
 func (d *Device) getOp(kind opKind) *op {
-	var o *op
-	if free := d.freelist(kind); len(*free) > 0 {
-		n := len(*free)
-		o = (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
-	} else {
-		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-		o = &op{d: d}
-		// Binding the method value allocates, once per record.
+	o := d.freelist(kind).Get()
+	if o.step == nil {
+		// A fresh record: binding the method value allocates, once per
+		// record.
+		o.d = d
 		o.step = o.advance
 	}
 	o.kind = kind
@@ -117,9 +112,7 @@ func (d *Device) putOp(o *op) {
 	o.done = nil
 	o.retries = 0
 	o.lpas = o.lpas[:0]
-	free := d.freelist(o.kind)
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	*free = append(*free, o)
+	d.freelist(o.kind).Put(o)
 }
 
 // finish completes an operation that ends with its caller's callback:
