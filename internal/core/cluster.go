@@ -99,21 +99,14 @@ func RunCluster(cfg Config, cc ClusterConfig, shard, single *Report) (*ClusterRe
 		rep.AllGather = bw.TransferTimeF((n - 1) / n * woutBytes)
 	}
 
-	// Serial composition with the same scalar overlap applied to the
-	// optimizer phase as in the single-device model.
-	hidden := rep.FwdBwd.Scale(cfg.OverlapFraction)
-	step := func(exposed sim.Time) sim.Time {
-		if exposed < 0 {
-			exposed = 0
-		}
-		return rep.FwdBwd + exposed
-	}
-	rep.StepTime = step(rep.ShardOptStep + rep.AllReduce + rep.AllGather - hidden)
+	// The collectives join the shard's optimizer phase, which the step
+	// composes with forward and backward as a single device's does.
+	rep.StepTime = cfg.stepTime(rep.ShardOptStep + rep.AllReduce + rep.AllGather)
 	tokens := float64(cfg.Model.BatchTokens(cfg.Batch))
 	rep.TokensPerSec = tokens * n / rep.StepTime.Seconds()
 
 	// Efficiency vs N× the single-worker rate.
-	singleRate := tokens / step(single.OptStepTime-hidden).Seconds()
+	singleRate := tokens / cfg.stepTime(single.OptStepTime).Seconds()
 	rep.Efficiency = rep.TokensPerSec / (n * singleRate)
 	return rep, nil
 }

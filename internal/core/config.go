@@ -106,11 +106,12 @@ type Config struct {
 	Checkpoint fault.Policy
 
 	// LayerwiseOverlap switches the end-to-end model from the scalar
-	// OverlapFraction formula to a simulated pipeline: gradient chunks
-	// become available as the backward pass produces them (last layer
-	// first), and the simulation measures the true overlapped step time.
-	// Report.StepTime is then the simulated pipeline span and
-	// Report.OptStepTime the optimizer cost exposed beyond fwd+bwd.
+	// OverlapFraction formula to a layer-wise one: the backward pass
+	// emits gradient chunks (GradChunkUnits units each) as it goes, and
+	// the optimizer updates each chunk once it exists. The step is
+	// composed in closed form from the optimizer step (see stepTime), so
+	// the simulated window and Report.OptStepTime are those of the same
+	// config without the flag; only StepTime and TokensPerSec differ.
 	LayerwiseOverlap bool
 }
 
@@ -273,6 +274,13 @@ func (c *Config) ScaleFactor() float64 {
 // GradBytesPerUnit is the gradient traffic per unit arriving from the host.
 func (c *Config) GradBytesPerUnit() int64 {
 	return int64(c.ElemsPerPage()) * int64(c.Spec().GradBytes)
+}
+
+// GradChunkUnits is the units whose gradients make up one PCIe transfer
+// chunk: the device-side pipelines' gradient stream and the chunks
+// layer-wise overlap composes the step from.
+func (c *Config) GradChunkUnits() int64 {
+	return max(c.TransferChunkBytes/c.GradBytesPerUnit(), 1)
 }
 
 // WeightOutBytesPerUnit is the working-precision weight traffic per unit

@@ -60,9 +60,8 @@ func pipelineScenarios() []pipelineScenario {
 			c.Layout = layout.SplitByComponent
 			c.Optimizer = optim.LAMB
 		}},
-		{"layerwise overlap, adama accum 4, 2 channels", simulatedSystems, func(c *Config) {
+		{"adama accum 4, 2 channels", simulatedSystems, func(c *Config) {
 			c.SSD.Channels = 2
-			c.LayerwiseOverlap = true
 			c.Optimizer = optim.AdamA
 			c.GradAccum = 4
 		}},
@@ -89,8 +88,8 @@ func tracePipeline(t *testing.T, name string, cfg Config) string {
 // pipeline byte for byte: each phase span (name, start, end) in emission
 // order, each ComputeHook call, and the window's simulated time and event
 // count, over small windows that exercise the LAMB two-pass kernel,
-// mis-laid-out components, layer-wise gradient arrival with AdamA
-// accumulation, and an interleaved window narrower than a batch.
+// mis-laid-out components, AdamA accumulation and an interleaved window
+// narrower than a batch.
 // Regenerate deliberately with
 // UPDATE_GOLDEN=1 go test -run TestPipelineTraceGolden ./internal/core/.
 func TestPipelineTraceGolden(t *testing.T) {

@@ -19,6 +19,10 @@ type Report struct {
 	Precision string
 	Params    int64
 
+	// TotalUnits is the units one training step updates,
+	// Config.TouchedUnits: every unit of a dense model, the touched
+	// subset of a sparse one. SimUnits is the units the window simulated
+	// (TotalUnits on the analytic row).
 	TotalUnits int64
 	SimUnits   int64
 	SimTime    sim.Time // simulated window wall time
@@ -33,7 +37,8 @@ type Report struct {
 	SimPCIeToDevBytes   int64
 	SimPCIeFromDevBytes int64
 
-	// OptStepTime is the full-model optimizer step latency.
+	// OptStepTime is the full-model optimizer step latency, whatever the
+	// overlap model: StepTime composes it with forward and backward.
 	OptStepTime sim.Time
 
 	// Per-step full-model traffic.
@@ -62,7 +67,9 @@ type Report struct {
 	Feasible bool
 	Notes    string
 
-	// End-to-end training step.
+	// End-to-end training step: forward+backward compute, then the part
+	// of the optimizer step it does not hide (Config.OverlapFraction, or
+	// the layer-wise flow line under Config.LayerwiseOverlap).
 	FwdBwdTime   sim.Time
 	StepTime     sim.Time
 	TokensPerSec float64

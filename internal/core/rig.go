@@ -163,7 +163,7 @@ func (r *rig) setup(d *Design) {
 	} else {
 		// Gradients stream in as chunked PCIe transfers (units wait on
 		// their chunk's arrival); weights stream out the same way.
-		r.postGrads(max(cfg.TransferChunkBytes/r.gradB, 1), r.gradB)
+		r.postGrads(cfg.GradChunkUnits(), r.gradB)
 	}
 	r.inflightCap = d.admit(r)
 }
@@ -210,27 +210,25 @@ func (r *rig) offload(exec func(flops, bytes float64, done func()), stream bool,
 	r.postGrads(max(r.cfg.TransferChunkBytes/r.residentB, 1), 0)
 }
 
-// postGrads posts the backward pass's gradients as one future per
-// unitsPer units, available at gradSchedule's times; with bytesPerUnit
-// set, each then crosses PCIe to the device. Arrival k is posted k-th, so
-// equal times fire in index order.
+// postGrads posts the step's gradients as one future per unitsPer units,
+// all available at once; with bytesPerUnit set, each then crosses PCIe
+// to the device. Arrival k is posted k-th, so arrivals fire in index
+// order.
 func (r *rig) postGrads(unitsPer, bytesPerUnit int64) {
 	n := (r.simUnits + unitsPer - 1) / unitsPer
-	avail := gradSchedule(*r.cfg, n)
 	r.gradUnits = unitsPer
 	r.grads = make([]future, n)
 	next := r.nextGrads
 	for k := range r.grads {
 		r.grads[k].r = r
 		r.grads[k].bytes = min(unitsPer, r.simUnits-int64(k)*unitsPer) * bytesPerUnit
-		r.eng.At(r.eng.Now()+avail[k], next)
+		r.eng.At(r.eng.Now(), next)
 	}
 }
 
 // nextGrads makes the next future's gradients available, sending them
-// over PCIe first when they are bound for the device. Availability times
-// never decrease and equal times fire in posting order, so the k-th
-// arrival is future k's.
+// over PCIe first when they are bound for the device. Equal times fire
+// in posting order, so the k-th arrival is future k's.
 func (r *rig) nextGrads() {
 	f := &r.grads[r.gradsPosted]
 	r.gradsPosted++

@@ -90,7 +90,7 @@ func (d *Design) evaluate(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	r := identity(d.name, &cfg)
-	r.TotalUnits = cfg.TotalUnits()
+	r.TotalUnits = cfg.TouchedUnits()
 	spec := cfg.Spec()
 	footprint := float64(spec.GradBytes+spec.WeightOutBytes) + spec.ResidentBytes()
 	needBytes := footprint * float64(r.Params) * 1.2
@@ -114,9 +114,6 @@ func (d *Design) evaluate(cfg Config) (*Report, error) {
 	}
 	evalEnergy(r, act)
 	cfg.endToEnd(r)
-	if r.OptStepTime <= 0 {
-		r.OptStepTime = sim.Time(1)
-	}
 	accountFaultsAnalytic(cfg, r, int64(footprint*float64(r.Params)))
 	return r, nil
 }
@@ -169,53 +166,38 @@ func (f *future) landed() {
 	f.resolve()
 }
 
-// gradSchedule returns the simulated-window availability time of each
-// gradient chunk under layer-wise overlap: the forward pass completes,
-// then the backward pass emits gradients chunk by chunk. Times are scaled
-// into the simulation window (every stage is linear in units, so the
-// window pipeline is an exact miniature). Without LayerwiseOverlap all
-// chunks are available at time zero.
-func gradSchedule(cfg Config, nChunks int64) []sim.Time {
-	avail := make([]sim.Time, nChunks)
-	if !cfg.LayerwiseOverlap {
-		return avail
-	}
-	total := float64(cfg.GPU.ComputeTime(cfg.Model.StepFlops(cfg.Batch)))
-	fwd := total / 3
-	bwd := total - fwd
-	scale := cfg.ScaleFactor()
-	for k := int64(0); k < nChunks; k++ {
-		t := (fwd + bwd*float64(k+1)/float64(nChunks)) / scale
-		avail[k] = units.Nanos(t)
-	}
-	return avail
-}
-
-// endToEnd fills the end-to-end fields of a report: forward+backward
-// compute on the GPU, optimizer step partially hidden under it.
+// endToEnd fills the end-to-end fields of a report from its optimizer
+// step: forward+backward compute on the GPU, the step stepTime composes,
+// and the tokens it trains.
 func (c Config) endToEnd(r *Report) {
-	fwdBwd := c.GPU.ComputeTime(c.Model.StepFlops(c.Batch))
-	r.FwdBwdTime = fwdBwd
-	if c.LayerwiseOverlap {
-		// The simulation already spans fwd+bwd (gradient availability) plus
-		// the optimizer pipeline: OptStepTime holds the full span here.
-		r.StepTime = r.OptStepTime
-		if r.StepTime < fwdBwd {
-			r.StepTime = fwdBwd
-		}
-		r.OptStepTime = r.StepTime - fwdBwd // exposed optimizer cost
-	} else {
-		hidden := fwdBwd.Scale(c.OverlapFraction)
-		exposed := r.OptStepTime - hidden
-		if exposed < 0 {
-			exposed = 0
-		}
-		r.StepTime = fwdBwd + exposed
-	}
+	r.FwdBwdTime = c.GPU.ComputeTime(c.Model.StepFlops(c.Batch))
+	r.StepTime = c.stepTime(r.OptStepTime)
 	if r.StepTime > 0 {
 		r.TokensPerSec = float64(c.Model.BatchTokens(c.Batch)) /
 			r.StepTime.Seconds()
 	}
+}
+
+// stepTime composes one training step from an optimizer phase of opt:
+// forward and backward on the GPU, then the part of opt they do not
+// hide. The scalar model hides OverlapFraction of forward+backward.
+// Under LayerwiseOverlap the step is a two-stage flow line: after the
+// forward third, backward emits the step's n gradient chunks evenly over
+// its two thirds, and the optimizer updates them in order at opt/n each.
+// The last chunk's finish is linear in the chunk that opens the final
+// busy stretch, so it is the larger of the two ends:
+// fwd + max(bwd/n + opt, bwd + opt/n).
+func (c *Config) stepTime(opt sim.Time) sim.Time {
+	fwdBwd := c.GPU.ComputeTime(c.Model.StepFlops(c.Batch))
+	if c.LayerwiseOverlap {
+		per := c.GradChunkUnits()
+		n := float64((c.TouchedUnits() + per - 1) / per)
+		fwd := float64(fwdBwd) / 3
+		bwd := float64(fwdBwd) - fwd
+		o := float64(opt)
+		return units.Nanos(fwd + max(bwd/n+o, bwd+o/n))
+	}
+	return fwdBwd + max(opt-fwdBwd.Scale(c.OverlapFraction), 0)
 }
 
 // evalEnergy converts a full-model activity into the report's breakdown.

@@ -357,7 +357,7 @@ func TestF15OverlapOrdering(t *testing.T) {
 		noOv := cell(t, row, 1)
 		layer := cell(t, row, 3)
 		if layer >= noOv {
-			t.Fatalf("row %d: layerwise sim (%v) not better than no overlap (%v)", i, layer, noOv)
+			t.Fatalf("row %d: layerwise (%v) not better than no overlap (%v)", i, layer, noOv)
 		}
 	}
 }

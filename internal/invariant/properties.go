@@ -168,15 +168,13 @@ func rampSlack(cfg core.Config) sim.Time {
 	return units.Nanos(perUnit * depth * cfg.ScaleFactor())
 }
 
-// checkRooflineSandwich enforces floor ≤ simulated ≤ K·floor + ramp: a
-// simulated step below the analytic floor means the simulator dropped
-// work; one far above it means an accidental serialization. Skipped under
-// LayerwiseOverlap, where OptStepTime is redefined as the exposed (not
-// total) optimizer cost. The upper side holds only on a fault-free
-// report: a fired fault adds retry and recovery work the floor does not
-// price, so a faulted step may run any length above it.
+// checkRooflineSandwich enforces floor ≤ OptStepTime ≤ K·floor + ramp
+// under either overlap model: a step below the analytic floor means the
+// simulator dropped work; one far above it means an accidental
+// serialization. The upper side holds only on a fault-free report: a
+// fired fault adds retry and recovery work the floor does not price.
 func checkRooflineSandwich(system string, cfg core.Config, r *core.Report) error {
-	if !r.Feasible || cfg.LayerwiseOverlap {
+	if !r.Feasible {
 		return nil
 	}
 	d, ok := core.LookupSystem(system)
