@@ -29,8 +29,9 @@
 # trace/utilization reconciliation — DESIGN.md §8) so a verify log shows
 # their verdict explicitly; examples runs every program under examples/
 # end to end, so one that compiles but fails at run time breaks the
-# build; bench-smoke runs every Benchmark* once; bench-gate runs the
-# wall-clock benchmark's four workloads (wallbench/, BENCHMARK.json)
+# build, and so does one whose output differs from its committed golden
+# (examples/testdata); bench-smoke runs every Benchmark* once; bench-gate
+# runs the wall-clock benchmark's four workloads (wallbench/, BENCHMARK.json)
 # three times each and fails on an incorrect run, a failed op, a changed
 # sim_digest or a median end-to-end metric past its bound against
 # BENCH_BASELINE.json. Run `make verify` before sending changes.
@@ -83,13 +84,17 @@ trace-verify:
 	$(GO) test -run 'TestTracedRunMatchesUntraced|TestTraceReconcilesWithReportedLinkUtil' -v ./internal/core/
 	$(GO) test -run 'TestCacheTrackTracesWriteSlots' -v ./internal/ssd/
 
-# Each example prints its study to stdout; only its exit status matters.
+# Each example prints its study to stdout, which regenerates its committed
+# golden under examples/testdata; the target fails when a program exits
+# non-zero or its output differs from the committed copy (git diff
+# --exit-code, as tier5 and tier6 check their tables).
+EXAMPLES = gpt_offload layout_study quickstart ssd_explorer train_demo
+
 examples:
-	$(GO) run ./examples/gpt_offload > /dev/null
-	$(GO) run ./examples/layout_study > /dev/null
-	$(GO) run ./examples/quickstart > /dev/null
-	$(GO) run ./examples/ssd_explorer > /dev/null
-	$(GO) run ./examples/train_demo > /dev/null
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e > examples/testdata/$$e.golden || exit 1; \
+	done
+	git diff --exit-code -- examples/testdata
 
 # One `go test -fuzz` invocation per target: the fuzz engine accepts a
 # single fuzz pattern per run. -run='^$$' skips the unit tests each time;

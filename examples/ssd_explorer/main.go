@@ -39,7 +39,7 @@ func main() {
 	dev.Preload(7)
 	before, _ := dev.FTL().Lookup(7)
 	done := false
-	dev.ProgramUpdate(7, func() { done = true })
+	dev.ProgramUpdate(7, sim.Func(func() { done = true }))
 	eng.Run()
 	after, _ := dev.FTL().Lookup(7)
 	fmt.Printf("   lpa 7: %v -> %v (rewritten in place? %v — NAND forbids it)\n\n",
@@ -62,13 +62,13 @@ func main() {
 				r := reqs[i]
 				i++
 				inFlight++
-				dev.Write(r.LPA, func() { inFlight--; issue() })
+				dev.Write(r.LPA, sim.Func(func() { inFlight--; issue() }))
 			}
 		}
 		issue()
 		eng.Run()
 		ok := false
-		dev.Drain(func() { ok = true })
+		dev.Drain(sim.Func(func() { ok = true }))
 		eng.Run()
 		s := dev.Stats()
 		mbps := units.Bytes(int64(s.HostWrites)*int64(dev.Geometry().PageSize)).MBf() / eng.Now().Seconds()

@@ -59,7 +59,7 @@ func armFaults(eng *sim.Engine, dev *ssd.Device, cfg Config) *fault.Injector {
 }
 
 // disarmFaults cancels the not-yet-fired remainder of a plan. It must run
-// FIRST inside the drain callback, before the end time is captured: the
+// FIRST inside the drain handler, before the end time is captured: the
 // cancelled events then never fire and never advance the clock, so a run
 // whose remaining faults all land after completion stays byte-identical
 // to a fault-free run.

@@ -45,10 +45,10 @@ func runMallocs(t testing.TB, name string, cfg Config) uint64 {
 // pin therefore bounds pool warm-up, not the steady state; with K scaled
 // to the window the in-flight peak is fixed and the steady-state bound
 // applies as it does to the other systems. Pools grow by slabs of 16
-// records, so warm-up costs one object per record only where a record
-// binds its step callback; measured 3.64 objects per unit, bounded at
-// 4.4 for 20% headroom (each record made one object and each request
-// another before slabs: 10.19 per unit).
+// records and a record is its own completion handler, so warm-up costs
+// about one slab per 16 records of each pool: measured 0.633 objects per
+// unit, bounded at 0.76 for 20% headroom (3.64 when every record bound
+// its callbacks as method values, 10.19 before slabs).
 func TestPipelineAllocsPerUnit(t *testing.T) {
 	cases := []struct {
 		name, system string
@@ -59,7 +59,7 @@ func TestPipelineAllocsPerUnit(t *testing.T) {
 		{"ctrlisp", "ctrlisp", nil, 0.1},
 		{"hostoffload", "hostoffload", nil, 0.1},
 		{"interleaved, 64-unit subgroups", "interleaved", func(w int64) int { return int(w / 64) }, 0.1},
-		{"interleaved, default depth", "interleaved", nil, 4.4},
+		{"interleaved, default depth", "interleaved", nil, 0.76},
 	}
 	for _, c := range cases {
 		var mallocs [2]uint64

@@ -72,9 +72,9 @@ type rig struct {
 
 	// Offload: the executor and link verbs, the phase names and the
 	// batch being filled.
-	exec         func(flops, bytes float64, done func())
-	fromDev      func(n int64, done func())
-	toDev        func(n int64, done func())
+	exec         func(flops, bytes float64, done sim.Handler)
+	fromDev      func(n int64, done sim.Handler)
+	toDev        func(n int64, done sim.Handler)
 	fetchPhase   string
 	execPhase    string
 	filling      *batch
@@ -82,11 +82,11 @@ type rig struct {
 
 	endTime   sim.Time
 	finished  bool
-	onSent    func() // r.sent, bound once
-	onDrained func() // r.drained, bound once
+	onSent    sim.Handler // r.sent, adapted once
+	onDrained sim.Handler // r.drained, adapted once
 
-	spareWaiters [][]func() // resolved futures' waiter lists, for reuse
-	planeSlots   []int      // unused plane storage for unit placements (place)
+	spareWaiters [][]sim.Handler // resolved futures' waiter lists, for reuse
+	planeSlots   []int           // unused plane storage for unit placements (place)
 	units        sim.Freelist[unit]
 	compOps      sim.Freelist[compOp]
 	batches      sim.Freelist[batch]
@@ -123,7 +123,7 @@ func newRig(config Config, kind pipelineKind) (*rig, error) {
 		kernel:    kernelFor(*cfg),
 		simUnits:  cfg.SimUnits(),
 	}
-	r.onSent, r.onDrained = r.sent, r.drained
+	r.onSent, r.onDrained = sim.Func(r.sent), sim.Func(r.drained)
 	lay, err := layout.New(geo, r.comps, r.simUnits, cfg.Layout)
 	if err != nil {
 		return nil, err
@@ -145,7 +145,7 @@ func newRig(config Config, kind pipelineKind) (*rig, error) {
 // and link verbs, and sets its admission window.
 func (r *rig) setup(d *Design) {
 	cfg := r.cfg
-	var exec func(flops, bytes float64, done func())
+	var exec func(flops, bytes float64, done sim.Handler)
 	switch d.exec {
 	case execODP:
 		// One compute unit per die.
@@ -196,7 +196,7 @@ func (r *rig) subgroupWindow() int64 {
 // transfer. Streaming DMA rides a standing descriptor ring, so segments
 // pay wire occupancy without per-DMA setup; chunked DMA pays it per
 // transfer.
-func (r *rig) offload(exec func(flops, bytes float64, done func()), stream bool, e executor) {
+func (r *rig) offload(exec func(flops, bytes float64, done sim.Handler), stream bool, e executor) {
 	r.exec = exec
 	if stream {
 		r.fromDev, r.toDev, r.fetchPhase = r.link.StreamFromDevice, r.link.StreamToDevice, "prefetch"
@@ -237,7 +237,7 @@ func (r *rig) nextGrads() {
 		return
 	}
 	f.start = r.eng.Now()
-	r.link.ToDevice(f.bytes, f.landed)
+	r.link.ToDevice(f.bytes, f)
 }
 
 // simulate admits the first window of units, runs the engine dry and
@@ -313,7 +313,7 @@ func (r *rig) maybeDrain() {
 	}
 }
 
-// drained is the run's final callback: the not-yet-fired faults are
+// drained is the run's final continuation: the not-yet-fired faults are
 // cancelled before the end time is read (see disarmFaults).
 func (r *rig) drained() {
 	disarmFaults(r.inj)

@@ -121,35 +121,37 @@ func (d *Design) evaluate(cfg Config) (*Report, error) {
 // future is a one-shot completion records wait on: a gradient chunk
 // reaching the device, or an offload batch's gradients becoming available
 // on the host. Waiter lists come from, and return to, the rig's spare
-// lists, so waiting allocates nothing once warm.
+// lists, so waiting allocates nothing once warm. A chunk is the handler of
+// its own transfer (Fire).
 type future struct {
 	r       *rig
 	done    bool
-	waiters []func()
+	waiters []sim.Handler
 	bytes   int64    // a chunk's size on the link; 0 for host-side gradients
 	start   sim.Time // when the chunk's transfer was posted, for its span
 }
 
-// resolve runs every waiter in arrival order.
+// resolve fires every waiter in arrival order.
 func (f *future) resolve() {
 	f.done = true
 	ws := f.waiters
 	f.waiters = nil
 	for _, w := range ws {
-		w()
+		w.Fire()
 	}
 	if cap(ws) > 0 {
 		clear(ws)
+		//simlint:allow hotalloc amortized spare-list growth; it holds at most one list per future
 		f.r.spareWaiters = append(f.r.spareWaiters, ws[:0])
 	}
 }
 
-// then runs fn once f resolves, at once if it already has.
+// then fires h once f resolves, at once if it already has.
 //
 //simlint:hotpath
-func (f *future) then(fn func()) {
+func (f *future) then(h sim.Handler) {
 	if f.done {
-		fn()
+		h.Fire()
 		return
 	}
 	if spare := f.r.spareWaiters; f.waiters == nil && len(spare) > 0 {
@@ -157,11 +159,11 @@ func (f *future) then(fn func()) {
 		f.r.spareWaiters = spare[:len(spare)-1]
 	}
 	//simlint:allow hotalloc amortized waiter-list growth; resolved lists are recycled
-	f.waiters = append(f.waiters, fn)
+	f.waiters = append(f.waiters, h)
 }
 
-// landed records the chunk's transfer span and resolves f.
-func (f *future) landed() {
+// Fire lands the chunk: it records the transfer span and resolves f.
+func (f *future) Fire() {
 	f.r.span("grad-transfer", f.start)
 	f.resolve()
 }

@@ -7,17 +7,18 @@ import (
 )
 
 // Unit records. Every in-flight update unit is one pooled unit record
-// that walks through named stages; a component whose pages take their
-// own route (a mis-laid-out component on OptimStore, every component on
-// CtrlISP) gets a child component record, and the host-offload pipelines
-// gather units into pooled batch records. A record's step (its advance
-// method, bound once when the record is made) is the callback handed to
-// the device, the executors, the link and gradient futures, so a unit
-// allocates nothing once the rig's freelists are warm. A stage that fans
-// out counts its completions in pending; the last one runs the stage's
-// continuation. DESIGN.md "Unit records" has the lifecycle.
+// that walks through named stages; a leg that takes its own route (a
+// mis-laid-out component on OptimStore, every component on CtrlISP,
+// OptimStore's gradient share) gets a child component record, and the
+// host-offload pipelines gather units into pooled batch records. A record
+// is itself the completion handler it hands to the device, the
+// executors, the link and gradient futures (its Fire runs the current
+// stage), so a unit allocates nothing once the rig's freelists are warm.
+// A stage that fans out counts its completions in pending; the last one
+// runs the stage's continuation. DESIGN.md "Unit records" has the
+// lifecycle.
 
-// unitStage names where a unit record resumes when its step fires.
+// unitStage names where a unit record resumes when it fires.
 type unitStage uint8
 
 const (
@@ -43,10 +44,7 @@ const (
 //
 //simlint:pooled
 type unit struct {
-	r      *rig
-	step   func() // u.advance, bound once when the record is made
-	grad   func() // u.gradReady: OptimStore's chunk-future waiter
-	gradIn func() // u.joined: the gradient reached the home die
+	r *rig
 
 	idx     int64
 	place   layout.Placement // Planes storage kept across reuse
@@ -67,14 +65,16 @@ const (
 	cProgramOut                  // updated page off the home die: move it to its own die
 	cProgramIn                   // updated page on its die: program it
 	cDone                        // route finished: report to the unit
+	cGradReady                   // OptimStore gradient chunk ready: move the unit's share to its home die
+	cGradIn                      // gradient on the home die: join the first read pass
 )
 
-// compOp is one component of a unit travelling its own route.
+// compOp is one leg of a unit travelling its own route: a component's
+// page, or OptimStore's gradient share on its way to the home die.
 //
 //simlint:pooled
 type compOp struct {
 	r       *rig
-	step    func() // c.advance, bound once when the record is made
 	parent  *unit
 	stage   compStage
 	lpa     int64
@@ -96,7 +96,6 @@ const (
 //simlint:pooled
 type batch struct {
 	r     *rig
-	step  func() // b.advance, bound once when the record is made
 	stage batchStage
 	units []*unit // storage kept across reuse
 	grads *future
@@ -109,12 +108,7 @@ type batch struct {
 //simlint:hotpath
 func (r *rig) getUnit() *unit {
 	u := r.units.Get()
-	if u.step == nil {
-		// A fresh record: binding the method value allocates, once per
-		// record.
-		u.r = r
-		u.step = u.advance
-	}
+	u.r = r
 	return u
 }
 
@@ -133,11 +127,7 @@ func (r *rig) putUnit(u *unit) {
 //simlint:hotpath
 func (r *rig) startComp(u *unit, first compStage, lpa int64, ch, die int) *compOp {
 	c := r.compOps.Get()
-	if c.step == nil {
-		c.r = r
-		c.step = c.advance
-	}
-	c.parent, c.stage, c.lpa, c.ch, c.die = u, first, lpa, ch, die
+	c.r, c.parent, c.stage, c.lpa, c.ch, c.die = r, u, first, lpa, ch, die
 	return c
 }
 
@@ -155,10 +145,7 @@ func (r *rig) putComp(c *compOp) {
 //simlint:hotpath
 func (r *rig) getBatch() *batch {
 	b := r.batches.Get()
-	if b.step == nil {
-		b.r = r
-		b.step = b.advance
-	}
+	b.r = r
 	return b
 }
 
@@ -219,36 +206,31 @@ func (u *unit) begin() {
 		// Phase 1: gradient at the die, resident pages in page registers.
 		r.place(u)
 		u.odp = &r.odp[u.place.HomeChannel*r.geo.DiesPerChannel+u.place.HomeDie]
-		if u.grad == nil {
-			// Binding the method values allocates, once per record.
-			u.grad, u.gradIn = u.gradReady, u.joined
-		}
 		u.join = 2
-		r.grads[u.idx/r.gradUnits].then(u.grad)
+		ch, die := u.home()
+		r.grads[u.idx/r.gradUnits].then(r.startComp(u, cGradReady, 0, ch, die))
 		u.readAll(uRead)
 	case pipeCtrl:
 		// Phase 1: gradient available and every page pulled to the
 		// controller (array read, then bus transfer off its die).
 		r.place(u)
 		u.fanOut(uPull, 1+r.comps)
-		r.grads[u.idx/r.gradUnits].then(u.step)
+		r.grads[u.idx/r.gradUnits].then(u)
 		for comp := 0; comp < r.comps; comp++ {
 			lpa := r.lay.LPA(u.idx, comp)
 			ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
-			r.dev.ReadMapped(lpa, r.startComp(u, cPullSensed, lpa, ch, die).step)
+			r.dev.ReadMapped(lpa, r.startComp(u, cPullSensed, lpa, ch, die))
 		}
 	case pipeOffload:
 		u.fanOut(uFetch, r.comps)
 		for comp := 0; comp < r.comps; comp++ {
-			r.dev.Read(r.lay.LPA(u.idx, comp), u.step)
+			r.dev.Read(r.lay.LPA(u.idx, comp), u)
 		}
 	}
 }
 
-// advance runs the record's current stage.
-//
-//simlint:hotpath
-func (u *unit) advance() {
+// Fire runs the record's current stage.
+func (u *unit) Fire() {
 	r := u.r
 	switch u.stage {
 	case uRead:
@@ -261,11 +243,11 @@ func (u *unit) advance() {
 		r.span("kernel", u.start)
 		u.stage, u.start = uReduceOut, r.eng.Now()
 		ch, die := u.home()
-		r.dev.TransferFromDie(ch, die, 64, u.step)
+		r.dev.TransferFromDie(ch, die, 64, u)
 	case uReduceOut:
 		u.stage = uReduceIn
 		ch, die := u.home()
-		r.dev.TransferToDie(ch, die, 64, u.step)
+		r.dev.TransferToDie(ch, die, 64, u)
 	case uReduceIn:
 		r.span("lamb-reduce", u.start)
 		u.readAll(uReread)
@@ -282,7 +264,7 @@ func (u *unit) advance() {
 			r.span("program", u.start)
 			u.stage, u.start = uWriteback, r.eng.Now()
 			ch, die := u.home()
-			r.dev.TransferFromDie(ch, die, int(r.woutB), u.step)
+			r.dev.TransferFromDie(ch, die, int(r.woutB), u)
 		}
 	case uWriteback:
 		r.span("writeback", u.start)
@@ -294,7 +276,7 @@ func (u *unit) advance() {
 			// Phase 2: controller kernel over this unit's elements.
 			u.stage, u.start = uCtrlKernel, r.eng.Now()
 			r.ctrl.Run(float64(r.elems)*float64(r.kernel.FlopsPerElem),
-				float64(2*r.residentB+r.gradB+r.woutB), u.step)
+				float64(2*r.residentB+r.gradB+r.woutB), u)
 		}
 	case uCtrlKernel:
 		r.span("ctrl-kernel", u.start)
@@ -303,7 +285,7 @@ func (u *unit) advance() {
 		for comp := 0; comp < r.comps; comp++ {
 			lpa := r.lay.LPA(u.idx, comp)
 			ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
-			r.dev.TransferToDie(ch, die, r.pageSize, r.startComp(u, cProgramIn, lpa, ch, die).step)
+			r.dev.TransferToDie(ch, die, r.pageSize, r.startComp(u, cProgramIn, lpa, ch, die))
 		}
 	case uPush:
 		if u.arrived() {
@@ -323,13 +305,6 @@ func (u *unit) advance() {
 			r.unitDone()
 		}
 	}
-}
-
-// gradReady is OptimStore's gradient-chunk waiter: the unit's share
-// crosses the channel bus to its home die.
-func (u *unit) gradReady() {
-	ch, die := u.home()
-	u.r.dev.TransferToDie(ch, die, int(u.r.gradB), u.gradIn)
 }
 
 // joined counts in the first read pass or the gradient; the second of
@@ -355,7 +330,7 @@ func (u *unit) joined() {
 // kernelPass runs flopsPerElem of the kernel on the home die's ODP unit.
 func (u *unit) kernelPass(next unitStage, flopsPerElem int) {
 	u.stage, u.start = next, u.r.eng.Now()
-	u.odp.Exec(u.r.elems, flopsPerElem, u.step)
+	u.odp.Exec(u.r.elems, flopsPerElem, u)
 }
 
 // readAll senses every component of u into its home die's page
@@ -368,10 +343,10 @@ func (u *unit) readAll(stage unitStage) {
 		lpa := r.lay.LPA(u.idx, comp)
 		ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
 		if ch == u.place.HomeChannel && die == u.place.HomeDie {
-			r.dev.ReadMapped(lpa, u.step)
+			r.dev.ReadMapped(lpa, u)
 			continue
 		}
-		r.dev.ReadMapped(lpa, r.startComp(u, cReadSensed, lpa, ch, die).step)
+		r.dev.ReadMapped(lpa, r.startComp(u, cReadSensed, lpa, ch, die))
 	}
 }
 
@@ -384,11 +359,11 @@ func (u *unit) programAll() {
 		lpa := r.lay.LPA(u.idx, comp)
 		ch, die, _ := r.dev.PlaneLoc(u.place.Planes[comp])
 		if ch == u.place.HomeChannel && die == u.place.HomeDie {
-			r.dev.ProgramUpdate(lpa, u.step)
+			r.dev.ProgramUpdate(lpa, u)
 			continue
 		}
 		hch, hdie := u.home()
-		r.dev.TransferFromDie(hch, hdie, r.pageSize, r.startComp(u, cProgramOut, lpa, ch, die).step)
+		r.dev.TransferFromDie(hch, hdie, r.pageSize, r.startComp(u, cProgramOut, lpa, ch, die))
 	}
 }
 
@@ -397,36 +372,41 @@ func (u *unit) store() {
 	r := u.r
 	u.fanOut(uStore, r.comps)
 	for comp := 0; comp < r.comps; comp++ {
-		r.dev.Write(r.lay.LPA(u.idx, comp), u.step)
+		r.dev.Write(r.lay.LPA(u.idx, comp), u)
 	}
 }
 
-// advance runs the component record's current stage.
-//
-//simlint:hotpath
-func (c *compOp) advance() {
+// Fire runs the component record's current stage.
+func (c *compOp) Fire() {
 	r := c.r
 	switch c.stage {
 	case cReadSensed:
 		c.stage = cReadOut
-		r.dev.TransferFromDie(c.ch, c.die, r.pageSize, c.step)
+		r.dev.TransferFromDie(c.ch, c.die, r.pageSize, c)
 	case cReadOut:
 		c.stage = cDone
 		ch, die := c.parent.home()
-		r.dev.TransferToDie(ch, die, r.pageSize, c.step)
+		r.dev.TransferToDie(ch, die, r.pageSize, c)
 	case cPullSensed:
 		c.stage = cDone
-		r.dev.TransferFromDie(c.ch, c.die, r.pageSize, c.step)
+		r.dev.TransferFromDie(c.ch, c.die, r.pageSize, c)
 	case cProgramOut:
 		c.stage = cProgramIn
-		r.dev.TransferToDie(c.ch, c.die, r.pageSize, c.step)
+		r.dev.TransferToDie(c.ch, c.die, r.pageSize, c)
 	case cProgramIn:
 		c.stage = cDone
-		r.dev.ProgramUpdate(c.lpa, c.step)
+		r.dev.ProgramUpdate(c.lpa, c)
 	case cDone:
 		u := c.parent
 		r.putComp(c)
-		u.step()
+		u.Fire()
+	case cGradReady:
+		c.stage = cGradIn
+		r.dev.TransferToDie(c.ch, c.die, int(r.gradB), c)
+	case cGradIn:
+		u := c.parent
+		r.putComp(c)
+		u.joined()
 	}
 }
 
@@ -454,29 +434,27 @@ func (r *rig) fetched(u *unit) {
 	}
 	b.grads = &r.grads[newest/r.gradUnits]
 	b.stage = bFetched
-	r.fromDev(int64(len(b.units))*r.residentB, b.step)
+	r.fromDev(int64(len(b.units))*r.residentB, b)
 }
 
-// advance runs the batch record's current stage.
-//
-//simlint:hotpath
-func (b *batch) advance() {
+// Fire runs the batch record's current stage.
+func (b *batch) Fire() {
 	r := b.r
 	n := int64(len(b.units))
 	switch b.stage {
 	case bFetched:
 		b.stage = bGrads
-		b.grads.then(b.step)
+		b.grads.then(b)
 	case bGrads:
 		// Executor memory traffic: state read and written, gradient
 		// read, weights written.
 		b.stage, b.start = bUpdated, r.eng.Now()
 		r.exec(float64(n)*float64(r.elems)*float64(r.kernel.FlopsPerElem),
-			float64(n*(2*r.residentB+r.gradB+r.woutB)), b.step)
+			float64(n*(2*r.residentB+r.gradB+r.woutB)), b)
 	case bUpdated:
 		r.span(r.execPhase, b.start)
 		b.stage = bReturned
-		r.toDev(n*r.residentB, b.step)
+		r.toDev(n*r.residentB, b)
 	case bReturned:
 		for _, u := range b.units {
 			u.store()

@@ -17,7 +17,7 @@ func boolAxis(name string) Axis {
 
 // updateLoad is the windowed background update stream of F17 and F19:
 // total ProgramUpdates on dev, at most 64 in flight, the i-th to page
-// next(i).
+// next(i). The load is the handler of every update it issues (Fire).
 type updateLoad struct {
 	dev                 *ssd.Device
 	next                func(i int64) int64
@@ -31,11 +31,12 @@ func (l *updateLoad) pump() {
 	for l.issued-l.done < 64 && l.issued < l.total {
 		lpa := l.next(l.issued)
 		l.issued++
-		l.dev.ProgramUpdate(lpa, l.completed)
+		l.dev.ProgramUpdate(lpa, l)
 	}
 }
 
-func (l *updateLoad) completed() {
+// Fire counts one completed update and refills the window.
+func (l *updateLoad) Fire() {
 	l.done++
 	if l.onDone != nil {
 		l.onDone()
@@ -109,9 +110,9 @@ func measureReadQoS(suspend bool, rounds int) (readQoS, error) {
 		}
 		lpa := (i * 7919) % pages
 		start := eng.Now()
-		dev.Read(lpa, func() {
+		dev.Read(lpa, sim.Func(func() {
 			lat.Add((eng.Now() - start).Micros())
-		})
+		}))
 		eng.Schedule(200*sim.Microsecond, func() { reader(i + 1) })
 	}
 	if err := load.run(func() { eng.Schedule(0, func() { reader(0) }) }); err != nil {

@@ -213,7 +213,7 @@ func runWorkload(eng *sim.Engine, dev *ssd.Device) {
 		}
 	}
 	done := false
-	dev.Drain(func() { done = true })
+	dev.Drain(sim.Func(func() { done = true }))
 	eng.Run()
 	if !done {
 		panic("workload did not drain")
@@ -297,12 +297,12 @@ func TestDisarmedFaultsAreFree(t *testing.T) {
 		var fired uint64
 		var now sim.Time
 		var stats ssd.Stats
-		dev.Drain(func() {
+		dev.Drain(sim.Func(func() {
 			inj.Disarm()
 			fired = eng.Fired()
 			now = eng.Now()
 			stats = dev.Stats()
-		})
+		}))
 		eng.Run()
 		if len(inj.Fired()) != 0 {
 			t.Fatal("late faults fired before completion")

@@ -63,7 +63,7 @@ func NewCPU(eng *sim.Engine, p CPUParams) *CPU {
 	return &CPU{params: p, busy: sim.NewResource(eng, p.Name, 1)}
 }
 
-// Run executes a kernel with the given footprint, then calls done.
-func (c *CPU) Run(flops, bytes float64, done func()) {
+// Run executes a kernel with the given footprint, then fires done.
+func (c *CPU) Run(flops, bytes float64, done sim.Handler) {
 	c.busy.Use(c.params.KernelTime(flops, bytes), done)
 }

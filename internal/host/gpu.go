@@ -77,8 +77,8 @@ func NewGPU(eng *sim.Engine, p GPUParams) *GPU {
 	return &GPU{params: p, busy: sim.NewResource(eng, p.Name, 1)}
 }
 
-// Run executes a kernel with the given roofline footprint, then calls done.
-func (g *GPU) Run(flops, bytes float64, done func()) {
+// Run executes a kernel with the given roofline footprint, then fires done.
+func (g *GPU) Run(flops, bytes float64, done sim.Handler) {
 	g.busy.Use(g.params.KernelTime(flops, bytes), done)
 }
 

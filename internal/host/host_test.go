@@ -70,8 +70,8 @@ func TestLinkFullDuplex(t *testing.T) {
 	p := LinkParams{Name: "l", GBps: 1, Efficiency: 1, Latency: 0}
 	l := NewLink(e, p)
 	var downAt, upAt sim.Time
-	l.ToDevice(1000, func() { downAt = e.Now() })
-	l.FromDevice(1000, func() { upAt = e.Now() })
+	l.ToDevice(1000, sim.Func(func() { downAt = e.Now() }))
+	l.FromDevice(1000, sim.Func(func() { upAt = e.Now() }))
 	e.Run()
 	// Opposite directions run in parallel: both complete at 1000ns.
 	if downAt != 1000 || upAt != 1000 {
@@ -89,8 +89,8 @@ func TestLinkSameDirectionSerializes(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, LinkParams{Name: "l", GBps: 1, Efficiency: 1, Latency: 0})
 	var ends []sim.Time
-	l.ToDevice(1000, func() { ends = append(ends, e.Now()) })
-	l.ToDevice(1000, func() { ends = append(ends, e.Now()) })
+	l.ToDevice(1000, sim.Func(func() { ends = append(ends, e.Now()) }))
+	l.ToDevice(1000, sim.Func(func() { ends = append(ends, e.Now()) }))
 	e.Run()
 	if ends[0] != 1000 || ends[1] != 2000 {
 		t.Fatalf("ends = %v", ends)
@@ -101,7 +101,7 @@ func TestLinkLatencyApplied(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, LinkParams{Name: "l", GBps: 1, Efficiency: 1, Latency: 500})
 	var at sim.Time
-	l.ToDevice(1000, func() { at = e.Now() })
+	l.ToDevice(1000, sim.Func(func() { at = e.Now() }))
 	e.Run()
 	if at != 1500 {
 		t.Fatalf("transfer with latency = %v, want 1500", at)
@@ -138,8 +138,8 @@ func TestGPURunSerializes(t *testing.T) {
 	e := sim.NewEngine()
 	g := NewGPU(e, GPUParams{Name: "g", PeakTFLOPS: 1, MFU: 1, HBMGBps: 1, MemoryGB: 1})
 	var ends []sim.Time
-	g.Run(1e9, 0, func() { ends = append(ends, e.Now()) }) // 1ms
-	g.Run(1e9, 0, func() { ends = append(ends, e.Now()) })
+	g.Run(1e9, 0, sim.Func(func() { ends = append(ends, e.Now()) })) // 1ms
+	g.Run(1e9, 0, sim.Func(func() { ends = append(ends, e.Now()) }))
 	e.Run()
 	if ends[0] != sim.Millisecond || ends[1] != 2*sim.Millisecond {
 		t.Fatalf("ends = %v", ends)
@@ -178,7 +178,7 @@ func TestCPURun(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCPU(e, CPUParams{Name: "c", DRAMGBps: 1, GFLOPS: 1})
 	var at sim.Time
-	c.Run(0, 1000, func() { at = e.Now() })
+	c.Run(0, 1000, sim.Func(func() { at = e.Now() }))
 	e.Run()
 	if at != 1000 {
 		t.Fatalf("ran at %v", at)

@@ -91,14 +91,14 @@ func NewLink(eng *sim.Engine, p LinkParams) *Link {
 	}
 }
 
-// ToDevice transfers n bytes host→device, then calls done.
-func (l *Link) ToDevice(n int64, done func()) {
+// ToDevice transfers n bytes host→device, then fires done.
+func (l *Link) ToDevice(n int64, done sim.Handler) {
 	l.bytesTo += uint64(n)
 	l.toDev.Use(l.params.Latency+l.params.TransferTime(n), done)
 }
 
-// FromDevice transfers n bytes device→host, then calls done.
-func (l *Link) FromDevice(n int64, done func()) {
+// FromDevice transfers n bytes device→host, then fires done.
+func (l *Link) FromDevice(n int64, done sim.Handler) {
 	l.bytesFrm += uint64(n)
 	l.fromDev.Use(l.params.Latency+l.params.TransferTime(n), done)
 }
@@ -110,14 +110,14 @@ func (l *Link) FromDevice(n int64, done func()) {
 // this for its subgroup prefetch/write-back streams; the per-stream
 // doorbell is amortised over the whole subgroup and is negligible next to
 // the stream's occupancy. Byte accounting is identical to ToDevice.
-func (l *Link) StreamToDevice(n int64, done func()) {
+func (l *Link) StreamToDevice(n int64, done sim.Handler) {
 	l.bytesTo += uint64(n)
 	l.toDev.Use(l.params.TransferTime(n), done)
 }
 
 // StreamFromDevice transfers n bytes device→host as one segment of a
 // streaming DMA sequence (see StreamToDevice).
-func (l *Link) StreamFromDevice(n int64, done func()) {
+func (l *Link) StreamFromDevice(n int64, done sim.Handler) {
 	l.bytesFrm += uint64(n)
 	l.fromDev.Use(l.params.TransferTime(n), done)
 }

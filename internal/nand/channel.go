@@ -90,15 +90,15 @@ func (c *Channel) Die(i int) *Die { return &c.dies[i] }
 func (c *Channel) BusUtilization() float64 { return c.bus.Utilization() }
 
 // TransferIn moves n bytes from the controller to die's page register,
-// occupying the bus, then calls done.
-func (c *Channel) TransferIn(die int, n int, done func()) {
+// occupying the bus, then fires done.
+func (c *Channel) TransferIn(die int, n int, done sim.Handler) {
 	c.dies[die].addBytesIn(n)
 	c.bus.Use(c.params.TransferTime(n), done)
 }
 
 // TransferOut moves n bytes from die's page register to the controller,
-// occupying the bus, then calls done.
-func (c *Channel) TransferOut(die int, n int, done func()) {
+// occupying the bus, then fires done.
+func (c *Channel) TransferOut(die int, n int, done sim.Handler) {
 	c.dies[die].addBytesOut(n)
 	c.bus.Use(c.params.TransferTime(n), done)
 }

@@ -97,9 +97,9 @@ func (pl *plane) state(b int) blockState {
 	return blockState{}
 }
 
-// use occupies the plane for d, then calls done; priority work suspends a
+// use occupies the plane for d, then fires done; priority work suspends a
 // preemptible plane's program or erase.
-func (pl *plane) use(d sim.Time, priority bool, done func()) {
+func (pl *plane) use(d sim.Time, priority bool, done sim.Handler) {
 	switch {
 	case pl.pre == nil:
 		pl.fifo.Use(d, done)
@@ -112,7 +112,7 @@ func (pl *plane) use(d sim.Time, priority bool, done func()) {
 
 // Die models one NAND die: PlanesPerDie independently schedulable planes,
 // each with its own block array. All methods are asynchronous: they return
-// immediately and invoke the completion callback via simulation events.
+// immediately and fire the completion handler via simulation events.
 //
 // Physical invariants enforced (violations panic — they indicate FTL bugs,
 // not runtime conditions):
@@ -197,9 +197,9 @@ func (d *Die) RestoreBlock(planeIdx, block, writePtr, eraseCount int) {
 }
 
 // Read senses page a into the plane's page register, occupying the plane
-// for tR, then calls done. Reading a page that was never programmed is
+// for tR, then fires done. Reading a page that was never programmed is
 // legal at this layer (the FTL forbids it); the array timing is identical.
-func (d *Die) Read(a Addr, done func()) {
+func (d *Die) Read(a Addr, done sim.Handler) {
 	pl := d.checkAddr(a)
 	d.counts.Reads++
 	pl.use(d.params.ReadLatency, true, done)
@@ -207,7 +207,7 @@ func (d *Die) Read(a Addr, done func()) {
 
 // Program writes the page register into page a, occupying the plane for
 // tPROG. It enforces sequential programming and erase-before-rewrite.
-func (d *Die) Program(a Addr, done func()) {
+func (d *Die) Program(a Addr, done sim.Handler) {
 	pl := d.checkAddr(a)
 	blk := d.block(a.Plane, a.Block)
 	if a.Page != blk.writePtr {
@@ -226,7 +226,7 @@ func (d *Die) Program(a Addr, done func()) {
 // Occupy holds a.Plane busy for an arbitrary duration — used by the
 // controller to model recovery procedures (read-retry, soft-decode passes)
 // that consume plane time without being ordinary array operations.
-func (d *Die) Occupy(a Addr, dur sim.Time, done func()) {
+func (d *Die) Occupy(a Addr, dur sim.Time, done sim.Handler) {
 	pl := d.checkAddr(a)
 	pl.use(dur, true, done)
 }
@@ -247,7 +247,7 @@ func (d *Die) MarkProgrammed(a Addr) {
 
 // Erase resets block a.Block on a.Plane, occupying the plane for tBERS and
 // incrementing the block's program/erase cycle count.
-func (d *Die) Erase(a Addr, done func()) {
+func (d *Die) Erase(a Addr, done sim.Handler) {
 	pl := d.checkAddr(Addr{Plane: a.Plane, Block: a.Block})
 	blk := d.block(a.Plane, a.Block)
 	blk.writePtr = 0

@@ -116,7 +116,7 @@ func TestDieReadTiming(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDie(e, "d", tinyParams())
 	var doneAt sim.Time
-	d.Read(Addr{0, 0, 0}, func() { doneAt = e.Now() })
+	d.Read(Addr{0, 0, 0}, sim.Func(func() { doneAt = e.Now() }))
 	e.Run()
 	if doneAt != tinyParams().ReadLatency {
 		t.Fatalf("read done at %v, want tR=%v", doneAt, tinyParams().ReadLatency)
@@ -132,9 +132,9 @@ func TestDiePlaneSerialization(t *testing.T) {
 	d := NewDie(e, "d", p)
 	var ends []sim.Time
 	// Two reads on the same plane serialize; a third on another plane overlaps.
-	d.Read(Addr{0, 0, 0}, func() { ends = append(ends, e.Now()) })
-	d.Read(Addr{0, 1, 0}, func() { ends = append(ends, e.Now()) })
-	d.Read(Addr{1, 0, 0}, func() { ends = append(ends, e.Now()) })
+	d.Read(Addr{0, 0, 0}, sim.Func(func() { ends = append(ends, e.Now()) }))
+	d.Read(Addr{0, 1, 0}, sim.Func(func() { ends = append(ends, e.Now()) }))
+	d.Read(Addr{1, 0, 0}, sim.Func(func() { ends = append(ends, e.Now()) }))
 	e.Run()
 	tR := p.ReadLatency
 	if ends[0] != tR || ends[2] != 2*tR || ends[1] != tR {
@@ -295,9 +295,9 @@ func TestChannelBusSerializes(t *testing.T) {
 	// Array reads on two dies overlap, but their transfers share the bus.
 	for die := 0; die < 2; die++ {
 		die := die
-		c.Die(die).Read(Addr{0, 0, 0}, func() {
-			c.TransferOut(die, p.PageSize, func() { ends = append(ends, e.Now()) })
-		})
+		c.Die(die).Read(Addr{0, 0, 0}, sim.Func(func() {
+			c.TransferOut(die, p.PageSize, sim.Func(func() { ends = append(ends, e.Now()) }))
+		}))
 	}
 	e.Run()
 	tR, tx := p.ReadLatency, p.TransferTime(p.PageSize)
@@ -314,9 +314,9 @@ func TestChannelWritePage(t *testing.T) {
 	p := tinyParams()
 	c := NewChannel(e, "ch0", p, 1)
 	var doneAt sim.Time
-	c.TransferIn(0, p.PageSize, func() {
-		c.Die(0).Program(Addr{0, 0, 0}, func() { doneAt = e.Now() })
-	})
+	c.TransferIn(0, p.PageSize, sim.Func(func() {
+		c.Die(0).Program(Addr{0, 0, 0}, sim.Func(func() { doneAt = e.Now() }))
+	}))
 	e.Run()
 	want := p.TransferTime(p.PageSize) + p.ProgramLatency
 	if doneAt != want {
@@ -469,9 +469,9 @@ func TestReadSuspendPreemptsProgram(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDie(e, "d", p)
 	var progAt, readAt sim.Time
-	d.Program(Addr{0, 0, 0}, func() { progAt = e.Now() })
+	d.Program(Addr{0, 0, 0}, sim.Func(func() { progAt = e.Now() }))
 	e.Schedule(50*sim.Microsecond, func() {
-		d.Read(Addr{0, 1, 0}, func() { readAt = e.Now() })
+		d.Read(Addr{0, 1, 0}, sim.Func(func() { readAt = e.Now() }))
 	})
 	e.Run()
 	// The read lands mid-program and completes after just tR.
@@ -494,7 +494,7 @@ func TestNoSuspendReadWaits(t *testing.T) {
 	var readAt sim.Time
 	d.Program(Addr{0, 0, 0}, nil)
 	e.Schedule(50*sim.Microsecond, func() {
-		d.Read(Addr{0, 1, 0}, func() { readAt = e.Now() })
+		d.Read(Addr{0, 1, 0}, sim.Func(func() { readAt = e.Now() }))
 	})
 	e.Run()
 	// FIFO: the read waits for the full program.
@@ -520,7 +520,7 @@ func TestValidateRejectsNegativeResume(t *testing.T) {
 func BenchmarkDieRead(b *testing.B) {
 	e := sim.NewEngine()
 	d := NewDie(e, "d", ParamsFor(TLC))
-	done := func() {}
+	done := sim.Func(func() {})
 	read := func(i int) {
 		d.Read(Addr{Plane: i % d.params.PlanesPerDie, Block: i % d.params.BlocksPerPlane}, done)
 		e.Run()
@@ -544,7 +544,7 @@ func BenchmarkDieProgram(b *testing.B) {
 	e := sim.NewEngine()
 	p := ParamsFor(TLC)
 	d := NewDie(e, "d", p)
-	done := func() {}
+	done := sim.Func(func() {})
 	program := func(i int) {
 		a := Addr{Block: i / p.PagesPerBlock % p.BlocksPerPlane, Page: i % p.PagesPerBlock}
 		if a.Page == 0 && d.WritePtr(0, a.Block) == p.PagesPerBlock {

@@ -69,8 +69,8 @@ func TestUnitSerializes(t *testing.T) {
 	e := sim.NewEngine()
 	u := NewUnit(e, "die0", Params{ClockMHz: 1000, Lanes: 1, BufferKB: 1})
 	var ends []sim.Time
-	u.Exec(100, 1, func() { ends = append(ends, e.Now()) })
-	u.Exec(100, 1, func() { ends = append(ends, e.Now()) })
+	u.Exec(100, 1, sim.Func(func() { ends = append(ends, e.Now()) }))
+	u.Exec(100, 1, sim.Func(func() { ends = append(ends, e.Now()) }))
 	e.Run()
 	if ends[0] != 100 || ends[1] != 200 {
 		t.Fatalf("ends = %v, want [100 200]", ends)
@@ -161,7 +161,7 @@ func TestCostModel(t *testing.T) {
 func BenchmarkUnitExec(b *testing.B) {
 	e := sim.NewEngine()
 	u := NewUnit(e, "u", DefaultParams())
-	done := func() {}
+	done := sim.Func(func() {})
 	exec := func() {
 		u.Exec(4096, 13, done)
 		e.Run()

@@ -106,9 +106,9 @@ func NewUnits(eng *sim.Engine, p Params, channels, dies int) []Unit {
 }
 
 // Exec runs one element-wise kernel invocation over elems elements and
-// calls done when the unit finishes. Invocations on the same unit
+// fires done when the unit finishes. Invocations on the same unit
 // serialize FIFO.
-func (u *Unit) Exec(elems, flopsPerElem int, done func()) {
+func (u *Unit) Exec(elems, flopsPerElem int, done sim.Handler) {
 	if elems < 0 || flopsPerElem <= 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a caller bug
 		panic(fmt.Sprintf("odp: Exec(%d elems, %d flops)", elems, flopsPerElem))

@@ -2,10 +2,16 @@
 //
 // All timing models in this repository (NAND dies, channel buses, PCIe
 // links, on-die processing units) are built on this engine. Time is a
-// simple int64 nanosecond counter; events are closures ordered by
+// simple int64 nanosecond counter; events are Handlers ordered by
 // (time, insertion sequence), which makes every run bit-for-bit
 // reproducible regardless of map iteration order or goroutine scheduling —
 // the engine is strictly single-threaded.
+//
+// A Handler is the one form a continuation takes, whether the engine
+// fires it or an asynchronous verb (Resource.Use, a NAND die, a device
+// operation) calls it on completion. Pooled records implement it
+// themselves, so handing one over allocates nothing; Func adapts a plain
+// closure.
 package sim
 
 import (
@@ -55,6 +61,19 @@ func (t Time) String() string {
 	}
 }
 
+// Handler is a continuation: what an event runs when it fires, and what
+// every asynchronous verb calls when its work completes.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain closure to a Handler. A func value is
+// pointer-shaped, so the conversion allocates nothing beyond the closure.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Tracer observes engine and resource activity. The engine holds at most
 // one; every hook is guarded by a nil check so the disabled state costs a
 // single branch and zero allocations on the hot paths. Implementations
@@ -80,25 +99,20 @@ const (
 	stateCanceled
 )
 
-// Event is a scheduled callback. The scheduling methods return it as an
+// Event is a scheduled handler. The scheduling methods return it as an
 // opaque handle whose only use is to be passed to Cancel before the event
 // fires.
 //
 // Events are pooled: once an event has fired or been cancelled the engine
-// recycles the struct for a later Schedule/At call, and the handle may then
-// name another caller's event. Drop a handle when its event fires (clear
-// it in the callback) or right after Cancel.
+// recycles the struct for a later After/Schedule/At call, and the handle
+// may then name another caller's event. Drop a handle when its event fires
+// (clear it in the handler) or right after Cancel.
 //
 //simlint:pooled
 type Event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	// afn/arg is the allocation-free callback form used by the kernel's
-	// pooled internal paths: a package-level function plus a pointer-typed
-	// argument costs no closure allocation per event.
-	afn func(any)
-	arg any
+	h   Handler
 	// index is the event's heap slot, inLane while it waits in a delay
 	// lane, or -1 once it has left the queue.
 	index int32
@@ -136,7 +150,7 @@ type lane struct {
 // usable; construct with NewEngine.
 //
 // Pending events live in up to maxLanes delay lanes, one FIFO per delay
-// class that Schedule and the kernel's pooled paths use, plus an inlined
+// class that After and Schedule use, plus an inlined
 // 4-ary min-heap for everything else: delays beyond the lane cap and
 // absolute-time At calls. step fires the least (at, seq) among the lane
 // heads and the heap top, so the firing order is the engine's total
@@ -199,16 +213,14 @@ func (e *Engine) alloc(t Time) *Event {
 }
 
 // recycle returns a completed (fired or cancelled) event to the freelist.
-// The callback fields are dropped immediately so the pool never pins model
-// closures; the state stays, so a Cancel through a handle not yet dropped
+// The handler is dropped immediately so the pool never pins model
+// records; the state stays, so a Cancel through a handle not yet dropped
 // is still a no-op until the struct is reused.
 //
 //simlint:hotpath
 //simlint:release
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
+	ev.h = nil
 	e.events.Put(ev)
 }
 
@@ -354,22 +366,28 @@ func (e *Engine) remove(i int) {
 	ev.index = -1
 }
 
-// Schedule arranges for fn to run delay nanoseconds after the current
+// After arranges for h to fire delay nanoseconds after the current
 // simulated time. A negative delay panics: time travel indicates a model
 // bug and must not be silently clamped. A zero delay is legal and fires
 // after all events already scheduled for the current instant.
 //
 //simlint:hotpath
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
+func (e *Engine) After(delay Time, h Handler) *Event {
 	if delay < 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("sim: negative delay %d at t=%d", delay, e.now))
 	}
 	ev := e.alloc(e.now + delay)
-	ev.fn = fn
+	ev.h = h
 	e.enqueue(delay, ev)
 	return ev
 }
+
+// Schedule arranges for fn to run delay nanoseconds after the current
+// simulated time, as After does.
+//
+//simlint:hotpath
+func (e *Engine) Schedule(delay Time, fn func()) *Event { return e.After(delay, Func(fn)) }
 
 // At arranges for fn to run at absolute simulated time t, which must not be
 // in the past. Absolute-time events go to the heap: a plan planted up
@@ -383,26 +401,8 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
 	ev := e.alloc(t)
-	ev.fn = fn
+	ev.h = Func(fn)
 	e.push(ev)
-	return ev
-}
-
-// scheduleArg is the allocation-free internal scheduling path: fn is a
-// package-level function and arg a pooled pointer, so a steady-state
-// schedule-and-fire cycle allocates nothing (the Event itself comes from
-// the freelist, and a pointer in an interface value does not escape).
-//
-//simlint:hotpath
-func (e *Engine) scheduleArg(delay Time, fn func(any), arg any) *Event {
-	if delay < 0 {
-		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("sim: negative delay %d at t=%d", delay, e.now))
-	}
-	ev := e.alloc(e.now + delay)
-	ev.afn = fn
-	ev.arg = arg
-	e.enqueue(delay, ev)
 	return ev
 }
 
@@ -468,17 +468,12 @@ func (e *Engine) step() bool {
 	if e.trace != nil {
 		e.trace.Instant("engine", "fire", ev.at)
 	}
-	// Recycle before running the callback: the common chain shape (an
-	// event whose callback schedules the next event) then reuses this very
+	// Recycle before running the handler: the common chain shape (an
+	// event whose handler schedules the next event) then reuses this very
 	// struct, keeping the pool at its steady-state size.
-	if fn := ev.fn; fn != nil {
-		e.recycle(ev)
-		fn()
-	} else {
-		afn, arg := ev.afn, ev.arg
-		e.recycle(ev)
-		afn(arg)
-	}
+	h := ev.h
+	e.recycle(ev)
+	h.Fire()
 	return true
 }
 

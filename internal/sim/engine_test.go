@@ -259,10 +259,10 @@ func TestPreemptibleBasic(t *testing.T) {
 	e := NewEngine()
 	p := NewPreemptible(e, 5)
 	var order []string
-	p.Use(300, func() { order = append(order, "prog") })
+	p.Use(300, Func(func() { order = append(order, "prog") }))
 	// A priority read arrives mid-program.
 	e.Schedule(100, func() {
-		p.UsePriority(65, func() { order = append(order, "read") })
+		p.UsePriority(65, Func(func() { order = append(order, "read") }))
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != "read" || order[1] != "prog" {
@@ -282,9 +282,9 @@ func TestPreemptibleHighDoesNotPreemptHigh(t *testing.T) {
 	e := NewEngine()
 	p := NewPreemptible(e, 0)
 	var ends []Time
-	p.UsePriority(100, func() { ends = append(ends, e.Now()) })
+	p.UsePriority(100, Func(func() { ends = append(ends, e.Now()) }))
 	e.Schedule(10, func() {
-		p.UsePriority(100, func() { ends = append(ends, e.Now()) })
+		p.UsePriority(100, Func(func() { ends = append(ends, e.Now()) }))
 	})
 	e.Run()
 	if ends[0] != 100 || ends[1] != 200 {
@@ -299,10 +299,10 @@ func TestPreemptiblePriorityQueueJumpsLow(t *testing.T) {
 	e := NewEngine()
 	p := NewPreemptible(e, 0)
 	var order []string
-	p.Use(100, func() { order = append(order, "a") })
-	p.Use(100, func() { order = append(order, "b") })
+	p.Use(100, Func(func() { order = append(order, "a") }))
+	p.Use(100, Func(func() { order = append(order, "b") }))
 	e.Schedule(10, func() {
-		p.UsePriority(10, func() { order = append(order, "hi") })
+		p.UsePriority(10, Func(func() { order = append(order, "hi") }))
 	})
 	e.Run()
 	// hi suspends a, finishes, a resumes, then b.
@@ -318,7 +318,7 @@ func TestPreemptibleDoubleSuspend(t *testing.T) {
 	e := NewEngine()
 	p := NewPreemptible(e, 2)
 	var progEnd Time
-	p.Use(300, func() { progEnd = e.Now() })
+	p.Use(300, Func(func() { progEnd = e.Now() }))
 	e.Schedule(50, func() { p.UsePriority(10, nil) })
 	e.Schedule(100, func() { p.UsePriority(10, nil) })
 	e.Run()
@@ -345,14 +345,14 @@ func TestPreemptibleCompletionSubmitKeepsSuspendedOp(t *testing.T) {
 	done := func(name string) func() {
 		return func() { order = append(order, fmt.Sprintf("%s@%d", name, e.Now())) }
 	}
-	p.Use(100, done("A"))
+	p.Use(100, Func(done("A")))
 	e.Schedule(10, func() {
-		p.UsePriority(10, func() {
+		p.UsePriority(10, Func(func() {
 			done("H")()
-			p.Use(50, done("L"))
-		})
+			p.Use(50, Func(done("L")))
+		}))
 	})
-	e.Schedule(40, func() { p.UsePriority(10, done("H2")) })
+	e.Schedule(40, func() { p.UsePriority(10, Func(done("H2"))) })
 	e.Run()
 	// A resumes at 20 ahead of L with 90 to go, H2 suspends it at 40 with
 	// 70 to go, A ends at 50+70, then L runs 120..170.
@@ -360,8 +360,8 @@ func TestPreemptibleCompletionSubmitKeepsSuspendedOp(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	if p.busy || p.Preemptions() != 2 {
-		t.Fatalf("busy=%v preemptions=%d after drain", p.busy, p.Preemptions())
+	if p.cur != nil || p.Preemptions() != 2 {
+		t.Fatalf("busy=%v preemptions=%d after drain", p.cur != nil, p.Preemptions())
 	}
 }
 

@@ -13,8 +13,8 @@ func Example() {
 	bus := sim.NewResource(eng, "bus", 1)
 
 	// Two transfers contend for one bus; a third job runs in parallel.
-	bus.Use(100, func() { fmt.Println("transfer A done at", eng.Now()) })
-	bus.Use(100, func() { fmt.Println("transfer B done at", eng.Now()) })
+	bus.Use(100, sim.Func(func() { fmt.Println("transfer A done at", eng.Now()) }))
+	bus.Use(100, sim.Func(func() { fmt.Println("transfer B done at", eng.Now()) }))
 	eng.Schedule(50, func() { fmt.Println("independent event at", eng.Now()) })
 
 	eng.Run()
@@ -29,9 +29,9 @@ func Example() {
 func ExamplePreemptible() {
 	eng := sim.NewEngine()
 	plane := sim.NewPreemptible(eng, 5)
-	plane.Use(300, func() { fmt.Println("program done at", eng.Now()) })
+	plane.Use(300, sim.Func(func() { fmt.Println("program done at", eng.Now()) }))
 	eng.Schedule(100, func() {
-		plane.UsePriority(65, func() { fmt.Println("read done at", eng.Now()) })
+		plane.UsePriority(65, sim.Func(func() { fmt.Println("read done at", eng.Now()) }))
 	})
 	eng.Run()
 	// Output:

@@ -20,9 +20,8 @@ const freelistSlab = 16
 // empty list.
 //
 // A record comes back from Get as Put left it, or zeroed if it is new,
-// so an owner clears the fields it must not leak before its Put and
-// tells a new record by a field only it sets (the callbacks records bind
-// once). Callers wrap Put in a //simlint:release function; Put carries
+// so an owner clears the fields it must not leak before its Put and sets
+// the record's back-pointers on every Get. Callers wrap Put in a //simlint:release function; Put carries
 // the directive itself, so poolsafe flags a handle used after either.
 type Freelist[T any] struct {
 	free []*T

@@ -49,7 +49,7 @@ func TestPreemptibleSuspendDuringResumeOverhead(t *testing.T) {
 	e := NewEngine()
 	p := NewPreemptible(e, 10)
 	var progEnd Time = -1
-	p.Use(100, func() { progEnd = e.Now() })
+	p.Use(100, Func(func() { progEnd = e.Now() }))
 	e.Schedule(50, func() { p.UsePriority(20, nil) })
 	e.Schedule(75, func() { p.UsePriority(20, nil) })
 	e.Run()

@@ -21,14 +21,14 @@ type Preemptible struct {
 	// operation each time it resumes.
 	ResumeOverhead Time
 
-	busy bool
-	// completing is set while an operation's completion callback runs: the
-	// server looks idle then, but what runs next is dispatch's choice.
+	// completing is set while an operation's handler runs: the server
+	// looks idle then, but what runs next is dispatch's choice.
 	completing bool
-	curLowPri  bool
-	curEnd     *Event
-	curOp      *pendingOp
-	curFinish  Time
+	// cur is the operation in service, nil while the server is idle; its
+	// completion event is curEnd.
+	cur       *pendingOp
+	curEnd    *Event
+	curFinish Time
 	// curOverhead is the resume-overhead share at the front of the
 	// current service interval: zero for a fresh operation,
 	// ResumeOverhead for a resumed one. Suspending again nets out the
@@ -36,31 +36,28 @@ type Preemptible struct {
 	// repeated suspends (see suspendCurrent).
 	curOverhead Time
 
-	suspended    suspendedOp
-	hasSuspended bool
-	hiQueue      FIFO[*pendingOp]
-	loQueue      FIFO[*pendingOp]
+	// suspended is the preempted low-priority operation, its remaining
+	// work in d; nil when none is.
+	suspended *pendingOp
+	hiQueue   FIFO[*pendingOp]
+	loQueue   FIFO[*pendingOp]
 
 	preemptions uint64
 	curStart    Time
 }
 
-// pendingOp is one queued or in-service operation. Ops are recycled
-// through the engine's freelist, shared by every Preemptible on the
-// engine, and double as the completion-event argument, so a steady-state
-// Use cycle allocates nothing. p is set when an op is taken.
+// pendingOp is one operation from submission to completion: queued, in
+// service, suspended and resumed as one record. Ops are recycled through
+// the engine's freelist, shared by every Preemptible on the engine, and
+// each is the handler of its own completion event, so a steady-state Use
+// cycle allocates nothing. p is set when an op is taken.
 //
 //simlint:pooled
 type pendingOp struct {
 	p      *Preemptible
 	d      Time
-	done   func()
+	done   Handler
 	lowPri bool
-}
-
-type suspendedOp struct {
-	remaining Time
-	done      func()
 }
 
 // NewPreemptible builds the resource on its own.
@@ -85,13 +82,27 @@ func (p *Preemptible) Init(eng *Engine, resumeOverhead Time) {
 // Preemptions returns how many suspends occurred.
 func (p *Preemptible) Preemptions() uint64 { return p.preemptions }
 
-// getOp takes an op for p off the engine's freelist.
+// submit takes an op for p off the engine's freelist and starts it, or
+// queues it while the server is busy. Inside a completion handler the op
+// always queues: starting it there would overtake the high-priority
+// queue and the suspended operation, which dispatch considers first once
+// the handler returns.
 //
 //simlint:hotpath
-func (p *Preemptible) getOp() *pendingOp {
+func (p *Preemptible) submit(d Time, done Handler, lowPri bool) {
 	op := p.eng.ops.Get()
-	op.p = p
-	return op
+	op.p, op.d, op.done, op.lowPri = p, d, done, lowPri
+	if !lowPri && p.cur != nil && p.cur.lowPri {
+		p.suspendCurrent()
+	}
+	switch {
+	case p.cur == nil && !p.completing:
+		p.start(op, 0)
+	case lowPri:
+		p.loQueue.Push(op)
+	default:
+		p.hiQueue.Push(op)
+	}
 }
 
 // putOp returns an op to the engine's freelist.
@@ -103,52 +114,25 @@ func (p *Preemptible) putOp(op *pendingOp) {
 	p.eng.ops.Put(op)
 }
 
-// Use runs a preemptible (low-priority) operation of duration d, then done.
+// Use runs a preemptible (low-priority) operation of duration d, then
+// fires done.
 //
 //simlint:hotpath
-func (p *Preemptible) Use(d Time, done func()) {
-	op := p.getOp()
-	op.d, op.done, op.lowPri = d, done, true
-	p.submit(op)
-}
+func (p *Preemptible) Use(d Time, done Handler) { p.submit(d, done, true) }
 
 // UsePriority runs a high-priority operation of duration d, suspending the
-// current low-priority occupant if necessary, then done.
+// current low-priority occupant if necessary, then fires done.
 //
 //simlint:hotpath
-func (p *Preemptible) UsePriority(d Time, done func()) {
-	op := p.getOp()
-	op.d, op.done, op.lowPri = d, done, false
-	p.submit(op)
-}
+func (p *Preemptible) UsePriority(d Time, done Handler) { p.submit(d, done, false) }
 
-// submit starts op, or queues it while the server is busy. Inside a
-// completion callback op always queues: starting it there would overtake
-// the high-priority queue and the suspended operation, which dispatch
-// considers first once the callback returns.
-func (p *Preemptible) submit(op *pendingOp) {
-	if !op.lowPri && p.busy && p.curLowPri {
-		p.suspendCurrent()
-	}
-	if p.busy || p.completing {
-		if op.lowPri {
-			p.loQueue.Push(op)
-		} else {
-			p.hiQueue.Push(op)
-		}
-		return
-	}
-	p.start(op.d, op.done, op.lowPri, 0)
-	p.putOp(op)
-}
-
-// suspendCurrent captures the occupant's remaining *work* and cancels its
-// completion event. If the occupant was itself a resumed operation, part
-// of its service interval is resume overhead rather than work; whatever
-// overhead has not elapsed yet is netted out, because the next resume
-// charges a fresh ResumeOverhead. Carrying it forward instead (the
-// pre-fix behaviour) compounded one extra overhead per suspend, inflating
-// program latency under read-heavy interference.
+// suspendCurrent keeps the occupant's remaining *work* in its record and
+// cancels its completion event. If the occupant was itself a resumed
+// operation, part of its service interval is resume overhead rather than
+// work; whatever overhead has not elapsed yet is netted out, because the
+// next resume charges a fresh ResumeOverhead. Carrying it forward instead
+// (the pre-fix behaviour) compounded one extra overhead per suspend,
+// inflating program latency under read-heavy interference.
 func (p *Preemptible) suspendCurrent() {
 	now := p.eng.Now()
 	remaining := p.curFinish - now
@@ -162,42 +146,34 @@ func (p *Preemptible) suspendCurrent() {
 		}
 	}
 	p.eng.Cancel(p.curEnd)
-	p.suspended = suspendedOp{remaining: remaining, done: p.curOp.done}
-	p.putOp(p.curOp)
-	p.curOp = nil
-	p.hasSuspended = true
+	p.cur.d = remaining
+	p.suspended = p.cur
+	p.cur = nil
 	p.preemptions++
-	p.busy = false
 	p.curEnd = nil
 }
 
-func (p *Preemptible) start(d Time, done func(), lowPri bool, overhead Time) {
-	p.busy = true
-	p.curLowPri = lowPri
+// start serves op for op.d, of which the first overhead is resume
+// overhead.
+func (p *Preemptible) start(op *pendingOp, overhead Time) {
+	p.cur = op
 	p.curStart = p.eng.Now()
-	p.curFinish = p.eng.Now() + d
+	p.curFinish = p.curStart + op.d
 	p.curOverhead = overhead
-	op := p.getOp()
-	op.done = done
-	p.curOp = op
-	p.curEnd = p.eng.scheduleArg(d, finishPreemptible, op)
+	p.curEnd = p.eng.After(op.d, op)
 }
 
-// finishPreemptible is the completion callback of the in-service
-// operation (package function: scheduling it allocates no closure).
-//
-//simlint:hotpath
-func finishPreemptible(arg any) {
-	op := arg.(*pendingOp)
+// Fire completes the op in service: the server frees, the op is
+// recycled, the caller's handler fires and dispatch picks what runs next.
+func (op *pendingOp) Fire() {
 	p := op.p
 	done := op.done
-	p.curOp = nil
+	p.cur = nil
 	p.putOp(op)
-	p.busy = false
 	p.curEnd = nil
 	if done != nil {
 		p.completing = true
-		done()
+		done.Fire()
 		p.completing = false
 	}
 	p.dispatch()
@@ -206,25 +182,16 @@ func finishPreemptible(arg any) {
 // dispatch picks the next work item: high-priority queue, then the
 // suspended operation, then the low-priority queue.
 func (p *Preemptible) dispatch() {
-	if p.busy {
-		return
-	}
-	if p.hiQueue.Len() > 0 {
-		op := p.hiQueue.Pop()
-		p.start(op.d, op.done, false, 0)
-		p.putOp(op)
-		return
-	}
-	if p.hasSuspended {
-		s := p.suspended
-		p.suspended = suspendedOp{}
-		p.hasSuspended = false
-		p.start(s.remaining+p.ResumeOverhead, s.done, true, p.ResumeOverhead)
-		return
-	}
-	if p.loQueue.Len() > 0 {
-		op := p.loQueue.Pop()
-		p.start(op.d, op.done, true, 0)
-		p.putOp(op)
+	switch {
+	case p.cur != nil:
+	case p.hiQueue.Len() > 0:
+		p.start(p.hiQueue.Pop(), 0)
+	case p.suspended != nil:
+		op := p.suspended
+		p.suspended = nil
+		op.d += p.ResumeOverhead
+		p.start(op, p.ResumeOverhead)
+	case p.loQueue.Len() > 0:
+		p.start(p.loQueue.Pop(), 0)
 	}
 }

@@ -3,18 +3,16 @@ package sim
 import "fmt"
 
 // useReq is one pooled request: the duration to hold a unit and
-// the completion callback. Requests live on the engine's freelist
+// the caller's handler. Requests live on the engine's freelist
 // between uses, shared by every resource on the engine, so a
-// steady-state Use cycle allocates nothing — the request struct doubles
-// as the argument of the completion event (scheduleArg), replacing the
-// three closures the old path allocated. r is set when a request is
-// taken.
+// steady-state Use cycle allocates nothing — the request is itself the
+// handler of its completion event. r is set when a request is taken.
 //
 //simlint:pooled
 type useReq struct {
 	r       *Resource
 	d       Time
-	done    func()
+	done    Handler
 	enqAt   Time // wait-span start
 	grantAt Time
 }
@@ -103,7 +101,7 @@ func (r *Resource) putReq(w *useReq) {
 }
 
 // grantUse starts service for a request: one unit is taken and
-// the completion event is scheduled through the pooled path.
+// the request's completion event is scheduled.
 func (r *Resource) grantUse(w *useReq) {
 	r.account()
 	r.inUse++
@@ -111,16 +109,12 @@ func (r *Resource) grantUse(w *useReq) {
 	if t := r.eng.trace; t != nil {
 		t.Counter(r.name, "in_use", w.grantAt, float64(r.inUse))
 	}
-	r.eng.scheduleArg(w.d, finishUse, w)
+	r.eng.After(w.d, w)
 }
 
-// finishUse is the completion callback of a request (package
-// function, so scheduling it allocates no closure): release the unit,
-// recycle the request, then run the caller's callback.
-//
-//simlint:hotpath
-func finishUse(arg any) {
-	w := arg.(*useReq)
+// Fire completes the request: release the unit, recycle the request,
+// then fire the caller's handler.
+func (w *useReq) Fire() {
 	r := w.r
 	if t := r.eng.trace; t != nil {
 		t.Span(r.name, "hold", w.grantAt, r.eng.now)
@@ -129,7 +123,7 @@ func finishUse(arg any) {
 	r.putReq(w)
 	r.release()
 	if done != nil {
-		done()
+		done.Fire()
 	}
 }
 
@@ -161,7 +155,7 @@ func (r *Resource) release() {
 }
 
 // Use is the common acquire–hold–release pattern: wait for a unit, hold it
-// for d nanoseconds of simulated time, then release and call done (which
+// for d nanoseconds of simulated time, then release and fire done (which
 // may be nil). It returns immediately; everything happens via events.
 //
 // This is the kernel's hottest path (every NAND array operation, bus
@@ -170,7 +164,7 @@ func (r *Resource) release() {
 // costs zero heap allocations (pinned by TestDisabledTracerAddsNoAllocations).
 //
 //simlint:hotpath
-func (r *Resource) Use(d Time, done func()) {
+func (r *Resource) Use(d Time, done Handler) {
 	w := r.getReq()
 	w.d = d
 	w.done = done

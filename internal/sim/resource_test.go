@@ -10,7 +10,7 @@ func TestResourceSerializes(t *testing.T) {
 	r := NewResource(e, "bus", 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		r.Use(100, func() { ends = append(ends, e.Now()) })
+		r.Use(100, Func(func() { ends = append(ends, e.Now()) }))
 	}
 	e.Run()
 	want := []Time{100, 200, 300}
@@ -26,7 +26,7 @@ func TestResourceParallelCapacity(t *testing.T) {
 	r := NewResource(e, "planes", 4)
 	var ends []Time
 	for i := 0; i < 8; i++ {
-		r.Use(50, func() { ends = append(ends, e.Now()) })
+		r.Use(50, Func(func() { ends = append(ends, e.Now()) }))
 	}
 	e.Run()
 	// Two waves of four.
@@ -43,7 +43,7 @@ func TestResourceFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		r.Use(10, func() { order = append(order, i) })
+		r.Use(10, Func(func() { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -82,13 +82,13 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 	pcs := make([]uintptr, 512)
 	for i := 0; i < waiters; i++ {
 		i := i
-		r.Use(1, func() {
+		r.Use(1, Func(func() {
 			order = append(order, i)
 			times = append(times, e.Now())
 			if d := runtime.Callers(0, pcs); d > maxDepth {
 				maxDepth = d
 			}
-		})
+		}))
 	}
 	if r.q.Len() != waiters {
 		t.Fatalf("queue = %d, want %d", r.q.Len(), waiters)
@@ -130,7 +130,7 @@ func TestResourceQueueReusesDrainedSlots(t *testing.T) {
 		id := submitted
 		submitted++
 		defer func() { peak = max(peak, r.q.Len()) }()
-		r.Use(1, func() {
+		r.Use(1, Func(func() {
 			if id != next {
 				t.Fatalf("request %d completed, want %d (FIFO broken)", id, next)
 			}
@@ -146,7 +146,7 @@ func TestResourceQueueReusesDrainedSlots(t *testing.T) {
 			if c := cap(r.q.items); c > 2*peak {
 				t.Fatalf("after %d requests the queue array holds %d slots, peak depth %d", id+1, c, peak)
 			}
-		})
+		}))
 	}
 	for i := 0; i < 64; i++ {
 		submit()
@@ -171,7 +171,7 @@ func TestResourceCounters(t *testing.T) {
 	r := NewResource(e, "r", 1)
 	completed := 0
 	for i := 0; i < 3; i++ {
-		r.Use(10, func() { completed++ })
+		r.Use(10, Func(func() { completed++ }))
 	}
 	if r.inUse != 1 || r.q.Len() != 2 {
 		t.Fatalf("inUse = %d, queue = %d; want 1 and 2", r.inUse, r.q.Len())

@@ -26,7 +26,8 @@ type Stats struct {
 
 // Device is the SSD controller: it owns the NAND channels, the FTL, the
 // DRAM write cache, and garbage collection. All I/O methods are
-// asynchronous (callback on completion) and run on the shared sim.Engine.
+// asynchronous (their handler fires on completion) and run on the shared
+// sim.Engine.
 //
 // Two families of operations exist:
 //
@@ -48,8 +49,8 @@ type Device struct {
 	planeFor  func(lpa int64) int
 
 	gcActive      []bool
-	planeInflight []int              // permits issued but not yet allocated, per plane
-	pending       []sim.FIFO[func()] // steps of writers waiting for reclaimable space, per plane
+	planeInflight []int           // permits issued but not yet allocated, per plane
+	pending       []sim.FIFO[*op] // writers waiting for reclaimable space, per plane
 
 	// Op-record freelists (see op.go): I/O records, and the GC and
 	// retirement records that keep their resident-list storage.
@@ -82,7 +83,7 @@ type Device struct {
 	commitHook func(lpa, oldLin, newLin int64, gc bool)
 
 	outstanding  int
-	drainWaiters []func()
+	drainWaiters []sim.Handler
 	// wedged is set when a plane's writers can never get space (gc.go).
 	wedged error
 
@@ -105,7 +106,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		ftl:           NewFTL(geo, cfg.LogicalPages()),
 		gcActive:      make([]bool, geo.Planes()),
 		planeInflight: make([]int, geo.Planes()),
-		pending:       make([]sim.FIFO[func()], geo.Planes()),
+		pending:       make([]sim.FIFO[*op], geo.Planes()),
 		dirty:         make(map[int64]int),
 	}
 	d.planeFor = func(lpa int64) int { return int(lpa % int64(geo.Planes())) }
@@ -207,16 +208,16 @@ func (d *Device) opDone() {
 		waiters := d.drainWaiters
 		d.drainWaiters = nil
 		for _, w := range waiters {
-			w()
+			w.Fire()
 		}
 	}
 }
 
-// Drain invokes done once every outstanding operation (including GC)
+// Drain fires done once every outstanding operation (including GC)
 // completes.
-func (d *Device) Drain(done func()) {
+func (d *Device) Drain(done sim.Handler) {
 	if d.outstanding == 0 {
-		done()
+		done.Fire()
 		return
 	}
 	//simlint:allow hotalloc a run drains once, after its last unit
@@ -231,7 +232,7 @@ func (d *Device) Wedged() error { return d.wedged }
 // the operations left outstanding.
 func (d *Device) RunDrained() error {
 	drained := false
-	d.Drain(func() { drained = true })
+	d.Drain(sim.Func(func() { drained = true }))
 	d.eng.Run()
 	switch {
 	case drained:
@@ -263,25 +264,26 @@ func (d *Device) hostCanWrite(plane int) bool {
 	return d.ftl.AvailablePages(plane)-d.planeInflight[plane] > reserve
 }
 
-// whenWritable runs step now if the plane has safe allocation headroom,
-// or queues it until GC reclaims space. The step holds one in-flight
-// permit, which transfers to the allocation it will perform.
-func (d *Device) whenWritable(plane int, step func()) {
+// whenWritable fires the writer o now if its plane has safe allocation
+// headroom, or queues it until GC reclaims space. The writer holds one
+// in-flight permit, which transfers to the allocation it will perform.
+func (d *Device) whenWritable(o *op) {
+	plane := o.plane
 	if d.hostCanWrite(plane) && d.pending[plane].Len() == 0 {
 		d.planeInflight[plane]++
-		step()
+		o.Fire()
 		return
 	}
-	d.pending[plane].Push(step)
+	d.pending[plane].Push(o)
 	d.maybeGC(plane)
 }
 
 func (d *Device) drainPending(plane int) {
 	q := &d.pending[plane]
 	for q.Len() > 0 && d.hostCanWrite(plane) {
-		step := q.Pop()
+		o := q.Pop()
 		d.planeInflight[plane]++
-		step()
+		o.Fire()
 	}
 }
 
@@ -318,7 +320,7 @@ func (d *Device) grantCacheSlot(o *op) {
 	if t := d.eng.Tracer(); t != nil {
 		t.Counter(cacheTrackName, "in_use", o.at, float64(d.cacheUsed))
 	}
-	d.eng.Schedule(d.cfg.DRAMPageLatency, o.step)
+	d.eng.After(d.cfg.DRAMPageLatency, o)
 }
 
 // freeCacheSlot returns the slot the write o holds and hands it to the
@@ -354,12 +356,12 @@ func (d *Device) freeCacheSlot(o *op) {
 // harness always writes before reading).
 //
 //simlint:hotpath
-func (d *Device) Read(lpa int64, done func()) {
+func (d *Device) Read(lpa int64, done sim.Handler) {
 	d.opStart()
 	o := d.getOp(kindRead)
 	o.lpa, o.done = lpa, done
 	o.stage = stageReadCmd
-	d.eng.Schedule(d.cfg.CmdLatency, o.step)
+	d.eng.After(d.cfg.CmdLatency, o)
 }
 
 // Write performs an external page write of lpa through the DRAM cache:
@@ -370,19 +372,19 @@ func (d *Device) Read(lpa int64, done func()) {
 // once the mapping commits.
 //
 //simlint:hotpath
-func (d *Device) Write(lpa int64, done func()) {
+func (d *Device) Write(lpa int64, done sim.Handler) {
 	d.opStart()
 	o := d.getOp(kindWrite)
 	o.lpa, o.done = lpa, done
 	o.stage = stageWriteCmd
-	d.eng.Schedule(d.cfg.CmdLatency, o.step)
+	d.eng.After(d.cfg.CmdLatency, o)
 }
 
 // ReadMapped performs an internal array read (no bus transfer) of the page
 // currently backing lpa — the first phase of an in-storage update.
 //
 //simlint:hotpath
-func (d *Device) ReadMapped(lpa int64, done func()) {
+func (d *Device) ReadMapped(lpa int64, done sim.Handler) {
 	lin := d.ftl.lookupLinear(lpa)
 	if lin == unmapped {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
@@ -432,7 +434,7 @@ func (d *Device) onReadDone(lin int64, retries int) {
 // becomes garbage for GC to reclaim.
 //
 //simlint:hotpath
-func (d *Device) ProgramUpdate(lpa int64, done func()) {
+func (d *Device) ProgramUpdate(lpa int64, done sim.Handler) {
 	old := d.ftl.lookupLinear(lpa)
 	if old == unmapped {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a harness bug
@@ -442,29 +444,29 @@ func (d *Device) ProgramUpdate(lpa int64, done func()) {
 	o := d.getOp(kindUpdate)
 	o.lpa, o.plane, o.done = lpa, d.ftl.dec.plane(old), done
 	o.stage = stageUpdatePermit
-	d.whenWritable(o.plane, o.step)
+	d.whenWritable(o)
 }
 
 // TransferToDie models moving n bytes from the controller to a die's
 // compute buffer over the channel bus (gradient delivery).
 //
 //simlint:hotpath
-func (d *Device) TransferToDie(ch, die, n int, done func()) {
+func (d *Device) TransferToDie(ch, die, n int, done sim.Handler) {
 	d.opStart()
 	o := d.getOp(kindTransfer)
 	o.done = done
 	o.stage = stageTransfer
-	d.channels[ch].TransferIn(die, n, o.step)
+	d.channels[ch].TransferIn(die, n, o)
 }
 
 // TransferFromDie models moving n bytes from a die's compute buffer to the
 // controller over the channel bus (low-precision weights out).
 //
 //simlint:hotpath
-func (d *Device) TransferFromDie(ch, die, n int, done func()) {
+func (d *Device) TransferFromDie(ch, die, n int, done sim.Handler) {
 	d.opStart()
 	o := d.getOp(kindTransfer)
 	o.done = done
 	o.stage = stageTransfer
-	d.channels[ch].TransferOut(die, n, o.step)
+	d.channels[ch].TransferOut(die, n, o)
 }

@@ -30,7 +30,7 @@ func smallConfig() Config {
 func runDrained(t *testing.T, e *sim.Engine, d *Device) {
 	t.Helper()
 	drained := false
-	d.Drain(func() { drained = true })
+	d.Drain(sim.Func(func() { drained = true }))
 	e.Run()
 	if !drained {
 		t.Fatal("device did not drain (stuck operations)")
@@ -44,13 +44,13 @@ func TestDeviceWriteReadRoundTrip(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, smallConfig())
 	wrote := false
-	d.Write(42, func() { wrote = true })
+	d.Write(42, sim.Func(func() { wrote = true }))
 	runDrained(t, e, d)
 	if !wrote {
 		t.Fatal("write completion missing")
 	}
 	var readAt sim.Time
-	d.Read(42, func() { readAt = e.Now() })
+	d.Read(42, sim.Func(func() { readAt = e.Now() }))
 	start := e.Now()
 	runDrained(t, e, d)
 	cfg := d.Config()
@@ -68,7 +68,7 @@ func TestDeviceWriteCompletesInDRAM(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, smallConfig())
 	var ackAt sim.Time
-	d.Write(0, func() { ackAt = e.Now() })
+	d.Write(0, sim.Func(func() { ackAt = e.Now() }))
 	runDrained(t, e, d)
 	cfg := d.Config()
 	wantAck := cfg.CmdLatency + cfg.DRAMPageLatency
@@ -123,7 +123,7 @@ func TestDevicePreload(t *testing.T) {
 		t.Fatal("preload did not map")
 	}
 	var done bool
-	d.Read(9, func() { done = true })
+	d.Read(9, sim.Func(func() { done = true }))
 	runDrained(t, e, d)
 	if !done {
 		t.Fatal("read of preloaded page failed")
@@ -189,7 +189,7 @@ func TestDeviceProgramUpdateStaysInPlane(t *testing.T) {
 	before, _ := d.FTL().Lookup(5)
 	planeBefore := d.Geometry().PlaneOf(before)
 	var done bool
-	d.ProgramUpdate(5, func() { done = true })
+	d.ProgramUpdate(5, sim.Func(func() { done = true }))
 	runDrained(t, e, d)
 	if !done {
 		t.Fatal("update did not complete")
@@ -211,7 +211,7 @@ func TestDeviceReadMappedNoBus(t *testing.T) {
 	d := NewDevice(e, smallConfig())
 	d.Preload(2)
 	var doneAt sim.Time
-	d.ReadMapped(2, func() { doneAt = e.Now() })
+	d.ReadMapped(2, sim.Func(func() { doneAt = e.Now() }))
 	runDrained(t, e, d)
 	// Array read only: exactly tR, no bus transfer, no cmd overhead.
 	if doneAt != d.Config().Nand.ReadLatency {
@@ -320,8 +320,8 @@ func TestDeviceTransferToFromDie(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, smallConfig())
 	var inAt, outAt sim.Time
-	d.TransferToDie(0, 0, 8192, func() { inAt = e.Now() })
-	d.TransferFromDie(0, 0, 8192, func() { outAt = e.Now() })
+	d.TransferToDie(0, 0, 8192, sim.Func(func() { inAt = e.Now() }))
+	d.TransferFromDie(0, 0, 8192, sim.Func(func() { outAt = e.Now() }))
 	runDrained(t, e, d)
 	tx := d.Config().Nand.TransferTime(8192)
 	if inAt != tx || outAt != 2*tx {
@@ -361,7 +361,7 @@ func TestDeviceDrainImmediate(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, smallConfig())
 	called := false
-	d.Drain(func() { called = true })
+	d.Drain(sim.Func(func() { called = true }))
 	if !called {
 		t.Fatal("drain on idle device should fire synchronously")
 	}
@@ -402,7 +402,7 @@ func TestReadRetryRecovery(t *testing.T) {
 
 	// Clean internal read: exactly tR.
 	var cleanAt sim.Time
-	d.ReadMapped(4, func() { cleanAt = e.Now() })
+	d.ReadMapped(4, sim.Func(func() { cleanAt = e.Now() }))
 	runDrained(t, e, d)
 	if cleanAt != tR {
 		t.Fatalf("clean read = %v", cleanAt)
@@ -412,7 +412,7 @@ func TestReadRetryRecovery(t *testing.T) {
 	d.InjectReadErrors(4, 1)
 	start := e.Now()
 	var failAt sim.Time
-	d.ReadMapped(4, func() { failAt = e.Now() })
+	d.ReadMapped(4, sim.Func(func() { failAt = e.Now() }))
 	runDrained(t, e, d)
 	want := tR + 3*tR + tR
 	if failAt-start != want {
@@ -425,7 +425,7 @@ func TestReadRetryRecovery(t *testing.T) {
 	// Error consumed: next read is clean again.
 	start = e.Now()
 	var again sim.Time
-	d.ReadMapped(4, func() { again = e.Now() })
+	d.ReadMapped(4, sim.Func(func() { again = e.Now() }))
 	runDrained(t, e, d)
 	if again-start != tR {
 		t.Fatalf("post-recovery read = %v", again-start)
@@ -438,7 +438,7 @@ func TestReadRetryOnExternalPath(t *testing.T) {
 	d.Preload(6)
 	d.InjectReadErrors(6, 2)
 	var doneAt sim.Time
-	d.Read(6, func() { doneAt = e.Now() })
+	d.Read(6, sim.Func(func() { doneAt = e.Now() }))
 	runDrained(t, e, d)
 	cfg := d.Config()
 	tR := cfg.Nand.ReadLatency
@@ -459,10 +459,10 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 	// Write, then read as soon as the write is acked — before the
 	// background flush finishes.
 	var start, readAt sim.Time
-	d.Write(3, func() {
+	d.Write(3, sim.Func(func() {
 		start = e.Now()
-		d.Read(3, func() { readAt = e.Now() })
-	})
+		d.Read(3, sim.Func(func() { readAt = e.Now() }))
+	}))
 	runDrained(t, e, d)
 	if start != cfg.CmdLatency+cfg.DRAMPageLatency {
 		t.Fatalf("write acked at %v, want %v", start, cfg.CmdLatency+cfg.DRAMPageLatency)
@@ -477,7 +477,7 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 	}
 	// After the flush completes, reads go to NAND again.
 	start = e.Now()
-	d.Read(3, func() { readAt = e.Now() })
+	d.Read(3, sim.Func(func() { readAt = e.Now() }))
 	runDrained(t, e, d)
 	if readAt-start < cfg.CmdLatency+cfg.Nand.ReadLatency {
 		t.Fatal("post-flush read still served from cache")
@@ -586,14 +586,14 @@ func TestQueueDepthUnlocksParallelism(t *testing.T) {
 				return
 			}
 			outstanding++
-			d.Read(lpa, func() {
+			d.Read(lpa, sim.Func(func() {
 				outstanding--
 				if len(queued) > 0 {
 					next := queued[0]
 					queued = queued[1:]
 					issue(next)
 				}
-			})
+			}))
 		}
 		for lpa := int64(0); lpa < n; lpa++ {
 			issue(lpa)

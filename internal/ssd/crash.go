@@ -97,11 +97,11 @@ func (d *Device) MappedPagesOnDie(ch, die int) int64 { return d.ftl.ValidPagesOn
 // was scheduled.
 //
 //simlint:hotpath
-func (d *Device) ScrubRead(lpa int64, done func()) {
+func (d *Device) ScrubRead(lpa int64, done sim.Handler) {
 	lin := d.ftl.lookupLinear(lpa)
 	if lin == unmapped {
 		if done != nil {
-			done()
+			done.Fire()
 		}
 		return
 	}

@@ -10,11 +10,11 @@ import (
 // Device op records. Every in-flight device operation — a host read or
 // write, an internal read or update, a die transfer, a GC pass over one
 // plane, a block retirement — is one pooled op record that walks through
-// named stages. The record's step (its advance method, bound once when
-// the record is made) is the completion callback handed to the NAND dies,
-// the channel buses and the event engine, so an operation allocates
-// nothing once the device's freelist is warm. A record goes back on the
-// freelist before its caller's done runs; DESIGN.md "Device op records"
+// named stages. The record is itself the completion handler it hands to
+// the NAND dies, the channel buses and the event engine (its Fire runs
+// the current stage), so an operation allocates nothing once the
+// device's freelist is warm. A record goes back on the freelist before
+// its caller's done fires; DESIGN.md "Device op records"
 // has the lifecycle.
 
 // opKind names the operation a record carries out; the stages shared by
@@ -31,7 +31,7 @@ const (
 	kindRetire                 // retirement: relocate a block's residents, seal it
 )
 
-// opStage names where a record resumes when its step fires.
+// opStage names where a record resumes when it fires.
 type opStage uint8
 
 const (
@@ -57,8 +57,7 @@ const (
 //
 //simlint:pooled
 type op struct {
-	d    *Device
-	step func() // o.advance, bound once when the record is made
+	d *Device
 
 	kind    opKind
 	stage   opStage
@@ -67,7 +66,7 @@ type op struct {
 	old     int64 // relocation: linear page of the resident being copied
 	plane   int
 	retries int // read-retry passes of the current array read
-	done    func()
+	done    sim.Handler
 	at      sim.Time // Write: start of its cache-slot wait, then of its hold
 
 	victim int     // relocation: the block being emptied
@@ -94,13 +93,7 @@ func (d *Device) freelist(kind opKind) *sim.Freelist[op] {
 //simlint:hotpath
 func (d *Device) getOp(kind opKind) *op {
 	o := d.freelist(kind).Get()
-	if o.step == nil {
-		// A fresh record: binding the method value allocates, once per
-		// record.
-		o.d = d
-		o.step = o.advance
-	}
-	o.kind = kind
+	o.d, o.kind = d, kind
 	return o
 }
 
@@ -115,22 +108,20 @@ func (d *Device) putOp(o *op) {
 	d.freelist(o.kind).Put(o)
 }
 
-// finish completes an operation that ends with its caller's callback:
-// the record is recycled first, so a callback that issues new I/O reuses
+// finish completes an operation that ends with its caller's handler:
+// the record is recycled first, so a handler that issues new I/O reuses
 // it.
 func (d *Device) finish(o *op) {
 	done := o.done
 	d.putOp(o)
 	d.opDone()
 	if done != nil {
-		done()
+		done.Fire()
 	}
 }
 
-// advance runs the record's current stage.
-//
-//simlint:hotpath
-func (o *op) advance() {
+// Fire runs the record's current stage.
+func (o *op) Fire() {
 	d := o.d
 	switch o.stage {
 	case stageReadCmd:
@@ -138,7 +129,7 @@ func (o *op) advance() {
 		// is not on NAND yet.
 		if d.dirty[o.lpa] > 0 {
 			o.stage = stageReadHit
-			d.eng.Schedule(d.cfg.DRAMPageLatency, o.step)
+			d.eng.After(d.cfg.DRAMPageLatency, o)
 			return
 		}
 		o.lin = d.ftl.lookupLinear(o.lpa)
@@ -161,7 +152,7 @@ func (o *op) advance() {
 			o.retries++
 			o.stage = stageRetry
 			p := d.ftl.dec.ppa(o.lin)
-			d.Die(p.Channel, p.Die).Occupy(p.Addr, readRetryFactor*d.cfg.Nand.ReadLatency, o.step)
+			d.Die(p.Channel, p.Die).Occupy(p.Addr, readRetryFactor*d.cfg.Nand.ReadLatency, o)
 			return
 		}
 		d.onReadDone(o.lin, o.retries)
@@ -171,7 +162,7 @@ func (o *op) advance() {
 		}
 		o.stage = stageReadOut
 		ch, die, _ := d.PlaneLoc(d.ftl.dec.plane(o.lin))
-		d.channels[ch].TransferOut(die, d.geo.PageSize, o.step)
+		d.channels[ch].TransferOut(die, d.geo.PageSize, o)
 	case stageRetry:
 		d.arrayRead(o)
 	case stageReadOut:
@@ -184,15 +175,15 @@ func (o *op) advance() {
 		done := o.done
 		o.done = nil
 		if done != nil {
-			done()
+			done.Fire()
 		}
 		o.plane = d.planeFor(o.lpa)
 		o.stage = stageFlushPermit
-		d.whenWritable(o.plane, o.step)
+		d.whenWritable(o)
 	case stageFlushPermit:
 		ch, die, _ := d.PlaneLoc(o.plane)
 		o.stage = stageFlushIn
-		d.channels[ch].TransferIn(die, d.geo.PageSize, o.step)
+		d.channels[ch].TransferIn(die, d.geo.PageSize, o)
 	case stageFlushIn:
 		d.program(o, stageFlushProgram)
 	case stageFlushProgram:
@@ -224,7 +215,7 @@ func (o *op) advance() {
 		d.maybeGC(plane)
 		d.opDone()
 		if done != nil {
-			done()
+			done.Fire()
 		}
 	case stageTransfer:
 		d.finish(o)
@@ -269,13 +260,13 @@ func (o *op) advance() {
 func (d *Device) arrayRead(o *op) {
 	o.stage = stageArrayRead
 	p := d.ftl.dec.ppa(o.lin)
-	d.Die(p.Channel, p.Die).Read(p.Addr, o.step)
+	d.Die(p.Channel, p.Die).Read(p.Addr, o)
 }
 
 // programDie programs o.lin on its die.
 func (d *Device) programDie(o *op) {
 	p := d.ftl.dec.ppa(o.lin)
-	d.Die(p.Channel, p.Die).Program(p.Addr, o.step)
+	d.Die(p.Channel, p.Die).Program(p.Addr, o)
 }
 
 // program allocates the next hot-stream page of o.plane — the permit o
@@ -326,13 +317,13 @@ func (d *Device) relocateNext(o *op) {
 		o.old = lin
 		o.stage = stageRelocRead
 		ch, die, pl := d.PlaneLoc(o.plane)
-		d.Die(ch, die).Read(nand.Addr{Plane: pl, Block: o.victim, Page: int(lin - o.start)}, o.step)
+		d.Die(ch, die).Read(nand.Addr{Plane: pl, Block: o.victim, Page: int(lin - o.start)}, o)
 		return
 	}
 	if o.kind == kindGC {
 		ch, die, pl := d.PlaneLoc(o.plane)
 		o.stage = stageErase
-		d.Die(ch, die).Erase(nand.Addr{Plane: pl, Block: o.victim}, o.step)
+		d.Die(ch, die).Erase(nand.Addr{Plane: pl, Block: o.victim}, o)
 		return
 	}
 	plane, block := o.plane, o.victim

@@ -20,12 +20,12 @@ func TestUpdateCycleAllocatesNothing(t *testing.T) {
 		d.Preload(lpa)
 	}
 	var lpa int64
-	transferred := func() {}
-	programmed := func() {
+	transferred := sim.Func(func() {})
+	programmed := sim.Func(func() {
 		ppa, _ := d.FTL().Lookup(lpa)
 		d.TransferFromDie(ppa.Channel, ppa.Die, 4096, transferred)
-	}
-	read := func() { d.ProgramUpdate(lpa, programmed) }
+	})
+	read := sim.Func(func() { d.ProgramUpdate(lpa, programmed) })
 	cycle := func() {
 		lpa = (lpa + 7) % n
 		d.ReadMapped(lpa, read)

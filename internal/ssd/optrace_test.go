@@ -67,24 +67,24 @@ func scriptDevice(t *testing.T, cfg Config, seed int64) string {
 	// Rewrites of one page stack dirty copies.
 	for i := int64(0); i < 20; i++ {
 		lpa := i % 9
-		d.Write(lpa, func() {
+		d.Write(lpa, sim.Func(func() {
 			tr.done("write", lpa)()
-			d.Read(lpa, tr.done("read-hit", lpa))
-		})
-		d.Read(n-1-i, tr.done("read", n-1-i))
+			d.Read(lpa, sim.Func(tr.done("read-hit", lpa)))
+		}))
+		d.Read(n-1-i, sim.Func(tr.done("read", n-1-i)))
 	}
 	tr.phase(t, d, "write-read")
 
 	// Read-retry on every read family, including errors injected while a
 	// retry is in flight.
 	d.InjectReadErrors(3, 2)
-	d.ReadMapped(3, tr.done("readmapped", 3))
+	d.ReadMapped(3, sim.Func(tr.done("readmapped", 3)))
 	d.InjectReadErrors(4, 1)
-	d.ScrubRead(4, tr.done("scrub", 4))
+	d.ScrubRead(4, sim.Func(tr.done("scrub", 4)))
 	d.InjectReadErrors(5, 1)
-	d.Read(5, tr.done("read", 5))
+	d.Read(5, sim.Func(tr.done("read", 5)))
 	e.Schedule(cfg.Nand.ReadLatency+1, func() { d.InjectReadErrors(3, 1) })
-	d.ScrubRead(n+1, tr.done("scrub-unmapped", n+1))
+	d.ScrubRead(n+1, sim.Func(tr.done("scrub-unmapped", n+1)))
 	tr.phase(t, d, "read-retry")
 
 	// In-storage updates under GC pressure, mixed with host writes and
@@ -102,14 +102,14 @@ func scriptDevice(t *testing.T, cfg Config, seed int64) string {
 				case 0:
 					d.Trim(lpa)
 				case 1:
-					d.Write(lpa, tr.done("write", lpa))
+					d.Write(lpa, sim.Func(tr.done("write", lpa)))
 				case 2:
 					if _, ok := d.FTL().Lookup(lpa); ok {
-						d.ReadMapped(lpa, tr.done("readmapped", lpa))
+						d.ReadMapped(lpa, sim.Func(tr.done("readmapped", lpa)))
 					}
 				default:
 					if _, ok := d.FTL().Lookup(lpa); ok {
-						d.ProgramUpdate(lpa, tr.done("update", lpa))
+						d.ProgramUpdate(lpa, sim.Func(tr.done("update", lpa)))
 					}
 				}
 			})
@@ -125,8 +125,8 @@ func scriptDevice(t *testing.T, cfg Config, seed int64) string {
 			t.Fatal("nothing mapped")
 		}
 		d.InjectReadErrors(lpa, cfg.Retire.RetryBudget)
-		d.ScrubRead(lpa, tr.done("scrub-retire", lpa))
-		d.ProgramUpdate(lpa, tr.done("update", lpa))
+		d.ScrubRead(lpa, sim.Func(tr.done("scrub-retire", lpa)))
+		d.ProgramUpdate(lpa, sim.Func(tr.done("update", lpa)))
 		tr.phase(t, d, "retire")
 	}
 
@@ -134,10 +134,10 @@ func scriptDevice(t *testing.T, cfg Config, seed int64) string {
 	geo := d.Geometry()
 	for i := 0; i < 8; i++ {
 		ch, die := i%geo.Channels, (i/geo.Channels)%geo.DiesPerChannel
-		d.TransferToDie(ch, die, 4096*(i+1), tr.done(fmt.Sprintf("to-die-%d/%d", ch, die), int64(i)))
-		d.TransferFromDie(ch, die, 2048*(i+1), tr.done(fmt.Sprintf("from-die-%d/%d", ch, die), int64(i)))
+		d.TransferToDie(ch, die, 4096*(i+1), sim.Func(tr.done(fmt.Sprintf("to-die-%d/%d", ch, die), int64(i))))
+		d.TransferFromDie(ch, die, 2048*(i+1), sim.Func(tr.done(fmt.Sprintf("from-die-%d/%d", ch, die), int64(i))))
 		if lpa, ok := d.NthMappedLPA(int64(i)); ok {
-			d.Read(lpa, tr.done("read", lpa))
+			d.Read(lpa, sim.Func(tr.done("read", lpa)))
 		}
 	}
 	tr.phase(t, d, "transfer")

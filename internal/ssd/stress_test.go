@@ -94,7 +94,7 @@ func runRandomWorkload(t *testing.T, seed int64) {
 				d.InjectReadErrors(lpa, 1)
 			}
 			readsInFlight[lpa]++
-			d.Read(lpa, func() { readsInFlight[lpa]-- })
+			d.Read(lpa, sim.Func(func() { readsInFlight[lpa]-- }))
 		case k < 9: // internal read
 			ms := mapped()
 			if len(ms) == 0 {
@@ -102,7 +102,7 @@ func runRandomWorkload(t *testing.T, seed int64) {
 			}
 			lpa := ms[rng.Intn(len(ms))]
 			readsInFlight[lpa]++
-			d.ReadMapped(lpa, func() { readsInFlight[lpa]-- })
+			d.ReadMapped(lpa, sim.Func(func() { readsInFlight[lpa]-- }))
 		default: // trim — but never a page with writes still in flight,
 			// matching the "host does not trim data it is writing" contract.
 			ms := mapped()

@@ -30,9 +30,9 @@ func contendedRun(t *testing.T) (*sim.Engine, []*sim.Resource, *Trace) {
 	for i := 0; i < 16; i++ {
 		//simlint:allow simtime arbitrary synthetic nanosecond durations for contention
 		d := sim.Time(50 + 7*i)
-		bus.Use(d, func() {
+		bus.Use(d, sim.Func(func() {
 			dies.Use(3*d, nil)
-		})
+		}))
 	}
 	ev := e.Schedule(5, func() {})
 	e.Cancel(ev)
