@@ -113,6 +113,8 @@ type Event struct {
 	at  Time
 	seq uint64
 	h   Handler
+	// next links the event to the one behind it in its delay lane.
+	next *Event
 	// index is the event's heap slot, inLane while it waits in a delay
 	// lane, or -1 once it has left the queue.
 	index int32
@@ -137,20 +139,40 @@ const maxLanes = 16
 // heap.
 const inLane int32 = -2
 
-// lane is a FIFO of pending events that were all scheduled with one
-// delay. Neither the clock nor the insertion sequence ever decreases, so
-// events entering a lane with a fixed delay arrive in (at, seq) order and
-// the lane is sorted without any sifting.
+// lane is a queue of pending events that were all scheduled with one
+// delay, linked through their next fields from head to tail. Neither the
+// clock nor the insertion sequence ever decreases, so events entering a
+// lane with a fixed delay arrive in (at, seq) order and the lane is
+// sorted without any sifting. A lane holds no storage of its own: an
+// event waits in place, in the pooled record it already is.
 type lane struct {
-	delay Time
-	q     FIFO[*Event]
+	delay      Time
+	head, tail *Event
+}
+
+// push links ev, fresh from alloc and so unlinked, in at the tail.
+func (l *lane) push(ev *Event) {
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
+}
+
+// pop unlinks the head event; the lane must be non-empty.
+func (l *lane) pop() {
+	l.head = l.head.next
+	if l.head == nil {
+		l.tail = nil
+	}
 }
 
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; construct with NewEngine.
 //
-// Pending events live in up to maxLanes delay lanes, one FIFO per delay
-// class that After and Schedule use, plus an inlined
+// Pending events live in up to maxLanes delay lanes, one linked queue per
+// delay class that After and Schedule use, plus an inlined
 // 4-ary min-heap for everything else: delays beyond the lane cap and
 // absolute-time At calls. step fires the least (at, seq) among the lane
 // heads and the heap top, so the firing order is the engine's total
@@ -289,7 +311,7 @@ func (e *Engine) enqueue(delay Time, ev *Event) {
 		return
 	}
 	ev.index = inLane
-	e.lanes[i].q.Push(ev)
+	e.lanes[i].push(ev)
 	e.busy |= 1 << i
 }
 
@@ -321,13 +343,13 @@ func (e *Engine) laneFor(delay Time) int {
 // lane i, and returns the pending event behind them; it returns nil, and
 // marks the lane empty, when none is left.
 func (e *Engine) dropCancelled(i int) *Event {
-	q := &e.lanes[i].q
-	for q.Len() > 0 {
-		h := q.Peek()
+	l := &e.lanes[i]
+	for l.head != nil {
+		h := l.head
 		if h.state == statePending {
 			return h
 		}
-		q.Pop()
+		l.pop()
 		e.recycle(h)
 	}
 	e.busy &^= 1 << i
@@ -439,7 +461,7 @@ func (e *Engine) step() bool {
 	}
 	for m := e.busy; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros16(m)
-		h := e.lanes[i].q.Peek()
+		h := e.lanes[i].head
 		if h.state != statePending {
 			if h = e.dropCancelled(i); h == nil {
 				continue
@@ -455,9 +477,9 @@ func (e *Engine) step() bool {
 	if from < 0 {
 		e.pop()
 	} else {
-		q := &e.lanes[from].q
-		q.Pop()
-		if q.Len() == 0 {
+		l := &e.lanes[from]
+		l.pop()
+		if l.head == nil {
 			e.busy &^= 1 << from
 		}
 		ev.index = -1

@@ -41,8 +41,7 @@ func (e engineUnderTest) inspect(h handle) (Time, uint8) {
 func pendingEvents(e *Engine) int {
 	n := len(e.queue)
 	for i := 0; i < e.nlanes; i++ {
-		q := &e.lanes[i].q
-		for _, ev := range q.items[q.head:] {
+		for ev := e.lanes[i].head; ev != nil; ev = ev.next {
 			if ev.state == statePending {
 				n++
 			}

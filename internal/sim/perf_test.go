@@ -219,3 +219,26 @@ func BenchmarkResourceUse(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkResourceDeepQueue measures a resource whose wait queue reaches
+// a depth of 4096: one op grants a request and queues 4096 more behind
+// it, then runs them all. It reports allocs/op of the warm loop, which
+// stays zero because a waiting request queues in place, and ns/request.
+func BenchmarkResourceDeepQueue(b *testing.B) {
+	const depth = 4096
+	e := NewEngine()
+	r := NewResource(e, "r", 1)
+	cycle := func() {
+		for i := 0; i <= depth; i++ {
+			r.Use(1, nil)
+		}
+		e.Run()
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(depth+1)), "ns/request")
+}

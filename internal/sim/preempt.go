@@ -39,8 +39,8 @@ type Preemptible struct {
 	// suspended is the preempted low-priority operation, its remaining
 	// work in d; nil when none is.
 	suspended *pendingOp
-	hiQueue   FIFO[*pendingOp]
-	loQueue   FIFO[*pendingOp]
+	hiQueue   pendingQueue
+	loQueue   pendingQueue
 
 	preemptions uint64
 	curStart    Time
@@ -49,15 +49,44 @@ type Preemptible struct {
 // pendingOp is one operation from submission to completion: queued, in
 // service, suspended and resumed as one record. Ops are recycled through
 // the engine's freelist, shared by every Preemptible on the engine, and
-// each is the handler of its own completion event, so a steady-state Use
-// cycle allocates nothing. p is set when an op is taken.
+// each is the handler of its own completion event and waits in its queue
+// in place, linked through next, so a steady-state Use cycle allocates
+// nothing. p is set when an op is taken.
 //
 //simlint:pooled
 type pendingOp struct {
 	p      *Preemptible
+	next   *pendingOp
 	d      Time
 	done   Handler
 	lowPri bool
+}
+
+// pendingQueue is a priority class's waiting ops in arrival order, linked
+// from head to tail through their next fields.
+type pendingQueue struct {
+	head, tail *pendingOp
+}
+
+// push links op in at the tail.
+func (q *pendingQueue) push(op *pendingOp) {
+	op.next = nil
+	if q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.next = op
+	}
+	q.tail = op
+}
+
+// pop unlinks and returns the head op; the queue must be non-empty.
+func (q *pendingQueue) pop() *pendingOp {
+	op := q.head
+	q.head = op.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	return op
 }
 
 // NewPreemptible builds the resource on its own.
@@ -99,9 +128,9 @@ func (p *Preemptible) submit(d Time, done Handler, lowPri bool) {
 	case p.cur == nil && !p.completing:
 		p.start(op, 0)
 	case lowPri:
-		p.loQueue.Push(op)
+		p.loQueue.push(op)
 	default:
-		p.hiQueue.Push(op)
+		p.hiQueue.push(op)
 	}
 }
 
@@ -184,14 +213,14 @@ func (op *pendingOp) Fire() {
 func (p *Preemptible) dispatch() {
 	switch {
 	case p.cur != nil:
-	case p.hiQueue.Len() > 0:
-		p.start(p.hiQueue.Pop(), 0)
+	case p.hiQueue.head != nil:
+		p.start(p.hiQueue.pop(), 0)
 	case p.suspended != nil:
 		op := p.suspended
 		p.suspended = nil
 		op.d += p.ResumeOverhead
 		p.start(op, p.ResumeOverhead)
-	case p.loQueue.Len() > 0:
-		p.start(p.loQueue.Pop(), 0)
+	case p.loQueue.head != nil:
+		p.start(p.loQueue.pop(), 0)
 	}
 }

@@ -6,15 +6,48 @@ import "fmt"
 // the caller's handler. Requests live on the engine's freelist
 // between uses, shared by every resource on the engine, so a
 // steady-state Use cycle allocates nothing — the request is itself the
-// handler of its completion event. r is set when a request is taken.
+// handler of its completion event, and it waits in its resource's queue
+// in place, linked through next. r is set when a request is taken.
 //
 //simlint:pooled
 type useReq struct {
-	r       *Resource
-	d       Time
-	done    Handler
-	enqAt   Time // wait-span start
-	grantAt Time
+	r    *Resource
+	next *useReq
+	d    Time
+	done Handler
+	// at is when the request entered the queue while it waits, then when
+	// it was granted: the wait span ends where the hold begins.
+	at Time
+}
+
+// reqQueue is a resource's waiting requests in arrival order, linked
+// from head to tail through their next fields.
+type reqQueue struct {
+	head, tail *useReq
+	n          int
+}
+
+// push links w in at the tail.
+func (q *reqQueue) push(w *useReq) {
+	w.next = nil
+	if q.tail == nil {
+		q.head = w
+	} else {
+		q.tail.next = w
+	}
+	q.tail = w
+	q.n++
+}
+
+// pop unlinks and returns the head request; the queue must be non-empty.
+func (q *reqQueue) pop() *useReq {
+	w := q.head
+	q.head = w.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	return w
 }
 
 // Resource models a server (or pool of identical servers) with a FIFO
@@ -39,7 +72,7 @@ type Resource struct {
 	inUse    int
 
 	// Waiting requests in arrival order.
-	q FIFO[*useReq]
+	q reqQueue
 
 	// Utilisation accounting.
 	busyTime   Time // integral of inUse over time, in unit-nanoseconds
@@ -105,9 +138,9 @@ func (r *Resource) putReq(w *useReq) {
 func (r *Resource) grantUse(w *useReq) {
 	r.account()
 	r.inUse++
-	w.grantAt = r.eng.now
+	w.at = r.eng.now
 	if t := r.eng.trace; t != nil {
-		t.Counter(r.name, "in_use", w.grantAt, float64(r.inUse))
+		t.Counter(r.name, "in_use", w.at, float64(r.inUse))
 	}
 	r.eng.After(w.d, w)
 }
@@ -117,7 +150,7 @@ func (r *Resource) grantUse(w *useReq) {
 func (w *useReq) Fire() {
 	r := w.r
 	if t := r.eng.trace; t != nil {
-		t.Span(r.name, "hold", w.grantAt, r.eng.now)
+		t.Span(r.name, "hold", w.at, r.eng.now)
 	}
 	done := w.done
 	r.putReq(w)
@@ -143,13 +176,13 @@ func (r *Resource) release() {
 	if t != nil {
 		t.Counter(r.name, "in_use", r.eng.now, float64(r.inUse))
 	}
-	if r.q.Len() == 0 {
+	if r.q.n == 0 {
 		return
 	}
-	w := r.q.Pop()
+	w := r.q.pop()
 	if t != nil {
-		t.Counter(r.name, "queue", r.eng.now, float64(r.q.Len()))
-		t.Span(r.name, "wait", w.enqAt, r.eng.now)
+		t.Counter(r.name, "queue", r.eng.now, float64(r.q.n))
+		t.Span(r.name, "wait", w.at, r.eng.now)
 	}
 	r.grantUse(w)
 }
@@ -174,9 +207,9 @@ func (r *Resource) Use(d Time, done Handler) {
 		r.grantUse(w)
 		return
 	}
-	w.enqAt = r.eng.now
-	r.q.Push(w)
+	w.at = r.eng.now
+	r.q.push(w)
 	if t := r.eng.trace; t != nil {
-		t.Counter(r.name, "queue", r.eng.now, float64(r.q.Len()))
+		t.Counter(r.name, "queue", r.eng.now, float64(r.q.n))
 	}
 }

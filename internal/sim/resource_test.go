@@ -90,8 +90,8 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 			}
 		}))
 	}
-	if r.q.Len() != waiters {
-		t.Fatalf("queue = %d, want %d", r.q.Len(), waiters)
+	if r.q.n != waiters {
+		t.Fatalf("queue = %d, want %d", r.q.n, waiters)
 	}
 	e.Run()
 
@@ -106,54 +106,86 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 			t.Fatalf("waiter %d completed at t=%d, want %d", i, times[i], want)
 		}
 	}
-	if r.inUse != 0 || r.q.Len() != 0 {
-		t.Fatalf("inUse=%d queue=%d after drain", r.inUse, r.q.Len())
+	if r.inUse != 0 || r.q.n != 0 {
+		t.Fatalf("inUse=%d queue=%d after drain", r.inUse, r.q.n)
 	}
 	if maxDepth >= len(pcs) {
 		t.Fatalf("call stack reached %d+ frames during drain; hand-off is recursing", maxDepth)
 	}
 }
 
-// TestResourceQueueReusesDrainedSlots is the regression test for the wait
-// queue's storage: a queue that never empties must reuse its drained
-// slots instead of growing by one slot per request, and stay FIFO. Each
-// completion submits two requests in one phase of 2048 completions and
-// none in the next, so the depth swings between 1 and about 2000;
-// a completion that would leave the queue empty submits one more.
-func TestResourceQueueReusesDrainedSlots(t *testing.T) {
+// served counts the waiters of a deep-queue cycle as they are served and
+// how many came out of turn.
+type served struct{ n, outOfTurn int }
+
+// waiter is one queued caller of a deep-queue cycle: its Fire checks that
+// it is served at its rank. Waiters are built once, outside the measured
+// cycles, so firing one allocates nothing.
+type waiter struct {
+	rank int
+	log  *served
+}
+
+func (w *waiter) Fire() {
+	if w.rank != w.log.n {
+		w.log.outOfTurn++
+	}
+	w.log.n++
+}
+
+// TestDeepWaitQueuesAllocateNothing holds 10,000 waiters in each of the
+// kernel's wait queues, once warm: a resource's queue behind one held
+// unit, a delay lane, and a Preemptible's two priority queues behind a
+// high-priority occupant. Waiters queue in place in their pooled records,
+// so a cycle allocates nothing however deep its queue, and each queue
+// serves its waiters in arrival order: the Preemptible's high-priority
+// half first, then its low-priority half.
+func TestDeepWaitQueuesAllocateNothing(t *testing.T) {
+	const depth = 10_000
 	e := NewEngine()
-	r := NewResource(e, "plane", 1)
-	const total = 100000
-	submitted, next, peak := 0, 0, 0
-	var submit func()
-	submit = func() {
-		id := submitted
-		submitted++
-		defer func() { peak = max(peak, r.q.Len()) }()
-		r.Use(1, Func(func() {
-			if id != next {
-				t.Fatalf("request %d completed, want %d (FIFO broken)", id, next)
+	r := NewResource(e, "r", 1)
+	p := NewPreemptible(e, 0)
+	log := &served{}
+	ws := make([]waiter, depth)
+	for _, c := range []struct {
+		name  string
+		rank  func(i int) int
+		queue func(w *waiter)
+		head  func()
+	}{
+		{"resource", func(i int) int { return i }, func(w *waiter) { r.Use(1, w) }, func() { r.Use(100, nil) }},
+		{"delay lane", func(i int) int { return i }, func(w *waiter) { e.After(5, w) }, func() {}},
+		{"preemptible", func(i int) int {
+			if i%2 == 1 {
+				return i / 2
 			}
-			next++
-			if (id/2048)%2 == 0 {
-				for k := 0; k < 2 && submitted < total; k++ {
-					submit()
-				}
+			return depth/2 + i/2
+		}, func(w *waiter) {
+			if w.rank < depth/2 {
+				p.UsePriority(1, w)
+			} else {
+				p.Use(1, w)
 			}
-			if r.q.Len() == 0 && submitted < total {
-				submit()
+		}, func() { p.UsePriority(100, nil) }},
+	} {
+		for i := range ws {
+			ws[i] = waiter{rank: c.rank(i), log: log}
+		}
+		cycle := func() {
+			*log = served{}
+			c.head()
+			for i := range ws {
+				c.queue(&ws[i])
 			}
-			if c := cap(r.q.items); c > 2*peak {
-				t.Fatalf("after %d requests the queue array holds %d slots, peak depth %d", id+1, c, peak)
-			}
-		}))
-	}
-	for i := 0; i < 64; i++ {
-		submit()
-	}
-	e.Run()
-	if next != total {
-		t.Fatalf("%d of %d requests completed", next, total)
+			e.Run()
+		}
+		cycle()
+		if per := testing.AllocsPerRun(5, cycle); per > 0 {
+			t.Errorf("%s: a warm cycle of %d waiters allocates %v, want 0", c.name, depth, per)
+		}
+		if log.n != depth || log.outOfTurn != 0 {
+			t.Errorf("%s: served %d of %d waiters, %d out of arrival order", c.name, log.n, depth, log.outOfTurn)
+		}
 	}
 }
 
@@ -173,15 +205,15 @@ func TestResourceCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.Use(10, Func(func() { completed++ }))
 	}
-	if r.inUse != 1 || r.q.Len() != 2 {
-		t.Fatalf("inUse = %d, queue = %d; want 1 and 2", r.inUse, r.q.Len())
+	if r.inUse != 1 || r.q.n != 2 {
+		t.Fatalf("inUse = %d, queue = %d; want 1 and 2", r.inUse, r.q.n)
 	}
 	e.Run()
 	if completed != 3 {
 		t.Fatalf("completed = %d", completed)
 	}
-	if r.inUse != 0 || r.q.Len() != 0 {
-		t.Fatalf("inUse = %d, queue = %d after drain", r.inUse, r.q.Len())
+	if r.inUse != 0 || r.q.n != 0 {
+		t.Fatalf("inUse = %d, queue = %d after drain", r.inUse, r.q.n)
 	}
 	if r.name != "r" {
 		t.Fatal("name wrong")

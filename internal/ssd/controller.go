@@ -45,16 +45,17 @@ type Device struct {
 	// The DRAM write cache's slots: a write holds one from its command
 	// until its flush commits (op.go); writes wait for one in order.
 	cacheUsed int
-	cacheWait sim.FIFO[*op]
+	cacheWait opQueue
 	planeFor  func(lpa int64) int
 
 	gcActive      []bool
-	planeInflight []int           // permits issued but not yet allocated, per plane
-	pending       []sim.FIFO[*op] // writers waiting for reclaimable space, per plane
+	planeInflight []int     // permits issued but not yet allocated, per plane
+	pending       []opQueue // writers waiting for reclaimable space, per plane
 
-	// Op-record freelists (see op.go): I/O records, and the GC and
+	// Record freelists (see op.go): I/O records, and the GC and
 	// retirement records that keep their resident-list storage.
-	ops, relocs sim.Freelist[op]
+	ops    sim.Freelist[op]
+	relocs sim.Freelist[reloc]
 
 	// dirty counts cache-resident (not yet flushed) copies per logical
 	// page: reads of these are served from DRAM.
@@ -106,7 +107,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		ftl:           NewFTL(geo, cfg.LogicalPages()),
 		gcActive:      make([]bool, geo.Planes()),
 		planeInflight: make([]int, geo.Planes()),
-		pending:       make([]sim.FIFO[*op], geo.Planes()),
+		pending:       make([]opQueue, geo.Planes()),
 		dirty:         make(map[int64]int),
 	}
 	d.planeFor = func(lpa int64) int { return int(lpa % int64(geo.Planes())) }
@@ -269,19 +270,19 @@ func (d *Device) hostCanWrite(plane int) bool {
 // in-flight permit, which transfers to the allocation it will perform.
 func (d *Device) whenWritable(o *op) {
 	plane := o.plane
-	if d.hostCanWrite(plane) && d.pending[plane].Len() == 0 {
+	if d.hostCanWrite(plane) && d.pending[plane].head == nil {
 		d.planeInflight[plane]++
 		o.Fire()
 		return
 	}
-	d.pending[plane].Push(o)
+	d.pending[plane].push(o)
 	d.maybeGC(plane)
 }
 
 func (d *Device) drainPending(plane int) {
 	q := &d.pending[plane]
-	for q.Len() > 0 && d.hostCanWrite(plane) {
-		o := q.Pop()
+	for q.head != nil && d.hostCanWrite(plane) {
+		o := q.pop()
 		d.planeInflight[plane]++
 		o.Fire()
 	}
@@ -305,9 +306,9 @@ func (d *Device) takeCacheSlot(o *op) {
 		return
 	}
 	o.at = d.eng.Now()
-	d.cacheWait.Push(o)
+	d.cacheWait.push(o)
 	if t := d.eng.Tracer(); t != nil {
-		t.Counter(cacheTrackName, "queue", o.at, float64(d.cacheWait.Len()))
+		t.Counter(cacheTrackName, "queue", o.at, float64(d.cacheWait.n))
 	}
 }
 
@@ -340,12 +341,12 @@ func (d *Device) freeCacheSlot(o *op) {
 	if t != nil {
 		t.Counter(cacheTrackName, "in_use", now, float64(d.cacheUsed))
 	}
-	if d.cacheWait.Len() == 0 {
+	if d.cacheWait.n == 0 {
 		return
 	}
-	w := d.cacheWait.Pop()
+	w := d.cacheWait.pop()
 	if t != nil {
-		t.Counter(cacheTrackName, "queue", now, float64(d.cacheWait.Len()))
+		t.Counter(cacheTrackName, "queue", now, float64(d.cacheWait.n))
 		t.Span(cacheTrackName, "wait", w.at, now)
 	}
 	d.grantCacheSlot(w)

@@ -565,6 +565,60 @@ func TestCacheSlotFreedBelowZeroPanics(t *testing.T) {
 	d.freeCacheSlot(d.getOp(kindWrite))
 }
 
+// servedWriter is one writer of TestPendingQueueHoldsDeepQueue: its Fire
+// counts the writers served and those served out of arrival order.
+type servedWriter struct {
+	rank      int
+	n, missed *int
+}
+
+func (w *servedWriter) Fire() {
+	if w.rank != *w.n {
+		*w.missed++
+	}
+	*w.n++
+}
+
+// TestPendingQueueHoldsDeepQueue queues 10,000 writers on one plane
+// without space and then serves them, once warm. A writer waits in place
+// in its op record, so a cycle allocates nothing however deep the queue,
+// and the plane serves its writers in arrival order. The plane's
+// in-flight permits stand in for its space: all of them taken while the
+// writers queue, then enough returned for every writer. Each writer is a
+// die transfer, which completes as soon as its permit is granted.
+func TestPendingQueueHoldsDeepQueue(t *testing.T) {
+	const depth = 10_000
+	d := NewDevice(sim.NewEngine(), smallConfig())
+	var n, missed int
+	ws := make([]servedWriter, depth)
+	for i := range ws {
+		ws[i] = servedWriter{rank: i, n: &n, missed: &missed}
+	}
+	cycle := func() {
+		n, missed = 0, 0
+		d.planeInflight[0] = 1 << 30
+		for i := range ws {
+			d.opStart()
+			o := d.getOp(kindTransfer)
+			o.plane, o.stage, o.done = 0, stageTransfer, &ws[i]
+			d.whenWritable(o)
+		}
+		if d.pending[0].n != depth {
+			t.Fatalf("%d writers pending, want %d", d.pending[0].n, depth)
+		}
+		d.planeInflight[0] = -depth
+		d.drainPending(0)
+	}
+	cycle()
+	if per := testing.AllocsPerRun(5, cycle); per > 0 {
+		t.Errorf("a warm cycle of %d pending writers allocates %v, want 0", depth, per)
+	}
+	if n != depth || missed != 0 || d.pending[0].head != nil || d.planeInflight[0] != 0 {
+		t.Errorf("served %d of %d writers, %d out of arrival order; queue empty %v, permits %d",
+			n, depth, missed, d.pending[0].head == nil, d.planeInflight[0])
+	}
+}
+
 // TestQueueDepthUnlocksParallelism bounds the commands outstanding on the
 // device to a host-side queue depth: a read beyond it waits in a host
 // queue until an outstanding one completes. QD1 pays the full device

@@ -123,9 +123,7 @@ func (d *Device) retireBlock(plane, block int) {
 		return
 	}
 	d.opStart()
-	o := d.getOp(kindRetire)
-	o.plane = plane
-	d.relocateBlock(o, block)
+	d.relocateBlock(d.getReloc(plane, true), block)
 }
 
 // RecoveryInfo summarizes what a crash-recovery rebuild found.

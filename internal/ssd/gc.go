@@ -15,24 +15,22 @@ func (d *Device) maybeGC(plane int) {
 	if d.gcActive[plane] {
 		return
 	}
-	if d.ftl.FreeBlocks(plane) > d.cfg.GCLowWater && d.pending[plane].Len() == 0 {
+	if d.ftl.FreeBlocks(plane) > d.cfg.GCLowWater && d.pending[plane].head == nil {
 		return
 	}
 	d.gcActive[plane] = true
 	d.opStart()
-	o := d.getOp(kindGC)
-	o.plane = plane
-	d.gcStep(o)
+	d.gcStep(d.getReloc(plane, false))
 }
 
-// gcStep picks the next victim of o's plane and relocates it; erasing it
-// (stageErase) comes back here.
-func (d *Device) gcStep(o *op) {
-	plane := o.plane
+// gcStep picks the next victim of r's plane and relocates it; erasing it
+// (relocErase) comes back here.
+func (d *Device) gcStep(r *reloc) {
+	plane := r.plane
 	// Collect until the high watermark is restored AND no writer is starved
 	// for space.
-	if d.ftl.FreeBlocks(plane) >= d.cfg.GCHighWater && d.pending[plane].Len() == 0 {
-		d.gcFinish(o)
+	if d.ftl.FreeBlocks(plane) >= d.cfg.GCHighWater && d.pending[plane].head == nil {
+		d.gcFinish(r)
 		return
 	}
 	victim, ok := d.ftl.PickVictim(plane)
@@ -42,15 +40,15 @@ func (d *Device) gcStep(o *op) {
 		// and re-triggers maybeGC, so progress resumes. With none, pending
 		// writers can never be satisfied: a genuine wedge, recorded and
 		// ending the run undrained.
-		if d.pending[plane].Len() > 0 && d.ftl.FreeBlocks(plane) == 0 &&
+		if d.pending[plane].head != nil && d.ftl.FreeBlocks(plane) == 0 &&
 			d.ftl.InflightPrograms(plane) == 0 {
 			d.wedge(plane)
 			return
 		}
-		d.gcFinish(o)
+		d.gcFinish(r)
 		return
 	}
-	d.relocateBlock(o, victim)
+	d.relocateBlock(r, victim)
 }
 
 // wedge records the first wedged plane and stops the engine; the pending
@@ -64,9 +62,9 @@ func (d *Device) wedge(plane int) {
 	d.eng.Stop()
 }
 
-func (d *Device) gcFinish(o *op) {
-	plane := o.plane
-	d.putOp(o)
+func (d *Device) gcFinish(r *reloc) {
+	plane := r.plane
+	d.putReloc(r)
 	d.gcActive[plane] = false
 	d.drainPending(plane)
 	d.opDone()

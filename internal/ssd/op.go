@@ -8,14 +8,15 @@ import (
 )
 
 // Device op records. Every in-flight device operation — a host read or
-// write, an internal read or update, a die transfer, a GC pass over one
-// plane, a block retirement — is one pooled op record that walks through
-// named stages. The record is itself the completion handler it hands to
-// the NAND dies, the channel buses and the event engine (its Fire runs
-// the current stage), so an operation allocates nothing once the
-// device's freelist is warm. A record goes back on the freelist before
-// its caller's done fires; DESIGN.md "Device op records"
-// has the lifecycle.
+// write, an internal read or update, a die transfer — is one pooled op
+// record that walks through named stages; a GC pass over one plane and a
+// block retirement are one pooled reloc record each. A record is itself
+// the completion handler it hands to the NAND dies, the channel buses and
+// the event engine (its Fire runs the current stage), and it waits for
+// cache slots or plane space in place, linked into an opQueue, so an
+// operation allocates nothing once the device's freelists are warm. A
+// record goes back on its freelist before its caller's done fires;
+// DESIGN.md "Device op records" has the lifecycle.
 
 // opKind names the operation a record carries out; the stages shared by
 // several kinds branch on it.
@@ -27,8 +28,6 @@ const (
 	kindWrite                  // Write: cached host write, then its flush
 	kindUpdate                 // ProgramUpdate: in-storage program
 	kindTransfer               // TransferToDie, TransferFromDie
-	kindGC                     // one plane's GC pass: relocate, erase, repeat
-	kindRetire                 // retirement: relocate a block's residents, seal it
 )
 
 // opStage names where a record resumes when it fires.
@@ -48,51 +47,62 @@ const (
 	stageUpdatePermit                 // plane space granted: allocate and program
 	stageUpdateProgram                // update programmed: commit
 	stageTransfer                     // die transfer over the bus finished
-	stageRelocRead                    // relocation source sensed: copy it unless it moved
-	stageRelocProgram                 // relocation copy programmed: commit unless superseded
-	stageErase                        // GC victim erased
 )
 
 // op is one in-flight device operation.
 //
 //simlint:pooled
 type op struct {
-	d *Device
+	d    *Device
+	next *op // the op behind it while it waits in an opQueue
 
 	kind    opKind
 	stage   opStage
 	lpa     int64
 	lin     int64 // linear page being sensed or programmed
-	old     int64 // relocation: linear page of the resident being copied
 	plane   int
 	retries int // read-retry passes of the current array read
 	done    sim.Handler
 	at      sim.Time // Write: start of its cache-slot wait, then of its hold
-
-	victim int     // relocation: the block being emptied
-	start  int64   // relocation: the victim's first linear page
-	lpas   []int64 // relocation: its residents; storage kept across reuse
-	next   int     // relocation: index of the resident being moved
 }
 
-// relocates reports whether records of the kind move pages between
-// blocks: those recycle through their own freelist, so the storage of
-// their resident lists stays with the few records that need it.
-func (k opKind) relocates() bool { return k == kindGC || k == kindRetire }
+// opQueue is a queue of waiting ops in arrival order, linked from head to
+// tail through their next fields: the writers waiting for space on one
+// plane, or the writes waiting for a cache slot. An op waits in at most
+// one queue at a time, so waiting costs no storage beyond the record.
+type opQueue struct {
+	head, tail *op
+	n          int
+}
 
-// freelist returns the freelist records of the kind recycle through.
-func (d *Device) freelist(kind opKind) *sim.Freelist[op] {
-	if kind.relocates() {
-		return &d.relocs
+// push links o in at the tail.
+func (q *opQueue) push(o *op) {
+	o.next = nil
+	if q.tail == nil {
+		q.head = o
+	} else {
+		q.tail.next = o
 	}
-	return &d.ops
+	q.tail = o
+	q.n++
+}
+
+// pop unlinks and returns the head op; the queue must be non-empty.
+func (q *opQueue) pop() *op {
+	o := q.head
+	q.head = o.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	return o
 }
 
 // getOp takes a record off the device's freelist, which grows by slabs.
 //
 //simlint:hotpath
 func (d *Device) getOp(kind opKind) *op {
-	o := d.freelist(kind).Get()
+	o := d.ops.Get()
 	o.d, o.kind = d, kind
 	return o
 }
@@ -104,8 +114,7 @@ func (d *Device) getOp(kind opKind) *op {
 func (d *Device) putOp(o *op) {
 	o.done = nil
 	o.retries = 0
-	o.lpas = o.lpas[:0]
-	d.freelist(o.kind).Put(o)
+	d.ops.Put(o)
 }
 
 // finish completes an operation that ends with its caller's handler:
@@ -219,40 +228,6 @@ func (o *op) Fire() {
 		}
 	case stageTransfer:
 		d.finish(o)
-	case stageRelocRead:
-		// Re-check: the mapping may have moved while the read was queued.
-		if d.ftl.lookupLinear(o.lpas[o.next]) != o.old {
-			o.next++
-			d.relocateNext(o)
-			return
-		}
-		stream := HotStream
-		if d.cfg.HotColdSeparation {
-			stream = ColdStream
-		}
-		o.lin = d.ftl.allocPage(o.plane, stream)
-		d.ftl.beginProgram(o.plane, o.lin)
-		o.stage = stageRelocProgram
-		d.programDie(o)
-	case stageRelocProgram:
-		lpa := o.lpas[o.next]
-		d.ftl.endProgram(o.plane, o.lin)
-		if d.ftl.lookupLinear(lpa) == o.old {
-			d.commit(lpa, o.lin, true)
-			d.gcRelocations++
-			d.boundary(BoundaryGC, lpa)
-		} else {
-			d.gcStale++
-			d.boundary(BoundaryGCStale, lpa)
-		}
-		o.next++
-		d.relocateNext(o)
-	case stageErase:
-		d.ftl.OnErased(o.plane, o.victim)
-		d.gcErases++
-		d.boundary(BoundaryErase, -1)
-		d.drainPending(o.plane)
-		d.gcStep(o)
 	}
 }
 
@@ -263,10 +238,11 @@ func (d *Device) arrayRead(o *op) {
 	d.Die(p.Channel, p.Die).Read(p.Addr, o)
 }
 
-// programDie programs o.lin on its die.
-func (d *Device) programDie(o *op) {
-	p := d.ftl.dec.ppa(o.lin)
-	d.Die(p.Channel, p.Die).Program(p.Addr, o)
+// programDie programs the linear page lin on its die; h fires when the
+// program completes.
+func (d *Device) programDie(lin int64, h sim.Handler) {
+	p := d.ftl.dec.ppa(lin)
+	d.Die(p.Channel, p.Die).Program(p.Addr, h)
 }
 
 // program allocates the next hot-stream page of o.plane — the permit o
@@ -282,18 +258,104 @@ func (d *Device) program(o *op, next opStage) {
 	d.planeInflight[o.plane]--
 	d.ftl.beginProgram(o.plane, o.lin)
 	o.stage = next
-	d.programDie(o)
+	d.programDie(o.lin, o)
+}
+
+// relocStage names where a reloc record resumes when it fires.
+type relocStage uint8
+
+const (
+	relocRead    relocStage = iota // relocation source sensed: copy it unless it moved
+	relocProgram                   // relocation copy programmed: commit unless superseded
+	relocErase                     // GC victim erased
+)
+
+// reloc is one plane's GC pass (relocate a victim's residents, erase it,
+// repeat) or one block retirement (relocate the block's residents, seal
+// it). Relocation records recycle through their own freelist, so the
+// storage of their resident lists stays with the few records that need
+// it and every other op record stays small.
+//
+//simlint:pooled
+type reloc struct {
+	d      *Device
+	retire bool // a retirement: seal the emptied block instead of erasing it
+	stage  relocStage
+	plane  int
+	victim int     // the block being emptied
+	start  int64   // the victim's first linear page
+	old    int64   // linear page of the resident being copied
+	lin    int64   // linear page the copy is programmed to
+	lpas   []int64 // the victim's residents; storage kept across reuse
+	cur    int     // index of the resident being moved
+}
+
+// getReloc takes a relocation record for plane off its freelist.
+func (d *Device) getReloc(plane int, retire bool) *reloc {
+	r := d.relocs.Get()
+	r.d, r.plane, r.retire = d, plane, retire
+	return r
+}
+
+// putReloc returns a relocation record to its freelist. The handle is
+// dead afterwards.
+//
+//simlint:release
+func (d *Device) putReloc(r *reloc) {
+	r.lpas = r.lpas[:0]
+	d.relocs.Put(r)
+}
+
+// Fire runs the record's current stage.
+func (r *reloc) Fire() {
+	d := r.d
+	switch r.stage {
+	case relocRead:
+		// Re-check: the mapping may have moved while the read was queued.
+		if d.ftl.lookupLinear(r.lpas[r.cur]) != r.old {
+			r.cur++
+			d.relocateNext(r)
+			return
+		}
+		stream := HotStream
+		if d.cfg.HotColdSeparation {
+			stream = ColdStream
+		}
+		r.lin = d.ftl.allocPage(r.plane, stream)
+		d.ftl.beginProgram(r.plane, r.lin)
+		r.stage = relocProgram
+		d.programDie(r.lin, r)
+	case relocProgram:
+		lpa := r.lpas[r.cur]
+		d.ftl.endProgram(r.plane, r.lin)
+		if d.ftl.lookupLinear(lpa) == r.old {
+			d.commit(lpa, r.lin, true)
+			d.gcRelocations++
+			d.boundary(BoundaryGC, lpa)
+		} else {
+			d.gcStale++
+			d.boundary(BoundaryGCStale, lpa)
+		}
+		r.cur++
+		d.relocateNext(r)
+	case relocErase:
+		d.ftl.OnErased(r.plane, r.victim)
+		d.gcErases++
+		d.boundary(BoundaryErase, -1)
+		d.drainPending(r.plane)
+		d.gcStep(r)
+	}
 }
 
 // relocateBlock starts moving the still-valid pages of block victim on
-// o.plane, one at a time, within the plane (copyback: array read + array
+// r.plane, one at a time, within the plane (copyback: array read + array
 // program, no bus traffic).
-func (d *Device) relocateBlock(o *op, victim int) {
-	o.victim = victim
-	o.start = d.ftl.blockStart(o.plane, victim)
-	o.lpas = d.ftl.appendValidLPAs(o.lpas[:0], o.plane, victim)
-	o.next = 0
-	d.relocateNext(o)
+func (d *Device) relocateBlock(r *reloc, victim int) {
+	r.victim = victim
+	r.start = d.ftl.blockStart(r.plane, victim)
+	r.lpas = d.ftl.appendValidLPAs(r.lpas[:0], r.plane, victim)
+	r.cur = 0
+	d.relocateNext(r)
 }
 
 // relocateNext reads the next resident still on the victim, skipping
@@ -306,28 +368,28 @@ func (d *Device) relocateBlock(o *op, victim int) {
 // commit is skipped and the target page becomes dead garbage (counted in
 // GCStalePrograms) — committing anyway would resurrect trimmed data or
 // roll an update back.
-func (d *Device) relocateNext(o *op) {
-	for ; o.next < len(o.lpas); o.next++ {
+func (d *Device) relocateNext(r *reloc) {
+	for ; r.cur < len(r.lpas); r.cur++ {
 		// Still resident iff mapped into the victim's page range (unmapped
 		// is negative, below every range).
-		lin := d.ftl.lookupLinear(o.lpas[o.next])
-		if lin < o.start || lin >= o.start+int64(d.geo.PagesPerBlock) {
+		lin := d.ftl.lookupLinear(r.lpas[r.cur])
+		if lin < r.start || lin >= r.start+int64(d.geo.PagesPerBlock) {
 			continue
 		}
-		o.old = lin
-		o.stage = stageRelocRead
-		ch, die, pl := d.PlaneLoc(o.plane)
-		d.Die(ch, die).Read(nand.Addr{Plane: pl, Block: o.victim, Page: int(lin - o.start)}, o)
+		r.old = lin
+		r.stage = relocRead
+		ch, die, pl := d.PlaneLoc(r.plane)
+		d.Die(ch, die).Read(nand.Addr{Plane: pl, Block: r.victim, Page: int(lin - r.start)}, r)
 		return
 	}
-	if o.kind == kindGC {
-		ch, die, pl := d.PlaneLoc(o.plane)
-		o.stage = stageErase
-		d.Die(ch, die).Erase(nand.Addr{Plane: pl, Block: o.victim}, o)
+	if !r.retire {
+		ch, die, pl := d.PlaneLoc(r.plane)
+		r.stage = relocErase
+		d.Die(ch, die).Erase(nand.Addr{Plane: pl, Block: r.victim}, r)
 		return
 	}
-	plane, block := o.plane, o.victim
-	d.putOp(o)
+	plane, block := r.plane, r.victim
+	d.putReloc(r)
 	d.ftl.RetireBlock(plane, block)
 	d.boundary(BoundaryRetire, -1)
 	d.drainPending(plane)
