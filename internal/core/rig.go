@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/fault"
@@ -86,15 +87,21 @@ type rig struct {
 	onDrained sim.Handler // r.drained, adapted once
 
 	spareWaiters [][]sim.Handler // resolved futures' waiter lists, for reuse
-	planeSlots   []int           // unused plane storage for unit placements (place)
+	planes       carver[int]     // unit placements' plane storage (place)
+	members      carver[*unit]   // batches' unit lists (fetched)
 	units        sim.Freelist[unit]
 	compOps      sim.Freelist[compOp]
 	batches      sim.Freelist[batch]
 }
 
+// rigs holds the rigs given back by release.
+var rigs sim.Shelf[rig]
+
 // newRig validates cfg and builds the run every simulated system shares:
 // engine and tracer, device, host link, layout, plane mapper, the
-// preloaded window and the armed fault plan, in that order.
+// preloaded window and the armed fault plan, in that order. The rig,
+// device and engine reuse the record storage of ones given back by
+// release when their shelves hold one.
 func newRig(config Config, kind pipelineKind) (*rig, error) {
 	if err := config.Validate(); err != nil {
 		return nil, err
@@ -106,31 +113,45 @@ func newRig(config Config, kind pipelineKind) (*rig, error) {
 	}
 	dev := ssd.NewDevice(eng, cfg.SSD)
 	geo := dev.Geometry()
-	r := &rig{
-		cfg:       cfg,
-		kind:      kind,
-		eng:       eng,
-		tr:        eng.Tracer(),
-		dev:       dev,
-		geo:       geo,
-		link:      host.NewLink(eng, cfg.Link),
-		comps:     cfg.Comps(),
-		elems:     cfg.ElemsPerPage(),
-		pageSize:  geo.PageSize,
-		gradB:     cfg.GradBytesPerUnit(),
-		woutB:     cfg.WeightOutBytesPerUnit(),
-		residentB: cfg.ResidentBytesPerUnit(),
-		kernel:    kernelFor(*cfg),
-		simUnits:  cfg.SimUnits(),
+	r := rigs.Take()
+	if r == nil {
+		r = new(rig)
+	}
+	*r = rig{
+		grads:        r.grads,
+		spareWaiters: r.spareWaiters,
+		planes:       r.planes,
+		members:      r.members,
+		units:        r.units,
+		compOps:      r.compOps,
+		batches:      r.batches,
+		cfg:          cfg,
+		kind:         kind,
+		eng:          eng,
+		tr:           eng.Tracer(),
+		dev:          dev,
+		geo:          geo,
+		link:         host.NewLink(eng, cfg.Link),
+		comps:        cfg.Comps(),
+		elems:        cfg.ElemsPerPage(),
+		pageSize:     geo.PageSize,
+		gradB:        cfg.GradBytesPerUnit(),
+		woutB:        cfg.WeightOutBytesPerUnit(),
+		residentB:    cfg.ResidentBytesPerUnit(),
+		kernel:       kernelFor(*cfg),
+		simUnits:     cfg.SimUnits(),
 	}
 	r.onSent, r.onDrained = sim.Func(r.sent), sim.Func(r.drained)
 	lay, err := layout.New(geo, r.comps, r.simUnits, cfg.Layout)
 	if err != nil {
+		r.release()
 		return nil, err
 	}
 	if lay.LogicalPages() > dev.FTL().LogicalPages() {
-		return nil, fmt.Errorf("core: window of %d pages exceeds device logical capacity %d — lower MaxSimUnits",
+		err := fmt.Errorf("core: window of %d pages exceeds device logical capacity %d — lower MaxSimUnits",
 			lay.LogicalPages(), dev.FTL().LogicalPages())
+		r.release()
+		return nil, err
 	}
 	r.lay = lay
 	dev.SetPlaneMapper(lay.PlaneMapper())
@@ -139,6 +160,31 @@ func newRig(config Config, kind pipelineKind) (*rig, error) {
 	}
 	r.inj = armFaults(eng, dev, *cfg)
 	return r, nil
+}
+
+// release hands the rig, its device and its engine back for later runs
+// to take: every record they have carved is zeroed, their record storage
+// and the slices a run regrows are kept, and nothing else survives.
+// Nothing may use any of the three afterwards.
+func (r *rig) release() {
+	r.dev.Release()
+	r.eng.Release()
+	r.units.Reset()
+	r.compOps.Reset()
+	r.batches.Reset()
+	clear(r.grads)
+	r.planes.rewind()
+	r.members.rewind()
+	*r = rig{
+		grads:        r.grads[:0],
+		spareWaiters: r.spareWaiters,
+		planes:       r.planes,
+		members:      r.members,
+		units:        r.units,
+		compOps:      r.compOps,
+		batches:      r.batches,
+	}
+	rigs.Give(r)
 }
 
 // setup builds the row's executor, wires its pipeline's gradient stream
@@ -217,7 +263,7 @@ func (r *rig) offload(exec func(flops, bytes float64, done sim.Handler), stream 
 func (r *rig) postGrads(unitsPer, bytesPerUnit int64) {
 	n := (r.simUnits + unitsPer - 1) / unitsPer
 	r.gradUnits = unitsPer
-	r.grads = make([]future, n)
+	r.grads = slices.Grow(r.grads[:0], int(n))[:n]
 	next := r.nextGrads
 	for k := range r.grads {
 		r.grads[k].r = r

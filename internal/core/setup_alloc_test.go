@@ -82,7 +82,9 @@ func TestDeviceSetupAllocatesPerWindow(t *testing.T) {
 // 16 units of 3 pages, puts at most 12 pages on a plane even on the
 // smallest device, 1×2×2; a plane past 16 pages grows its first block's
 // reverse map to the whole block, which grows with the window's pages per
-// plane, not with the build.
+// plane, not with the build. Each set-up releases its device and engine,
+// so every measured build takes the pair the one before it gave back,
+// whatever the shelves held when the test began.
 func TestDeviceBuildAllocsConstant(t *testing.T) {
 	const window = 16
 	for _, suspend := range []bool{false, true} {
@@ -92,7 +94,12 @@ func TestDeviceBuildAllocsConstant(t *testing.T) {
 				for _, planes := range []int{2, 4} {
 					cfg, lay := setupWindow(t, ch, dies, planes, window)
 					cfg.SSD.Nand.ReadSuspend = suspend
-					got := int(testing.AllocsPerRun(10, func() { runtime.KeepAlive(setUpDevice(cfg, lay)) }))
+					got := int(testing.AllocsPerRun(10, func() {
+						dev := setUpDevice(cfg, lay)
+						eng := dev.Engine()
+						dev.Release()
+						eng.Release()
+					}))
 					if first < 0 {
 						first = got
 						t.Logf("read-suspend %v: %d allocations per set-up", suspend, got)

@@ -53,6 +53,7 @@ func (d *Design) simulate(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer run.release()
 	run.setup(d)
 	if err := run.simulate(d.name); err != nil {
 		return nil, err

@@ -159,25 +159,60 @@ func (r *rig) putBatch(b *batch) {
 	r.batches.Put(b)
 }
 
-// placeSlab is how many records' plane storage the rig carves from one
-// allocation, as sim.Freelist carves records.
-const placeSlab = 16
-
 // place fills u's placement. A record's first placement takes storage
-// for its components' planes from the rig's slab, which it keeps across
+// for its components' planes from the rig's slabs, which it keeps across
 // reuse.
 //
 //simlint:hotpath
 func (r *rig) place(u *unit) {
 	if u.place.Planes == nil {
-		if len(r.planeSlots) == 0 {
-			//simlint:allow hotalloc pool growth: one slab per placeSlab records while the pool warms up
-			r.planeSlots = make([]int, placeSlab*r.comps)
-		}
-		u.place.Planes = r.planeSlots[:0:r.comps]
-		r.planeSlots = r.planeSlots[r.comps:]
+		u.place.Planes = r.planes.carve(r.comps)
 	}
 	r.lay.Placement(u.idx, &u.place)
+}
+
+// carveSlab is how many records' storage a carver carves from one slab,
+// as sim.Freelist carves records.
+const carveSlab = 16
+
+// carver hands records storage of a fixed length per run (a unit's
+// planes, a batch's units) from slabs it keeps across the rig's runs, so
+// storage a record keeps across reuse survives the zeroing of the
+// record when the rig is released.
+type carver[T any] struct {
+	slabs [][]T // in carve order
+	next  int   // slabs[:next] have been carved from since the last rewind
+	cur   []T   // unused storage of the current slab
+}
+
+// carve returns empty storage of capacity n; n is the same for every
+// call between rewinds.
+//
+//simlint:hotpath
+func (c *carver[T]) carve(n int) []T {
+	if len(c.cur) == 0 {
+		c.nextSlab(n)
+	}
+	x := c.cur[:0:n]
+	c.cur = c.cur[n:]
+	return x
+}
+
+// nextSlab makes the next slab current: the one an earlier run carved
+// there when it holds carveSlab records' storage, else a new one.
+func (c *carver[T]) nextSlab(n int) {
+	size := carveSlab * n
+	if k := c.next; k == len(c.slabs) || len(c.slabs[k]) < size {
+		//simlint:allow hotalloc pool growth: one slab per carveSlab records the rig has never held at once
+		c.slabs = append(c.slabs[:k], make([]T, size))
+	}
+	c.cur = c.slabs[c.next][:size]
+	c.next++
+}
+
+// rewind makes the slabs' storage free for the rig's next run.
+func (c *carver[T]) rewind() {
+	c.next, c.cur = 0, nil
 }
 
 // fanOut opens a stage that waits for n completions.
@@ -419,7 +454,10 @@ func (r *rig) fetched(u *unit) {
 		r.filling = r.getBatch()
 	}
 	b := r.filling
-	//simlint:allow hotalloc amortized batch growth; records keep their storage
+	if b.units == nil {
+		b.units = r.members.carve(int(r.gradUnits))
+	}
+	//simlint:allow hotalloc a batch holds at most gradUnits units, the capacity carve gives it
 	b.units = append(b.units, u)
 	r.readsArrived++
 	if int64(len(b.units)) < r.gradUnits && r.readsArrived != r.next {

@@ -20,6 +20,15 @@ import (
 // Registry-style variables that are mutated once during setup keep an
 // explicit `//simlint:allow globalstate <reason>` at the write site.
 //
+// The one store simulations share is a shelf (sim.Shelf): one package
+// variable each for finished engines, devices and core rigs, which a
+// later constructor takes back with its record storage. The analyzer
+// needs no allow for them, since Take and Give are method calls, not
+// writes, and the shelf's mutex keeps them race-free. They cannot
+// couple runs: an owner is reset when it is given back, so the one a
+// constructor takes equals a new one bit for bit except for where its
+// record slabs sit in memory, and no simulated figure depends on that.
+//
 // Category: globalstate.
 var GlobalState = &lint.Analyzer{
 	Name: "globalstate",

@@ -199,9 +199,29 @@ type Engine struct {
 	ops    Freelist[pendingOp]
 }
 
-// NewEngine returns an empty engine at time zero.
+// engines holds the engines given back by Release.
+var engines Shelf[Engine]
+
+// NewEngine returns an empty engine at time zero, one given back by
+// Release when the shelf holds one.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := engines.Take()
+	if e == nil {
+		e = new(Engine)
+	}
+	return e
+}
+
+// Release hands the engine back for a later NewEngine to take: it zeroes
+// every record its pools have carved and keeps their slabs and the
+// heap's capacity. Nothing may use the engine, or any resource, event
+// handle or record of it, afterwards.
+func (e *Engine) Release() {
+	e.events.Reset()
+	e.reqs.Reset()
+	e.ops.Reset()
+	*e = Engine{queue: e.queue[:0], events: e.events, reqs: e.reqs, ops: e.ops}
+	engines.Give(e)
 }
 
 // SetTracer installs (or, with nil, removes) the engine's tracer. Install

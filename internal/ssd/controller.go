@@ -94,13 +94,24 @@ type Device struct {
 	gcStale                   uint64
 }
 
-// NewDevice builds a device; invalid configuration panics at construction.
+// devices holds the devices given back by Release.
+var devices sim.Shelf[Device]
+
+// NewDevice builds a device, reusing the record storage of one given
+// back by Release when the shelf holds one; invalid configuration panics
+// at construction.
 func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	geo := cfg.Geometry()
-	d := &Device{
+	d := devices.Take()
+	if d == nil {
+		d = new(Device)
+	}
+	*d = Device{
+		ops:           d.ops,
+		relocs:        d.relocs,
 		eng:           eng,
 		cfg:           cfg,
 		geo:           geo,
@@ -116,6 +127,17 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	}
 	d.channels = nand.NewChannels(eng, &d.cfg.Nand, cfg.Channels, cfg.DiesPerChannel)
 	return d
+}
+
+// Release hands the device back for a later NewDevice to take: it zeroes
+// every op and relocation record it has carved, keeps their slabs and
+// drops everything else. The engine is not released with it. Nothing
+// may use the device or a record of it afterwards.
+func (d *Device) Release() {
+	d.ops.Reset()
+	d.relocs.Reset()
+	*d = Device{ops: d.ops, relocs: d.relocs}
+	devices.Give(d)
 }
 
 // Engine returns the simulation engine the device runs on.
